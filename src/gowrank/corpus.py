@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,18 +28,16 @@ OOV_ID = -1
 _STRIP_CHARS = string.punctuation + "‘’“”"
 
 
-def tokenize(text: str, stemmer: Callable[[str], str] | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split on whitespace, lowercase, strip surrounding punctuation.
 
-    Empty tokens are dropped; order is preserved.  `stemmer` is an optional
-    per-token normalizer applied last (off by default).
+    Empty tokens are dropped; order is preserved.
     """
     out = []
     for raw in text.lower().split():
         tok = raw.strip(_STRIP_CHARS)
-        if not tok:
-            continue
-        out.append(stemmer(tok) if stemmer else tok)
+        if tok:
+            out.append(tok)
     return out
 
 
@@ -193,7 +191,11 @@ def make_query(vocab: Vocabulary, query_id: str, tokens: list[str]) -> Query:
 
 
 def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
-    """JSON-lines corpus reader: one {"doc_id", "text"} object per line."""
+    """JSON-lines corpus reader: one {"doc_id", "text"} object per line.
+
+    A doc_id seen on an earlier line is an error, not an overwrite.
+    """
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -204,7 +206,11 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
                 doc_id, text = obj["doc_id"], obj["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-            yield str(doc_id), str(text)
+            doc_id = str(doc_id)
+            if doc_id in seen:
+                raise DataFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
+            yield doc_id, str(text)
 
 
 def read_queries(path: str | Path) -> list[tuple[str, str]]:

@@ -15,9 +15,6 @@ import numpy as np
 from .corpus import Vocabulary
 from .errors import DataFormatError
 
-CACHE_VERSION = 1
-
-
 class EmbeddingTable:
     """Dense vectors indexed by vocabulary id.
 
@@ -51,26 +48,6 @@ class EmbeddingTable:
         if term_id < 0 or term_id >= len(self.has_vector):
             return np.zeros(self.dim)
         return self.unit[term_id]
-
-    def save_cache(self, path: str | Path) -> None:
-        """Binary cache for fast reload (versioned)."""
-        np.savez_compressed(
-            path,
-            version=np.array([CACHE_VERSION]),
-            dim=np.array([self.dim]),
-            vectors=self.vectors,
-            has_vector=self.has_vector,
-        )
-
-    @classmethod
-    def load_cache(cls, path: str | Path) -> "EmbeddingTable":
-        with np.load(path) as data:
-            version = int(data["version"][0])
-            if version != CACHE_VERSION:
-                raise DataFormatError(
-                    f"{path}: cache version {version}, expected {CACHE_VERSION}"
-                )
-            return cls(int(data["dim"][0]), data["vectors"], data["has_vector"])
 
 
 def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:

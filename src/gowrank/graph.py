@@ -8,8 +8,6 @@ matrix of node-term / query-term cosines provides the input features.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -140,15 +138,3 @@ def interaction_matrix(
     query_units = np.stack([emb.unit_vector(t) for t in query.tokens])
     return doc_units @ query_units.T
 
-
-def dump_edges(graph: DocumentGraph, path: str | Path) -> None:
-    """Debug dump: one `term_i term_j count` line per undirected edge."""
-    coo = graph.adjacency.tocoo()
-    lines = []
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i < j:
-            lines.append((graph.node_terms[i], graph.node_terms[j], int(v)))
-    lines.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        for ti, tj, count in lines:
-            fh.write(f"{ti} {tj} {count}\n")

@@ -1,10 +1,12 @@
 """Relevance scoring over a document's word graph.
 
-The forward pass initializes each node's state with its interaction-
-feature row (cosines against the query terms, zero-padded to a fixed
-width), runs a configurable number of gated message-passing steps over
-the normalized adjacency, pools the k strongest per-query-term signals,
-and combines the per-term scores under idf-driven softmax gates.
+A query with m terms (at most `max_query_len`) gives every node m state
+columns, initialized with its interaction-feature row (cosines against
+the query terms).  The forward pass runs a configurable number of gated
+message-passing steps over the normalized adjacency with the leading
+m x m blocks of the layer weights, pools the k strongest signals per
+query term, and combines the per-term scores under idf-driven softmax
+gates.
 
 Everything is recorded in a ForwardTrace so the training module can
 replay the computation exactly in reverse.
@@ -13,9 +15,9 @@ replay the computation exactly in reverse.
 from __future__ import annotations
 
 import json
-import logging
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,6 @@ from scipy.special import expit
 from .corpus import Query
 from .errors import DataFormatError
 from .graph import DocumentGraph
-
-log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GOWRANK1"
 CHECKPOINT_VERSION = 1
@@ -49,10 +49,11 @@ class HyperParams:
 class LayerParams:
     """One message-passing layer: aggregation weights plus the gated update.
 
-    All matrices are (max_query_len, max_query_len); biases are vectors.
-    `msg_w` mixes state dimensions before neighbor aggregation; the three
-    (w, u, b) triples drive the update gate, reset gate, and candidate
-    state respectively.
+    All matrices are (max_query_len, max_query_len) and biases have
+    max_query_len entries; a query with m terms uses the leading blocks
+    (see `leading_block`).  `msg_w` mixes state dimensions before
+    neighbor aggregation; the three (w, u, b) triples drive the update
+    gate, reset gate, and candidate state respectively.
     """
 
     msg_w: np.ndarray
@@ -120,17 +121,25 @@ def iter_tensors(params: ModelParams):
     yield "idf_scale", params.idf_scale
 
 
-def get_tensor(params: ModelParams, name: str) -> np.ndarray:
-    for tensor_name, tensor in iter_tensors(params):
-        if tensor_name == name:
-            return tensor
-    raise KeyError(name)
-
-
 def layer_for_step(params: ModelParams, step: int) -> LayerParams:
     if params.hyper.per_step_weights:
         return params.layers[step]
     return params.layers[0]
+
+
+def leading_block(layer: LayerParams, m: int) -> LayerParams:
+    """The weights of `layer` that act on the first m query columns.
+
+    Matrices are cut to their leading m x m block and biases to their
+    first m entries.  The slices are views, so adding into them writes
+    through to `layer`.
+    """
+    return LayerParams(
+        **{
+            name: w[:m, :m] if w.ndim == 2 else w[:m]
+            for name, w in vars(layer).items()
+        }
+    )
 
 
 def init_params(hyper: HyperParams, rng: np.random.Generator) -> ModelParams:
@@ -174,10 +183,10 @@ def init_params(hyper: HyperParams, rng: np.random.Generator) -> ModelParams:
 class ForwardTrace:
     """Every intermediate of one forward pass, for exact reverse replay.
 
-    `states[0]` is the zero-padded interaction matrix; `states[s+1]` the
-    post-update state after step s.  Gate activations are stored raw
-    (pre-mask); the column mask and padded idf vector travel with the
-    trace so the backward pass can apply them at the same points.
+    Each of the m scored query terms owns one column: `states[0]` is the
+    (n, m) interaction matrix, `states[s+1]` the state after step s, and
+    `pooled` is (m, pool_k).  `idf` holds the m terms' idf values that
+    drove the gates.
     """
 
     states: list[np.ndarray]
@@ -190,40 +199,8 @@ class ForwardTrace:
     gates: np.ndarray
     term_scores: np.ndarray
     rel: float
-    mask: np.ndarray
     idf: np.ndarray
     norm_adj: csr_matrix
-
-
-def pad_query(
-    S: np.ndarray, query: Query, max_query_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-pad the interaction matrix to a fixed column count.
-
-    Returns (initial state (n, max_query_len), boolean column mask,
-    padded idf vector).  Queries longer than the budget keep their first
-    `max_query_len` terms (with a warning); empty queries cannot be
-    scored.
-    """
-    m = S.shape[1]
-    if m == 0:
-        raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
-    if m > max_query_len:
-        log.warning(
-            "query %s has %d terms; keeping the first %d",
-            query.query_id,
-            m,
-            max_query_len,
-        )
-        m = max_query_len
-    n = S.shape[0]
-    h0 = np.zeros((n, max_query_len), dtype=np.float64)
-    h0[:, :m] = S[:, :m]
-    mask = np.zeros(max_query_len, dtype=bool)
-    mask[:m] = True
-    idf = np.zeros(max_query_len, dtype=np.float64)
-    idf[:m] = query.idf[:m]
-    return h0, mask, idf
 
 
 def propagate(h: np.ndarray, norm_adj: csr_matrix, msg_w: np.ndarray) -> np.ndarray:
@@ -249,15 +226,13 @@ def gru_update(
     return h_new, z, r, cand
 
 
-def readout(
-    h_final: np.ndarray, k: int, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def readout(h_final: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-query-term k-max pooling over nodes.
 
-    For each unmasked column, the k largest entries in descending order
-    (ties: smaller node index first); zero-padded when the graph has
-    fewer than k nodes.  Returns (pooled values (M, k), source node
-    indices with -1 marking padded slots).
+    For each column, the k largest entries in descending order (ties:
+    smaller node index first); zero-padded when the graph has fewer than
+    k nodes.  Returns (pooled values (m, k), source node indices with -1
+    marking padded slots).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -265,27 +240,20 @@ def readout(
     pooled = np.zeros((m, k), dtype=np.float64)
     idx = np.full((m, k), -1, dtype=np.int64)
     take = min(k, n)
-    for j in range(m):
-        if not mask[j]:
-            continue
-        if take:
-            order = np.argsort(-h_final[:, j], kind="stable")[:take]
-            pooled[j, :take] = h_final[order, j]
-            idx[j, :take] = order
+    order = np.argsort(-h_final, axis=0, kind="stable")[:take].T
+    pooled[:, :take] = np.take_along_axis(h_final.T, order, axis=1)
+    idx[:, :take] = order
     return pooled, idx
 
 
-def gate_weights(idf: np.ndarray, scale: float, mask: np.ndarray) -> np.ndarray:
-    """Softmax of scale*idf over the real query terms; masked terms get 0.
+def gate_weights(idf: np.ndarray, scale: float) -> np.ndarray:
+    """Softmax of scale*idf over the query terms.
 
     Max-subtraction keeps the exponentials bounded for any scale.
     """
-    if not mask.any():
-        raise ValueError("gate_weights needs at least one real term")
     y = float(scale) * idf
-    shifted = y - y[mask].max()
-    e = np.where(mask, np.exp(shifted), 0.0)
-    return e / e[mask].sum()
+    e = np.exp(y - y.max())
+    return e / e.sum()
 
 
 def score(
@@ -305,13 +273,17 @@ def forward(
 ) -> tuple[float, ForwardTrace]:
     """Full scoring pass; returns (rel, trace).
 
-    Padded query columns are forced to zero after every aggregation and
-    every state update, so they never influence the score and never
-    receive gradient.  An empty document scores the all-zero readout
+    Scores the first m = min(len(query), max_query_len) query terms, one
+    state column each; terms past the budget are dropped.  An empty query
+    cannot be scored.  An empty document scores the all-zero readout
     rather than erroring.
     """
     hyper = params.hyper
-    h0, mask, idf = pad_query(S, query, hyper.max_query_len)
+    m = min(S.shape[1], hyper.max_query_len)
+    if m == 0:
+        raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
+    h0 = S[:, :m]
+    idf = query.idf[:m]
     norm_adj = graph.norm_adjacency
 
     states = [h0]
@@ -321,19 +293,17 @@ def forward(
     cand: list[np.ndarray] = []
     h = h0
     for step in range(hyper.steps):
-        layer = layer_for_step(params, step)
-        a = propagate(h, norm_adj, layer.msg_w) * mask
-        h_new, z, r, c = gru_update(a, h, layer)
-        h_new = h_new * mask
+        layer = leading_block(layer_for_step(params, step), m)
+        a = propagate(h, norm_adj, layer.msg_w)
+        h, z, r, c = gru_update(a, h, layer)
         messages.append(a)
         upd.append(z)
         reset.append(r)
         cand.append(c)
-        states.append(h_new)
-        h = h_new
+        states.append(h)
 
-    pooled, pooled_idx = readout(h, hyper.pool_k, mask)
-    gates = gate_weights(idf, float(params.idf_scale), mask)
+    pooled, pooled_idx = readout(h, hyper.pool_k)
+    gates = gate_weights(idf, float(params.idf_scale))
     rel, term_scores = score(pooled, gates, params.out_w, params.out_b)
     trace = ForwardTrace(
         states=states,
@@ -346,7 +316,6 @@ def forward(
         gates=gates,
         term_scores=term_scores,
         rel=rel,
-        mask=mask,
         idf=idf,
         norm_adj=norm_adj,
     )
@@ -406,8 +375,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a model checkpoint")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise DataFormatError(f"{path}: truncated checkpoint header")
+        (header_len,) = struct.unpack("<I", raw_len)
+        # bound the length before reading, so a corrupt field cannot ask
+        # for gigabytes
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataFormatError(
+                f"{path}: truncated checkpoint header "
+                f"({header_len} bytes announced)"
+            )
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataFormatError(
+                f"{path}: unreadable checkpoint header: {exc}"
+            ) from exc
         if header["version"] != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: checkpoint version {header['version']}, "

@@ -3,8 +3,8 @@ sampling, the epoch loop, and finite-difference verification.
 
 The backward pass replays a recorded ForwardTrace pair in reverse, by
 hand — no autodiff framework.  Gradients flow only through the paths the
-forward pass actually took: selected top-k entries, real (unmasked)
-query columns, and the active side of the hinge.
+forward pass actually took: selected top-k entries, the leading parameter
+blocks of the m scored query columns, and the active side of the hinge.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from .graph import DocumentGraph, build_graph, build_graph_mode, interaction_mat
 from .model import (
     ForwardTrace,
     HyperParams,
+    LayerParams,
     ModelParams,
     forward,
     init_params,
     iter_tensors,
-    layer_for_step,
+    leading_block,
     save_checkpoint,
 )
 from .retrieval import PostingsIndex, top_candidates
@@ -64,93 +65,95 @@ def zero_tape(params: ModelParams) -> GradientTape:
 
 def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
     hyper = params.hyper
-    if trace.states[0].shape[1] != hyper.max_query_len:
+    if trace.states[0].shape[1] > hyper.max_query_len:
         raise ValueError(
             f"trace has {trace.states[0].shape[1]} state columns, "
-            f"params expect {hyper.max_query_len}"
+            f"params allow {hyper.max_query_len}"
         )
     if len(trace.messages) != hyper.steps:
         raise ValueError(
             f"trace recorded {len(trace.messages)} steps, params expect {hyper.steps}"
         )
-    if trace.pooled.shape != (hyper.max_query_len, hyper.pool_k):
+    if trace.pooled.shape[1] != hyper.pool_k:
         raise ValueError(
-            f"trace pooled shape {trace.pooled.shape} does not match "
-            f"({hyper.max_query_len}, {hyper.pool_k})"
+            f"trace pooled {trace.pooled.shape[1]} values per term, "
+            f"params expect {hyper.pool_k}"
         )
 
 
 def _backprop_one(
     trace: ForwardTrace, params: ModelParams, d_rel: float, tape: GradientTape
 ) -> None:
-    """Accumulate d(loss)/d(params) for one document given d(loss)/d(rel)."""
+    """Accumulate d(loss)/d(params) for one document given d(loss)/d(rel).
+
+    Only the leading blocks that act on the trace's m columns get
+    gradient; the rest of the tape is left as it was.
+    """
     hyper = params.hyper
-    maskf = trace.mask.astype(np.float64)
+    m = trace.states[0].shape[1]
     g = trace.gates
     s = trace.term_scores
 
     # rel = sum_j g_j * s_j with s = tanh(pooled @ out_w + out_b)
     ds = d_rel * g
-    dg = d_rel * s * maskf
+    dg = d_rel * s
     dpre = ds * (1.0 - s * s)
     tape.grads["out_w"] += trace.pooled.T @ dpre
     tape.grads["out_b"] += dpre.sum()
     dx = np.outer(dpre, params.out_w)
 
-    # softmax gates over real terms: dy_j = g_j (dg_j - sum_l dg_l g_l)
+    # softmax gates: dy_j = g_j (dg_j - sum_l dg_l g_l)
     dy = g * (dg - float(dg @ g))
     tape.grads["idf_scale"] += dy @ trace.idf
 
     # k-max pooling routed gradient only to the selected node entries
     dh = np.zeros_like(trace.states[-1])
-    idx = trace.pooled_idx
-    for j in np.nonzero(trace.mask)[0]:
-        valid = idx[j] >= 0
-        if valid.any():
-            dh[idx[j, valid], j] += dx[j, valid]
+    term, slot = np.nonzero(trace.pooled_idx >= 0)
+    dh[trace.pooled_idx[term, slot], term] = dx[term, slot]
 
     for step in reversed(range(hyper.steps)):
-        layer = layer_for_step(params, step)
         li = step if hyper.per_step_weights else 0
+        layer = leading_block(params.layers[li], m)
+        grad = leading_block(
+            LayerParams(**{f: tape.grads[f"layer{li}.{f}"] for f in vars(layer)}), m
+        )
         h_in = trace.states[step]
         a = trace.messages[step]
         z = trace.upd_gate[step]
         r = trace.reset_gate[step]
         cand = trace.candidate[step]
 
-        # forward was h_out = (cand*z + h_in*(1-z)) * mask
-        dh_raw = dh * maskf
-        dz = dh_raw * (cand - h_in)
-        dcand = dh_raw * z
-        dh_acc = dh_raw * (1.0 - z)
+        # forward was h_out = cand*z + h_in*(1-z)
+        dz = dh * (cand - h_in)
+        dcand = dh * z
+        dh_acc = dh * (1.0 - z)
 
         dp_c = dcand * (1.0 - cand * cand)
-        tape.grads[f"layer{li}.w_cand"] += dp_c.T @ a
-        tape.grads[f"layer{li}.u_cand"] += dp_c.T @ (r * h_in)
-        tape.grads[f"layer{li}.b_cand"] += dp_c.sum(axis=0)
+        grad.w_cand += dp_c.T @ a
+        grad.u_cand += dp_c.T @ (r * h_in)
+        grad.b_cand += dp_c.sum(axis=0)
         da = dp_c @ layer.w_cand
         drh = dp_c @ layer.u_cand
         dr = drh * h_in
         dh_acc += drh * r
 
         dp_r = dr * r * (1.0 - r)
-        tape.grads[f"layer{li}.w_reset"] += dp_r.T @ a
-        tape.grads[f"layer{li}.u_reset"] += dp_r.T @ h_in
-        tape.grads[f"layer{li}.b_reset"] += dp_r.sum(axis=0)
+        grad.w_reset += dp_r.T @ a
+        grad.u_reset += dp_r.T @ h_in
+        grad.b_reset += dp_r.sum(axis=0)
         da += dp_r @ layer.w_reset
         dh_acc += dp_r @ layer.u_reset
 
         dp_z = dz * z * (1.0 - z)
-        tape.grads[f"layer{li}.w_up"] += dp_z.T @ a
-        tape.grads[f"layer{li}.u_up"] += dp_z.T @ h_in
-        tape.grads[f"layer{li}.b_up"] += dp_z.sum(axis=0)
+        grad.w_up += dp_z.T @ a
+        grad.u_up += dp_z.T @ h_in
+        grad.b_up += dp_z.sum(axis=0)
         da += dp_z @ layer.w_up
         dh_acc += dp_z @ layer.u_up
 
-        # messages were a = (adj @ (h_in @ msg_w.T)) * mask
-        da_raw = da * maskf
-        d_mixed = trace.norm_adj.T @ da_raw
-        tape.grads[f"layer{li}.msg_w"] += d_mixed.T @ h_in
+        # messages were a = adj @ (h_in @ msg_w.T)
+        d_mixed = trace.norm_adj.T @ da
+        grad.msg_w += d_mixed.T @ h_in
         dh_acc += d_mixed @ layer.msg_w
 
         dh = dh_acc
@@ -288,7 +291,11 @@ def sample_triplets(
 
 
 class ScoringContext:
-    """Caches graphs and interaction features for repeated scoring."""
+    """Caches graphs and interaction features for repeated scoring.
+
+    Also warns, once per query id, when a query has more terms than the
+    model scores.
+    """
 
     def __init__(
         self,
@@ -305,6 +312,7 @@ class ScoringContext:
         self.adjacency_mode = adjacency_mode
         self._graphs: dict[str, DocumentGraph] = {}
         self._feats: dict[tuple[str, str], np.ndarray] = {}
+        self._truncated: set[str] = set()
 
     def graph(self, doc_id: str) -> DocumentGraph:
         if doc_id not in self._graphs:
@@ -322,9 +330,17 @@ class ScoringContext:
         return self._feats[key]
 
     def score(self, qid: str, doc_id: str, params: ModelParams):
-        return forward(
-            self.graph(doc_id), self.feats(qid, doc_id), self.queries[qid], params
-        )
+        query = self.queries[qid]
+        budget = params.hyper.max_query_len
+        if len(query.tokens) > budget and qid not in self._truncated:
+            self._truncated.add(qid)
+            log.warning(
+                "query %s has %d terms; keeping the first %d",
+                qid,
+                len(query.tokens),
+                budget,
+            )
+        return forward(self.graph(doc_id), self.feats(qid, doc_id), query, params)
 
 
 def score_pool(
@@ -485,15 +501,10 @@ def _random_doc_side(rng, n: int, m: int):
 def _selection_safe(trace: ForwardTrace, k: int) -> bool:
     """True when every pooled column's order is robust to tiny nudges."""
     h_final = trace.states[-1]
-    n = h_final.shape[0]
-    take = min(k, n)
-    for j in np.nonzero(trace.mask)[0]:
-        col = np.sort(h_final[:, j])[::-1]
-        boundary = min(take + 1, n)
-        gaps = -np.diff(col[:boundary])
-        if gaps.size and gaps.min() < _SAFETY_GAP:
-            return False
-    return True
+    boundary = min(k + 1, h_final.shape[0])
+    top = np.sort(h_final, axis=0)[::-1][:boundary]
+    gaps = -np.diff(top, axis=0)
+    return not (gaps.size and gaps.min() < _SAFETY_GAP)
 
 
 def _checkable_instance(

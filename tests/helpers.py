@@ -44,7 +44,7 @@ def random_instance(rng, n, m, steps, k, m_max=8, per_step=False):
 
 
 def oracle_rel(graph, S, query, params) -> float:
-    """Evaluate the straight-line reference on the unpadded problem.
+    """Evaluate the straight-line reference on the query's M columns.
 
     Parameter blocks are cut down to the real query width; weight sharing
     means layer 0 is the one applied at every step.

@@ -1,9 +1,8 @@
 """Independent straight-line re-implementation of the relevance score.
 
 Used as the dual-implementation oracle: plain Python lists and math calls,
-no numpy, no shared code with the package.  Operates on the unpadded
-problem (exactly M query columns), which the padded production path must
-match on its real columns.
+no numpy, no shared code with the package.  Takes exactly M query columns
+and M x M weights, the leading blocks the production path scores with.
 """
 
 import math

@@ -4,13 +4,14 @@ artifact layout, exit codes, determinism, and the ablation invariant."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gowrank.cli import main
 from gowrank.corpus import Vocabulary
 from gowrank.datagen import overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
-from gowrank.model import load_checkpoint
+from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,14 @@ class TestExitCodes:
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["index", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_duplicate_doc_id_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "a b"}\n' * 2)
+        rc = main(["index", "--corpus", str(corpus),
+                   "--index-dir", str(tmp_path / "index")])
+        assert rc == 2
+        assert "corpus.jsonl:2: duplicate doc_id" in capsys.readouterr().err
 
     def test_bad_config_value_is_data_error(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -116,11 +125,17 @@ class TestPipeline:
         assert _run(workdir, "eval", "--run", str(workdir / "ghost.run")) == 2
 
     def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, init_params(HyperParams(), np.random.default_rng(0)))
+        data = good.read_bytes()
+        garbled = data[:12] + b"\xff" + data[13:]
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"not a checkpoint at all")
-        rc = _run(workdir, "rerank", "--checkpoint", str(bad),
-                  "--run-out", str(tmp_path / "x.run"))
-        assert rc == 2
+        # junk, cut in the header-length field, cut in the header, bad header
+        for content in (b"not a checkpoint at all", data[:10], data[:40], garbled):
+            bad.write_bytes(content)
+            rc = _run(workdir, "rerank", "--checkpoint", str(bad),
+                      "--run-out", str(tmp_path / "x.run"))
+            assert rc == 2
 
 
 class TestAblate:

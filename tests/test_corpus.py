@@ -13,6 +13,7 @@ from gowrank.corpus import (
     default_stopwords,
     encode_document,
     make_query,
+    read_corpus,
     tokenize,
 )
 from gowrank.errors import DataFormatError
@@ -35,12 +36,6 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("   \t\n ") == []
-
-    def test_stemmer_hook(self):
-        assert tokenize("Running dogs", stemmer=lambda t: t.rstrip("s")) == [
-            "running",
-            "dog",
-        ]
 
 
 def _toy_docs():
@@ -171,3 +166,15 @@ class TestDefaultStopwords:
         sw = default_stopwords()
         assert {"the", "a", "of", "and", "is"} <= sw
         assert "apple" not in sw
+
+
+class TestReadCorpus:
+    def test_duplicate_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"doc_id": "d1", "text": "a"}\n'
+            '{"doc_id": "d2", "text": "b"}\n'
+            '{"doc_id": "d1", "text": "c"}\n'
+        )
+        with pytest.raises(DataFormatError, match=r"corpus.jsonl:3: duplicate doc_id"):
+            list(read_corpus(path))

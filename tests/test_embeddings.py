@@ -117,29 +117,3 @@ class TestCosine:
             assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
             assert abs(cosine(u, v)) <= 1.0 + 1e-12
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        vecs = rng.normal(size=(4, 3))
-        vecs[2] = 0.0
-        table = EmbeddingTable(3, vecs, np.array([True, True, False, True]))
-        path = tmp_path / "cache.npz"
-        table.save_cache(path)
-        loaded = EmbeddingTable.load_cache(path)
-        assert loaded.dim == 3
-        np.testing.assert_array_equal(loaded.vectors, table.vectors)
-        np.testing.assert_array_equal(loaded.has_vector, table.has_vector)
-        np.testing.assert_array_equal(loaded.unit, table.unit)
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "cache.npz"
-        np.savez_compressed(
-            path,
-            version=np.array([99]),
-            dim=np.array([2]),
-            vectors=np.zeros((1, 2)),
-            has_vector=np.array([False]),
-        )
-        with pytest.raises(DataFormatError, match="version 99"):
-            EmbeddingTable.load_cache(path)

@@ -12,7 +12,6 @@ from gowrank.graph import (
     DocumentGraph,
     build_graph,
     build_graph_mode,
-    dump_edges,
     interaction_matrix,
     normalize_adjacency,
 )
@@ -298,10 +297,3 @@ class TestInteractionMatrix:
                 assert S[i, j] == pytest.approx(expected, abs=1e-12)
         assert np.all(np.abs(S) <= 1.0 + 1e-12)
 
-
-class TestDumpEdges:
-    def test_format(self, tmp_path):
-        g = build_graph(_doc([5, 9, 5, 2]), window=2)
-        path = tmp_path / "edges.txt"
-        dump_edges(g, path)
-        assert path.read_text().splitlines() == ["5 2 1", "5 9 2"]

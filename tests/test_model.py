@@ -1,8 +1,7 @@
-"""Forward-pass operations: padding, propagation, gated updates, pooling,
-gating, scoring — each against hand values, plus the straight-line oracle
-and structural invariants."""
+"""Forward-pass operations: propagation, gated updates, pooling, gating,
+scoring — each against hand values, plus the straight-line oracle and
+structural invariants."""
 
-import logging
 import math
 
 import numpy as np
@@ -19,12 +18,11 @@ from gowrank.model import (
     ModelParams,
     forward,
     gate_weights,
-    get_tensor,
     gru_update,
     init_params,
     iter_tensors,
+    leading_block,
     load_checkpoint,
-    pad_query,
     propagate,
     readout,
     save_checkpoint,
@@ -50,35 +48,6 @@ def _zero_layer(m):
         u_cand=np.zeros((m, m)),
         b_cand=np.zeros(m),
     )
-
-
-class TestPadQuery:
-    def test_pads_with_zeros(self):
-        S = np.array([[0.5, -0.2], [0.1, 0.9]])
-        h0, mask, idf = pad_query(S, _query(2, [1.0, 2.0]), 4)
-        assert h0.shape == (2, 4)
-        np.testing.assert_array_equal(h0[:, :2], S)
-        np.testing.assert_array_equal(h0[:, 2:], 0.0)
-        np.testing.assert_array_equal(mask, [True, True, False, False])
-        np.testing.assert_array_equal(idf, [1.0, 2.0, 0.0, 0.0])
-
-    def test_identity_when_full(self):
-        S = np.arange(12.0).reshape(3, 4)
-        h0, mask, _ = pad_query(S, _query(4), 4)
-        np.testing.assert_array_equal(h0, S)
-        assert mask.all()
-
-    def test_truncates_with_warning(self, caplog):
-        S = np.ones((2, 5))
-        with caplog.at_level(logging.WARNING, logger="gowrank.model"):
-            h0, mask, idf = pad_query(S, _query(5), 4)
-        assert h0.shape == (2, 4)
-        assert mask.sum() == 4
-        assert any("keeping the first 4" in r.message for r in caplog.records)
-
-    def test_empty_query_rejected(self):
-        with pytest.raises(DataFormatError, match="scoreable"):
-            pad_query(np.zeros((3, 0)), _query(0), 4)
 
 
 class TestPropagate:
@@ -174,27 +143,21 @@ class TestGruUpdate:
 class TestReadout:
     def test_top_two(self):
         h = np.array([[0.9], [0.1], [0.5], [0.7]])
-        pooled, idx = readout(h, 2, np.array([True]))
+        pooled, idx = readout(h, 2)
         np.testing.assert_array_equal(pooled[0], [0.9, 0.7])
         np.testing.assert_array_equal(idx[0], [0, 3])
 
     def test_zero_padding_when_small(self):
         h = np.array([[0.4]])
-        pooled, idx = readout(h, 3, np.array([True]))
+        pooled, idx = readout(h, 3)
         np.testing.assert_array_equal(pooled[0], [0.4, 0.0, 0.0])
         np.testing.assert_array_equal(idx[0], [0, -1, -1])
 
     def test_tie_takes_smaller_index(self):
         h = np.array([[0.5], [0.5], [0.2]])
-        pooled, idx = readout(h, 1, np.array([True]))
+        pooled, idx = readout(h, 1)
         assert pooled[0, 0] == 0.5
         assert idx[0, 0] == 0
-
-    def test_masked_columns_skipped(self):
-        h = np.arange(8.0).reshape(4, 2)
-        pooled, idx = readout(h, 2, np.array([True, False]))
-        assert pooled[1].tolist() == [0.0, 0.0]
-        assert idx[1].tolist() == [-1, -1]
 
     def test_values_sorted_under_tie_rule(self):
         rng = np.random.default_rng(6)
@@ -202,7 +165,7 @@ class TestReadout:
             n = int(rng.integers(1, 20))
             # quantized values force plenty of ties
             h = np.round(rng.uniform(-1, 1, size=(n, 3)), 1)
-            pooled, idx = readout(h, 5, np.array([True, True, True]))
+            pooled, idx = readout(h, 5)
             take = min(5, n)
             for j in range(3):
                 vals = pooled[j, :take]
@@ -215,22 +178,22 @@ class TestReadout:
                 assert np.all((ids >= 0) & (ids < n))
 
     def test_empty_graph_all_zero(self):
-        pooled, idx = readout(np.zeros((0, 2)), 4, np.array([True, True]))
+        pooled, idx = readout(np.zeros((0, 2)), 4)
         np.testing.assert_array_equal(pooled, np.zeros((2, 4)))
         np.testing.assert_array_equal(idx, -np.ones((2, 4)))
 
 
 class TestGateWeights:
     def test_singleton(self):
-        g = gate_weights(np.array([2.0, 0.0]), 1.0, np.array([True, False]))
-        np.testing.assert_array_equal(g, [1.0, 0.0])
+        g = gate_weights(np.array([2.0]), 1.0)
+        np.testing.assert_array_equal(g, [1.0])
 
     def test_equal_idf_uniform(self):
-        g = gate_weights(np.array([1.5, 1.5]), 1.0, np.array([True, True]))
+        g = gate_weights(np.array([1.5, 1.5]), 1.0)
         np.testing.assert_allclose(g, [0.5, 0.5])
 
     def test_zero_temperature_uniform(self):
-        g = gate_weights(np.array([0.1, 5.0, 2.0]), 0.0, np.array([True] * 3))
+        g = gate_weights(np.array([0.1, 5.0, 2.0]), 0.0)
         np.testing.assert_allclose(g, [1 / 3] * 3)
 
     def test_matches_plain_softmax(self):
@@ -238,25 +201,15 @@ class TestGateWeights:
         for _ in range(20):
             idf = rng.uniform(0, 4, size=5)
             c = rng.uniform(-2, 2)
-            g = gate_weights(idf, c, np.ones(5, dtype=bool))
+            g = gate_weights(idf, c)
             e = np.exp(c * idf)
             np.testing.assert_allclose(g, e / e.sum(), atol=1e-14)
             assert g.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_huge_scale_stable(self):
-        g = gate_weights(np.array([1000.0, 999.0]), 5.0, np.array([True, True]))
+        g = gate_weights(np.array([1000.0, 999.0]), 5.0)
         assert np.isfinite(g).all()
         assert g[0] > g[1]
-
-    def test_masked_get_zero_and_rest_renormalize(self):
-        g = gate_weights(
-            np.array([1.0, 1.0, 99.0]), 1.0, np.array([True, True, False])
-        )
-        np.testing.assert_allclose(g, [0.5, 0.5, 0.0])
-
-    def test_all_masked_rejected(self):
-        with pytest.raises(ValueError):
-            gate_weights(np.array([1.0]), 1.0, np.array([False]))
 
 
 class TestScore:
@@ -314,12 +267,6 @@ class TestInitParams:
         names = [n for n, _ in iter_tensors(params)]
         assert "layer2.msg_w" in names
 
-    def test_get_tensor(self):
-        params = init_params(HyperParams(), np.random.default_rng(0))
-        assert get_tensor(params, "out_w") is params.out_w
-        with pytest.raises(KeyError):
-            get_tensor(params, "nope")
-
 
 class TestForward:
     def test_matches_straight_line_oracle(self):
@@ -341,9 +288,8 @@ class TestForward:
         graph, S, query, params = helpers.random_instance(rng, 10, 3, 0, 4)
         rel, trace = forward(graph, S, query, params)
         assert len(trace.states) == 1
-        h0, mask, idf = pad_query(S, query, params.hyper.max_query_len)
-        pooled, _ = readout(h0, 4, mask)
-        gates = gate_weights(idf, float(params.idf_scale), mask)
+        pooled, _ = readout(S, 4)
+        gates = gate_weights(query.idf, float(params.idf_scale))
         expected, _ = score(pooled, gates, params.out_w, params.out_b)
         assert rel == expected
 
@@ -363,12 +309,12 @@ class TestForward:
             )
             rel, _ = forward(graph, S, query, params)
 
-            h, mask, idf = pad_query(S, query, 8)
+            h = S
             for _ in range(steps):
-                h_new, *_ = gru_update(np.zeros_like(h), h, params.layers[0])
-                h = h_new * mask
-            pooled, _ = readout(h, k, mask)
-            gates = gate_weights(idf, float(params.idf_scale), mask)
+                layer = leading_block(params.layers[0], m)
+                h, *_ = gru_update(np.zeros_like(h), h, layer)
+            pooled, _ = readout(h, k)
+            gates = gate_weights(query.idf, float(params.idf_scale))
             expected, _ = score(pooled, gates, params.out_w, params.out_b)
             assert rel == expected
 
@@ -382,21 +328,34 @@ class TestForward:
         assert rel == pytest.approx(math.tanh(float(params.out_b)), abs=1e-12)
         np.testing.assert_array_equal(trace.pooled, 0.0)
 
-    def test_initial_state_is_padded_interactions(self):
+    def test_initial_state_is_interactions(self):
+        # the first max_query_len query terms are scored, the rest dropped
         rng = np.random.default_rng(104)
-        graph, S, query, params = helpers.random_instance(rng, 7, 3, 2, 4)
-        _, trace = forward(graph, S, query, params)
-        h0, _, _ = pad_query(S, query, 8)
-        np.testing.assert_array_equal(trace.states[0], h0)
+        for m, kept in ((3, 3), (8, 8), (10, 8)):
+            graph, S, query, params = helpers.random_instance(rng, 7, m, 2, 4)
+            _, trace = forward(graph, S, query, params)
+            np.testing.assert_array_equal(trace.states[0], S[:, :kept])
+            np.testing.assert_array_equal(trace.idf, query.idf[:kept])
 
-    def test_padded_columns_zero_in_every_state(self):
+    def test_every_intermediate_has_m_columns(self):
         rng = np.random.default_rng(105)
         graph, S, query, params = helpers.random_instance(rng, 9, 3, 3, 4)
         _, trace = forward(graph, S, query, params)
-        for h in trace.states:
-            np.testing.assert_array_equal(h[:, 3:], 0.0)
-        for a in trace.messages:
-            np.testing.assert_array_equal(a[:, 3:], 0.0)
+        for group in (trace.states, trace.messages, trace.upd_gate,
+                      trace.reset_gate, trace.candidate):
+            for arr in group:
+                assert arr.shape == (9, 3)
+        assert trace.pooled.shape == (3, 4)
+        assert trace.pooled_idx.shape == (3, 4)
+        assert trace.gates.shape == (3,)
+        assert trace.term_scores.shape == (3,)
+
+    def test_empty_query_rejected(self):
+        rng = np.random.default_rng(114)
+        graph = helpers.random_graph(rng, 3)
+        params = helpers.random_params(rng, HyperParams(steps=1, pool_k=2))
+        with pytest.raises(DataFormatError, match="scoreable"):
+            forward(graph, np.zeros((3, 0)), _query(0), params)
 
     def test_node_permutation_invariance(self):
         rng = np.random.default_rng(106)
@@ -495,9 +454,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 16])
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_checkpoint(path)
+        # cut inside the tensor data, the header-length field and the header
+        for cut in (len(data) - 16, 10, 40):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataFormatError, match="truncated"):
+                load_checkpoint(path)
 
     def test_per_step_roundtrip(self, tmp_path):
         rng = np.random.default_rng(113)

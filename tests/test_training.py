@@ -135,6 +135,28 @@ class TestBackward:
         assert np.abs(tape.grads["out_w"]).max() > 0.0
         assert float(np.abs(tape.grads["idf_scale"])) > 0.0
 
+    def test_gradient_confined_to_leading_blocks(self):
+        """A 3-term query trains only the weights that act on 3 columns."""
+        rng = np.random.default_rng(17)
+        for attempt in range(20):
+            trace_p, trace_n, params = _forward_pair(rng, m=3, per_step=True)
+            if hinge_loss(trace_p.rel, trace_n.rel) > 1e-3:
+                break
+        else:
+            pytest.fail("never sampled an active-hinge pair")
+        assert params.hyper.max_query_len == 8
+        tape = backward(trace_p, trace_n, params)
+        for name, grad in tape.grads.items():
+            if not name.startswith("layer"):
+                continue
+            outside = grad.copy()
+            if grad.ndim == 2:
+                outside[:3, :3] = 0.0
+            else:
+                outside[:3] = 0.0
+            assert np.all(outside == 0.0), name
+            assert np.abs(grad).max() > 0.0, name
+
     def test_unselected_node_state_does_not_affect_score(self):
         """Pooling routes gradient only through the selected entries."""
         rng = np.random.default_rng(16)
@@ -142,11 +164,11 @@ class TestBackward:
         graph, s, query, params = helpers.random_instance(rng, 9, 3, 1, k)
         _, trace = forward(graph, s, query, params)
         h_final = trace.states[-1]
-        pooled, idx = readout(h_final, k, trace.mask)
-        gates = gate_weights(trace.idf, float(params.idf_scale), trace.mask)
+        pooled, idx = readout(h_final, k)
+        gates = gate_weights(trace.idf, float(params.idf_scale))
         rel_before, _ = score(pooled, gates, params.out_w, params.out_b)
 
-        col = int(np.nonzero(trace.mask)[0][0])
+        col = 0
         selected = set(idx[col][idx[col] >= 0].tolist())
         unselected = [i for i in range(h_final.shape[0]) if i not in selected]
         kth_value = h_final[idx[col, len(selected) - 1], col]
@@ -156,7 +178,7 @@ class TestBackward:
 
         bumped = h_final.copy()
         bumped[node, col] += nudge
-        pooled2, _ = readout(bumped, k, trace.mask)
+        pooled2, _ = readout(bumped, k)
         rel_after, _ = score(pooled2, gates, params.out_w, params.out_b)
         assert rel_after == rel_before
 
@@ -408,6 +430,23 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+class TestScoringContext:
+    def test_truncation_warned_once_per_query(self, caplog):
+        docs, queries, _, _, emb = _tiny_world()
+        queries["long"] = Query("long", list(range(10)), np.ones(10))
+        ctx = ScoringContext(docs, queries, emb, 3, "graph")
+        params = init_params(
+            HyperParams(steps=1, pool_k=4, max_query_len=8),
+            np.random.default_rng(0),
+        )
+        with caplog.at_level(logging.WARNING, logger="gowrank.training"):
+            for doc_id in ("pa0", "na0"):
+                ctx.score("long", doc_id, params)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "keeping the first 8" in warnings[0].getMessage()
 
 
 class TestTrainLoop:
