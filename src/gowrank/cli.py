@@ -142,15 +142,27 @@ def cmd_index(cfg: RunConfig, args) -> int:
 
 
 def _read_index(index_dir: str | Path):
+    """The vocabulary and documents `index` wrote, checked line by line."""
     root = Path(index_dir)
-    vocab = Vocabulary.from_json((root / "vocab.json").read_text(encoding="utf-8"))
+    try:
+        vocab = Vocabulary.from_json((root / "vocab.json").read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{root / 'vocab.json'}: unreadable: {exc!r}") from exc
     docs: dict[str, TokenizedDoc] = {}
-    with open(root / "docs.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            docs[row["doc_id"]] = TokenizedDoc(
-                row["doc_id"], row["tokens"], row["raw_length"]
-            )
+    with open(root / "docs.jsonl", "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{root / 'docs.jsonl'}:{lineno}"
+            try:
+                row = json.loads(line)
+                doc = TokenizedDoc(row["doc_id"], row["tokens"], row["raw_length"])
+                ids = doc.tokens
+                if ids and not 0 <= min(ids) <= max(ids) < len(vocab):
+                    raise DataFormatError(f"{where}: token id outside [0, {len(vocab)})")
+                if doc.doc_id in docs:
+                    raise DataFormatError(f"{where}: duplicate doc_id {doc.doc_id!r}")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataFormatError(f"{where}: bad index record: {exc!r}") from exc
+            docs[doc.doc_id] = doc
     return vocab, docs
 
 

@@ -214,8 +214,12 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
 
 
 def read_queries(path: str | Path) -> list[tuple[str, str]]:
-    """TSV query reader: `query_id<TAB>title text` per line."""
+    """TSV query reader: `query_id<TAB>title text` per line.
+
+    A query_id seen on an earlier line is an error, not an overwrite.
+    """
     out = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -224,5 +228,9 @@ def read_queries(path: str | Path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise DataFormatError(f"{path}:{lineno}: expected query_id<TAB>text")
             qid, text = line.split("\t", 1)
-            out.append((qid.strip(), text))
+            qid = qid.strip()
+            if qid in seen:
+                raise DataFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
+            seen.add(qid)
+            out.append((qid, text))
     return out

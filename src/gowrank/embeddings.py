@@ -38,24 +38,13 @@ class EmbeddingTable:
         if usable.any():
             self.unit[usable] = self.vectors[usable] / norms[usable, None]
 
-    @property
-    def coverage(self) -> float:
-        n = len(self.has_vector)
-        return float(self.has_vector.sum()) / n if n else 0.0
-
-    def unit_vector(self, term_id: int) -> np.ndarray:
-        """Unit-norm vector for a term id; zeros for missing or OOV ids."""
-        if term_id < 0 or term_id >= len(self.has_vector):
-            return np.zeros(self.dim)
-        return self.unit[term_id]
-
 
 def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
     """Read word2vec text format and align rows to vocabulary ids.
 
     First line is `count dim`; each following line is a token and dim
-    floats.  Tokens outside the vocabulary are skipped; vocabulary terms
-    absent from the file are flagged missing.
+    floats.  Tokens outside the vocabulary are skipped, vocabulary terms
+    absent from the file are flagged missing, and a second vector is an error.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -87,6 +76,8 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
             tid = vocab.term_to_id.get(token)
             if tid is None:
                 continue
+            if has_vector[tid]:
+                raise DataFormatError(f"{path}:{lineno}: second vector for {token!r}")
             try:
                 vectors[tid] = [float(x) for x in parts[1:]]
             except ValueError as exc:
@@ -98,15 +89,3 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
             )
     return EmbeddingTable(dim, vectors, has_vector)
 
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """dot(u,v) / (|u||v|); 0 whenever either norm is 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))

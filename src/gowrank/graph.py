@@ -9,13 +9,12 @@ matrix of node-term / query-term cosines provides the input features.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_matrix
 
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError
-
-ADJACENCY_MODES = ("graph", "sequence", "zero")
 
 
 class DocumentGraph:
@@ -37,13 +36,15 @@ class DocumentGraph:
         return len(self.node_terms)
 
 
-def _window_spans(n_tokens: int, window: int) -> list[tuple[int, int]]:
-    """Stride-1 spans of length `window`; a too-short document is one span."""
-    if n_tokens == 0:
-        return []
-    if n_tokens < window:
-        return [(0, n_tokens)]
-    return [(i, i + window) for i in range(n_tokens - window + 1)]
+def _node_order(tokens: list[int]) -> tuple[list[int], np.ndarray]:
+    """Unique terms in first-occurrence order, and each token's node index."""
+    _, first, inverse = np.unique(
+        np.asarray(tokens, dtype=np.int64), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    # the token objects themselves, so a cached graph holds no new ints
+    node_terms = [tokens[i] for i in first[order].tolist()]
+    return node_terms, np.argsort(order).astype(np.int32)[inverse]
 
 
 def build_graph(doc: TokenizedDoc, window: int = 5) -> DocumentGraph:
@@ -51,55 +52,51 @@ def build_graph(doc: TokenizedDoc, window: int = 5) -> DocumentGraph:
     sliding windows in which both appear.
 
     A pair co-occurring several times inside one window still counts once
-    for that window, and self-pairs never count (the diagonal is zero).
+    for that window, and self-pairs never count: with W the binarized
+    window-by-node incidence, A is WᵀW off the diagonal.  A document
+    shorter than the window is one window.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    tokens = doc.tokens
-    node_terms: list[int] = []
-    node_of: dict[int, int] = {}
-    for tid in tokens:
-        if tid not in node_of:
-            node_of[tid] = len(node_terms)
-            node_terms.append(tid)
+    node_terms, node_of = _node_order(doc.tokens)
     n = len(node_terms)
-
-    counts: dict[tuple[int, int], int] = {}
-    for lo, hi in _window_spans(len(tokens), window):
-        present = sorted({node_of[t] for t in tokens[lo:hi]})
-        for a_pos, a in enumerate(present):
-            for b in present[a_pos + 1 :]:
-                key = (a, b)
-                counts[key] = counts.get(key, 0) + 1
-
-    if counts:
-        rows, cols, vals = [], [], []
-        for (a, b), c in counts.items():
-            rows += [a, b]
-            cols += [b, a]
-            vals += [c, c]
-        adjacency = csr_matrix(
-            (np.array(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-        )
-    else:
-        adjacency = csr_matrix((n, n), dtype=np.float64)
+    if n == 0:
+        return DocumentGraph(node_terms, csr_matrix((0, 0), dtype=np.float64))
+    spans = sliding_window_view(node_of, min(window, len(node_of)))
+    incidence = csr_matrix(
+        (np.ones(spans.size), spans.flatten(),
+         np.arange(0, spans.size + 1, spans.shape[1], dtype=np.int32)),
+        shape=(len(spans), n),
+    )
+    incidence.sum_duplicates()
+    incidence.data[:] = 1.0
+    gram = incidence.T.tocsr() @ incidence
+    gram.sort_indices()
+    # drop the diagonal into fresh arrays: setdiag(0) + eliminate_zeros()
+    # would leave views into buffers sized for it in every cached graph
+    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(gram.indptr))
+    off_diag = gram.indices != row
+    indptr = np.searchsorted(row[off_diag], np.arange(n + 1)).astype(np.int32)
+    adjacency = csr_matrix(
+        (gram.data[off_diag], gram.indices[off_diag], indptr), shape=(n, n)
+    )
     return DocumentGraph(node_terms, adjacency)
 
 
 def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     """Symmetric normalization A_ij / sqrt(D_ii * D_jj).
 
-    Zero-degree (isolated) nodes keep all-zero rows and columns.
+    Zero-degree (isolated) nodes keep all-zero rows and columns.  The
+    result shares `indptr` and `indices` with the input.
     """
-    diff = (adjacency - adjacency.T).tocoo()
-    if diff.nnz and np.abs(diff.data).max() > 0:
+    if (adjacency != adjacency.T).nnz:
         raise DataFormatError("adjacency matrix must be symmetric")
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(degrees)
-    positive = degrees > 0
-    inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])
-    scaled = adjacency.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    return csr_matrix(scaled)
+    n = adjacency.shape[0]
+    row = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    degrees = np.bincount(row, weights=adjacency.data, minlength=n)
+    inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
+    scaled = adjacency.data * inv_sqrt[row] * inv_sqrt[adjacency.indices]
+    return csr_matrix((scaled, adjacency.indices, adjacency.indptr), shape=(n, n))
 
 
 def build_graph_mode(
@@ -116,10 +113,19 @@ def build_graph_mode(
     if mode == "sequence":
         return build_graph(doc, 2)
     if mode == "zero":
-        full = build_graph(doc, window)
-        n = full.num_nodes
-        return DocumentGraph(full.node_terms, csr_matrix((n, n), dtype=np.float64))
+        node_terms, _ = _node_order(doc.tokens)
+        n = len(node_terms)
+        return DocumentGraph(node_terms, csr_matrix((n, n), dtype=np.float64))
     raise DataFormatError(f"unknown adjacency mode {mode!r}")
+
+
+def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
+    """Unit vectors of `term_ids`; a zero row for any id outside [0, V)."""
+    ids = np.asarray(term_ids, dtype=np.int64)
+    inside = (ids >= 0) & (ids < len(emb.unit))
+    rows = np.zeros((len(ids), emb.dim), dtype=np.float64)
+    rows[inside] = emb.unit[ids[inside]]
+    return rows
 
 
 def interaction_matrix(
@@ -130,11 +136,4 @@ def interaction_matrix(
     Terms without embeddings (including out-of-vocabulary query terms)
     contribute zero rows/columns; n = 0 yields an empty (0, M) matrix.
     """
-    n = graph.num_nodes
-    m = len(query.tokens)
-    if n == 0 or m == 0:
-        return np.zeros((n, m), dtype=np.float64)
-    doc_units = np.stack([emb.unit_vector(t) for t in graph.node_terms])
-    query_units = np.stack([emb.unit_vector(t) for t in query.tokens])
-    return doc_units @ query_units.T
-
+    return _unit_rows(emb, graph.node_terms) @ _unit_rows(emb, query.tokens).T

@@ -386,22 +386,24 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
                 f"{path}: truncated checkpoint header "
                 f"({header_len} bytes announced)"
             )
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; KeyError
+        # and TypeError a header without the layout save_checkpoint writes
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            version, extra = header["version"], dict(header["extra"])
+            hyper = HyperParams(**header["hyper"])
+            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: bad checkpoint header: {exc!r}") from exc
+        if version != CHECKPOINT_VERSION:
             raise DataFormatError(
-                f"{path}: unreadable checkpoint header: {exc}"
-            ) from exc
-        if header["version"] != CHECKPOINT_VERSION:
-            raise DataFormatError(
-                f"{path}: checkpoint version {header['version']}, "
-                f"expected {CHECKPOINT_VERSION}"
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        hyper = HyperParams(**header["hyper"])
+        if not all(isinstance(v, int) for v in vars(hyper).values()):
+            raise DataFormatError(f"{path}: non-integer hyperparameters {vars(hyper)}")
         expected = _expected_shapes(hyper)
         tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            name, shape = entry["name"], tuple(entry["shape"])
+        for name, shape in entries:
             if name not in expected:
                 raise DataFormatError(f"{path}: unexpected tensor {name!r}")
             if shape != expected[name]:
@@ -429,4 +431,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         out_b=tensors["out_b"],
         idf_scale=tensors["idf_scale"],
     )
-    return params, header["extra"]
+    return params, extra

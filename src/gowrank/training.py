@@ -53,9 +53,6 @@ class GradientTape:
         for g in self.grads.values():
             g *= factor
 
-    def max_abs(self) -> float:
-        return max(float(np.abs(g).max()) for g in self.grads.values())
-
 
 def zero_tape(params: ModelParams) -> GradientTape:
     return GradientTape(

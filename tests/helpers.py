@@ -1,4 +1,7 @@
-"""Shared fixtures-by-hand for model and gradient tests."""
+"""Shared fixtures-by-hand for model, gradient and checkpoint tests."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -78,3 +81,14 @@ def oracle_rel(graph, S, query, params) -> float:
 def rel_diff(a: float, b: float) -> float:
     denom = max(abs(a), abs(b))
     return abs(a - b) / denom if denom else 0.0
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Replace a checkpoint's JSON header with `edit(header)`, keeping the
+    magic and the tensor bytes."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    payload = json.dumps(edit(json.loads(data[12 : 12 + length]))).encode("utf-8")
+    path.write_bytes(
+        data[:8] + struct.pack("<I", len(payload)) + payload + data[12 + length :]
+    )

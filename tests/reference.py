@@ -1,11 +1,82 @@
-"""Independent straight-line re-implementation of the relevance score.
+"""Independent straight-line re-implementations used as oracles.
 
-Used as the dual-implementation oracle: plain Python lists and math calls,
-no numpy, no shared code with the package.  Takes exactly M query columns
-and M x M weights, the leading blocks the production path scores with.
+`rel_score` re-computes the relevance score with plain Python lists and
+math calls, no numpy, no shared code with the package.  It takes exactly
+M query columns and M x M weights, the leading blocks the production path
+scores with.
+
+`cosine` is the pairwise similarity `interaction_matrix` computes as one
+matrix product of unit rows.
+
+`loop_graph` builds a graph-of-word the slow way, one window and one term
+pair at a time, and hands the counts to scipy exactly as the first
+implementation of `gowrank.graph` did, so its CSR arrays are the layout
+the run files were produced from.
 """
 
 import math
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
+
+def cosine(u, v):
+    """dot(u,v) / (|u||v|); 0 whenever either norm is 0."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def loop_graph(tokens, window):
+    """(node_terms, adjacency, norm_adjacency) of a token-id list.
+
+    Nodes are unique terms in first-occurrence order; each stride-1 span of
+    `window` tokens (or the whole document when it is shorter) adds 1 to
+    every unordered pair of distinct terms it contains.
+    """
+    node_terms, node_of = [], {}
+    for tid in tokens:
+        if tid not in node_of:
+            node_of[tid] = len(node_terms)
+            node_terms.append(tid)
+    n = len(node_terms)
+    if not tokens:
+        spans = []
+    elif len(tokens) < window:
+        spans = [(0, len(tokens))]
+    else:
+        spans = [(i, i + window) for i in range(len(tokens) - window + 1)]
+    counts = {}
+    for lo, hi in spans:
+        present = sorted({node_of[t] for t in tokens[lo:hi]})
+        for a_pos, a in enumerate(present):
+            for b in present[a_pos + 1:]:
+                counts[(a, b)] = counts.get((a, b), 0) + 1
+    rows, cols, vals = [], [], []
+    for (a, b), c in counts.items():
+        rows += [a, b]
+        cols += [b, a]
+        vals += [c, c]
+    if counts:
+        adjacency = csr_matrix(
+            (np.array(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
+        )
+    else:
+        adjacency = csr_matrix((n, n), dtype=np.float64)
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    inv_sqrt = np.zeros_like(degrees)
+    positive = degrees > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])
+    norm = csr_matrix(
+        adjacency.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
+    )
+    return node_terms, adjacency, norm
 
 
 def sigmoid(x):

@@ -2,11 +2,13 @@
 artifact layout, exit codes, determinism, and the ablation invariant."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helpers
 from gowrank.cli import main
 from gowrank.corpus import Vocabulary
 from gowrank.datagen import overfit_corpus
@@ -67,6 +69,126 @@ class TestExitCodes:
         conf = tmp_path / "bad.conf"
         conf.write_text("adjacency_mode = diagonal\n")
         assert main(["index", "--config", str(conf)]) == 2
+
+
+@pytest.fixture(scope="module")
+def clean_world(tmp_path_factory):
+    """Inputs, an index and a checkpoint that `rerank` accepts as they are."""
+    root = tmp_path_factory.mktemp("clean")
+    overfit_corpus(seed=1).write(root)
+    assert main(["index", "--corpus", str(root / "corpus.jsonl"), "--min-freq", "1",
+                 "--index-dir", str(root / "index")]) == 0
+    params = init_params(HyperParams(), np.random.default_rng(0))
+    save_checkpoint(root / "model.ckpt", params)
+    return root
+
+
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("".join(lines))
+
+
+def _edit_row(path, lineno, edit):
+    _edit_line(path, lineno, lambda line: json.dumps(edit(json.loads(line))) + "\n")
+
+
+def _append_copy(path, lineno, header=None):
+    lines = path.read_text().splitlines(keepends=True)
+    lines.append(lines[lineno - 1])
+    if header:
+        lines[0] = header(lines[0])
+    path.write_text("".join(lines))
+
+
+def _vocab_size(root):
+    return len(Vocabulary.from_json((root / "index" / "vocab.json").read_text()))
+
+
+def _bump_count(line):
+    count, dim = line.split()
+    return f"{int(count) + 1} {dim}\n"
+
+
+# (case, file, mutation of the world dir, fragment the message must contain)
+MALFORMED_ARTIFACTS = [
+    ("docs-garbage-line", "index/docs.jsonl",
+     lambda w: _edit_line(w / "index/docs.jsonl", 3, lambda _: "{not json\n"),
+     "docs.jsonl:3: bad index record"),
+    ("docs-truncated", "index/docs.jsonl",
+     lambda w: (w / "index/docs.jsonl").write_bytes(
+         (w / "index/docs.jsonl").read_bytes()[:50]),
+     "docs.jsonl:1: bad index record"),
+    ("docs-missing-key", "index/docs.jsonl",
+     lambda w: _edit_row(w / "index/docs.jsonl", 2,
+                         lambda r: {k: v for k, v in r.items() if k != "tokens"}),
+     "docs.jsonl:2: bad index record"),
+    ("docs-not-an-object", "index/docs.jsonl",
+     lambda w: _edit_line(w / "index/docs.jsonl", 2, lambda _: "[1, 2]\n"),
+     "docs.jsonl:2: bad index record"),
+    ("docs-token-id-too-large", "index/docs.jsonl",
+     lambda w: _edit_row(w / "index/docs.jsonl", 2,
+                         lambda r: {**r, "tokens": r["tokens"] + [_vocab_size(w)]}),
+     "docs.jsonl:2: token id outside"),
+    ("docs-token-id-negative", "index/docs.jsonl",
+     lambda w: _edit_row(w / "index/docs.jsonl", 4,
+                         lambda r: {**r, "tokens": [-1] + r["tokens"]}),
+     "docs.jsonl:4: token id outside"),
+    ("docs-token-id-string", "index/docs.jsonl",
+     lambda w: _edit_row(w / "index/docs.jsonl", 2,
+                         lambda r: {**r, "tokens": ["q00a"] + r["tokens"]}),
+     "docs.jsonl:2: bad index record"),
+    ("docs-duplicate-doc-id", "index/docs.jsonl",
+     lambda w: _append_copy(w / "index/docs.jsonl", 1),
+     "docs.jsonl:41: duplicate doc_id"),
+    ("vocab-truncated", "index/vocab.json",
+     lambda w: (w / "index/vocab.json").write_text(
+         (w / "index/vocab.json").read_text()[:30]),
+     "vocab.json: unreadable"),
+    ("queries-duplicate-id", "queries.tsv",
+     lambda w: _append_copy(w / "queries.tsv", 2),
+     "queries.tsv:9: duplicate query_id 'q01'"),
+    ("embeddings-second-vector", "embeddings.txt",
+     lambda w: _append_copy(w / "embeddings.txt", 2, header=_bump_count),
+     "embeddings.txt:192: second vector for 'q00a'"),
+    ("checkpoint-empty-header", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {}),
+     "bad checkpoint header: KeyError('version')"),
+    ("checkpoint-entry-without-name", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
+         **h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]}),
+     "bad checkpoint header: KeyError('name')"),
+    ("checkpoint-unknown-hyper", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
+         **h, "hyper": {**h["hyper"], "hidden": 16}}),
+     "bad checkpoint header: TypeError"),
+]
+
+
+@pytest.mark.parametrize(
+    "artifact, mutate, fragment",
+    [case[1:] for case in MALFORMED_ARTIFACTS],
+    ids=[case[0] for case in MALFORMED_ARTIFACTS],
+)
+def test_malformed_artifact_is_data_error_naming_the_file(
+    clean_world, tmp_path, capsys, artifact, mutate, fragment
+):
+    world = tmp_path / "world"
+    shutil.copytree(clean_world, world)
+    mutate(world)
+    rc = main([
+        "rerank", "--index-dir", str(world / "index"),
+        "--queries", str(world / "queries.tsv"),
+        "--embeddings", str(world / "embeddings.txt"),
+        "--checkpoint", str(world / "model.ckpt"),
+        "--run-out", str(world / "x.run"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert str(world / artifact) in err
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (world / "x.run").exists()
 
 
 class TestPipeline:

@@ -14,6 +14,7 @@ from gowrank.corpus import (
     encode_document,
     make_query,
     read_corpus,
+    read_queries,
     tokenize,
 )
 from gowrank.errors import DataFormatError
@@ -178,3 +179,11 @@ class TestReadCorpus:
         )
         with pytest.raises(DataFormatError, match=r"corpus.jsonl:3: duplicate doc_id"):
             list(read_corpus(path))
+
+
+class TestReadQueries:
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\talpha\nq2\tbeta\n q1 \tgamma\n")
+        with pytest.raises(DataFormatError, match=r"queries.tsv:3: duplicate query_id 'q1'"):
+            read_queries(path)

@@ -1,11 +1,12 @@
-"""Embedding loading and cosine similarity."""
+"""Embedding loading, unit rows, and the cosine reference."""
 
 import numpy as np
 import pytest
 
 from gowrank.corpus import Vocabulary
-from gowrank.embeddings import EmbeddingTable, cosine, load_embeddings
+from gowrank.embeddings import EmbeddingTable, load_embeddings
 from gowrank.errors import DataFormatError
+from reference import cosine
 
 
 def _vocab(terms):
@@ -27,14 +28,14 @@ class TestLoadEmbeddings:
     def test_full_coverage(self, tmp_path):
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b"]))
-        assert table.coverage == 1.0
+        assert table.has_vector.all()
         np.testing.assert_array_equal(table.vectors[0], [1, 0, 0])
         np.testing.assert_array_equal(table.vectors[1], [0, 1, 0])
 
     def test_partial_coverage(self, tmp_path):
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b", "c"]))
-        assert table.coverage == pytest.approx(2 / 3)
+        assert table.has_vector.sum() == 2
         assert not table.has_vector[2]
         np.testing.assert_array_equal(table.vectors[2], [0, 0, 0])
 
@@ -61,7 +62,17 @@ class TestLoadEmbeddings:
     def test_extra_tokens_skipped(self, tmp_path):
         p = _write(tmp_path, "3 2\na 1 0\nzzz 5 5\nb 0 1\n")
         table = load_embeddings(p, _vocab(["a", "b"]))
-        assert table.coverage == 1.0
+        assert table.has_vector.all()
+
+    def test_second_vector_for_vocabulary_token_rejected(self, tmp_path):
+        p = _write(tmp_path, "3 2\na 1 0\nb 0 1\na 5 5\n")
+        with pytest.raises(DataFormatError, match=r"vec\.txt:4: second vector for 'a'"):
+            load_embeddings(p, _vocab(["a", "b"]))
+
+    def test_repeated_token_outside_vocabulary_skipped(self, tmp_path):
+        p = _write(tmp_path, "3 2\na 1 0\nzzz 5 5\nzzz 6 6\n")
+        table = load_embeddings(p, _vocab(["a"]))
+        np.testing.assert_array_equal(table.vectors[0], [1, 0])
 
     def test_trailing_space_tolerated(self, tmp_path):
         p = _write(tmp_path, "1 2\na 1 0 \n")
@@ -76,11 +87,6 @@ class TestUnitRows:
         )
         np.testing.assert_allclose(table.unit[0], [0.6, 0.8])
         np.testing.assert_array_equal(table.unit[1], [0.0, 0.0])
-
-    def test_unit_vector_out_of_range(self):
-        table = EmbeddingTable(2, np.ones((1, 2)), np.array([True]))
-        np.testing.assert_array_equal(table.unit_vector(-1), [0, 0])
-        np.testing.assert_array_equal(table.unit_vector(5), [0, 0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataFormatError):

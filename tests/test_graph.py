@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from gowrank.corpus import OOV_ID, Query, TokenizedDoc
-from gowrank.embeddings import EmbeddingTable, cosine
+from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError
 from gowrank.graph import (
     DocumentGraph,
@@ -15,6 +15,8 @@ from gowrank.graph import (
     interaction_matrix,
     normalize_adjacency,
 )
+
+import reference
 
 
 def _doc(tokens, doc_id="d"):
@@ -110,6 +112,50 @@ class TestBuildGraph:
             assert g.node_terms == uniq
             np.testing.assert_array_equal(g.adjacency.toarray(), A_ref)
 
+    def test_csr_arrays_match_loop_oracle(self):
+        # the CSR layout, not just the matrix, decides the summation order
+        # of every sparse product downstream, so run files stay byte-stable
+        # only if the arrays are the loop builder's
+        rng = np.random.default_rng(53)
+        for window in (2, 3, 5, 7):
+            for _ in range(40):
+                length = int(rng.integers(0, 150))
+                vocab = int(rng.choice([3, 20, 200]))
+                tokens = [int(t) for t in rng.integers(0, vocab, size=length)]
+                g = build_graph(_doc(tokens), window=window)
+                ref_terms, ref_adj, ref_norm = reference.loop_graph(tokens, window)
+                assert g.node_terms == ref_terms
+                for got, want in ((g.adjacency, ref_adj), (g.norm_adjacency, ref_norm)):
+                    assert got.shape == want.shape
+                    for name in ("indptr", "indices", "data"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype, name
+                        assert a.tobytes() == b.tobytes(), name
+
+    def test_compact_canonical_layout(self):
+        # sorted indices, no stored zeros or self-loops, and no array that
+        # is a view into a larger buffer (a cached graph holds only its edges)
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            tokens = [int(t) for t in rng.integers(0, 30, size=rng.integers(0, 200))]
+            g = build_graph(_doc(tokens), window=int(rng.choice([2, 3, 5, 7])))
+            for mat in (g.adjacency, g.norm_adjacency):
+                assert mat.has_sorted_indices
+                assert np.all(mat.data != 0)
+                rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+                assert np.all(np.diff(mat.indices)[np.diff(rows) == 0] > 0)
+                assert not np.any(mat.indices == rows)
+                for arr in (mat.indptr, mat.indices, mat.data):
+                    assert arr.base is None or arr.base.size <= arr.size
+
+    def test_node_terms_are_the_token_objects(self):
+        # a cached graph shares its term ids with the document
+        tokens = [1000 + t for t in (5, 3, 5, 9)]
+        doc = _doc(tokens)
+        g = build_graph(doc, window=2)
+        assert g.node_terms == [1005, 1003, 1009]
+        assert all(a is b for a, b in zip(g.node_terms, [tokens[0], tokens[1], tokens[3]]))
+
     def test_invariants_hold(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
@@ -162,6 +208,23 @@ class TestNormalizeAdjacency:
         A = csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(DataFormatError, match="symmetric"):
             normalize_adjacency(A)
+
+    def test_asymmetric_values_on_symmetric_pattern_rejected(self):
+        A = csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+        with pytest.raises(DataFormatError, match="symmetric"):
+            normalize_adjacency(A)
+
+    def test_unsorted_duplicate_entries_summed(self):
+        # row 0 lists column 1 twice and out of order with column 2
+        A = csr_matrix(
+            (np.array([1.0, 1.0, 1.0, 2.0, 1.0]), np.array([2, 1, 1, 0, 0]),
+             np.array([0, 3, 4, 5])),
+            shape=(3, 3),
+        )
+        N = normalize_adjacency(A).toarray()
+        dense = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        deg = dense.sum(axis=1)
+        np.testing.assert_allclose(N, dense / np.sqrt(np.outer(deg, deg)), atol=1e-15)
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(37)
@@ -269,6 +332,22 @@ class TestInteractionMatrix:
         S = interaction_matrix(g, _query([OOV_ID]), _table())
         np.testing.assert_array_equal(S, [[0.0], [0.0]])
 
+    def test_out_of_range_ids_give_zero_rows(self):
+        # V = 4: OOV_ID and ids >= V, as node terms or query terms, get
+        # exact +0.0 rows and columns; in-range ids keep their cosines
+        g = build_graph(_doc([0, OOV_ID, 4, 1, 99]), window=2)
+        S = interaction_matrix(g, _query([OOV_ID, 1, 4, 0, 7]), _table())
+        assert S.shape == (5, 5)
+        outside_rows = [i for i, t in enumerate(g.node_terms) if not 0 <= t < 4]
+        assert len(outside_rows) == 3
+        for i in outside_rows:
+            assert S[i].tobytes() == np.zeros(5).tobytes()
+        for j in (0, 2, 4):
+            assert S[:, j].tobytes() == np.zeros(5).tobytes()
+        assert S[0, 3] == pytest.approx(1.0)
+        assert S[0, 1] == 0.0
+        assert S[3, 1] == pytest.approx(1.0)
+
     def test_empty_graph(self):
         S = interaction_matrix(build_graph(_doc([])), _query([0, 1]), _table())
         assert S.shape == (0, 2)
@@ -293,7 +372,7 @@ class TestInteractionMatrix:
                 if qt == OOV_ID or not table.has_vector[qt] or not table.has_vector[nt]:
                     expected = 0.0
                 else:
-                    expected = cosine(vecs[nt], vecs[qt])
+                    expected = reference.cosine(vecs[nt], vecs[qt])
                 assert S[i, j] == pytest.approx(expected, abs=1e-12)
         assert np.all(np.abs(S) <= 1.0 + 1e-12)
 

@@ -3,6 +3,7 @@ scoring — each against hand values, plus the straight-line oracle and
 structural invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,34 @@ class TestCheckpoint:
             path.write_bytes(data[:cut])
             with pytest.raises(DataFormatError, match="truncated"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {},
+            lambda h: [h],
+            lambda h: {k: v for k, v in h.items() if k != "version"},
+            lambda h: {k: v for k, v in h.items() if k != "hyper"},
+            lambda h: {k: v for k, v in h.items() if k != "tensors"},
+            lambda h: {k: v for k, v in h.items() if k != "extra"},
+            lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}},
+            lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}},
+            lambda h: {**h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]},
+            lambda h: {**h, "tensors": [{"name": "layer0.msg_w"}] + h["tensors"][1:]},
+            lambda h: {**h, "tensors": 5},
+            lambda h: {**h, "extra": 5},
+        ],
+        ids=["empty", "not-object", "no-version", "no-hyper", "no-tensors",
+             "no-extra", "unknown-hyper", "string-hyper", "entry-no-name",
+             "entry-no-shape", "tensors-not-list", "extra-not-object"],
+    )
+    def test_malformed_header_names_path(self, tmp_path, edit):
+        params = helpers.random_params(np.random.default_rng(114), HyperParams())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        helpers.rewrite_checkpoint_header(path, edit)
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def test_per_step_roundtrip(self, tmp_path):
         rng = np.random.default_rng(113)
