@@ -107,9 +107,7 @@ def _make_config(args) -> RunConfig:
         for name in _CONFIG_FLAGS
         if getattr(args, name, None) is not None
     }
-    cfg = load_config(args.config, overrides, os.environ)
-    cfg.validate()
-    return cfg
+    return load_config(args.config, overrides, os.environ)
 
 
 # --- artifact plumbing ------------------------------------------------------

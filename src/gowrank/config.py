@@ -172,7 +172,6 @@ def load_config(
     so unrelated tooling can share the prefix.
     """
     cfg = RunConfig()
-    field_types = {f.name: f.type for f in fields(RunConfig)}
     # dataclass field annotations arrive as strings under future-import
     types_by_name = {
         f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)
@@ -180,12 +179,12 @@ def load_config(
 
     if file_path is not None:
         for key, raw in read_config_file(file_path).items():
-            if key not in field_types:
+            if key not in types_by_name:
                 raise DataFormatError(f"{file_path}: unknown config key {key!r}")
             setattr(cfg, key, _coerce(key, raw, types_by_name[key]))
 
     env = os.environ if env is None else env
-    for key in field_types:
+    for key in types_by_name:
         var = ENV_PREFIX + key.upper()
         if var in env:
             setattr(cfg, key, _coerce(var, env[var], types_by_name[key]))
@@ -194,7 +193,7 @@ def load_config(
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in field_types:
+            if key not in types_by_name:
                 raise DataFormatError(f"unknown config key {key!r}")
             setattr(cfg, key, val)
 

@@ -184,15 +184,13 @@ def evaluate_run(
     run_path: str | Path,
     qrels_path: str | Path,
     cutoff: int = 20,
-    keep_zero_idcg: bool = False,
 ) -> dict:
     """Score a run file against qrels; JSON-ready report.
 
     Queries present in the run but without judgments are listed under
     `unjudged` and excluded from the means.  Queries judged only with
     grade 0 (so their ideal DCG is 0) are excluded the same way rather
-    than deflating the averages; pass `keep_zero_idcg=True` to count
-    them as zeros instead.
+    than deflating the averages.
     """
     runs = parse_run(run_path)
     qrels = parse_qrels(qrels_path)
@@ -200,7 +198,7 @@ def evaluate_run(
     unjudged: list[str] = []
     for qid in sorted(runs):
         judged = qrels.get(qid)
-        if not judged or (not keep_zero_idcg and max(judged.values()) == 0):
+        if not judged or max(judged.values()) == 0:
             unjudged.append(qid)
             continue
         ranked = _ranked_docs(runs[qid])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,8 @@ class ModelParams:
     `layers` has one entry normally (weights shared across steps) or
     `steps` entries when per-step weights are enabled.  `out_w`/`out_b`
     map a pooled k-vector to a scalar per-term score; `idf_scale` is the
-    gate temperature.
+    gate temperature.  Gradients and Adam moments use the same container,
+    so they always have the parameters' layout.
     """
 
     hyper: HyperParams
@@ -84,31 +85,27 @@ class ModelParams:
     out_b: np.ndarray  # scalar, kept 0-d for uniform tape handling
     idf_scale: np.ndarray  # scalar
 
-    def copy(self) -> "ModelParams":
+    def map(self, fn) -> "ModelParams":
+        """New parameters holding fn(tensor) for every tensor, same layout."""
         return ModelParams(
-            hyper=HyperParams(**vars(self.hyper)),
+            hyper=replace(self.hyper),
             layers=[
-                LayerParams(**{k: v.copy() for k, v in vars(layer).items()})
+                LayerParams(**{k: fn(v) for k, v in vars(layer).items()})
                 for layer in self.layers
             ],
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-            idf_scale=self.idf_scale.copy(),
+            out_w=fn(self.out_w),
+            out_b=fn(self.out_b),
+            idf_scale=fn(self.idf_scale),
         )
 
+    def copy(self) -> "ModelParams":
+        return self.map(np.copy)
 
-_LAYER_FIELDS = (
-    "msg_w",
-    "w_up",
-    "u_up",
-    "b_up",
-    "w_reset",
-    "u_reset",
-    "b_reset",
-    "w_cand",
-    "u_cand",
-    "b_cand",
-)
+    def zeros_like(self) -> "ModelParams":
+        return self.map(np.zeros_like)
+
+
+_LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
 
 
 def iter_tensors(params: ModelParams):
@@ -142,41 +139,38 @@ def leading_block(layer: LayerParams, m: int) -> LayerParams:
     )
 
 
+def zero_params(hyper: HyperParams) -> ModelParams:
+    """All-zero parameters; the one place that fixes each tensor's shape."""
+    m = hyper.max_query_len
+    shapes = {f: (m,) if f.startswith("b_") else (m, m) for f in _LAYER_FIELDS}
+    return ModelParams(
+        hyper=hyper,
+        layers=[
+            LayerParams(**{f: np.zeros(shape) for f, shape in shapes.items()})
+            for _ in range(hyper.num_layers())
+        ],
+        out_w=np.zeros(hyper.pool_k),
+        out_b=np.array(0.0),
+        idf_scale=np.array(0.0),
+    )
+
+
 def init_params(hyper: HyperParams, rng: np.random.Generator) -> ModelParams:
     """Variance-preserving uniform init for matrices, zeros for biases.
 
     The gate temperature starts at 1.0 so gating begins as a plain idf
     softmax.
     """
+    params = zero_params(hyper)
     m = hyper.max_query_len
     lim = np.sqrt(6.0 / (m + m))
-
-    def mat() -> np.ndarray:
-        return rng.uniform(-lim, lim, size=(m, m))
-
-    layers = [
-        LayerParams(
-            msg_w=mat(),
-            w_up=mat(),
-            u_up=mat(),
-            b_up=np.zeros(m),
-            w_reset=mat(),
-            u_reset=mat(),
-            b_reset=np.zeros(m),
-            w_cand=mat(),
-            u_cand=mat(),
-            b_cand=np.zeros(m),
-        )
-        for _ in range(hyper.num_layers())
-    ]
+    for _, tensor in iter_tensors(params):
+        if tensor.ndim == 2:
+            tensor[...] = rng.uniform(-lim, lim, size=tensor.shape)
     out_lim = np.sqrt(6.0 / (hyper.pool_k + 1))
-    return ModelParams(
-        hyper=hyper,
-        layers=layers,
-        out_w=rng.uniform(-out_lim, out_lim, size=hyper.pool_k),
-        out_b=np.array(0.0),
-        idf_scale=np.array(1.0),
-    )
+    params.out_w[...] = rng.uniform(-out_lim, out_lim, size=hyper.pool_k)
+    params.idf_scale[...] = 1.0
+    return params
 
 
 @dataclass
@@ -357,18 +351,6 @@ def save_checkpoint(
             fh.write(blob)
 
 
-def _expected_shapes(hyper: HyperParams) -> dict[str, tuple[int, ...]]:
-    m = hyper.max_query_len
-    shapes: dict[str, tuple[int, ...]] = {}
-    for i in range(hyper.num_layers()):
-        for name in _LAYER_FIELDS:
-            shapes[f"layer{i}.{name}"] = (m,) if name.startswith("b_") else (m, m)
-    shapes["out_w"] = (hyper.pool_k,)
-    shapes["out_b"] = ()
-    shapes["idf_scale"] = ()
-    return shapes
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Read a checkpoint, validating magic, version, and tensor shapes."""
     with open(path, "rb") as fh:
@@ -399,36 +381,36 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             raise DataFormatError(
                 f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        if not all(isinstance(v, int) for v in vars(hyper).values()):
-            raise DataFormatError(f"{path}: non-integer hyperparameters {vars(hyper)}")
-        expected = _expected_shapes(hyper)
-        tensors: dict[str, np.ndarray] = {}
+        if not (
+            all(isinstance(v, int) for v in vars(hyper).values())
+            and hyper.steps >= 0
+            and hyper.pool_k >= 1
+            and hyper.max_query_len >= 1
+        ):
+            raise DataFormatError(f"{path}: bad hyperparameters {vars(hyper)}")
+        try:
+            params = zero_params(hyper)
+        except (ValueError, MemoryError) as exc:  # sizes too large to allocate
+            raise DataFormatError(
+                f"{path}: bad hyperparameters {vars(hyper)}: {exc!r}"
+            ) from exc
+        # each listed tensor is popped, so a repeated name is rejected too
+        expected = dict(iter_tensors(params))
         for name, shape in entries:
             if name not in expected:
-                raise DataFormatError(f"{path}: unexpected tensor {name!r}")
-            if shape != expected[name]:
+                raise DataFormatError(f"{path}: unexpected or repeated tensor {name!r}")
+            tensor = expected.pop(name)
+            if shape != tensor.shape:
                 raise DataFormatError(
                     f"{path}: tensor {name!r} has shape {shape}, "
-                    f"expected {expected[name]}"
+                    f"expected {tensor.shape}"
                 )
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            raw = fh.read(tensor.size * 8)
+            if len(raw) != tensor.size * 8:
                 raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        missing = set(expected) - set(tensors)
-        if missing:
-            raise DataFormatError(f"{path}: missing tensors {sorted(missing)}")
-
-    layers = [
-        LayerParams(**{f: tensors[f"layer{i}.{f}"] for f in _LAYER_FIELDS})
-        for i in range(hyper.num_layers())
-    ]
-    params = ModelParams(
-        hyper=hyper,
-        layers=layers,
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
-        idf_scale=tensors["idf_scale"],
-    )
+            tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
+        if expected:
+            raise DataFormatError(f"{path}: missing tensors {sorted(expected)}")
+        if fh.read(1):
+            raise DataFormatError(f"{path}: trailing bytes after the last tensor")
     return params, extra

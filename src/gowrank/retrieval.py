@@ -41,11 +41,6 @@ class PostingsIndex:
         self.num_docs = len(self.doc_len)
         self.avg_doc_len = self.coll_len / self.num_docs
 
-    def term_postings(self, term_id: int) -> list[tuple[str, int]]:
-        """(doc_id, tf) pairs sorted by doc_id."""
-        plist = self.postings.get(term_id, {})
-        return sorted(plist.items())
-
     def doc_freq(self, term_id: int) -> int:
         return len(self.postings.get(term_id, {}))
 

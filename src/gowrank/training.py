@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +25,11 @@ from .graph import DocumentGraph, build_graph, build_graph_mode, interaction_mat
 from .model import (
     ForwardTrace,
     HyperParams,
-    LayerParams,
     ModelParams,
     forward,
     init_params,
     iter_tensors,
+    layer_for_step,
     leading_block,
     save_checkpoint,
 )
@@ -41,23 +41,6 @@ log = logging.getLogger(__name__)
 def hinge_loss(rel_pos: float, rel_neg: float) -> float:
     """Pairwise hinge: max(0, 1 - rel_pos + rel_neg)."""
     return max(0.0, 1.0 - rel_pos + rel_neg)
-
-
-@dataclass
-class GradientTape:
-    """Per-parameter gradient accumulators, shaped exactly like the params."""
-
-    grads: dict[str, np.ndarray]
-
-    def scale(self, factor: float) -> None:
-        for g in self.grads.values():
-            g *= factor
-
-
-def zero_tape(params: ModelParams) -> GradientTape:
-    return GradientTape(
-        grads={name: np.zeros_like(t) for name, t in iter_tensors(params)}
-    )
 
 
 def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
@@ -79,7 +62,7 @@ def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
 
 
 def _backprop_one(
-    trace: ForwardTrace, params: ModelParams, d_rel: float, tape: GradientTape
+    trace: ForwardTrace, params: ModelParams, d_rel: float, tape: ModelParams
 ) -> None:
     """Accumulate d(loss)/d(params) for one document given d(loss)/d(rel).
 
@@ -95,13 +78,13 @@ def _backprop_one(
     ds = d_rel * g
     dg = d_rel * s
     dpre = ds * (1.0 - s * s)
-    tape.grads["out_w"] += trace.pooled.T @ dpre
-    tape.grads["out_b"] += dpre.sum()
+    tape.out_w += trace.pooled.T @ dpre
+    tape.out_b += dpre.sum()
     dx = np.outer(dpre, params.out_w)
 
     # softmax gates: dy_j = g_j (dg_j - sum_l dg_l g_l)
     dy = g * (dg - float(dg @ g))
-    tape.grads["idf_scale"] += dy @ trace.idf
+    tape.idf_scale += dy @ trace.idf
 
     # k-max pooling routed gradient only to the selected node entries
     dh = np.zeros_like(trace.states[-1])
@@ -109,11 +92,8 @@ def _backprop_one(
     dh[trace.pooled_idx[term, slot], term] = dx[term, slot]
 
     for step in reversed(range(hyper.steps)):
-        li = step if hyper.per_step_weights else 0
-        layer = leading_block(params.layers[li], m)
-        grad = leading_block(
-            LayerParams(**{f: tape.grads[f"layer{li}.{f}"] for f in vars(layer)}), m
-        )
+        layer = leading_block(layer_for_step(params, step), m)
+        grad = leading_block(layer_for_step(tape, step), m)
         h_in = trace.states[step]
         a = trace.messages[step]
         z = trace.upd_gate[step]
@@ -160,55 +140,51 @@ def backward(
     trace_pos: ForwardTrace,
     trace_neg: ForwardTrace,
     params: ModelParams,
-    into: GradientTape | None = None,
-) -> GradientTape:
+    into: ModelParams | None = None,
+) -> ModelParams:
     """Gradients of the pairwise hinge for one (positive, negative) pair.
 
     A satisfied margin contributes exactly zero.  Pass `into` to
-    accumulate several triplets into one tape (for batch means).
+    accumulate several triplets into one tape (for batch means); the
+    tape is a ModelParams of gradients, laid out like `params`.
     """
     _check_trace(trace_pos, params)
     _check_trace(trace_neg, params)
-    tape = into if into is not None else zero_tape(params)
+    tape = into if into is not None else params.zeros_like()
     if hinge_loss(trace_pos.rel, trace_neg.rel) > 0.0:
         _backprop_one(trace_pos, params, -1.0, tape)
         _backprop_one(trace_neg, params, +1.0, tape)
     return tape
 
 
-@dataclass
 class AdamState:
-    """Moment accumulators for the Adam update."""
+    """Adam's learning rate, step count, and moments laid out like the params."""
 
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    @classmethod
-    def for_params(cls, params: ModelParams, lr: float = 0.001) -> "AdamState":
-        state = cls(lr=lr)
-        for name, tensor in iter_tensors(params):
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        return state
+    def __init__(self, params: ModelParams, lr: float = 0.001):
+        self.lr = lr
+        self.step = 0
+        self.m = params.zeros_like()
+        self.v = params.zeros_like()
 
 
-def adam_step(params: ModelParams, tape: GradientTape, state: AdamState) -> None:
+def adam_step(params: ModelParams, tape: ModelParams, state: AdamState) -> None:
     """In-place Adam update with bias correction."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, tensor in iter_tensors(params):
-        grad = tape.grads[name]
+    for (name, tensor), (_, grad), (_, m), (_, v) in zip(
+        iter_tensors(params),
+        iter_tensors(tape),
+        iter_tensors(state.m),
+        iter_tensors(state.v),
+    ):
         if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * grad
         v *= state.beta2
@@ -308,7 +284,7 @@ class ScoringContext:
         self.window = window
         self.adjacency_mode = adjacency_mode
         self._graphs: dict[str, DocumentGraph] = {}
-        self._feats: dict[tuple[str, str], np.ndarray] = {}
+        self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
         self._truncated: set[str] = set()
 
     def graph(self, doc_id: str) -> DocumentGraph:
@@ -319,11 +295,11 @@ class ScoringContext:
         return self._graphs[doc_id]
 
     def feats(self, qid: str, doc_id: str) -> np.ndarray:
-        key = (qid, doc_id)
+        # keyed by query text: ids that repeat a text share the matrices
+        query = self.queries[qid]
+        key = (tuple(query.tokens), doc_id)
         if key not in self._feats:
-            self._feats[key] = interaction_matrix(
-                self.graph(doc_id), self.queries[qid], self.emb
-            )
+            self._feats[key] = interaction_matrix(self.graph(doc_id), query, self.emb)
         return self._feats[key]
 
     def score(self, qid: str, doc_id: str, params: ModelParams):
@@ -396,7 +372,7 @@ def train(
         per_step_weights=cfg.per_step_weights,
     )
     params = init_params(hyper, seed_stream(cfg.seed, "init"))
-    state = AdamState.for_params(params, lr=cfg.lr)
+    state = AdamState(params, lr=cfg.lr)
     sampler = seed_stream(cfg.seed, "triplets")
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
 
@@ -425,14 +401,15 @@ def train(
         correct = 0
         for start in range(0, len(triplets), cfg.batch):
             batch = triplets[start : start + cfg.batch]
-            tape = zero_tape(params)
+            tape = params.zeros_like()
             for triplet in batch:
                 rel_p, trace_p = ctx.score(triplet.query_id, triplet.pos_doc, params)
                 rel_n, trace_n = ctx.score(triplet.query_id, triplet.neg_doc, params)
                 losses.append(hinge_loss(rel_p, rel_n))
                 correct += rel_p > rel_n
                 backward(trace_p, trace_n, params, into=tape)
-            tape.scale(1.0 / len(batch))
+            for _, grad in iter_tensors(tape):
+                grad *= 1.0 / len(batch)
             adam_step(params, tape, state)
 
         val = (
@@ -569,10 +546,11 @@ def grad_check(
     if tamper is not None:
         tamper(tape)
 
+    grads = dict(iter_tensors(tape))
     per_tensor: dict[str, float] = {}
     for name, tensor in iter_tensors(params):
         flat = tensor.reshape(-1)
-        grad_flat = tape.grads[name].reshape(-1)
+        grad_flat = grads[name].reshape(-1)
         size = flat.size
         if size <= coords_per_tensor:
             coords = range(size)

@@ -83,12 +83,13 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / denom if denom else 0.0
 
 
-def rewrite_checkpoint_header(path, edit):
+def rewrite_checkpoint_header(path, edit, tail=b""):
     """Replace a checkpoint's JSON header with `edit(header)`, keeping the
-    magic and the tensor bytes."""
+    magic and the tensor bytes, and append `tail` to the file."""
     data = path.read_bytes()
     (length,) = struct.unpack("<I", data[8:12])
     payload = json.dumps(edit(json.loads(data[12 : 12 + length]))).encode("utf-8")
     path.write_bytes(
         data[:8] + struct.pack("<I", len(payload)) + payload + data[12 + length :]
+        + tail
     )

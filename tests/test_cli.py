@@ -2,6 +2,7 @@
 artifact layout, exit codes, determinism, and the ablation invariant."""
 
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -162,6 +163,19 @@ MALFORMED_ARTIFACTS = [
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
          **h, "hyper": {**h["hyper"], "hidden": 16}}),
      "bad checkpoint header: TypeError"),
+    ("checkpoint-zero-pool-k", "model.ckpt",
+     lambda w: save_checkpoint(w / "model.ckpt", init_params(
+         HyperParams(pool_k=0), np.random.default_rng(0))),
+     "bad hyperparameters"),
+    ("checkpoint-repeated-tensor", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
+         **h, "tensors": h["tensors"] + [{"name": "out_b", "shape": []}]},
+         tail=np.float64(5.0).tobytes()),
+     "unexpected or repeated tensor 'out_b'"),
+    ("checkpoint-trailing-bytes", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: h,
+                                                 tail=b"\x00" * 8),
+     "trailing bytes after the last tensor"),
 ]
 
 
@@ -302,6 +316,16 @@ class TestConfigPrecedence:
                     "--index-dir", str(idx2)) == 0
         vocab = Vocabulary.from_json((idx2 / "vocab.json").read_text())
         assert vocab.min_freq == 4
+
+    def test_off_grid_value_warned_once(self, workdir, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="gowrank.config"):
+            rc = _run(workdir, "index", "--window", "11", "--batch", "100",
+                      "--index-dir", str(tmp_path / "idx"))
+        assert rc == 0
+        warned = sorted(r.getMessage() for r in caplog.records
+                        if "tuned range" in r.getMessage())
+        assert warned == ["batch=100 is outside the tuned range [8, 64]",
+                          "window=11 is outside the tuned range [3, 9]"]
 
 
 class TestGradcheckCommand:

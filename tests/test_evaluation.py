@@ -295,9 +295,7 @@ class TestEvaluateRun:
         )
         report = evaluate_run(run, qrels)
         assert report["unjudged"] == ["q2"]
-        report2 = evaluate_run(run, qrels, keep_zero_idcg=True)
-        assert report2["num_queries"] == 2
-        assert report2["per_query"]["q2"]["ndcg@20"] == 0.0
+        assert report["num_queries"] == 1
 
     def test_three_query_fixture_hand_values(self, tmp_path):
         # query A: judged d1:2 d2:1 d3:0, ranked [d2, d1, d4]

@@ -2,6 +2,7 @@
 scoring — each against hand values, plus the straight-line oracle and
 structural invariants."""
 
+import hashlib
 import math
 import re
 
@@ -28,6 +29,7 @@ from gowrank.model import (
     readout,
     save_checkpoint,
     score,
+    zero_params,
 )
 
 
@@ -37,18 +39,7 @@ def _query(m, idf=None):
 
 
 def _zero_layer(m):
-    return LayerParams(
-        msg_w=np.zeros((m, m)),
-        w_up=np.zeros((m, m)),
-        u_up=np.zeros((m, m)),
-        b_up=np.zeros(m),
-        w_reset=np.zeros((m, m)),
-        u_reset=np.zeros((m, m)),
-        b_reset=np.zeros(m),
-        w_cand=np.zeros((m, m)),
-        u_cand=np.zeros((m, m)),
-        b_cand=np.zeros(m),
-    )
+    return zero_params(HyperParams(max_query_len=m)).layers[0]
 
 
 class TestPropagate:
@@ -268,6 +259,41 @@ class TestInitParams:
         names = [n for n, _ in iter_tensors(params)]
         assert "layer2.msg_w" in names
 
+    # sha256 over each tensor's name and little-endian float64 bytes, in
+    # iter_tensors order: the draws from the init stream must not move
+    @pytest.mark.parametrize(
+        "per_step, steps, digest",
+        [
+            (False, 0, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
+            (False, 2, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
+            (True, 0, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
+            (True, 2, "628bfff43688ef1d8ef2732241253b3f2ea65c14eb18deddd295eedaa80a5b3f"),
+        ],
+    )
+    def test_bytes_pinned(self, per_step, steps, digest):
+        hyper = HyperParams(steps=steps, per_step_weights=per_step)
+        params = init_params(hyper, np.random.default_rng(7))
+        sha = hashlib.sha256()
+        for name, tensor in iter_tensors(params):
+            sha.update(name.encode())
+            sha.update(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [HyperParams(), HyperParams(steps=3, pool_k=5, max_query_len=6,
+                                    per_step_weights=True)],
+    )
+    def test_zero_params_fixes_every_shape(self, tmp_path, hyper):
+        zeros = list(iter_tensors(zero_params(hyper)))
+        assert all(np.all(t == 0.0) for _, t in zeros)
+        shapes = [(n, t.shape) for n, t in zeros]
+        params = init_params(hyper, np.random.default_rng(0))
+        assert [(n, t.shape) for n, t in iter_tensors(params)] == shapes
+        save_checkpoint(tmp_path / "model.ckpt", params)
+        loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+        assert [(n, t.shape) for n, t in iter_tensors(loaded)] == shapes
+
 
 class TestForward:
     def test_matches_straight_line_oracle(self):
@@ -462,30 +488,40 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, tail",
         [
-            lambda h: {},
-            lambda h: [h],
-            lambda h: {k: v for k, v in h.items() if k != "version"},
-            lambda h: {k: v for k, v in h.items() if k != "hyper"},
-            lambda h: {k: v for k, v in h.items() if k != "tensors"},
-            lambda h: {k: v for k, v in h.items() if k != "extra"},
-            lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}},
-            lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}},
-            lambda h: {**h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]},
-            lambda h: {**h, "tensors": [{"name": "layer0.msg_w"}] + h["tensors"][1:]},
-            lambda h: {**h, "tensors": 5},
-            lambda h: {**h, "extra": 5},
+            (lambda h: {}, b""),
+            (lambda h: [h], b""),
+            (lambda h: {k: v for k, v in h.items() if k != "version"}, b""),
+            (lambda h: {k: v for k, v in h.items() if k != "hyper"}, b""),
+            (lambda h: {k: v for k, v in h.items() if k != "tensors"}, b""),
+            (lambda h: {k: v for k, v in h.items() if k != "extra"}, b""),
+            (lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}}, b""),
+            (lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}}, b""),
+            (lambda h: {**h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]}, b""),
+            (lambda h: {**h, "tensors": [{"name": "layer0.msg_w"}] + h["tensors"][1:]},
+             b""),
+            (lambda h: {**h, "tensors": 5}, b""),
+            (lambda h: {**h, "extra": 5}, b""),
+            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": -1}}, b""),
+            (lambda h: {**h, "hyper": {**h["hyper"], "pool_k": 0}}, b""),
+            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": 2**40}}, b""),
+            # the repeated entry's bytes are there, so only the name is wrong
+            (lambda h: {**h, "tensors": h["tensors"] + [{"name": "out_b", "shape": []}]},
+             np.float64(5.0).tobytes()),
+            (lambda h: h, b"\x00" * 8),
         ],
         ids=["empty", "not-object", "no-version", "no-hyper", "no-tensors",
              "no-extra", "unknown-hyper", "string-hyper", "entry-no-name",
-             "entry-no-shape", "tensors-not-list", "extra-not-object"],
+             "entry-no-shape", "tensors-not-list", "extra-not-object",
+             "negative-hyper", "zero-pool-k", "huge-hyper", "repeated-tensor",
+             "trailing-bytes"],
     )
-    def test_malformed_header_names_path(self, tmp_path, edit):
+    def test_malformed_header_names_path(self, tmp_path, edit, tail):
         params = helpers.random_params(np.random.default_rng(114), HyperParams())
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        helpers.rewrite_checkpoint_header(path, edit)
+        helpers.rewrite_checkpoint_header(path, edit, tail)
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 

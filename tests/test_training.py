@@ -16,6 +16,7 @@ from gowrank.config import RunConfig, seed_stream
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
+from gowrank.graph import interaction_matrix
 from gowrank.model import (
     HyperParams,
     forward,
@@ -26,6 +27,7 @@ from gowrank.model import (
     readout,
     score,
 )
+from gowrank import training
 from gowrank.retrieval import build_index
 from gowrank.training import (
     FD_STEP,
@@ -40,7 +42,6 @@ from gowrank.training import (
     score_pool,
     train,
     usable_queries,
-    zero_tape,
 )
 
 
@@ -82,7 +83,7 @@ class TestBackward:
         trace_p = dataclasses.replace(trace_p, rel=2.0)
         trace_n = dataclasses.replace(trace_n, rel=0.5)
         tape = backward(trace_p, trace_n, params)
-        for name, grad in tape.grads.items():
+        for name, grad in iter_tensors(tape):
             assert np.all(grad == 0.0), name
 
     def test_accumulation_adds(self):
@@ -91,17 +92,8 @@ class TestBackward:
         single = backward(trace_p, trace_n, params)
         double = backward(trace_p, trace_n, params)
         backward(trace_p, trace_n, params, into=double)
-        for name in single.grads:
-            npt.assert_allclose(double.grads[name], 2.0 * single.grads[name])
-
-    def test_scale(self):
-        rng = np.random.default_rng(13)
-        trace_p, trace_n, params = _forward_pair(rng)
-        tape = backward(trace_p, trace_n, params)
-        reference = {k: v.copy() for k, v in tape.grads.items()}
-        tape.scale(0.25)
-        for name in reference:
-            npt.assert_allclose(tape.grads[name], 0.25 * reference[name])
+        for (name, one), (_, two) in zip(iter_tensors(single), iter_tensors(double)):
+            npt.assert_allclose(two, 2.0 * one, err_msg=name)
 
     def test_mismatched_params_raise(self):
         rng = np.random.default_rng(14)
@@ -129,11 +121,11 @@ class TestBackward:
         else:
             pytest.fail("never sampled an active-hinge pair")
         tape = backward(trace_p, trace_n, params)
-        for name, grad in tape.grads.items():
+        for name, grad in iter_tensors(tape):
             if name.startswith("layer"):
                 assert np.all(grad == 0.0), name
-        assert np.abs(tape.grads["out_w"]).max() > 0.0
-        assert float(np.abs(tape.grads["idf_scale"])) > 0.0
+        assert np.abs(tape.out_w).max() > 0.0
+        assert float(np.abs(tape.idf_scale)) > 0.0
 
     def test_gradient_confined_to_leading_blocks(self):
         """A 3-term query trains only the weights that act on 3 columns."""
@@ -146,7 +138,7 @@ class TestBackward:
             pytest.fail("never sampled an active-hinge pair")
         assert params.hyper.max_query_len == 8
         tape = backward(trace_p, trace_n, params)
-        for name, grad in tape.grads.items():
+        for name, grad in iter_tensors(tape):
             if not name.startswith("layer"):
                 continue
             outside = grad.copy()
@@ -219,7 +211,7 @@ class TestGradCheck:
 
     def test_tampered_gradient_is_caught(self):
         def corrupt(tape):
-            tape.grads["layer0.u_cand"] += 0.05
+            tape.layers[0].u_cand += 0.05
 
         report = grad_check(n=8, m=3, steps=2, k=3, seed=6, tamper=corrupt)
         assert not report["passed"]
@@ -233,8 +225,8 @@ class TestGradCheck:
 
 class TestAdam:
     def _tape_like(self, params, fill=None, rng=None):
-        tape = zero_tape(params)
-        for name, grad in tape.grads.items():
+        tape = params.zeros_like()
+        for _, grad in iter_tensors(tape):
             if rng is not None:
                 grad[...] = rng.uniform(-1.0, 1.0, size=grad.shape)
             elif fill is not None:
@@ -248,9 +240,9 @@ class TestAdam:
         before = {name: t.copy() for name, t in iter_tensors(params)}
         tape = self._tape_like(params, rng=rng)
         # keep magnitudes far above eps so |step| ~ lr exactly
-        for grad in tape.grads.values():
+        for _, grad in iter_tensors(tape):
             grad[np.abs(grad) < 0.1] = 0.5
-        state = AdamState.for_params(params, lr=0.002)
+        state = AdamState(params, lr=0.002)
         adam_step(params, tape, state)
         for name, tensor in iter_tensors(params):
             delta = np.abs(tensor - before[name])
@@ -260,8 +252,8 @@ class TestAdam:
         rng = np.random.default_rng(21)
         params = init_params(HyperParams(steps=1, pool_k=3, max_query_len=8), rng)
         before = {name: t.copy() for name, t in iter_tensors(params)}
-        state = AdamState.for_params(params)
-        adam_step(params, zero_tape(params), state)
+        state = AdamState(params)
+        adam_step(params, params.zeros_like(), state)
         assert state.step == 1
         for name, tensor in iter_tensors(params):
             npt.assert_array_equal(tensor, before[name])
@@ -270,11 +262,11 @@ class TestAdam:
         rng = np.random.default_rng(22)
         params = init_params(HyperParams(steps=0, pool_k=2, max_query_len=8), rng)
         theta0 = float(params.out_b)
-        state = AdamState.for_params(params, lr=0.01)
+        state = AdamState(params, lr=0.01)
         g1, g2 = 0.3, -0.2
         for g in (g1, g2):
-            tape = zero_tape(params)
-            tape.grads["out_b"][...] = g
+            tape = params.zeros_like()
+            tape.out_b[...] = g
             adam_step(params, tape, state)
 
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
@@ -291,7 +283,7 @@ class TestAdam:
             rng = np.random.default_rng(23)
             params = init_params(HyperParams(steps=1, pool_k=3, max_query_len=8),
                                  np.random.default_rng(5))
-            state = AdamState.for_params(params)
+            state = AdamState(params)
             for _ in range(100):
                 tape = self._tape_like(params, rng=rng)
                 adam_step(params, tape, state)
@@ -302,9 +294,9 @@ class TestAdam:
     def test_nonfinite_gradient_names_the_tensor(self):
         rng = np.random.default_rng(24)
         params = init_params(HyperParams(steps=1, pool_k=3, max_query_len=8), rng)
-        state = AdamState.for_params(params)
-        tape = zero_tape(params)
-        tape.grads["layer0.w_up"][0, 0] = np.nan
+        state = AdamState(params)
+        tape = params.zeros_like()
+        tape.layers[0].w_up[0, 0] = np.nan
         with pytest.raises(NumericalError, match="layer0.w_up"):
             adam_step(params, tape, state)
 
@@ -447,6 +439,28 @@ class TestScoringContext:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "keeping the first 8" in warnings[0].getMessage()
+
+
+    def test_same_text_under_two_ids_shares_features(self, monkeypatch):
+        docs, queries, _, _, emb = _tiny_world()
+        queries["qa2"] = Query("qa2", list(queries["qa"].tokens), queries["qa"].idf)
+        ctx = ScoringContext(docs, queries, emb, 3, "graph")
+        params = init_params(
+            HyperParams(steps=1, pool_k=4, max_query_len=8),
+            np.random.default_rng(0),
+        )
+        calls = []
+
+        def counted(graph, query, emb):
+            calls.append(query.query_id)
+            return interaction_matrix(graph, query, emb)
+
+        monkeypatch.setattr(training, "interaction_matrix", counted)
+        pool = sorted(docs)
+        first = [ctx.score("qa", doc_id, params)[0] for doc_id in pool]
+        second = [ctx.score("qa2", doc_id, params)[0] for doc_id in pool]
+        assert calls == ["qa"] * len(pool)
+        assert first == second
 
 
 class TestTrainLoop:
