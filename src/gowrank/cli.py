@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from .artifacts import atomic_write
 from .config import RunConfig, load_config
 from .corpus import (
     TokenizedDoc,
@@ -127,8 +128,10 @@ def cmd_index(cfg: RunConfig, args) -> int:
         min_freq=cfg.min_freq,
         count_documents=cfg.min_freq_mode == "docs",
     )
-    (out / "vocab.json").write_text(vocab.to_json(), encoding="utf-8")
-    with open(out / "docs.jsonl", "w", encoding="utf-8") as fh:
+    # both files are complete before either replaces its predecessor
+    with atomic_write(out / "vocab.json") as vocab_fh, \
+            atomic_write(out / "docs.jsonl") as fh:
+        vocab_fh.write(vocab.to_json())
         for doc_id in sorted(tokenized):
             doc = encode_document(vocab, doc_id, tokenized[doc_id])
             fh.write(json.dumps(
@@ -266,10 +269,10 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     for name, value in results.items():
         lines.append(f"{name:<16} {value:.4f}")
     table = "\n".join(lines) + "\n"
-    (out / "table.txt").write_text(table, encoding="utf-8")
-    (out / "table.json").write_text(
-        json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out / "table.txt") as fh:
+        fh.write(table)
+    with atomic_write(out / "table.json") as fh:
+        fh.write(json.dumps(results, sort_keys=True, indent=2) + "\n")
     print(table, end="")
     return 0
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .errors import DataFormatError
 
 # QRels: query_id -> {doc_id: grade}; unjudged pairs are absent, never 0.
@@ -222,6 +223,6 @@ def evaluate_run(
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

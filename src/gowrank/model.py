@@ -24,6 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
+from .artifacts import atomic_write
 from .corpus import Query
 from .errors import DataFormatError
 from .graph import DocumentGraph
@@ -343,7 +344,7 @@ def save_checkpoint(
         "tensors": names,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)

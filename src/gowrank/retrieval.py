@@ -1,5 +1,9 @@
 """First-stage ranking: inverted index, BM25, query likelihood, top-k.
 
+The postings are term-major CSR arrays: the rows (documents, in input
+order) that contain term t, ascending, and their term frequencies.  They
+come from one doc-by-term incidence matrix with duplicates summed,
+transposed once, as `graph.build_graph` builds its window incidence.
 The index is immutable after construction; scoring distinct queries is
 embarrassingly parallel.  Ties are always broken by ascending doc_id so
 runs are byte-reproducible.
@@ -8,9 +12,14 @@ runs are byte-reproducible.
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .artifacts import atomic_write
 from .corpus import Query, TokenizedDoc
 from .errors import DataFormatError
 
@@ -20,36 +29,93 @@ QL_MU = 2000.0
 
 
 class PostingsIndex:
-    """Term -> {doc_id: tf} maps plus the length statistics BM25/QL need."""
+    """Per-term postings (doc rows and tf) plus the length statistics
+    BM25/QL need.
+
+    `doc_ids[r]` is the id of row r, rows numbered in input order;
+    `doc_len` maps each doc id to its token count and `coll_freq` each
+    term that occurs to its count in the collection.
+    """
 
     def __init__(self, docs: Iterable[TokenizedDoc]):
-        self.postings: dict[int, dict[str, int]] = {}
+        self.doc_ids: list[str] = []
         self.doc_len: dict[str, int] = {}
-        self.coll_freq: dict[int, int] = {}
-        self.coll_len = 0
+        tokens = array("i")
         for doc in docs:
             if doc.doc_id in self.doc_len:
                 raise DataFormatError(f"duplicate doc_id {doc.doc_id!r}")
+            tokens.extend(doc.tokens)
+            self.doc_ids.append(doc.doc_id)
             self.doc_len[doc.doc_id] = len(doc.tokens)
-            self.coll_len += len(doc.tokens)
-            for tid in doc.tokens:
-                plist = self.postings.setdefault(tid, {})
-                plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
-                self.coll_freq[tid] = self.coll_freq.get(tid, 0) + 1
-        if not self.doc_len:
+        if not self.doc_ids:
             raise DataFormatError("empty document stream: nothing to index")
-        self.num_docs = len(self.doc_len)
+        self.num_docs = len(self.doc_ids)
+        self._row_of = {doc_id: row for row, doc_id in enumerate(self.doc_ids)}
+        lens = np.fromiter(self.doc_len.values(), np.int64, self.num_docs)
+        by_id = sorted(range(self.num_docs), key=self.doc_ids.__getitem__)
+        self._id_rank = np.empty(self.num_docs, dtype=np.int64)
+        self._id_rank[by_id] = np.arange(self.num_docs)
+
+        flat = np.frombuffer(tokens, dtype=np.intc)
+        # count before sum_duplicates sorts and shrinks `flat` in place
+        counts = np.bincount(flat)
+        present = np.flatnonzero(counts)
+        self.coll_freq = dict(zip(present.tolist(), counts[present].tolist()))
+        self.coll_len = flat.size
         self.avg_doc_len = self.coll_len / self.num_docs
+        # avg_doc_len is 0 only when there is no posting to weigh
+        self._bm25_norm = _bm25_norm(lens, self.avg_doc_len or 1.0, BM25_K1, BM25_B)
+        indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        incidence = csr_matrix(
+            (np.ones(flat.size, dtype=np.intc), flat, indptr),
+            shape=(self.num_docs, len(counts)),
+        )
+        incidence.sum_duplicates()
+        postings = incidence.tocsc()
+        self._indptr = postings.indptr
+        self._rows = postings.indices
+        self._tf = postings.data
+
+    def postings_of(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending rows of the docs containing `term_id`, and their tf.
+
+        Empty for a term that occurs in no document, including negative
+        (out-of-vocabulary) ids.
+        """
+        if not 0 <= term_id < len(self._indptr) - 1:
+            return self._rows[:0], self._tf[:0]
+        lo, hi = self._indptr[term_id], self._indptr[term_id + 1]
+        return self._rows[lo:hi], self._tf[lo:hi]
 
     def doc_freq(self, term_id: int) -> int:
-        return len(self.postings.get(term_id, {}))
+        return len(self.postings_of(term_id)[0])
 
     def term_freq(self, term_id: int, doc_id: str) -> int:
-        return self.postings.get(term_id, {}).get(doc_id, 0)
+        rows, tf = self.postings_of(term_id)
+        row = self._row_of.get(doc_id, -1)
+        pos = int(np.searchsorted(rows, row))
+        return int(tf[pos]) if pos < len(rows) and rows[pos] == row else 0
 
 
 def build_index(docs: Iterable[TokenizedDoc]) -> PostingsIndex:
     return PostingsIndex(docs)
+
+
+# BM25 in three parts, so `bm25_score` (one document) and `top_candidates`
+# (arrays: one entry per posting) evaluate the same float operations.
+
+
+def _bm25_idf(df: int, num_docs: int) -> float:
+    return math.log(1.0 + (num_docs - df + 0.5) / (df + 0.5))
+
+
+def _bm25_norm(dl, avg_doc_len: float, k1: float, b: float):
+    return k1 * (1.0 - b + b * dl / avg_doc_len)
+
+
+def _bm25_weight(tf, idf, norm, k1: float):
+    return idf * tf * (k1 + 1.0) / (tf + norm)
 
 
 def bm25_score(
@@ -64,17 +130,13 @@ def bm25_score(
     Query terms are summed per occurrence, so a duplicated term counts
     twice.  Terms missing from the document (or the index) contribute 0.
     """
-    dl = index.doc_len[doc_id]
-    n = index.num_docs
-    norm = k1 * (1.0 - b + b * dl / index.avg_doc_len)
+    norm = _bm25_norm(index.doc_len[doc_id], index.avg_doc_len, k1, b)
     score = 0.0
     for tid in query.tokens:
         tf = index.term_freq(tid, doc_id)
-        if tf == 0:
-            continue
-        df = index.doc_freq(tid)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        score += idf * tf * (k1 + 1.0) / (tf + norm)
+        if tf:
+            idf = _bm25_idf(index.doc_freq(tid), index.num_docs)
+            score += _bm25_weight(tf, idf, norm, k1)
     return score
 
 
@@ -102,14 +164,22 @@ def top_candidates(query: Query, index: PostingsIndex, k: int = 100) -> list[tup
     """Top-k documents by BM25, (score desc, doc_id asc).
 
     Only documents containing at least one query term are scored, so the
-    result may be shorter than k.
+    result may be shorter than k.  Every score equals `bm25_score` bit for
+    bit: each posting's weight is the same float expression, and bincount
+    adds a document's weights in query-term order.
     """
-    matched: set[str] = set()
-    for tid in set(query.tokens):
-        matched.update(index.postings.get(tid, {}))
-    scored = [(doc_id, bm25_score(query, doc_id, index)) for doc_id in matched]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    postings = [index.postings_of(tid) for tid in query.tokens]
+    dfs = [len(r) for r, _ in postings]
+    if not any(dfs):
+        return []
+    rows = np.concatenate([r for r, _ in postings])
+    idf = np.array([_bm25_idf(df, index.num_docs) for df in dfs]).repeat(dfs)
+    tf = np.concatenate([f for _, f in postings], dtype=np.float64)
+    weights = _bm25_weight(tf, idf, index._bm25_norm[rows], BM25_K1)
+    scores = np.bincount(rows, weights, index.num_docs)
+    hits = scores.nonzero()[0]  # every weight is > 0
+    top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:k]]
+    return [(index.doc_ids[r], s) for r, s in zip(top.tolist(), scores[top].tolist())]
 
 
 def write_run(
@@ -122,7 +192,7 @@ def write_run(
     Query blocks are written in key order of `ranked`; scores use a fixed
     6-decimal format so reruns are byte-identical.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for qid, docs in ranked.items():
             for rank, (doc_id, score) in enumerate(docs, start=1):
                 fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")

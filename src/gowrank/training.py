@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .config import RunConfig, seed_stream
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
@@ -433,7 +434,7 @@ def train(
         best_params = params.copy()
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path) as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     if checkpoint_path is not None:

@@ -12,6 +12,10 @@ matrix product of unit rows.
 pair at a time, and hands the counts to scipy exactly as the first
 implementation of `gowrank.graph` did, so its CSR arrays are the layout
 the run files were produced from.
+
+`dict_postings` builds the BM25 postings the way the first
+`retrieval.PostingsIndex` did, one dict insert per token, so the CSR
+index can be checked statistic by statistic.
 """
 
 import math
@@ -171,3 +175,20 @@ def rel_score(
         pre = sum(out_w[t] * pooled[j][t] for t in range(k)) + out_b
         rel += gates[j] * math.tanh(pre)
     return rel
+
+
+def dict_postings(docs):
+    """(postings, doc_len, coll_freq, coll_len) of a TokenizedDoc stream.
+
+    postings maps term -> {doc_id: tf}; doc_len doc_id -> token count;
+    coll_freq term -> occurrences in the collection.
+    """
+    postings, doc_len, coll_freq, coll_len = {}, {}, {}, 0
+    for doc in docs:
+        doc_len[doc.doc_id] = len(doc.tokens)
+        coll_len += len(doc.tokens)
+        for tid in doc.tokens:
+            plist = postings.setdefault(tid, {})
+            plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
+            coll_freq[tid] = coll_freq.get(tid, 0) + 1
+    return postings, doc_len, coll_freq, coll_len

@@ -15,6 +15,7 @@ from gowrank.retrieval import (
     top_candidates,
     write_run,
 )
+from reference import dict_postings
 
 
 def _doc(doc_id, tokens):
@@ -29,7 +30,13 @@ class TestBuildIndex:
     def test_hand_counted(self):
         # d1 = "a b", d2 = "a" with ids a=0, b=1
         idx = build_index([_doc("d1", [0, 1]), _doc("d2", [0])])
-        assert idx.postings == {0: {"d1": 1, "d2": 1}, 1: {"d1": 1}}
+        assert [idx.doc_freq(t) for t in (0, 1, 2)] == [2, 1, 0]
+        assert [idx.term_freq(t, d) for t in (0, 1) for d in ("d1", "d2")] == [
+            1, 1, 1, 0,
+        ]
+        assert idx.coll_freq == {0: 2, 1: 1}
+        assert idx.doc_len == {"d1": 2, "d2": 1}
+        assert idx.coll_len == 3
         assert idx.avg_doc_len == 1.5
         assert idx.num_docs == 2
 
@@ -37,10 +44,51 @@ class TestBuildIndex:
         docs = [_doc("d1", [0, 0, 1, 2]), _doc("d2", [1, 1, 1])]
         idx = build_index(docs)
         for doc_id in idx.doc_len:
-            total = sum(
-                idx.term_freq(tid, doc_id) for tid in idx.postings
-            )
+            total = sum(idx.term_freq(tid, doc_id) for tid in idx.coll_freq)
             assert total == idx.doc_len[doc_id]
+
+    def test_statistics_match_dict_oracle(self):
+        rng = np.random.default_rng(23)
+        for trial in range(12):
+            vocab = int(rng.integers(1, 40))
+            docs = []
+            for i in range(int(rng.integers(1, 60))):
+                # empty docs, repeats (small vocab) and numpy-int tokens
+                toks = rng.integers(0, vocab, size=rng.integers(0, 50))
+                tokens = list(toks) if i % 2 else toks.tolist()
+                docs.append(_doc(f"d{rng.integers(0, 10**6)}-{i}", tokens))
+            idx = PostingsIndex(docs)
+            postings, doc_len, coll_freq, coll_len = dict_postings(docs)
+            assert idx.num_docs == len(doc_len)
+            assert idx.doc_len == doc_len
+            assert idx.coll_freq == coll_freq
+            assert idx.coll_len == coll_len
+            assert idx.avg_doc_len == coll_len / len(doc_len)
+            # negative (OOV) ids, ids past the largest indexed one, an unknown doc
+            for tid in range(-3, vocab + 3):
+                plist = postings.get(tid, {})
+                df = idx.doc_freq(tid)
+                assert type(df) is int and df == len(plist)
+                for doc_id in [*doc_len, "missing"]:
+                    tf = idx.term_freq(tid, doc_id)
+                    assert type(tf) is int and tf == plist.get(doc_id, 0)
+            streamed = PostingsIndex(d for d in docs)
+            assert streamed.doc_ids == idx.doc_ids
+            assert streamed.doc_len == idx.doc_len
+            assert streamed.coll_freq == idx.coll_freq
+            for t in range(vocab):
+                assert [a.tolist() for a in streamed.postings_of(t)] == [
+                    a.tolist() for a in idx.postings_of(t)
+                ]
+            for _ in range(5):
+                q = _query(list(rng.integers(-3, vocab + 3, size=rng.integers(1, 6))))
+                brute = [(d, bm25_score(q, d, idx)) for d in doc_len]
+                brute = sorted(
+                    [(d, s) for d, s in brute if s > 0.0],
+                    key=lambda pair: (-pair[1], pair[0]),
+                )
+                for k in (1, 7, 100):
+                    assert top_candidates(q, idx, k) == brute[:k]
 
     def test_duplicate_doc_id(self):
         with pytest.raises(DataFormatError, match="duplicate"):
@@ -54,6 +102,10 @@ class TestBuildIndex:
         idx = build_index([_doc("d1", []), _doc("d2", [0])])
         assert idx.doc_len["d1"] == 0
         assert idx.num_docs == 2
+        only_empty = build_index([_doc("d1", [])])
+        assert only_empty.avg_doc_len == 0.0
+        assert only_empty.doc_freq(0) == only_empty.term_freq(0, "d1") == 0
+        assert top_candidates(_query([0]), only_empty) == []
 
 
 class TestBM25:
