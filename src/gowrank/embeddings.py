@@ -82,6 +82,10 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
                 vectors[tid] = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad float: {exc}") from exc
+            if not np.isfinite(vectors[tid]).all():
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-finite value in the vector for {token!r}"
+                )
             has_vector[tid] = True
         if seen != count:
             raise DataFormatError(

@@ -87,7 +87,10 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     """Symmetric normalization A_ij / sqrt(D_ii * D_jj).
 
     Zero-degree (isolated) nodes keep all-zero rows and columns.  The
-    result shares `indptr` and `indices` with the input.
+    result shares `indptr` and `indices` with the input.  Each entry is
+    the count times the product of its two scales, computed before the
+    count is applied, so entries (i, j) and (j, i) are equal bit for bit
+    and the result is its own transpose.
     """
     if (adjacency != adjacency.T).nnz:
         raise DataFormatError("adjacency matrix must be symmetric")
@@ -95,7 +98,7 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     row = np.repeat(np.arange(n), np.diff(adjacency.indptr))
     degrees = np.bincount(row, weights=adjacency.data, minlength=n)
     inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
-    scaled = adjacency.data * inv_sqrt[row] * inv_sqrt[adjacency.indices]
+    scaled = adjacency.data * (inv_sqrt[row] * inv_sqrt[adjacency.indices])
     return csr_matrix((scaled, adjacency.indices, adjacency.indptr), shape=(n, n))
 
 

@@ -1,4 +1,4 @@
-"""Relevance scoring over a document's word graph.
+"""Relevance scoring over document word graphs, a batch at a time.
 
 A query with m terms (at most `max_query_len`) gives every node m state
 columns, initialized with its interaction-feature row (cosines against
@@ -8,8 +8,13 @@ m x m blocks of the layer weights, pools the k strongest signals per
 query term, and combines the per-term scores under idf-driven softmax
 gates.
 
-Everything is recorded in a ForwardTrace so the training module can
-replay the computation exactly in reverse.
+`forward_batch` is the one forward implementation.  It stacks documents
+that share a query width into block-diagonal graphs (disjoint unions of
+up to BLOCK_NODES nodes), so a training minibatch or a rerank pool costs
+a few sparse products and gated updates per block rather than per
+document; `forward` is its one-document case.  With `record`, every
+intermediate is kept in a ForwardTrace per block so the training module
+can replay the computation exactly in reverse.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import os
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -176,14 +182,19 @@ def init_params(hyper: HyperParams, rng: np.random.Generator) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, for exact reverse replay.
+    """Every intermediate of one block of a batched forward pass.
 
-    Each of the m scored query terms owns one column: `states[0]` is the
-    (n, m) interaction matrix, `states[s+1]` the state after step s, and
-    `pooled` is (m, pool_k).  `idf` holds the m terms' idf values that
-    drove the gates.
+    The block's B documents share the query width m, and their nodes are
+    stacked document after document into N rows.  `states[0]` is the
+    (N, m) stacked interaction matrix and `states[s+1]` the state after
+    step s; `norm_adj` is the (N, N) block-diagonal adjacency.  `pooled`
+    and `pooled_idx` are (B, m, pool_k), the latter holding rows of the
+    stacked states (-1 for padded slots); `gates`, `term_scores` and `idf`
+    are (B, m).  `members` are the documents' positions in the batch.
     """
 
+    members: np.ndarray
+    norm_adj: csr_matrix
     states: list[np.ndarray]
     messages: list[np.ndarray]
     upd_gate: list[np.ndarray]
@@ -193,9 +204,7 @@ class ForwardTrace:
     pooled_idx: np.ndarray
     gates: np.ndarray
     term_scores: np.ndarray
-    rel: float
     idf: np.ndarray
-    norm_adj: csr_matrix
 
 
 def propagate(h: np.ndarray, norm_adj: csr_matrix, msg_w: np.ndarray) -> np.ndarray:
@@ -221,100 +230,182 @@ def gru_update(
     return h_new, z, r, cand
 
 
-def readout(h_final: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query-term k-max pooling over nodes.
+def readout(
+    h_final: np.ndarray, k: int, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-document, per-query-term k-max pooling over nodes.
 
-    For each column, the k largest entries in descending order (ties:
-    smaller node index first); zero-padded when the graph has fewer than
-    k nodes.  Returns (pooled values (m, k), source node indices with -1
-    marking padded slots).
+    `h_final` stacks the states of B documents, `sizes[b]` rows each.  For
+    each document and column, the k largest entries in descending order
+    (ties: smaller node index first); zero-padded when the document has
+    fewer than k nodes.  Returns (pooled values (B, m, k), source rows of
+    `h_final` (B, m, k) with -1 marking padded slots).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n, m = h_final.shape
-    pooled = np.zeros((m, k), dtype=np.float64)
-    idx = np.full((m, k), -1, dtype=np.int64)
-    take = min(k, n)
-    order = np.argsort(-h_final, axis=0, kind="stable")[:take].T
-    pooled[:, :take] = np.take_along_axis(h_final.T, order, axis=1)
-    idx[:, :take] = order
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(sizes.max(initial=0))
+    # the documents side by side, each padded to the longest with NaN keys,
+    # which a stable ascending sort puts after every real key, NaN included
+    keys = np.full((len(sizes), h_final.shape[1], len(slot)), np.nan)
+    keys.transpose(0, 2, 1)[slot < sizes[:, None]] = -h_final
+    order = np.argsort(keys, axis=2, kind="stable")[:, :, :k]  # (B, m, take)
+    real = order < sizes[:, None, None]
+    take = order.shape[2]
+    pooled = np.zeros((len(sizes), h_final.shape[1], k), dtype=np.float64)
+    idx = np.full(pooled.shape, -1, dtype=np.int64)
+    pooled[:, :, :take] = np.where(real, -np.take_along_axis(keys, order, axis=2), 0.0)
+    idx[:, :, :take] = np.where(real, order + starts[:, None, None], -1)
     return pooled, idx
 
 
 def gate_weights(idf: np.ndarray, scale: float) -> np.ndarray:
-    """Softmax of scale*idf over the query terms.
+    """Softmax of scale*idf over the query terms (the last axis).
 
     Max-subtraction keeps the exponentials bounded for any scale.
     """
     y = float(scale) * idf
-    e = np.exp(y - y.max())
-    return e / e.sum()
+    e = np.exp(y - y.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def score(
     pooled: np.ndarray, gates: np.ndarray, out_w: np.ndarray, out_b: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gated sum of per-term scores: rel = sum_j g_j tanh(out_w·x_j + out_b).
 
-    Returns the scalar together with the per-term tanh scores.  Because
-    the gates form a convex combination, rel always lands in (-1, 1).
+    `pooled` is (..., m, k) and `gates` (..., m); returns rel (...)
+    together with the per-term tanh scores (..., m).  Because the gates
+    form a convex combination, rel always lands in (-1, 1).
     """
     term_scores = np.tanh(pooled @ out_w + float(out_b))
-    return float(gates @ term_scores), term_scores
+    return (gates * term_scores).sum(axis=-1), term_scores
+
+
+# padded rows per stacked block: large enough that a training minibatch of
+# short documents is one block, small enough that scoring a pool of long
+# ones adds little transient memory (one block for a whole pool of 100
+# 500-token documents raised peak RSS by ~10 MB)
+BLOCK_NODES = 2048
+
+
+def _block_diagonal(mats: list[csr_matrix]) -> csr_matrix:
+    """The disjoint union of square CSR matrices, from their own arrays.
+
+    Row i of each block keeps its entries in stored order, so a product
+    with the union sums every row exactly as a product with its block.
+    """
+    if len(mats) == 1:
+        return mats[0]
+    # Python-int offsets keep the blocks' index dtype; BLOCK_NODES keeps
+    # them far from its limit
+    rows = np.cumsum([0] + [mat.shape[0] for mat in mats]).tolist()
+    entries = np.cumsum([0] + [mat.nnz for mat in mats]).tolist()
+    indptr = np.concatenate(
+        [mats[0].indptr[:1]]
+        + [mat.indptr[1:] + off for mat, off in zip(mats, entries)]
+    )
+    indices = np.concatenate([mat.indices + off for mat, off in zip(mats, rows)])
+    data = np.concatenate([mat.data for mat in mats])
+    return csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
+
+
+def _blocks(
+    widths: np.ndarray, sizes: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Batch positions by query width m, in increasing node count, cut so
+    that a block's documents padded to its largest one (as `readout`
+    pads them) fill at most BLOCK_NODES rows, unless one document alone
+    does; yields (m, positions)."""
+    for m in np.unique(widths).tolist():
+        members = np.flatnonzero(widths == m)
+        members = members[np.argsort(sizes[members], kind="stable")]
+        start = 0
+        for end, n in enumerate(sizes[members].tolist()):
+            if end > start and (end - start + 1) * n > BLOCK_NODES:
+                yield m, members[start:end]
+                start = end
+        yield m, members[start:]
+
+
+def forward_batch(
+    docs: list[tuple[DocumentGraph, np.ndarray, Query]],
+    params: ModelParams,
+    record: bool = False,
+) -> tuple[np.ndarray, list[ForwardTrace] | None]:
+    """Score a batch of (graph, S, query) documents; returns (rel, traces).
+
+    Each document scores the first m = min(len(query), max_query_len)
+    query terms, one state column each; terms past the budget are
+    dropped.  Documents with equal m are stacked into blocks of one
+    block-diagonal graph each (see `_blocks`), so every step is one
+    propagation and one gated update per block with the layers' leading
+    m x m blocks.  `rel[i]` is document i's score.  With `record`,
+    `traces` holds one ForwardTrace per block, else it is None.  An empty
+    query cannot be scored; an empty document scores the all-zero readout.
+    """
+    hyper = params.hyper
+    widths = np.zeros(len(docs), dtype=np.int64)
+    sizes = np.zeros(len(docs), dtype=np.int64)
+    for i, (graph, S, query) in enumerate(docs):
+        widths[i] = min(S.shape[1], hyper.max_query_len)
+        sizes[i] = graph.num_nodes
+        if widths[i] == 0:
+            raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
+    rel = np.zeros(len(docs))
+    traces: list[ForwardTrace] | None = [] if record else None
+    for m, members in _blocks(widths, sizes):
+        block = [docs[i] for i in members]
+        norm_adj = _block_diagonal([graph.norm_adjacency for graph, _, _ in block])
+        h = np.concatenate([S[:, :m] for _, S, _ in block])
+        idf = np.stack([query.idf[:m] for _, _, query in block])
+        states = [h]
+        messages: list[np.ndarray] = []
+        upd: list[np.ndarray] = []
+        reset: list[np.ndarray] = []
+        cand: list[np.ndarray] = []
+        for step in range(hyper.steps):
+            # the leading blocks are sliced once per block and step
+            layer = leading_block(layer_for_step(params, step), m)
+            a = propagate(h, norm_adj, layer.msg_w)
+            h, z, r, c = gru_update(a, h, layer)
+            if record:
+                messages.append(a)
+                upd.append(z)
+                reset.append(r)
+                cand.append(c)
+                states.append(h)
+
+        pooled, pooled_idx = readout(h, hyper.pool_k, sizes[members])
+        gates = gate_weights(idf, float(params.idf_scale))
+        rel[members], term_scores = score(pooled, gates, params.out_w, params.out_b)
+        if record:
+            traces.append(
+                ForwardTrace(
+                    members=members,
+                    norm_adj=norm_adj,
+                    states=states,
+                    messages=messages,
+                    upd_gate=upd,
+                    reset_gate=reset,
+                    candidate=cand,
+                    pooled=pooled,
+                    pooled_idx=pooled_idx,
+                    gates=gates,
+                    term_scores=term_scores,
+                    idf=idf,
+                )
+            )
+    return rel, traces
 
 
 def forward(
     graph: DocumentGraph, S: np.ndarray, query: Query, params: ModelParams
 ) -> tuple[float, ForwardTrace]:
-    """Full scoring pass; returns (rel, trace).
-
-    Scores the first m = min(len(query), max_query_len) query terms, one
-    state column each; terms past the budget are dropped.  An empty query
-    cannot be scored.  An empty document scores the all-zero readout
-    rather than erroring.
-    """
-    hyper = params.hyper
-    m = min(S.shape[1], hyper.max_query_len)
-    if m == 0:
-        raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
-    h0 = S[:, :m]
-    idf = query.idf[:m]
-    norm_adj = graph.norm_adjacency
-
-    states = [h0]
-    messages: list[np.ndarray] = []
-    upd: list[np.ndarray] = []
-    reset: list[np.ndarray] = []
-    cand: list[np.ndarray] = []
-    h = h0
-    for step in range(hyper.steps):
-        layer = leading_block(layer_for_step(params, step), m)
-        a = propagate(h, norm_adj, layer.msg_w)
-        h, z, r, c = gru_update(a, h, layer)
-        messages.append(a)
-        upd.append(z)
-        reset.append(r)
-        cand.append(c)
-        states.append(h)
-
-    pooled, pooled_idx = readout(h, hyper.pool_k)
-    gates = gate_weights(idf, float(params.idf_scale))
-    rel, term_scores = score(pooled, gates, params.out_w, params.out_b)
-    trace = ForwardTrace(
-        states=states,
-        messages=messages,
-        upd_gate=upd,
-        reset_gate=reset,
-        candidate=cand,
-        pooled=pooled,
-        pooled_idx=pooled_idx,
-        gates=gates,
-        term_scores=term_scores,
-        rel=rel,
-        idf=idf,
-        norm_adj=norm_adj,
-    )
-    return rel, trace
+    """One document through `forward_batch`: (rel, its one-block trace)."""
+    rel, traces = forward_batch([(graph, S, query)], params, record=True)
+    return float(rel[0]), traces[0]
 
 
 # --- checkpoint serialization ---------------------------------------------

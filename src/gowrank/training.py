@@ -1,10 +1,15 @@
 """Pairwise training: exact reverse-mode gradients, Adam, triplet
 sampling, the epoch loop, and finite-difference verification.
 
-The backward pass replays a recorded ForwardTrace pair in reverse, by
-hand — no autodiff framework.  Gradients flow only through the paths the
-forward pass actually took: selected top-k entries, the leading parameter
-blocks of the m scored query columns, and the active side of the hinge.
+A minibatch is scored in one `forward_batch` call: its positive and
+negative documents, interleaved, stacked into block-diagonal graphs per
+query width.  The backward pass replays the recorded block traces in
+reverse, by hand — no autodiff framework — and sums each parameter's
+gradient over every document of a block in the same stacked products.
+Gradients flow only through the paths the forward pass actually took:
+selected top-k entries, the leading parameter blocks of the m scored
+query columns, and the documents of active hinges.  Validation and
+reranking score a whole candidate pool in one call without recording.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .model import (
     HyperParams,
     ModelParams,
     forward,
+    forward_batch,
     init_params,
     iter_tensors,
     layer_for_step,
@@ -39,9 +45,22 @@ from .retrieval import PostingsIndex, top_candidates
 log = logging.getLogger(__name__)
 
 
-def hinge_loss(rel_pos: float, rel_neg: float) -> float:
-    """Pairwise hinge: max(0, 1 - rel_pos + rel_neg)."""
-    return max(0.0, 1.0 - rel_pos + rel_neg)
+def hinge_loss(rel_pos, rel_neg):
+    """Pairwise hinge: max(0, 1 - rel_pos + rel_neg), elementwise."""
+    return np.maximum(0.0, 1.0 - rel_pos + rel_neg)
+
+
+def pairwise_hinge(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hinge losses of interleaved (positive, negative) scores, and the
+    derivative of their sum with respect to every score: -1 and +1 for
+    the two documents of an active pair, 0 for both of a satisfied one.
+    """
+    losses = hinge_loss(rel[0::2], rel[1::2])
+    d_rel = np.zeros_like(rel)
+    active = losses > 0.0
+    d_rel[0::2][active] = -1.0
+    d_rel[1::2][active] = 1.0
+    return losses, d_rel
 
 
 def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
@@ -55,106 +74,98 @@ def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
         raise ValueError(
             f"trace recorded {len(trace.messages)} steps, params expect {hyper.steps}"
         )
-    if trace.pooled.shape[1] != hyper.pool_k:
+    if trace.pooled.shape[2] != hyper.pool_k:
         raise ValueError(
-            f"trace pooled {trace.pooled.shape[1]} values per term, "
+            f"trace pooled {trace.pooled.shape[2]} values per term, "
             f"params expect {hyper.pool_k}"
         )
 
 
-def _backprop_one(
-    trace: ForwardTrace, params: ModelParams, d_rel: float, tape: ModelParams
-) -> None:
-    """Accumulate d(loss)/d(params) for one document given d(loss)/d(rel).
-
-    Only the leading blocks that act on the trace's m columns get
-    gradient; the rest of the tape is left as it was.
-    """
-    hyper = params.hyper
-    m = trace.states[0].shape[1]
-    g = trace.gates
-    s = trace.term_scores
-
-    # rel = sum_j g_j * s_j with s = tanh(pooled @ out_w + out_b)
-    ds = d_rel * g
-    dg = d_rel * s
-    dpre = ds * (1.0 - s * s)
-    tape.out_w += trace.pooled.T @ dpre
-    tape.out_b += dpre.sum()
-    dx = np.outer(dpre, params.out_w)
-
-    # softmax gates: dy_j = g_j (dg_j - sum_l dg_l g_l)
-    dy = g * (dg - float(dg @ g))
-    tape.idf_scale += dy @ trace.idf
-
-    # k-max pooling routed gradient only to the selected node entries
-    dh = np.zeros_like(trace.states[-1])
-    term, slot = np.nonzero(trace.pooled_idx >= 0)
-    dh[trace.pooled_idx[term, slot], term] = dx[term, slot]
-
-    for step in reversed(range(hyper.steps)):
-        layer = leading_block(layer_for_step(params, step), m)
-        grad = leading_block(layer_for_step(tape, step), m)
-        h_in = trace.states[step]
-        a = trace.messages[step]
-        z = trace.upd_gate[step]
-        r = trace.reset_gate[step]
-        cand = trace.candidate[step]
-
-        # forward was h_out = cand*z + h_in*(1-z)
-        dz = dh * (cand - h_in)
-        dcand = dh * z
-        dh_acc = dh * (1.0 - z)
-
-        dp_c = dcand * (1.0 - cand * cand)
-        grad.w_cand += dp_c.T @ a
-        grad.u_cand += dp_c.T @ (r * h_in)
-        grad.b_cand += dp_c.sum(axis=0)
-        da = dp_c @ layer.w_cand
-        drh = dp_c @ layer.u_cand
-        dr = drh * h_in
-        dh_acc += drh * r
-
-        dp_r = dr * r * (1.0 - r)
-        grad.w_reset += dp_r.T @ a
-        grad.u_reset += dp_r.T @ h_in
-        grad.b_reset += dp_r.sum(axis=0)
-        da += dp_r @ layer.w_reset
-        dh_acc += dp_r @ layer.u_reset
-
-        dp_z = dz * z * (1.0 - z)
-        grad.w_up += dp_z.T @ a
-        grad.u_up += dp_z.T @ h_in
-        grad.b_up += dp_z.sum(axis=0)
-        da += dp_z @ layer.w_up
-        dh_acc += dp_z @ layer.u_up
-
-        # messages were a = adj @ (h_in @ msg_w.T)
-        d_mixed = trace.norm_adj.T @ da
-        grad.msg_w += d_mixed.T @ h_in
-        dh_acc += d_mixed @ layer.msg_w
-
-        dh = dh_acc
-
-
 def backward(
-    trace_pos: ForwardTrace,
-    trace_neg: ForwardTrace,
-    params: ModelParams,
-    into: ModelParams | None = None,
+    traces: list[ForwardTrace], d_rel: np.ndarray, params: ModelParams
 ) -> ModelParams:
-    """Gradients of the pairwise hinge for one (positive, negative) pair.
+    """Gradients of sum_i d_rel[i] * rel[i] over one recorded batch.
 
-    A satisfied margin contributes exactly zero.  Pass `into` to
-    accumulate several triplets into one tape (for batch means); the
-    tape is a ModelParams of gradients, laid out like `params`.
+    `traces` come from one `forward_batch(..., record=True)` call and
+    `d_rel[i]` is d(loss)/d(rel) of its document i.  Returns a ModelParams
+    of gradients, laid out like `params`.  Each parameter's gradient is
+    summed over a block's documents by the stacked products, and only the
+    leading blocks that act on a block's m columns get gradient.  A
+    document with d_rel 0 carries exact zeros through every product, so
+    it adds exactly nothing; a block of such documents is skipped.
     """
-    _check_trace(trace_pos, params)
-    _check_trace(trace_neg, params)
-    tape = into if into is not None else params.zeros_like()
-    if hinge_loss(trace_pos.rel, trace_neg.rel) > 0.0:
-        _backprop_one(trace_pos, params, -1.0, tape)
-        _backprop_one(trace_neg, params, +1.0, tape)
+    tape = params.zeros_like()
+    for trace in traces:
+        _check_trace(trace, params)
+        d = d_rel[trace.members][:, None]  # (B, 1)
+        if not d.any():
+            continue
+        m = trace.states[0].shape[1]
+        g = trace.gates
+        s = trace.term_scores
+
+        # rel_b = sum_j g_bj * s_bj with s = tanh(pooled @ out_w + out_b)
+        ds = d * g
+        dg = d * s
+        dpre = ds * (1.0 - s * s)  # (B, m)
+        k = trace.pooled.shape[2]
+        tape.out_w += trace.pooled.reshape(-1, k).T @ dpre.reshape(-1)
+        tape.out_b += dpre.sum()
+        dx = dpre[:, :, None] * params.out_w  # (B, m, k)
+
+        # softmax gates per document: dy_j = g_j (dg_j - sum_l dg_l g_l)
+        dy = g * (dg - (dg * g).sum(axis=1, keepdims=True))
+        tape.idf_scale += (dy * trace.idf).sum()
+
+        # k-max pooling routed gradient only to the selected node entries
+        dh = np.zeros_like(trace.states[-1])
+        doc, term, slot = np.nonzero(trace.pooled_idx >= 0)
+        dh[trace.pooled_idx[doc, term, slot], term] = dx[doc, term, slot]
+
+        for step in reversed(range(params.hyper.steps)):
+            layer = leading_block(layer_for_step(params, step), m)
+            grad = leading_block(layer_for_step(tape, step), m)
+            h_in = trace.states[step]
+            a = trace.messages[step]
+            z = trace.upd_gate[step]
+            r = trace.reset_gate[step]
+            cand = trace.candidate[step]
+
+            # forward was h_out = cand*z + h_in*(1-z)
+            dz = dh * (cand - h_in)
+            dcand = dh * z
+            dh_acc = dh * (1.0 - z)
+
+            dp_c = dcand * (1.0 - cand * cand)
+            grad.w_cand += dp_c.T @ a
+            grad.u_cand += dp_c.T @ (r * h_in)
+            grad.b_cand += dp_c.sum(axis=0)
+            da = dp_c @ layer.w_cand
+            drh = dp_c @ layer.u_cand
+            dr = drh * h_in
+            dh_acc += drh * r
+
+            dp_r = dr * r * (1.0 - r)
+            grad.w_reset += dp_r.T @ a
+            grad.u_reset += dp_r.T @ h_in
+            grad.b_reset += dp_r.sum(axis=0)
+            da += dp_r @ layer.w_reset
+            dh_acc += dp_r @ layer.u_reset
+
+            dp_z = dz * z * (1.0 - z)
+            grad.w_up += dp_z.T @ a
+            grad.u_up += dp_z.T @ h_in
+            grad.b_up += dp_z.sum(axis=0)
+            da += dp_z @ layer.w_up
+            dh_acc += dp_z @ layer.u_up
+
+            # messages were a = adj @ (h_in @ msg_w.T); adj is its own
+            # transpose (see graph.normalize_adjacency)
+            d_mixed = trace.norm_adj @ da
+            grad.msg_w += d_mixed.T @ h_in
+            dh_acc += d_mixed @ layer.msg_w
+
+            dh = dh_acc
     return tape
 
 
@@ -303,18 +314,26 @@ class ScoringContext:
             self._feats[key] = interaction_matrix(self.graph(doc_id), query, self.emb)
         return self._feats[key]
 
-    def score(self, qid: str, doc_id: str, params: ModelParams):
-        query = self.queries[qid]
+    def score(
+        self, pairs: list[tuple[str, str]], params: ModelParams, record: bool = False
+    ) -> tuple[np.ndarray, list[ForwardTrace] | None]:
+        """Score (query id, doc id) pairs in one `forward_batch` call."""
         budget = params.hyper.max_query_len
-        if len(query.tokens) > budget and qid not in self._truncated:
-            self._truncated.add(qid)
-            log.warning(
-                "query %s has %d terms; keeping the first %d",
-                qid,
-                len(query.tokens),
-                budget,
-            )
-        return forward(self.graph(doc_id), self.feats(qid, doc_id), query, params)
+        for qid in dict.fromkeys(qid for qid, _ in pairs):
+            query = self.queries[qid]
+            if len(query.tokens) > budget and qid not in self._truncated:
+                self._truncated.add(qid)
+                log.warning(
+                    "query %s has %d terms; keeping the first %d",
+                    qid,
+                    len(query.tokens),
+                    budget,
+                )
+        docs = [
+            (self.graph(doc_id), self.feats(qid, doc_id), self.queries[qid])
+            for qid, doc_id in pairs
+        ]
+        return forward_batch(docs, params, record)
 
 
 def score_pool(
@@ -323,8 +342,9 @@ def score_pool(
     pool: list[tuple[str, float]],
     params: ModelParams,
 ) -> list[tuple[str, float]]:
-    """Re-score a candidate pool; (-score, doc_id) order."""
-    rescored = [(doc_id, ctx.score(qid, doc_id, params)[0]) for doc_id, _ in pool]
+    """Re-score a candidate pool in one batched call; (-score, doc_id) order."""
+    rel, _ = ctx.score([(qid, doc_id) for doc_id, _ in pool], params)
+    rescored = [(doc_id, value) for (doc_id, _), value in zip(pool, rel.tolist())]
     rescored.sort(key=lambda pair: (-pair[1], pair[0]))
     return rescored
 
@@ -402,13 +422,15 @@ def train(
         correct = 0
         for start in range(0, len(triplets), cfg.batch):
             batch = triplets[start : start + cfg.batch]
-            tape = params.zeros_like()
-            for triplet in batch:
-                rel_p, trace_p = ctx.score(triplet.query_id, triplet.pos_doc, params)
-                rel_n, trace_n = ctx.score(triplet.query_id, triplet.neg_doc, params)
-                losses.append(hinge_loss(rel_p, rel_n))
-                correct += rel_p > rel_n
-                backward(trace_p, trace_n, params, into=tape)
+            rel, traces = ctx.score(
+                [(t.query_id, doc) for t in batch for doc in (t.pos_doc, t.neg_doc)],
+                params,
+                record=True,
+            )
+            batch_losses, d_rel = pairwise_hinge(rel)
+            losses.extend(batch_losses.tolist())
+            correct += int(np.count_nonzero(rel[0::2] > rel[1::2]))
+            tape = backward(traces, d_rel, params)
             for _, grad in iter_tensors(tape):
                 grad *= 1.0 / len(batch)
             adam_step(params, tape, state)
@@ -536,14 +558,14 @@ def grad_check(
         rng, n, m, steps, k, m_max, per_step
     )
 
-    def loss_now() -> float:
-        rel_p, _ = forward(graph_p, S_p, query, params)
-        rel_n, _ = forward(graph_n, S_n, query, params)
-        return hinge_loss(rel_p, rel_n)
+    pair = [(graph_p, S_p, query), (graph_n, S_n, query)]
 
-    _, trace_p = forward(graph_p, S_p, query, params)
-    _, trace_n = forward(graph_n, S_n, query, params)
-    tape = backward(trace_p, trace_n, params)
+    def loss_now() -> float:
+        rel, _ = forward_batch(pair, params)
+        return float(hinge_loss(rel[0], rel[1]))
+
+    rel, traces = forward_batch(pair, params, record=True)
+    tape = backward(traces, pairwise_hinge(rel)[1], params)
     if tamper is not None:
         tamper(tape)
 

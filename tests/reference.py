@@ -16,12 +16,19 @@ the run files were produced from.
 `dict_postings` builds the BM25 postings the way the first
 `retrieval.PostingsIndex` did, one dict insert per token, so the CSR
 index can be checked statistic by statistic.
+
+`doc_forward` and `doc_backprop` are the model's first numpy path, one
+document at a time: the forward pass over one graph and the reverse
+replay of its trace.  The batched `model.forward_batch` and
+`training.backward` are checked against them.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.special import expit
 
 
 def cosine(u, v):
@@ -77,9 +84,8 @@ def loop_graph(tokens, window):
     inv_sqrt = np.zeros_like(degrees)
     positive = degrees > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])
-    norm = csr_matrix(
-        adjacency.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    )
+    # the two scales multiply first, so the result is exactly symmetric
+    norm = csr_matrix(adjacency.multiply(np.outer(inv_sqrt, inv_sqrt)))
     return node_terms, adjacency, norm
 
 
@@ -192,3 +198,114 @@ def dict_postings(docs):
             plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
             coll_freq[tid] = coll_freq.get(tid, 0) + 1
     return postings, doc_len, coll_freq, coll_len
+
+
+def _blocks(layer, m):
+    """Each tensor of a LayerParams cut to the first m query columns."""
+    return SimpleNamespace(
+        **{k: w[:m, :m] if w.ndim == 2 else w[:m] for k, w in vars(layer).items()}
+    )
+
+
+def _layer(params, step):
+    return params.layers[step if params.hyper.per_step_weights else 0]
+
+
+def doc_forward(graph, S, query, params):
+    """(rel, trace) of one document, as the per-document model computed it.
+
+    The trace is a namespace of the intermediates: (n, m) states and step
+    activations, (m, k) pooled values and node indices, (m,) gates, term
+    scores and idf.
+    """
+    hyper = params.hyper
+    m = min(S.shape[1], hyper.max_query_len)
+    h = S[:, :m]
+    t = SimpleNamespace(states=[h], messages=[], upd=[], reset=[], cand=[],
+                        idf=query.idf[:m], norm_adj=graph.norm_adjacency)
+    for step in range(hyper.steps):
+        layer = _blocks(_layer(params, step), m)
+        a = graph.norm_adjacency @ (h @ layer.msg_w.T)
+        z = expit(a @ layer.w_up.T + h @ layer.u_up.T + layer.b_up)
+        r = expit(a @ layer.w_reset.T + h @ layer.u_reset.T + layer.b_reset)
+        c = np.tanh(a @ layer.w_cand.T + (r * h) @ layer.u_cand.T + layer.b_cand)
+        h = c * z + h * (1.0 - z)
+        for trail, x in ((t.messages, a), (t.upd, z), (t.reset, r),
+                         (t.cand, c), (t.states, h)):
+            trail.append(x)
+
+    k = hyper.pool_k
+    n = h.shape[0]
+    t.pooled = np.zeros((m, k))
+    t.pooled_idx = np.full((m, k), -1, dtype=np.int64)
+    take = min(k, n)
+    order = np.argsort(-h, axis=0, kind="stable")[:take].T
+    t.pooled[:, :take] = np.take_along_axis(h.T, order, axis=1)
+    t.pooled_idx[:, :take] = order
+
+    y = float(params.idf_scale) * t.idf
+    e = np.exp(y - y.max())
+    t.gates = e / e.sum()
+    t.term_scores = np.tanh(t.pooled @ params.out_w + float(params.out_b))
+    rel = float(t.gates @ t.term_scores)
+    return rel, t
+
+
+def doc_backprop(trace, params, d_rel, tape):
+    """Add d_rel * d(rel)/d(params) of one `doc_forward` trace into `tape`."""
+    m = trace.states[0].shape[1]
+    g = trace.gates
+    s = trace.term_scores
+    ds = d_rel * g
+    dg = d_rel * s
+    dpre = ds * (1.0 - s * s)
+    tape.out_w += trace.pooled.T @ dpre
+    tape.out_b += dpre.sum()
+    dx = np.outer(dpre, params.out_w)
+    dy = g * (dg - float(dg @ g))
+    tape.idf_scale += dy @ trace.idf
+
+    dh = np.zeros_like(trace.states[-1])
+    term, slot = np.nonzero(trace.pooled_idx >= 0)
+    dh[trace.pooled_idx[term, slot], term] = dx[term, slot]
+
+    for step in reversed(range(params.hyper.steps)):
+        layer = _blocks(_layer(params, step), m)
+        grad = _blocks(_layer(tape, step), m)
+        h_in = trace.states[step]
+        a = trace.messages[step]
+        z = trace.upd[step]
+        r = trace.reset[step]
+        cand = trace.cand[step]
+
+        dz = dh * (cand - h_in)
+        dcand = dh * z
+        dh_acc = dh * (1.0 - z)
+
+        dp_c = dcand * (1.0 - cand * cand)
+        grad.w_cand += dp_c.T @ a
+        grad.u_cand += dp_c.T @ (r * h_in)
+        grad.b_cand += dp_c.sum(axis=0)
+        da = dp_c @ layer.w_cand
+        drh = dp_c @ layer.u_cand
+        dr = drh * h_in
+        dh_acc += drh * r
+
+        dp_r = dr * r * (1.0 - r)
+        grad.w_reset += dp_r.T @ a
+        grad.u_reset += dp_r.T @ h_in
+        grad.b_reset += dp_r.sum(axis=0)
+        da += dp_r @ layer.w_reset
+        dh_acc += dp_r @ layer.u_reset
+
+        dp_z = dz * z * (1.0 - z)
+        grad.w_up += dp_z.T @ a
+        grad.u_up += dp_z.T @ h_in
+        grad.b_up += dp_z.sum(axis=0)
+        da += dp_z @ layer.w_up
+        dh_acc += dp_z @ layer.u_up
+
+        d_mixed = trace.norm_adj.T @ da
+        grad.msg_w += d_mixed.T @ h_in
+        dh_acc += d_mixed @ layer.msg_w
+        dh = dh_acc

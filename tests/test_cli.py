@@ -111,6 +111,14 @@ def _bump_count(line):
     return f"{int(count) + 1} {dim}\n"
 
 
+def _first_value(text):
+    """Line edit: the first value of an embedding row becomes `text`."""
+    def edit(line):
+        token, _, rest = line.split(" ", 2)
+        return f"{token} {text} {rest}"
+    return edit
+
+
 # (case, file, mutation of the world dir, fragment the message must contain)
 MALFORMED_ARTIFACTS = [
     ("docs-garbage-line", "index/docs.jsonl",
@@ -152,6 +160,12 @@ MALFORMED_ARTIFACTS = [
     ("embeddings-second-vector", "embeddings.txt",
      lambda w: _append_copy(w / "embeddings.txt", 2, header=_bump_count),
      "embeddings.txt:192: second vector for 'q00a'"),
+    ("embeddings-nan", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 2, _first_value("nan")),
+     "embeddings.txt:2: non-finite value in the vector for 'q00a'"),
+    ("embeddings-overflow", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 2, _first_value("1e999")),
+     "embeddings.txt:2: non-finite value in the vector for 'q00a'"),
     ("checkpoint-empty-header", "model.ckpt",
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {}),
      "bad checkpoint header: KeyError('version')"),

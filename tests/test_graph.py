@@ -243,6 +243,33 @@ class TestNormalizeAdjacency:
                         expected = 0.0
                     assert N[i, j] == pytest.approx(expected, abs=1e-15)
 
+    def test_result_is_its_own_transpose_bit_for_bit(self):
+        # the backward pass multiplies by norm_adjacency where the math has
+        # its transpose, so (i, j) and (j, i) must round identically
+        rng = np.random.default_rng(43)
+        mats = [
+            build_graph(_doc([]), window=3).norm_adjacency,  # n = 0
+            build_graph(_doc([7, 7, 7]), window=3).norm_adjacency,  # n = 1
+        ]
+        for window in range(2, 8):
+            for _ in range(25):
+                vocab = int(rng.choice([3, 20, 200]))
+                tokens = rng.integers(0, vocab, size=int(rng.integers(0, 150)))
+                mats.append(build_graph(_doc(tokens.tolist()), window).norm_adjacency)
+        for _ in range(25):  # isolated nodes: zero rows and columns
+            n = int(rng.integers(2, 15))
+            upper = np.triu(rng.integers(0, 5, size=(n, n)).astype(float), 1)
+            dense = upper + upper.T
+            isolated = rng.random(n) < 0.3
+            dense[isolated] = 0.0
+            dense[:, isolated] = 0.0
+            mats.append(normalize_adjacency(csr_matrix(dense)))
+        for N in mats:
+            assert (N != N.T).nnz == 0
+            T = N.T.tocsr().sorted_indices()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(N, name).tobytes() == getattr(T, name).tobytes(), name
+
     def test_spectrum_within_unit_interval(self):
         # power iteration on random word graphs, n <= 50
         rng = np.random.default_rng(41)

@@ -133,23 +133,24 @@ class TestGruUpdate:
 
 
 class TestReadout:
+    # one document unless a test says otherwise: pooled[0] is its (m, k) block
     def test_top_two(self):
         h = np.array([[0.9], [0.1], [0.5], [0.7]])
-        pooled, idx = readout(h, 2)
-        np.testing.assert_array_equal(pooled[0], [0.9, 0.7])
-        np.testing.assert_array_equal(idx[0], [0, 3])
+        pooled, idx = readout(h, 2, [4])
+        np.testing.assert_array_equal(pooled[0, 0], [0.9, 0.7])
+        np.testing.assert_array_equal(idx[0, 0], [0, 3])
 
     def test_zero_padding_when_small(self):
         h = np.array([[0.4]])
-        pooled, idx = readout(h, 3)
-        np.testing.assert_array_equal(pooled[0], [0.4, 0.0, 0.0])
-        np.testing.assert_array_equal(idx[0], [0, -1, -1])
+        pooled, idx = readout(h, 3, [1])
+        np.testing.assert_array_equal(pooled[0, 0], [0.4, 0.0, 0.0])
+        np.testing.assert_array_equal(idx[0, 0], [0, -1, -1])
 
     def test_tie_takes_smaller_index(self):
         h = np.array([[0.5], [0.5], [0.2]])
-        pooled, idx = readout(h, 1)
-        assert pooled[0, 0] == 0.5
-        assert idx[0, 0] == 0
+        pooled, idx = readout(h, 1, [3])
+        assert pooled[0, 0, 0] == 0.5
+        assert idx[0, 0, 0] == 0
 
     def test_values_sorted_under_tie_rule(self):
         rng = np.random.default_rng(6)
@@ -157,11 +158,11 @@ class TestReadout:
             n = int(rng.integers(1, 20))
             # quantized values force plenty of ties
             h = np.round(rng.uniform(-1, 1, size=(n, 3)), 1)
-            pooled, idx = readout(h, 5)
+            pooled, idx = readout(h, 5, [n])
             take = min(5, n)
             for j in range(3):
-                vals = pooled[j, :take]
-                ids = idx[j, :take]
+                vals = pooled[0, j, :take]
+                ids = idx[0, j, :take]
                 assert np.all(np.diff(vals) <= 0)
                 for p in range(take - 1):
                     if vals[p] == vals[p + 1]:
@@ -170,9 +171,28 @@ class TestReadout:
                 assert np.all((ids >= 0) & (ids < n))
 
     def test_empty_graph_all_zero(self):
-        pooled, idx = readout(np.zeros((0, 2)), 4)
-        np.testing.assert_array_equal(pooled, np.zeros((2, 4)))
-        np.testing.assert_array_equal(idx, -np.ones((2, 4)))
+        pooled, idx = readout(np.zeros((0, 2)), 4, [0])
+        np.testing.assert_array_equal(pooled, np.zeros((1, 2, 4)))
+        np.testing.assert_array_equal(idx, -np.ones((1, 2, 4)))
+
+    def test_stacked_documents_pool_only_their_own_rows(self):
+        # each segment pools as if alone, with indices shifted to its rows;
+        # quantized values tie across and within segments, and a NaN state
+        # sorts last in its own segment only
+        rng = np.random.default_rng(60)
+        for _ in range(30):
+            sizes = [int(s) for s in rng.integers(0, 9, size=int(rng.integers(1, 6)))]
+            h = np.round(rng.uniform(-1, 1, size=(sum(sizes), 3)), 1)
+            h[rng.random(h.shape) < 0.05] = np.nan
+            pooled, idx = readout(h, 4, sizes)
+            assert pooled.shape == idx.shape == (len(sizes), 3, 4)
+            start = 0
+            for b, n in enumerate(sizes):
+                alone, alone_idx = readout(h[start:start + n], 4, [n])
+                np.testing.assert_array_equal(pooled[b], alone[0])
+                shifted = np.where(alone_idx[0] >= 0, alone_idx[0] + start, -1)
+                np.testing.assert_array_equal(idx[b], shifted)
+                start += n
 
 
 class TestGateWeights:
@@ -315,10 +335,10 @@ class TestForward:
         graph, S, query, params = helpers.random_instance(rng, 10, 3, 0, 4)
         rel, trace = forward(graph, S, query, params)
         assert len(trace.states) == 1
-        pooled, _ = readout(S, 4)
+        pooled, _ = readout(S, 4, [len(S)])
         gates = gate_weights(query.idf, float(params.idf_scale))
         expected, _ = score(pooled, gates, params.out_w, params.out_b)
-        assert rel == expected
+        assert rel == expected[0]
 
     def test_zero_adjacency_equals_fed_zero_messages(self):
         # scoring under an edgeless graph must equal a hand-run variant
@@ -340,10 +360,10 @@ class TestForward:
             for _ in range(steps):
                 layer = leading_block(params.layers[0], m)
                 h, *_ = gru_update(np.zeros_like(h), h, layer)
-            pooled, _ = readout(h, k)
+            pooled, _ = readout(h, k, [len(h)])
             gates = gate_weights(query.idf, float(params.idf_scale))
             expected, _ = score(pooled, gates, params.out_w, params.out_b)
-            assert rel == expected
+            assert rel == expected[0]
 
     def test_empty_document_scores_zero_readout(self):
         rng = np.random.default_rng(103)
@@ -362,7 +382,7 @@ class TestForward:
             graph, S, query, params = helpers.random_instance(rng, 7, m, 2, 4)
             _, trace = forward(graph, S, query, params)
             np.testing.assert_array_equal(trace.states[0], S[:, :kept])
-            np.testing.assert_array_equal(trace.idf, query.idf[:kept])
+            np.testing.assert_array_equal(trace.idf[0], query.idf[:kept])
 
     def test_every_intermediate_has_m_columns(self):
         rng = np.random.default_rng(105)
@@ -372,10 +392,11 @@ class TestForward:
                       trace.reset_gate, trace.candidate):
             for arr in group:
                 assert arr.shape == (9, 3)
-        assert trace.pooled.shape == (3, 4)
-        assert trace.pooled_idx.shape == (3, 4)
-        assert trace.gates.shape == (3,)
-        assert trace.term_scores.shape == (3,)
+        # one document: per-document arrays have a leading axis of 1
+        assert trace.pooled.shape == (1, 3, 4)
+        assert trace.pooled_idx.shape == (1, 3, 4)
+        assert trace.gates.shape == (1, 3)
+        assert trace.term_scores.shape == (1, 3)
 
     def test_empty_query_rejected(self):
         rng = np.random.default_rng(114)

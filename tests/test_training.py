@@ -2,7 +2,6 @@
 against central differences, Adam, triplet sampling, and the epoch loop
 on a tiny separable corpus."""
 
-import dataclasses
 import json
 import logging
 import math
@@ -11,7 +10,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import gowrank.model
 import helpers
+import reference
 from gowrank.config import RunConfig, seed_stream
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
@@ -20,6 +21,7 @@ from gowrank.graph import interaction_matrix
 from gowrank.model import (
     HyperParams,
     forward,
+    forward_batch,
     gate_weights,
     init_params,
     iter_tensors,
@@ -38,6 +40,7 @@ from gowrank.training import (
     backward,
     grad_check,
     hinge_loss,
+    pairwise_hinge,
     sample_triplets,
     score_pool,
     train,
@@ -63,14 +66,16 @@ class TestHingeLoss:
 
 
 def _forward_pair(rng, n=8, m=3, steps=2, k=3, per_step=False):
-    """Two documents scored against a shared query and shared params."""
+    """Two documents scored against a shared query and shared params in
+    one recorded batch: (rel, traces, params)."""
     graph_p, s_p, query, params = helpers.random_instance(
         rng, n, m, steps, k, per_step=per_step
     )
     graph_n, s_n, _, _ = helpers.random_instance(rng, n, m, steps, k)
-    rel_p, trace_p = forward(graph_p, s_p, query, params)
-    rel_n, trace_n = forward(graph_n, s_n, query, params)
-    return trace_p, trace_n, params
+    rel, traces = forward_batch(
+        [(graph_p, s_p, query), (graph_n, s_n, query)], params, record=True
+    )
+    return rel, traces, params
 
 
 class TestBackward:
@@ -78,49 +83,54 @@ class TestBackward:
 
     def test_zero_loss_gives_exactly_zero_tape(self):
         rng = np.random.default_rng(11)
-        trace_p, trace_n, params = _forward_pair(rng)
-        # force a comfortably satisfied margin; backward reads trace.rel
-        trace_p = dataclasses.replace(trace_p, rel=2.0)
-        trace_n = dataclasses.replace(trace_n, rel=0.5)
-        tape = backward(trace_p, trace_n, params)
+        _, traces, params = _forward_pair(rng)
+        # a comfortably satisfied margin routes no gradient to either side
+        losses, d_rel = pairwise_hinge(np.array([2.0, 0.5]))
+        assert losses.tolist() == [0.0]
+        tape = backward(traces, d_rel, params)
         for name, grad in iter_tensors(tape):
             assert np.all(grad == 0.0), name
 
     def test_accumulation_adds(self):
+        # the same pair twice in one batch: every gradient doubles
         rng = np.random.default_rng(12)
-        trace_p, trace_n, params = _forward_pair(rng)
-        single = backward(trace_p, trace_n, params)
-        double = backward(trace_p, trace_n, params)
-        backward(trace_p, trace_n, params, into=double)
+        graph_p, s_p, query, params = helpers.random_instance(rng, 8, 3, 2, 3)
+        graph_n, s_n, _, _ = helpers.random_instance(rng, 8, 3, 2, 3)
+        pair = [(graph_p, s_p, query), (graph_n, s_n, query)]
+        rel, traces = forward_batch(pair, params, record=True)
+        single = backward(traces, pairwise_hinge(rel)[1], params)
+        rel, traces = forward_batch(pair + pair, params, record=True)
+        double = backward(traces, pairwise_hinge(rel)[1], params)
         for (name, one), (_, two) in zip(iter_tensors(single), iter_tensors(double)):
             npt.assert_allclose(two, 2.0 * one, err_msg=name)
 
     def test_mismatched_params_raise(self):
         rng = np.random.default_rng(14)
-        trace_p, trace_n, params = _forward_pair(rng, steps=2, k=3)
+        rel, traces, params = _forward_pair(rng, steps=2, k=3)
+        _, d_rel = pairwise_hinge(rel)
         other = init_params(
             HyperParams(steps=2, pool_k=5, max_query_len=8),
             np.random.default_rng(0),
         )
         with pytest.raises(ValueError):
-            backward(trace_p, trace_n, other)
+            backward(traces, d_rel, other)
         fewer_steps = init_params(
             HyperParams(steps=1, pool_k=3, max_query_len=8),
             np.random.default_rng(0),
         )
         with pytest.raises(ValueError):
-            backward(trace_p, trace_n, fewer_steps)
+            backward(traces, d_rel, fewer_steps)
 
     def test_zero_steps_trains_only_scoring_head(self):
         """With no propagation, layer tensors are dead parameters."""
         rng = np.random.default_rng(15)
         for attempt in range(20):
-            trace_p, trace_n, params = _forward_pair(rng, steps=0)
-            if hinge_loss(trace_p.rel, trace_n.rel) > 1e-3:
+            rel, traces, params = _forward_pair(rng, steps=0)
+            if hinge_loss(rel[0], rel[1]) > 1e-3:
                 break
         else:
             pytest.fail("never sampled an active-hinge pair")
-        tape = backward(trace_p, trace_n, params)
+        tape = backward(traces, pairwise_hinge(rel)[1], params)
         for name, grad in iter_tensors(tape):
             if name.startswith("layer"):
                 assert np.all(grad == 0.0), name
@@ -131,13 +141,13 @@ class TestBackward:
         """A 3-term query trains only the weights that act on 3 columns."""
         rng = np.random.default_rng(17)
         for attempt in range(20):
-            trace_p, trace_n, params = _forward_pair(rng, m=3, per_step=True)
-            if hinge_loss(trace_p.rel, trace_n.rel) > 1e-3:
+            rel, traces, params = _forward_pair(rng, m=3, per_step=True)
+            if hinge_loss(rel[0], rel[1]) > 1e-3:
                 break
         else:
             pytest.fail("never sampled an active-hinge pair")
         assert params.hyper.max_query_len == 8
-        tape = backward(trace_p, trace_n, params)
+        tape = backward(traces, pairwise_hinge(rel)[1], params)
         for name, grad in iter_tensors(tape):
             if not name.startswith("layer"):
                 continue
@@ -156,23 +166,108 @@ class TestBackward:
         graph, s, query, params = helpers.random_instance(rng, 9, 3, 1, k)
         _, trace = forward(graph, s, query, params)
         h_final = trace.states[-1]
-        pooled, idx = readout(h_final, k)
+        pooled, idx = readout(h_final, k, [len(h_final)])
         gates = gate_weights(trace.idf, float(params.idf_scale))
         rel_before, _ = score(pooled, gates, params.out_w, params.out_b)
 
         col = 0
-        selected = set(idx[col][idx[col] >= 0].tolist())
+        selected = set(idx[0, col][idx[0, col] >= 0].tolist())
         unselected = [i for i in range(h_final.shape[0]) if i not in selected]
-        kth_value = h_final[idx[col, len(selected) - 1], col]
+        kth_value = h_final[idx[0, col, len(selected) - 1], col]
         node = min(unselected, key=lambda i: h_final[i, col])
         nudge = min(1e-4, 0.5 * (kth_value - h_final[node, col]))
         assert nudge > 0.0
 
         bumped = h_final.copy()
         bumped[node, col] += nudge
-        pooled2, _ = readout(bumped, k)
+        pooled2, _ = readout(bumped, k, [len(bumped)])
         rel_after, _ = score(pooled2, gates, params.out_w, params.out_b)
         assert rel_after == rel_before
+
+
+def _mixed_batch(rng):
+    """Documents for one batched call: query widths 1-8 and 10 (past
+    `max_query_len` 8), documents of 0, 1 and 2 nodes (fewer than pool_k),
+    mid-sized ones, and one width whose documents exceed BLOCK_NODES."""
+    docs = []
+    for width in [1, 2, 3, 4, 5, 6, 7, 8, 10]:
+        query = Query(f"q{width}", list(range(width)), rng.uniform(0.1, 3.0, width))
+        sizes = [0, 1, 2, 9, 30] if width != 3 else [900, 700, 0, 800]
+        for n in sizes:
+            graph = helpers.random_graph(rng, n)
+            docs.append((graph, rng.uniform(-1.0, 1.0, size=(n, width)), query))
+    order = rng.permutation(len(docs))
+    return [docs[i] for i in order]
+
+
+def _rel_err(got, want, scale):
+    """Largest |got - want| relative to `scale`, the summed magnitude of
+    the contributions; exactly 0 is required where that scale is 0."""
+    err = np.abs(got - want).max(initial=0.0)
+    top = np.abs(scale).max(initial=0.0)
+    return err / top if top else err
+
+
+class TestBatchedAgainstOracle:
+    """`forward_batch` and `backward` against the per-document path of
+    `tests/reference.py`, on batches that mix widths and document sizes."""
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    @pytest.mark.parametrize("block_nodes", [None, 40])
+    def test_scores_and_summed_gradients(self, monkeypatch, steps, per_step,
+                                         block_nodes):
+        if block_nodes is not None:
+            monkeypatch.setattr(gowrank.model, "BLOCK_NODES", block_nodes)
+        rng = np.random.default_rng(300 + 10 * steps + per_step)
+        hyper = HyperParams(steps=steps, pool_k=5, max_query_len=8,
+                            per_step_weights=per_step)
+        params = helpers.random_params(rng, hyper)
+        docs = _mixed_batch(rng)
+        # one document in three is on the satisfied side of its hinge
+        d_rel = rng.choice([-1.0, 0.0, 1.0], size=len(docs))
+
+        rel, traces = forward_batch(docs, params, record=True)
+        tape = backward(traces, d_rel, params)
+
+        oracle = params.zeros_like()
+        magnitude = params.zeros_like()
+        for i, (graph, S, query) in enumerate(docs):
+            want, trace = reference.doc_forward(graph, S, query, params)
+            assert helpers.rel_diff(rel[i], want) < 1e-12, i
+            if d_rel[i]:
+                reference.doc_backprop(trace, params, d_rel[i], oracle)
+                one = params.zeros_like()
+                reference.doc_backprop(trace, params, d_rel[i], one)
+                for (_, total), (_, part) in zip(iter_tensors(magnitude),
+                                                 iter_tensors(one)):
+                    total += np.abs(part)
+        for (name, got), (_, want), (_, scale) in zip(
+            iter_tensors(tape), iter_tensors(oracle), iter_tensors(magnitude)
+        ):
+            assert _rel_err(got, want, scale) < 1e-12, name
+
+    def test_inactive_documents_add_exactly_nothing(self):
+        rng = np.random.default_rng(320)
+        hyper = HyperParams(steps=2, pool_k=5, max_query_len=8)
+        params = helpers.random_params(rng, hyper)
+        docs = _mixed_batch(rng)
+        d_rel = rng.choice([-1.0, 0.0, 1.0], size=len(docs))
+        _, traces = forward_batch(docs, params, record=True)
+        tape = backward(traces, d_rel, params)
+        # other features for every inactive document: not one bit moves
+        swapped = [
+            (graph, S if d else rng.uniform(-1.0, 1.0, size=S.shape), query)
+            for (graph, S, query), d in zip(docs, d_rel)
+        ]
+        _, swapped_traces = forward_batch(swapped, params, record=True)
+        again = backward(swapped_traces, d_rel, params)
+        for (name, a), (_, b) in zip(iter_tensors(tape), iter_tensors(again)):
+            assert a.tobytes() == b.tobytes(), name
+        # an all-inactive batch leaves the tape exactly zero
+        idle = backward(traces, np.zeros(len(docs)), params)
+        for name, grad in iter_tensors(idle):
+            assert np.all(grad == 0.0), name
 
 
 class TestGradCheck:
@@ -434,8 +529,8 @@ class TestScoringContext:
             np.random.default_rng(0),
         )
         with caplog.at_level(logging.WARNING, logger="gowrank.training"):
-            for doc_id in ("pa0", "na0"):
-                ctx.score("long", doc_id, params)
+            ctx.score([("long", "pa0"), ("long", "na0")], params)
+            ctx.score([("long", "pb0")], params)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "keeping the first 8" in warnings[0].getMessage()
@@ -457,10 +552,38 @@ class TestScoringContext:
 
         monkeypatch.setattr(training, "interaction_matrix", counted)
         pool = sorted(docs)
-        first = [ctx.score("qa", doc_id, params)[0] for doc_id in pool]
-        second = [ctx.score("qa2", doc_id, params)[0] for doc_id in pool]
+        first, _ = ctx.score([("qa", doc_id) for doc_id in pool], params)
+        second, _ = ctx.score([("qa2", doc_id) for doc_id in pool], params)
         assert calls == ["qa"] * len(pool)
-        assert first == second
+        assert first.tolist() == second.tolist()
+
+    def test_pool_scored_at_once_ranks_as_one_at_a_time(self):
+        # copies of two documents tie with them exactly, so the (-score,
+        # doc_id) order is exercised as well as the scores
+        docs, queries, _, _, emb = _tiny_world()
+        for source in ("pa1", "nb2"):
+            copy = f"z-{source}"
+            docs[copy] = TokenizedDoc(copy, list(docs[source].tokens), 9)
+        queries["mixed"] = Query("mixed", [0, 1, 2], np.array([1.2, 1.4, 0.9]))
+        ctx = ScoringContext(docs, queries, emb, 3, "graph")
+        params = helpers.random_params(
+            np.random.default_rng(41), HyperParams(steps=2, pool_k=4, max_query_len=8)
+        )
+        pool = [(doc_id, 0.0) for doc_id in sorted(docs)]
+        for qid in ("qa", "mixed"):
+            ranked = score_pool(ctx, qid, pool, params)
+            single = [
+                (doc_id, forward(ctx.graph(doc_id), ctx.feats(qid, doc_id),
+                                 queries[qid], params)[0])
+                for doc_id, _ in pool
+            ]
+            single.sort(key=lambda pair: (-pair[1], pair[0]))
+            assert [d for d, _ in ranked] == [d for d, _ in single]
+            npt.assert_allclose([v for _, v in ranked], [v for _, v in single],
+                                rtol=1e-12, atol=0)
+            scores = dict(ranked)
+            assert scores["pa1"] == scores["z-pa1"]
+            assert scores["nb2"] == scores["z-nb2"]
 
 
 class TestTrainLoop:
