@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import open_text
 from .errors import DataFormatError
 
 log = logging.getLogger(__name__)
@@ -145,17 +146,22 @@ def _coerce(name: str, raw: str, target_type: type):
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` file; '#' starts a comment."""
+    """Parse a flat `key = value` file; '#' starts a comment.
+
+    A key given twice is an error, not an overwrite.
+    """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise DataFormatError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise DataFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = val
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .artifacts import open_text
 from .errors import DataFormatError
 
 # Query terms that survive stopword filtering but are missing from the
@@ -49,7 +51,7 @@ def default_stopwords() -> set[str]:
 
 def read_stopwords(path: str | Path) -> set[str]:
     """One token per line, UTF-8."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return {line.strip() for line in fh if line.strip()}
 
 
@@ -149,25 +151,19 @@ def build_vocabulary(
         raise ValueError("min_freq must be >= 1")
     stopwords = stopwords if stopwords is not None else set()
 
-    corpus_freq: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    first_seen: list[str] = []
+    # Counters keep insertion order: corpus_freq lists terms as first seen
+    corpus_freq: Counter[str] = Counter()
+    doc_freq: Counter[str] = Counter()
     num_docs = 0
     for tokens in docs:
         num_docs += 1
-        for tok in tokens:
-            if tok in corpus_freq:
-                corpus_freq[tok] += 1
-            else:
-                corpus_freq[tok] = 1
-                first_seen.append(tok)
-        for tok in set(tokens):
-            doc_freq[tok] = doc_freq.get(tok, 0) + 1
+        corpus_freq.update(tokens)
+        doc_freq.update(set(tokens))
     if num_docs == 0:
         raise DataFormatError("empty corpus: no documents to index")
 
     freq = doc_freq if count_documents else corpus_freq
-    terms = [t for t in first_seen if t not in stopwords and freq[t] >= min_freq]
+    terms = [t for t in corpus_freq if t not in stopwords and freq[t] >= min_freq]
     return Vocabulary(
         terms=terms,
         term_to_id={t: i for i, t in enumerate(terms)},
@@ -196,7 +192,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
     A doc_id seen on an earlier line is an error, not an overwrite.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -220,7 +216,7 @@ def read_queries(path: str | Path) -> list[tuple[str, str]]:
     """
     out = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -12,31 +12,31 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import open_text
 from .corpus import Vocabulary
 from .errors import DataFormatError
 
 class EmbeddingTable:
-    """Dense vectors indexed by vocabulary id.
+    """Unit-norm vectors indexed by vocabulary id.
 
-    `vectors[i]` is the raw vector for term id i (zeros when missing),
-    `has_vector[i]` flags availability, and `unit[i]` is the row scaled to
-    unit norm (zero row when missing or zero-norm), so a cosine block is a
-    single matmul of unit rows.
+    Built from the raw (V, dim) vectors, which it does not keep:
+    `has_vector[i]` flags availability, and `unit[i]` is term i's vector
+    in float64 scaled to unit norm (zero row when missing or zero-norm),
+    so a cosine block is a single matmul of unit rows.
     """
 
     def __init__(self, dim: int, vectors: np.ndarray, has_vector: np.ndarray):
+        vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ValueError(f"vectors must be (V, {dim}), got {vectors.shape}")
         if not np.isfinite(vectors).all():
             raise DataFormatError("embedding table contains non-finite entries")
         self.dim = dim
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         self.has_vector = np.asarray(has_vector, dtype=bool)
-        norms = np.linalg.norm(self.vectors, axis=1)
+        norms = np.linalg.norm(vectors, axis=1)
         usable = self.has_vector & (norms > 0)
-        self.unit = np.zeros_like(self.vectors)
-        if usable.any():
-            self.unit[usable] = self.vectors[usable] / norms[usable, None]
+        self.unit = np.zeros(vectors.shape)
+        self.unit[usable] = vectors[usable] / norms[usable, None]
 
 
 def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
@@ -46,7 +46,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
     floats.  Tokens outside the vocabulary are skipped, vocabulary terms
     absent from the file are flagged missing, and a second vector is an error.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataFormatError(f"{path}:1: expected header `count dim`")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, open_text
 from .errors import DataFormatError
 
 # QRels: query_id -> {doc_id: grade}; unjudged pairs are absent, never 0.
@@ -28,7 +28,7 @@ RunList = list[str]
 def parse_qrels(path: str | Path) -> QRels:
     """Strict `query_id 0 doc_id grade` parser (whitespace-separated)."""
     qrels: QRels = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -67,7 +67,7 @@ def parse_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
     """
     runs: dict[str, list[tuple[str, int, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

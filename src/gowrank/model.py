@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -190,9 +190,11 @@ class ForwardTrace:
     step s; `norm_adj` is the (N, N) block-diagonal adjacency.  `pooled`
     and `pooled_idx` are (B, m, pool_k), the latter holding rows of the
     stacked states (-1 for padded slots); `gates`, `term_scores` and `idf`
-    are (B, m).  `members` are the documents' positions in the batch.
+    are (B, m).  `members` are the documents' positions in the batch, and
+    `params` the parameters the block was scored with.
     """
 
+    params: ModelParams
     members: np.ndarray
     norm_adj: csr_matrix
     states: list[np.ndarray]
@@ -383,6 +385,7 @@ def forward_batch(
         if record:
             traces.append(
                 ForwardTrace(
+                    params=params,
                     members=members,
                     norm_adj=norm_adj,
                     states=states,
@@ -425,12 +428,7 @@ def save_checkpoint(
         blobs.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     header = {
         "version": CHECKPOINT_VERSION,
-        "hyper": {
-            "steps": params.hyper.steps,
-            "pool_k": params.hyper.pool_k,
-            "max_query_len": params.hyper.max_query_len,
-            "per_step_weights": params.hyper.per_step_weights,
-        },
+        "hyper": asdict(params.hyper),
         "extra": extra or {},
         "tensors": names,
     }

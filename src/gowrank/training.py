@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,40 +63,21 @@ def pairwise_hinge(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return losses, d_rel
 
 
-def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
-    hyper = params.hyper
-    if trace.states[0].shape[1] > hyper.max_query_len:
-        raise ValueError(
-            f"trace has {trace.states[0].shape[1]} state columns, "
-            f"params allow {hyper.max_query_len}"
-        )
-    if len(trace.messages) != hyper.steps:
-        raise ValueError(
-            f"trace recorded {len(trace.messages)} steps, params expect {hyper.steps}"
-        )
-    if trace.pooled.shape[2] != hyper.pool_k:
-        raise ValueError(
-            f"trace pooled {trace.pooled.shape[2]} values per term, "
-            f"params expect {hyper.pool_k}"
-        )
-
-
-def backward(
-    traces: list[ForwardTrace], d_rel: np.ndarray, params: ModelParams
-) -> ModelParams:
+def backward(traces: list[ForwardTrace], d_rel: np.ndarray) -> ModelParams:
     """Gradients of sum_i d_rel[i] * rel[i] over one recorded batch.
 
-    `traces` come from one `forward_batch(..., record=True)` call and
-    `d_rel[i]` is d(loss)/d(rel) of its document i.  Returns a ModelParams
-    of gradients, laid out like `params`.  Each parameter's gradient is
+    `traces` come from one `forward_batch(..., record=True)` call on at
+    least one document, and `d_rel[i]` is d(loss)/d(rel) of its document
+    i.  Returns a ModelParams of gradients, laid out like the parameters
+    the traces were recorded with.  Each parameter's gradient is
     summed over a block's documents by the stacked products, and only the
     leading blocks that act on a block's m columns get gradient.  A
     document with d_rel 0 carries exact zeros through every product, so
     it adds exactly nothing; a block of such documents is skipped.
     """
+    params = traces[0].params
     tape = params.zeros_like()
     for trace in traces:
-        _check_trace(trace, params)
         d = d_rel[trace.members][:, None]  # (B, 1)
         if not d.any():
             continue
@@ -386,12 +367,7 @@ def train(
     Returns (best params, per-epoch log records); the JSONL log has one
     {epoch, mean_loss, pair_acc, val_ndcg20} record per epoch.
     """
-    hyper = HyperParams(
-        steps=cfg.steps,
-        pool_k=cfg.pool_k,
-        max_query_len=cfg.max_query_len,
-        per_step_weights=cfg.per_step_weights,
-    )
+    hyper = HyperParams(**{f.name: getattr(cfg, f.name) for f in fields(HyperParams)})
     params = init_params(hyper, seed_stream(cfg.seed, "init"))
     state = AdamState(params, lr=cfg.lr)
     sampler = seed_stream(cfg.seed, "triplets")
@@ -430,7 +406,7 @@ def train(
             batch_losses, d_rel = pairwise_hinge(rel)
             losses.extend(batch_losses.tolist())
             correct += int(np.count_nonzero(rel[0::2] > rel[1::2]))
-            tape = backward(traces, d_rel, params)
+            tape = backward(traces, d_rel)
             for _, grad in iter_tensors(tape):
                 grad *= 1.0 / len(batch)
             adam_step(params, tape, state)
@@ -565,7 +541,7 @@ def grad_check(
         return float(hinge_loss(rel[0], rel[1]))
 
     rel, traces = forward_batch(pair, params, record=True)
-    tape = backward(traces, pairwise_hinge(rel)[1], params)
+    tape = backward(traces, pairwise_hinge(rel)[1])
     if tamper is not None:
         tamper(tape)
 

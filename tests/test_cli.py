@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on a small generated collection:
 artifact layout, exit codes, determinism, and the ablation invariant."""
 
+import hashlib
 import json
 import logging
 import shutil
@@ -12,7 +13,7 @@ import pytest
 import helpers
 from gowrank.cli import main
 from gowrank.corpus import Vocabulary
-from gowrank.datagen import overfit_corpus
+from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
 from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
 
@@ -102,6 +103,13 @@ def _append_copy(path, lineno, header=None):
     path.write_text("".join(lines))
 
 
+def _bad_byte(path, lineno, byte):
+    """Line edit in bytes: `byte`, which is not UTF-8, ends line `lineno`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].rstrip(b"\n") + byte + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
 def _vocab_size(root):
     return len(Vocabulary.from_json((root / "index" / "vocab.json").read_text()))
 
@@ -157,6 +165,12 @@ MALFORMED_ARTIFACTS = [
     ("queries-duplicate-id", "queries.tsv",
      lambda w: _append_copy(w / "queries.tsv", 2),
      "queries.tsv:9: duplicate query_id 'q01'"),
+    ("queries-not-utf8", "queries.tsv",
+     lambda w: _bad_byte(w / "queries.tsv", 3, b"\xff"),
+     "queries.tsv:3: not UTF-8: byte 0xff"),
+    ("embeddings-not-utf8", "embeddings.txt",
+     lambda w: _bad_byte(w / "embeddings.txt", 5, b"\xe9"),
+     "embeddings.txt:5: not UTF-8: byte 0xe9"),
     ("embeddings-second-vector", "embeddings.txt",
      lambda w: _append_copy(w / "embeddings.txt", 2, header=_bump_count),
      "embeddings.txt:192: second vector for 'q00a'"),
@@ -217,6 +231,61 @@ def test_malformed_artifact_is_data_error_naming_the_file(
     assert fragment in err
     assert "Traceback" not in err
     assert not (world / "x.run").exists()
+
+
+def test_index_bytes_are_pinned(tmp_path, capsys):
+    """`index` on bridged_corpus(seed=0) at min_freq 1 writes these exact
+    files: term ids and counts must not move with how they are tallied."""
+    bridged_corpus(seed=0).write(tmp_path)
+    assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "index" / name).read_bytes()).hexdigest()
+        for name in ("vocab.json", "docs.jsonl")
+    }
+    assert digests == {
+        "vocab.json": "68b664f886ba063eb11feb01927f933c32414d8f0e1a82c21b7057e92ebddc3c",
+        "docs.jsonl": "58c52c295c686e0d4420c38a46eff3b1abbccc0e1ca8ce6e706b8913966694dd",
+    }
+
+
+# (input, its file in the world dir, flags after the subcommand, with file
+# names relative to the world dir)
+NOT_UTF8_INPUTS = [
+    ("corpus", "corpus.jsonl", []),
+    ("stopwords", "stop.txt", ["--stopwords", "stop.txt"]),
+    ("config", "run.conf", ["--config", "run.conf"]),
+    ("qrels", "qrels.txt", ["--run", "good.run", "--qrels", "qrels.txt"]),
+    ("run", "good.run", ["--run", "good.run", "--qrels", "qrels.txt"]),
+]
+
+
+@pytest.mark.parametrize(
+    "bad_file, flags",
+    [case[1:] for case in NOT_UTF8_INPUTS],
+    ids=[case[0] for case in NOT_UTF8_INPUTS],
+)
+def test_input_not_utf8_is_data_error_naming_the_line(
+    clean_world, tmp_path, capsys, bad_file, flags
+):
+    world = tmp_path / "world"
+    shutil.copytree(clean_world, world)
+    (world / "stop.txt").write_text("the\nof\nand\n")
+    (world / "run.conf").write_text("min_freq = 1\nwindow = 5\nsteps = 2\n")
+    qrels = parse_qrels(world / "qrels.txt")
+    (world / "good.run").write_text("".join(
+        f"{qid} Q0 {doc} 1 0.5 t\n" for qid in sorted(qrels) for doc in qrels[qid]))
+    _bad_byte(world / bad_file, 2, b"\xe9")
+    command = "eval" if "--run" in flags else "index"
+    args = [arg if arg.startswith("--") else str(world / arg) for arg in flags]
+    if command == "index":
+        args += ["--corpus", str(world / "corpus.jsonl"),
+                 "--index-dir", str(world / "fresh")]
+    rc = main([command, *args])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"{world / bad_file}:2: not UTF-8: byte 0xe9" in err
+    assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -48,6 +48,13 @@ class TestConfigFile:
             read_config_file(p)
 
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("min_freq = 1\nwindow = 7\nmin_freq = 3\n")
+        with pytest.raises(DataFormatError, match="twice.cfg:3: duplicate key 'min_freq'"):
+            read_config_file(p)
+
+
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config(env={})

@@ -29,15 +29,15 @@ class TestLoadEmbeddings:
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b"]))
         assert table.has_vector.all()
-        np.testing.assert_array_equal(table.vectors[0], [1, 0, 0])
-        np.testing.assert_array_equal(table.vectors[1], [0, 1, 0])
+        np.testing.assert_array_equal(table.unit[0], [1, 0, 0])
+        np.testing.assert_array_equal(table.unit[1], [0, 1, 0])
 
     def test_partial_coverage(self, tmp_path):
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b", "c"]))
         assert table.has_vector.sum() == 2
         assert not table.has_vector[2]
-        np.testing.assert_array_equal(table.vectors[2], [0, 0, 0])
+        np.testing.assert_array_equal(table.unit[2], [0, 0, 0])
 
     def test_short_line_rejected(self, tmp_path):
         p = _write(tmp_path, "1 3\na 1 0\n")
@@ -72,12 +72,12 @@ class TestLoadEmbeddings:
     def test_repeated_token_outside_vocabulary_skipped(self, tmp_path):
         p = _write(tmp_path, "3 2\na 1 0\nzzz 5 5\nzzz 6 6\n")
         table = load_embeddings(p, _vocab(["a"]))
-        np.testing.assert_array_equal(table.vectors[0], [1, 0])
+        np.testing.assert_array_equal(table.unit[0], [1, 0])
 
     def test_trailing_space_tolerated(self, tmp_path):
         p = _write(tmp_path, "1 2\na 1 0 \n")
         table = load_embeddings(p, _vocab(["a"]))
-        np.testing.assert_array_equal(table.vectors[0], [1, 0])
+        np.testing.assert_array_equal(table.unit[0], [1, 0])
 
 
 class TestUnitRows:
@@ -87,6 +87,17 @@ class TestUnitRows:
         )
         np.testing.assert_allclose(table.unit[0], [0.6, 0.8])
         np.testing.assert_array_equal(table.unit[1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_are_exactly_v_over_norm(self, dtype):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(50, 7)).astype(dtype)
+        table = EmbeddingTable(7, vectors, np.ones(50, dtype=bool))
+        v = vectors.astype(np.float64)
+        assert table.unit.dtype == np.float64
+        np.testing.assert_array_equal(
+            table.unit, v / np.linalg.norm(v, axis=1)[:, None]
+        )
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataFormatError):

@@ -546,6 +546,26 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    # whole-file digests of the format: a change to how the header is
+    # assembled must not move a byte of any checkpoint
+    @pytest.mark.parametrize(
+        "per_step, digest",
+        [
+            (False, "9b2563a7209458d2fcf6bfc91734d4ded194bde891ce97c6c0aa34065de8dad4"),
+            (True, "17f35e14c9c5e11b827df9dbef6212aecec8fad9ffe8ae211dfb35efa479ac79"),
+        ],
+        ids=["shared", "per-step"],
+    )
+    def test_file_bytes_are_pinned(self, tmp_path, per_step, digest):
+        hyper = HyperParams(
+            steps=2, pool_k=5, max_query_len=4, per_step_weights=per_step
+        )
+        params = helpers.random_params(np.random.default_rng(115), hyper)
+        path = tmp_path / "model.ckpt"
+        extra = {"window": 5, "adjacency_mode": "graph", "min_freq": 1, "seed": 7}
+        save_checkpoint(path, params, extra=extra)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_per_step_roundtrip(self, tmp_path):
         rng = np.random.default_rng(113)
         hyper = HyperParams(steps=3, per_step_weights=True)

@@ -1,0 +1,53 @@
+"""The package keeps no public code for its tests alone: every public
+top-level function and class in `src/gowrank` is referenced somewhere in
+the package outside its own definition."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import gowrank
+
+PACKAGE = Path(gowrank.__file__).parent
+NO_CALLER_NEEDED = {
+    # oracles of acceptance criterion 4: BM25 and query likelihood scored
+    # one document at a time, kept so the postings are checked against them
+    "bm25_score",
+    "ql_score",
+    # the synthetic collections' entry points, called from outside the
+    # pipeline: the README's demo, the benchmark's input generator and
+    # acceptance criteria 5-7
+    "overfit_corpus",
+    "bridged_corpus",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    """Identifiers that `node`'s code refers to, as a bare name or as an
+    attribute; docstrings are constants and comments are not in the tree,
+    so neither counts."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_definitions_without_caller() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in NO_CALLER_NEEDED:
+                continue
+            if everywhere[node.name] - _names(node)[node.name] == 0:
+                orphans.append(f"{module}:{node.lineno} {node.name}")
+    return orphans
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    assert _public_definitions_without_caller() == []

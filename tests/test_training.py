@@ -83,11 +83,11 @@ class TestBackward:
 
     def test_zero_loss_gives_exactly_zero_tape(self):
         rng = np.random.default_rng(11)
-        _, traces, params = _forward_pair(rng)
+        _, traces, _ = _forward_pair(rng)
         # a comfortably satisfied margin routes no gradient to either side
         losses, d_rel = pairwise_hinge(np.array([2.0, 0.5]))
         assert losses.tolist() == [0.0]
-        tape = backward(traces, d_rel, params)
+        tape = backward(traces, d_rel)
         for name, grad in iter_tensors(tape):
             assert np.all(grad == 0.0), name
 
@@ -98,28 +98,11 @@ class TestBackward:
         graph_n, s_n, _, _ = helpers.random_instance(rng, 8, 3, 2, 3)
         pair = [(graph_p, s_p, query), (graph_n, s_n, query)]
         rel, traces = forward_batch(pair, params, record=True)
-        single = backward(traces, pairwise_hinge(rel)[1], params)
+        single = backward(traces, pairwise_hinge(rel)[1])
         rel, traces = forward_batch(pair + pair, params, record=True)
-        double = backward(traces, pairwise_hinge(rel)[1], params)
+        double = backward(traces, pairwise_hinge(rel)[1])
         for (name, one), (_, two) in zip(iter_tensors(single), iter_tensors(double)):
             npt.assert_allclose(two, 2.0 * one, err_msg=name)
-
-    def test_mismatched_params_raise(self):
-        rng = np.random.default_rng(14)
-        rel, traces, params = _forward_pair(rng, steps=2, k=3)
-        _, d_rel = pairwise_hinge(rel)
-        other = init_params(
-            HyperParams(steps=2, pool_k=5, max_query_len=8),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(ValueError):
-            backward(traces, d_rel, other)
-        fewer_steps = init_params(
-            HyperParams(steps=1, pool_k=3, max_query_len=8),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(ValueError):
-            backward(traces, d_rel, fewer_steps)
 
     def test_zero_steps_trains_only_scoring_head(self):
         """With no propagation, layer tensors are dead parameters."""
@@ -130,7 +113,7 @@ class TestBackward:
                 break
         else:
             pytest.fail("never sampled an active-hinge pair")
-        tape = backward(traces, pairwise_hinge(rel)[1], params)
+        tape = backward(traces, pairwise_hinge(rel)[1])
         for name, grad in iter_tensors(tape):
             if name.startswith("layer"):
                 assert np.all(grad == 0.0), name
@@ -147,7 +130,7 @@ class TestBackward:
         else:
             pytest.fail("never sampled an active-hinge pair")
         assert params.hyper.max_query_len == 8
-        tape = backward(traces, pairwise_hinge(rel)[1], params)
+        tape = backward(traces, pairwise_hinge(rel)[1])
         for name, grad in iter_tensors(tape):
             if not name.startswith("layer"):
                 continue
@@ -228,7 +211,7 @@ class TestBatchedAgainstOracle:
         d_rel = rng.choice([-1.0, 0.0, 1.0], size=len(docs))
 
         rel, traces = forward_batch(docs, params, record=True)
-        tape = backward(traces, d_rel, params)
+        tape = backward(traces, d_rel)
 
         oracle = params.zeros_like()
         magnitude = params.zeros_like()
@@ -254,18 +237,18 @@ class TestBatchedAgainstOracle:
         docs = _mixed_batch(rng)
         d_rel = rng.choice([-1.0, 0.0, 1.0], size=len(docs))
         _, traces = forward_batch(docs, params, record=True)
-        tape = backward(traces, d_rel, params)
+        tape = backward(traces, d_rel)
         # other features for every inactive document: not one bit moves
         swapped = [
             (graph, S if d else rng.uniform(-1.0, 1.0, size=S.shape), query)
             for (graph, S, query), d in zip(docs, d_rel)
         ]
         _, swapped_traces = forward_batch(swapped, params, record=True)
-        again = backward(swapped_traces, d_rel, params)
+        again = backward(swapped_traces, d_rel)
         for (name, a), (_, b) in zip(iter_tensors(tape), iter_tensors(again)):
             assert a.tobytes() == b.tobytes(), name
         # an all-inactive batch leaves the tape exactly zero
-        idle = backward(traces, np.zeros(len(docs)), params)
+        idle = backward(traces, np.zeros(len(docs)))
         for name, grad in iter_tensors(idle):
             assert np.all(grad == 0.0), name
 
