@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -145,15 +146,19 @@ def _coerce(name: str, raw: str, target_type: type):
         raise DataFormatError(f"{name}: {exc}") from exc
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` file; '#' starts a comment.
+    """Parse a flat `key = value` file; a '#' at the start of a line or
+    after whitespace starts a comment, so values may contain '#'.
 
     A key given twice is an error, not an overwrite.
     """
     out: dict[str, str] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -1,20 +1,33 @@
 """Graph-of-word construction and query-document interaction features.
 
 Each document becomes an undirected graph over its unique terms: an edge
-counts how many sliding windows contain both endpoints.  The symmetric
-degree-normalized adjacency drives message passing; the interaction
-matrix of node-term / query-term cosines provides the input features.
+counts how many sliding windows contain both endpoints.  `build_graphs`
+builds a list of documents together, a chunk of at most BLOCK_NODES
+tokens at a time: one window-by-node incidence W covers every window of
+the chunk, with each document's nodes at their own offset, so WᵀW off
+its diagonal is the block-diagonal union of the documents' adjacencies.
+One degree pass normalizes the whole chunk, and each document keeps
+compact copies of its own block.  `build_graph` is the one-document
+case.  The symmetric degree-normalized adjacency drives message passing;
+the interaction matrix of node-term / query-term cosines provides the
+input features.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_matrix
 
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError
+
+# tokens per pooled graph build, and padded rows per stacked block in
+# `model.forward_batch`: large enough that a training minibatch of short
+# documents is one chunk and one block, small enough that a pool of long
+# ones adds little transient memory (for a pool of 100 500-token
+# documents, one block raised peak RSS by ~10 MB and one product by ~15 MB)
+BLOCK_NODES = 2048
 
 
 class DocumentGraph:
@@ -35,52 +48,122 @@ class DocumentGraph:
     def num_nodes(self) -> int:
         return len(self.node_terms)
 
+    @classmethod
+    def _normalized(
+        cls, node_terms: list[int], adjacency: csr_matrix, norm_adjacency: csr_matrix
+    ) -> DocumentGraph:
+        """A graph whose block of a pooled adjacency was already checked
+        and normalized by `build_graphs`."""
+        graph = cls.__new__(cls)
+        graph.node_terms = node_terms
+        graph.adjacency = adjacency
+        graph.norm_adjacency = norm_adjacency
+        return graph
 
-def _node_order(tokens: list[int]) -> tuple[list[int], np.ndarray]:
-    """Unique terms in first-occurrence order, and each token's node index."""
-    _, first, inverse = np.unique(
-        np.asarray(tokens, dtype=np.int64), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    # the token objects themselves, so a cached graph holds no new ints
-    node_terms = [tokens[i] for i in first[order].tolist()]
-    return node_terms, np.argsort(order).astype(np.int32)[inverse]
+
+def build_graphs(
+    docs: list[TokenizedDoc], window: int = 5, mode: str = "graph"
+) -> list[DocumentGraph]:
+    """The graphs of `docs`, in order, built a chunk at a time.
+
+    graph    — windowed co-occurrence at the configured width;
+    sequence — width-2 windows, i.e. a chain over adjacent tokens;
+    zero     — same nodes, no edges (message passing sees nothing).
+
+    Consecutive documents form a chunk while their tokens number at most
+    BLOCK_NODES; a longer document is a chunk of its own.
+    """
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    widths = {"graph": window, "sequence": 2, "zero": 0}  # 0: no edges
+    if mode not in widths:
+        raise DataFormatError(f"unknown adjacency mode {mode!r}")
+    width = widths[mode]
+    graphs: list[DocumentGraph] = []
+    start = size = 0
+    for end, doc in enumerate(docs):
+        if end > start and size + len(doc.tokens) > BLOCK_NODES:
+            graphs += _build_chunk(docs[start:end], width)
+            start, size = end, 0
+        size += len(doc.tokens)
+    if docs:
+        graphs += _build_chunk(docs[start:], width)
+    return graphs
 
 
 def build_graph(doc: TokenizedDoc, window: int = 5) -> DocumentGraph:
-    """Count, for each unordered pair of distinct terms, the number of
-    sliding windows in which both appear.
+    """The windowed co-occurrence graph of one document."""
+    return build_graphs([doc], window)[0]
+
+
+def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
+    """Count, for each unordered pair of distinct terms of a document, the
+    number of its sliding windows of `width` tokens in which both appear.
 
     A pair co-occurring several times inside one window still counts once
     for that window, and self-pairs never count: with W the binarized
     window-by-node incidence, A is WᵀW off the diagonal.  A document
-    shorter than the window is one window.
+    shorter than the window is one window of its own length.
     """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    node_terms, node_of = _node_order(doc.tokens)
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    # the token objects themselves, so a cached graph holds no new ints
+    tokens = [tid for doc in docs for tid in doc.tokens]
+    doc_of = np.repeat(np.arange(len(docs)), lengths)
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.size:
+        ids -= ids.min()
+        ids += doc_of * (int(ids.max()) + 1)  # documents never share a node
+    # nodes: unique (document, term) keys in first-occurrence order
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    node_of = np.argsort(order).astype(np.int32)[inverse]
+    node_terms = [tokens[i] for i in first[order].tolist()]
     n = len(node_terms)
-    if n == 0:
-        return DocumentGraph(node_terms, csr_matrix((0, 0), dtype=np.float64))
-    spans = sliding_window_view(node_of, min(window, len(node_of)))
-    incidence = csr_matrix(
-        (np.ones(spans.size), spans.flatten(),
-         np.arange(0, spans.size + 1, spans.shape[1], dtype=np.int32)),
-        shape=(len(spans), n),
-    )
-    incidence.sum_duplicates()
-    incidence.data[:] = 1.0
-    gram = incidence.T.tocsr() @ incidence
-    gram.sort_indices()
-    # drop the diagonal into fresh arrays: setdiag(0) + eliminate_zeros()
-    # would leave views into buffers sized for it in every cached graph
-    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(gram.indptr))
-    off_diag = gram.indices != row
-    indptr = np.searchsorted(row[off_diag], np.arange(n + 1)).astype(np.int32)
-    adjacency = csr_matrix(
-        (gram.data[off_diag], gram.indices[off_diag], indptr), shape=(n, n)
-    )
-    return DocumentGraph(node_terms, adjacency)
+    node_offsets = np.concatenate(
+        [[0], np.cumsum(np.bincount(doc_of[first], minlength=len(docs)))]
+    ).tolist()
+
+    row = indices = np.zeros(0, dtype=np.int32)
+    data = np.zeros(0)
+    if width and n:
+        # a window starts at each of a document's first L - width + 1
+        # tokens, or at its first token only when L < width
+        doc_len = lengths[doc_of]
+        local = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        starts = np.flatnonzero(local <= np.maximum(doc_len - width, 0))
+        span = np.minimum(doc_len[starts], width)
+        win_ptr = np.concatenate([[0], np.cumsum(span)])
+        positions = (np.repeat(starts - win_ptr[:-1], span)
+                     + np.arange(win_ptr[-1]))
+        incidence = csr_matrix(
+            (np.ones(len(positions)), node_of[positions], win_ptr.astype(np.int32)),
+            shape=(len(span), n),
+        )
+        incidence.sum_duplicates()
+        incidence.data[:] = 1.0
+        gram = incidence.T.tocsr() @ incidence
+        gram.sort_indices()
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(gram.indptr))
+        off_diag = gram.indices != row
+        row, indices, data = row[off_diag], gram.indices[off_diag], gram.data[off_diag]
+    indptr = np.searchsorted(row, np.arange(n + 1)).astype(np.int32)
+    # block-diagonal, so symmetric exactly when every document's block is
+    norm = normalize_adjacency(csr_matrix((data, indices, indptr), shape=(n, n)))
+
+    edge_offsets = indptr[node_offsets].tolist()
+    graphs = []
+    for lo, hi, a, b in zip(node_offsets, node_offsets[1:], edge_offsets, edge_offsets[1:]):
+        # fresh arrays: views would keep the chunk's buffers alive in
+        # every cached graph
+        doc_ptr = indptr[lo:hi + 1] - a
+        doc_indices = indices[a:b] - lo
+        shape = (hi - lo, hi - lo)
+        graphs.append(DocumentGraph._normalized(
+            node_terms[lo:hi],
+            csr_matrix((data[a:b].copy(), doc_indices, doc_ptr), shape=shape),
+            csr_matrix((norm.data[a:b].copy(), doc_indices, doc_ptr), shape=shape),
+        ))
+    return graphs
 
 
 def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
@@ -100,26 +183,6 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
     scaled = adjacency.data * (inv_sqrt[row] * inv_sqrt[adjacency.indices])
     return csr_matrix((scaled, adjacency.indices, adjacency.indptr), shape=(n, n))
-
-
-def build_graph_mode(
-    doc: TokenizedDoc, window: int = 5, mode: str = "graph"
-) -> DocumentGraph:
-    """Adjacency variants used for structure ablations.
-
-    graph    — windowed co-occurrence at the configured width;
-    sequence — width-2 windows, i.e. a chain over adjacent tokens;
-    zero     — same nodes, no edges (message passing sees nothing).
-    """
-    if mode == "graph":
-        return build_graph(doc, window)
-    if mode == "sequence":
-        return build_graph(doc, 2)
-    if mode == "zero":
-        node_terms, _ = _node_order(doc.tokens)
-        n = len(node_terms)
-        return DocumentGraph(node_terms, csr_matrix((n, n), dtype=np.float64))
-    raise DataFormatError(f"unknown adjacency mode {mode!r}")
 
 
 def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:

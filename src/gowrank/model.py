@@ -33,7 +33,7 @@ from scipy.special import expit
 from .artifacts import atomic_write
 from .corpus import Query
 from .errors import DataFormatError
-from .graph import DocumentGraph
+from .graph import BLOCK_NODES, DocumentGraph
 
 CHECKPOINT_MAGIC = b"GOWRANK1"
 CHECKPOINT_VERSION = 1
@@ -283,13 +283,6 @@ def score(
     """
     term_scores = np.tanh(pooled @ out_w + float(out_b))
     return (gates * term_scores).sum(axis=-1), term_scores
-
-
-# padded rows per stacked block: large enough that a training minibatch of
-# short documents is one block, small enough that scoring a pool of long
-# ones adds little transient memory (one block for a whole pool of 100
-# 500-token documents raised peak RSS by ~10 MB)
-BLOCK_NODES = 2048
 
 
 def _block_diagonal(mats: list[csr_matrix]) -> csr_matrix:

@@ -3,7 +3,8 @@
 The postings are term-major CSR arrays: the rows (documents, in input
 order) that contain term t, ascending, and their term frequencies.  They
 come from one doc-by-term incidence matrix with duplicates summed,
-transposed once, as `graph.build_graph` builds its window incidence.
+transposed once, as `graph.build_graphs` builds the window-by-node
+incidence of a chunk of documents.
 The index is immutable after construction; scoring distinct queries is
 embarrassingly parallel.  Ties are always broken by ascending doc_id so
 runs are byte-reproducible.

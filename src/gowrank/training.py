@@ -27,7 +27,7 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
-from .graph import DocumentGraph, build_graph, build_graph_mode, interaction_matrix
+from .graph import DocumentGraph, build_graph, build_graphs, interaction_matrix
 from .model import (
     ForwardTrace,
     HyperParams,
@@ -259,8 +259,9 @@ def sample_triplets(
 class ScoringContext:
     """Caches graphs and interaction features for repeated scoring.
 
-    Also warns, once per query id, when a query has more terms than the
-    model scores.
+    The documents of a `score` call that have no graph yet are built
+    together, in one `build_graphs` call.  Also warns, once per query id,
+    when a query has more terms than the model scores.
     """
 
     def __init__(
@@ -280,11 +281,17 @@ class ScoringContext:
         self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
         self._truncated: set[str] = set()
 
-    def graph(self, doc_id: str) -> DocumentGraph:
-        if doc_id not in self._graphs:
-            self._graphs[doc_id] = build_graph_mode(
-                self.docs[doc_id], self.window, self.adjacency_mode
+    def _cache_graphs(self, doc_ids) -> None:
+        """Build every graph of `doc_ids` not cached yet, in one pooled call."""
+        missing = [d for d in dict.fromkeys(doc_ids) if d not in self._graphs]
+        if missing:
+            graphs = build_graphs(
+                [self.docs[d] for d in missing], self.window, self.adjacency_mode
             )
+            self._graphs.update(zip(missing, graphs))
+
+    def graph(self, doc_id: str) -> DocumentGraph:
+        self._cache_graphs([doc_id])
         return self._graphs[doc_id]
 
     def feats(self, qid: str, doc_id: str) -> np.ndarray:
@@ -310,8 +317,9 @@ class ScoringContext:
                     len(query.tokens),
                     budget,
                 )
+        self._cache_graphs(doc_id for _, doc_id in pairs)
         docs = [
-            (self.graph(doc_id), self.feats(qid, doc_id), self.queries[qid])
+            (self._graphs[doc_id], self.feats(qid, doc_id), self.queries[qid])
             for qid, doc_id in pairs
         ]
         return forward_batch(docs, params, record)

@@ -41,6 +41,21 @@ class TestConfigFile:
         p.write_text("window = 7\nlr=0.005  # fast\n\n# comment only\nsteps = 3\n")
         assert read_config_file(p) == {"window": "7", "lr": "0.005", "steps": "3"}
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # '#' starts a comment only at the start of a line or after whitespace
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            "corpus = /data/run#1/corpus.jsonl\n"
+            "queries=q#2.tsv\t# tab before the comment\n"
+            "  # indented comment\n"
+            "stopwords = #\n"
+        )
+        assert read_config_file(p) == {
+            "corpus": "/data/run#1/corpus.jsonl",
+            "queries": "q#2.tsv",
+            "stopwords": "",
+        }
+
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("window 7\n")

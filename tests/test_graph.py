@@ -1,17 +1,21 @@
 """Graph-of-word construction vs a brute-force oracle, normalization,
 and interaction features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+import gowrank.graph
 from gowrank.corpus import OOV_ID, Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError
 from gowrank.graph import (
+    BLOCK_NODES,
     DocumentGraph,
     build_graph,
-    build_graph_mode,
+    build_graphs,
     interaction_matrix,
     normalize_adjacency,
 )
@@ -187,6 +191,102 @@ class TestBuildGraph:
             np.testing.assert_allclose(N2, N1[np.ix_(perm, perm)], atol=1e-15)
 
 
+def _mixed_docs(rng, window):
+    """Documents that put every edge case into the pooled chunks: empty,
+    one token, shorter than and exactly as long as the window, longer than
+    BLOCK_NODES, and one document object listed twice."""
+    lengths = [0, 1, window - 1, window, 0, 3, BLOCK_NODES + 37, 1, window]
+    lengths += rng.integers(0, 700, size=12).tolist()
+    docs = []
+    for i, length in enumerate(lengths):
+        vocab = int(rng.choice([2, 20, 400]))
+        tokens = [int(t) for t in rng.integers(-1, vocab, size=length)]
+        docs.append(_doc(tokens, doc_id=f"d{i}"))
+    docs.insert(7, docs[3])
+    docs.append(docs[6])
+    return docs
+
+
+class TestPooledBuild:
+    @pytest.mark.parametrize("block", [BLOCK_NODES, 40])
+    @pytest.mark.parametrize("mode", ["graph", "sequence", "zero"])
+    def test_per_document_csr_bytes_match_loop_oracle(self, monkeypatch, mode, block):
+        monkeypatch.setattr(gowrank.graph, "BLOCK_NODES", block)
+        rng = np.random.default_rng(61)
+        for window in (2, 3, 5):
+            docs = _mixed_docs(rng, window)
+            graphs = build_graphs(docs, window=window, mode=mode)
+            assert len(graphs) == len(docs)
+            # the zero mode's graph is the loop builder's at windows of one
+            # token: the same nodes, and no pair ever shares a window
+            width = {"graph": window, "sequence": 2, "zero": 1}[mode]
+            for doc, g in zip(docs, graphs):
+                ref_terms, ref_adj, ref_norm = reference.loop_graph(doc.tokens, width)
+                assert g.node_terms == ref_terms
+                assert all(a is b for a, b in zip(
+                    g.node_terms, [doc.tokens[doc.tokens.index(t)] for t in ref_terms]))
+                for got, want in ((g.adjacency, ref_adj), (g.norm_adjacency, ref_norm)):
+                    assert got.shape == want.shape
+                    for name in ("indptr", "indices", "data"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype, name
+                        assert a.tobytes() == b.tobytes(), name
+
+    def test_no_documents_no_graphs(self):
+        assert build_graphs([], window=3) == []
+
+    def test_chunk_symmetry_check_runs_once_per_chunk(self, monkeypatch):
+        # 9 documents of 500 tokens: chunks of 4, 4 and 1 under the bound
+        calls = []
+        real = gowrank.graph.normalize_adjacency
+
+        def counted(adjacency):
+            calls.append(adjacency.shape[0])
+            return real(adjacency)
+
+        monkeypatch.setattr(gowrank.graph, "normalize_adjacency", counted)
+        rng = np.random.default_rng(67)
+        docs = [_doc(rng.integers(0, 50, size=500).tolist()) for _ in range(9)]
+        graphs = build_graphs(docs, window=5)
+        assert len(calls) == 3
+        assert calls == [
+            sum(g.num_nodes for g in graphs[lo:hi]) for lo, hi in ((0, 4), (4, 8), (8, 9))
+        ]
+
+    def test_cached_graphs_own_compact_arrays(self):
+        rng = np.random.default_rng(71)
+        docs = [_doc(rng.integers(0, 300, size=500).tolist()) for _ in range(100)]
+        for g in build_graphs(docs, window=5):
+            n = g.num_nodes
+            for mat in (g.adjacency, g.norm_adjacency):
+                for arr in (mat.indptr, mat.indices, mat.data):
+                    # scipy may hold a view of the whole array, never of more
+                    root = arr
+                    while root.base is not None:
+                        root = root.base
+                    assert root.nbytes == arr.nbytes
+                assert mat.data.nbytes == mat.nnz * mat.data.itemsize
+                assert mat.indices.nbytes == mat.nnz * mat.indices.itemsize
+                assert mat.indptr.nbytes == (n + 1) * mat.indptr.itemsize
+
+    def test_transient_peak_is_bounded_by_what_the_graphs_keep(self):
+        # a pool of 100 500-token documents built as one unbounded product
+        # peaks at ~4.5x the memory its graphs keep; chunks of BLOCK_NODES
+        # tokens keep the peak close to the result itself
+        rng = np.random.default_rng(73)
+        docs = [_doc(rng.zipf(1.3, size=500).tolist()) for _ in range(100)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            graphs = build_graphs(docs, window=5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == 100
+        assert peak - base <= 1.5 * (kept - base)
+
+
 class TestNormalizeAdjacency:
     def test_degree_two(self):
         A = csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -300,13 +400,13 @@ class TestAdjacencyModes:
         rng = np.random.default_rng(43)
         tokens = list(rng.integers(0, 12, size=50))
         doc = _doc(tokens)
-        seq = build_graph_mode(doc, window=5, mode="sequence")
+        seq = build_graphs([doc], window=5, mode="sequence")[0]
         w2 = build_graph(doc, window=2)
         np.testing.assert_array_equal(seq.adjacency.toarray(), w2.adjacency.toarray())
 
     def test_zero_mode_no_edges_same_nodes(self):
         doc = _doc([0, 1, 2, 0, 3])
-        z = build_graph_mode(doc, window=5, mode="zero")
+        z = build_graphs([doc], window=5, mode="zero")[0]
         full = build_graph(doc, window=5)
         assert z.node_terms == full.node_terms
         assert z.adjacency.nnz == 0
@@ -314,14 +414,14 @@ class TestAdjacencyModes:
 
     def test_graph_mode_passthrough(self):
         doc = _doc([0, 1, 2, 0, 3])
-        g = build_graph_mode(doc, window=3, mode="graph")
+        g = build_graphs([doc], window=3, mode="graph")[0]
         np.testing.assert_array_equal(
             g.adjacency.toarray(), build_graph(doc, window=3).adjacency.toarray()
         )
 
     def test_unknown_mode(self):
         with pytest.raises(DataFormatError):
-            build_graph_mode(_doc([0]), mode="banana")
+            build_graphs([_doc([0])], mode="banana")
 
 
 def _table():

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 import helpers
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.errors import DataFormatError
-from gowrank.graph import DocumentGraph, build_graph, build_graph_mode
+from gowrank.graph import DocumentGraph, build_graph, build_graphs
 from gowrank.model import (
     HyperParams,
     LayerParams,
@@ -348,7 +348,7 @@ class TestForward:
             n, m, steps, k = 8, 4, 2, 3
             doc_tokens = [int(t) for t in rng.integers(0, n, size=24)] + list(range(n))
             doc = TokenizedDoc("d", doc_tokens, len(doc_tokens))
-            graph = build_graph_mode(doc, window=5, mode="zero")
+            graph = build_graphs([doc], window=5, mode="zero")[0]
             S = rng.uniform(-1, 1, size=(graph.num_nodes, m))
             query = _query(m, rng.uniform(0.5, 2.0, size=m))
             params = helpers.random_params(

@@ -17,7 +17,7 @@ from gowrank.config import RunConfig, seed_stream
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
-from gowrank.graph import interaction_matrix
+from gowrank.graph import build_graphs, interaction_matrix
 from gowrank.model import (
     HyperParams,
     forward,
@@ -518,6 +518,32 @@ class TestScoringContext:
         assert len(warnings) == 1
         assert "keeping the first 8" in warnings[0].getMessage()
 
+
+    def test_each_missing_graph_built_once_per_call(self, monkeypatch):
+        docs, queries, _, _, emb = _tiny_world()
+        ctx = ScoringContext(docs, queries, emb, 3, "sequence")
+        params = init_params(
+            HyperParams(steps=1, pool_k=4, max_query_len=8),
+            np.random.default_rng(0),
+        )
+        calls = []
+
+        def counted(batch, window, mode):
+            calls.append([doc.doc_id for doc in batch])
+            assert (window, mode) == (3, "sequence")
+            return build_graphs(batch, window, mode)
+
+        monkeypatch.setattr(training, "build_graphs", counted)
+        # pa0 in three pairs under two queries, na0 in two
+        ctx.score([("qa", "pa0"), ("qb", "pa0"), ("qa", "na0"), ("qa", "pa0"),
+                   ("qb", "na0"), ("qb", "pb0")], params)
+        assert calls == [["pa0", "na0", "pb0"]]
+        ctx.score([("qa", "pb0"), ("qb", "nb0"), ("qa", "pa0"), ("qb", "pa1"),
+                   ("qb", "nb0")], params, record=True)
+        assert calls[1:] == [["nb0", "pa1"]]
+        ctx.score([("qb", "nb0"), ("qa", "pa1")], params)
+        score_pool(ctx, "qa", [("pa0", 0.0), ("na0", 0.0)], params)
+        assert len(calls) == 2
 
     def test_same_text_under_two_ids_shares_features(self, monkeypatch):
         docs, queries, _, _, emb = _tiny_world()
