@@ -1,7 +1,7 @@
 """Atomic artifact writes and checked text reads.
 
 Every artifact (checkpoint, run file, train log, eval report, ablation
-tables, the index files) is written to a temporary file beside its target
+tables, the index file) is written to a temporary file beside its target
 and then moved over it with `os.replace`, which is atomic within one file
 system.  A writer that raises removes the temporary file and leaves any
 earlier file at the target untouched.  Every text input is read through

@@ -11,8 +11,12 @@ import dataclasses
 import json
 import logging
 import os
+import struct
 import sys
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 from .artifacts import atomic_write
 from .config import RunConfig, load_config
@@ -118,6 +122,16 @@ def _stopword_set(cfg: RunConfig):
     return read_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
 
+# index.bin: a fixed preamble (magic, version, header length), a UTF-8
+# JSON header (vocabulary, sorted doc ids, raw lengths) padded with spaces
+# to a multiple of 8 bytes, then num_docs + 1 int64 offsets and the int32
+# tokens, all little-endian; document r is tokens[offsets[r]:offsets[r + 1]]
+INDEX_FILE = "index.bin"
+INDEX_MAGIC = b"GOWINDEX"
+INDEX_VERSION = 1
+_PREAMBLE = struct.Struct("<8sIQ")
+
+
 def cmd_index(cfg: RunConfig, args) -> int:
     tokenized = {doc_id: tokenize(text) for doc_id, text in read_corpus(cfg.corpus)}
     out = Path(cfg.index_dir)
@@ -128,54 +142,111 @@ def cmd_index(cfg: RunConfig, args) -> int:
         min_freq=cfg.min_freq,
         count_documents=cfg.min_freq_mode == "docs",
     )
-    # both files are complete before either replaces its predecessor
-    with atomic_write(out / "vocab.json") as vocab_fh, \
-            atomic_write(out / "docs.jsonl") as fh:
-        vocab_fh.write(vocab.to_json())
-        for doc_id in sorted(tokenized):
-            doc = encode_document(vocab, doc_id, tokenized[doc_id])
-            fh.write(json.dumps(
-                {"doc_id": doc.doc_id, "tokens": doc.tokens,
-                 "raw_length": doc.raw_length},
-                sort_keys=True) + "\n")
-    print(f"indexed {len(tokenized)} documents, vocabulary size {len(vocab)}")
+    doc_ids = sorted(tokenized)
+    # one growing buffer, never every document's id list at once; each
+    # document's strings go as its ids come, so the peak does not rise
+    tokens = array("i")
+    offsets = np.zeros(len(doc_ids) + 1, dtype="<i8")
+    raw_lengths = []
+    for row, doc_id in enumerate(doc_ids, start=1):
+        doc = encode_document(vocab, doc_id, tokenized.pop(doc_id))
+        tokens.extend(doc.tokens)
+        offsets[row] = len(tokens)
+        raw_lengths.append(doc.raw_length)
+    header = json.dumps({"vocabulary": vocab.to_payload(), "doc_ids": doc_ids,
+                         "raw_lengths": raw_lengths}, sort_keys=True).encode()
+    header += b" " * (-(_PREAMBLE.size + len(header)) % 8)
+    with atomic_write(out / INDEX_FILE, binary=True) as fh:
+        fh.write(_PREAMBLE.pack(INDEX_MAGIC, INDEX_VERSION, len(header)))
+        fh.write(header)
+        fh.write(offsets)
+        fh.write(np.frombuffer(tokens, dtype=np.intc).astype("<i4", copy=False))
+    print(f"indexed {len(doc_ids)} documents, vocabulary size {len(vocab)}")
     return 0
 
 
 def _read_index(index_dir: str | Path):
-    """The vocabulary and documents `index` wrote, checked line by line."""
-    root = Path(index_dir)
+    """The vocabulary, the documents and their token buffer from the
+    `index_dir/index.bin` that `index` wrote, checked once.
+
+    Each document's tokens are a read-only int32 slice of the buffer.
+    """
+    path = Path(index_dir) / INDEX_FILE
     try:
-        vocab = Vocabulary.from_json((root / "vocab.json").read_text(encoding="utf-8"))
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"{path}: missing; run `gowrank index` to write it "
+                              f"(older versions wrote vocab.json and docs.jsonl)") from exc
+    if len(data) < _PREAMBLE.size or not data.startswith(INDEX_MAGIC):
+        raise DataFormatError(f"{path}: not a gowrank index file")
+    _, version, header_len = _PREAMBLE.unpack_from(data)
+    if version != INDEX_VERSION:
+        raise DataFormatError(f"{path}: index version {version}, expected {INDEX_VERSION}")
+    body = _PREAMBLE.size + header_len
+    if body > len(data):
+        raise DataFormatError(f"{path}: a header of {header_len} bytes runs past "
+                              f"the end of the file ({len(data)} bytes)")
+    # ValueError covers bad JSON and UTF-8; KeyError and TypeError a header
+    # without the layout `index` writes
+    try:
+        header = json.loads(data[_PREAMBLE.size:body])
+        vocab = Vocabulary.from_payload(header["vocabulary"])
+        doc_ids, raw_lengths = header["doc_ids"], header["raw_lengths"]
+        if not (isinstance(doc_ids, list) and isinstance(raw_lengths, list)
+                and len(doc_ids) == len(raw_lengths)):
+            raise TypeError("doc_ids and raw_lengths must be lists of one length")
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"{root / 'vocab.json'}: unreadable: {exc!r}") from exc
+        raise DataFormatError(f"{path}: bad index header: {exc!r}") from exc
+
+    def record(r: int) -> str:
+        """Document r, named by its 1-based number and its id."""
+        return f"{path}: record {r + 1} (doc_id {doc_ids[r]!r})"
+
+    num_docs = len(doc_ids)
+    start = body + 8 * (num_docs + 1)
+    if start > len(data):
+        raise DataFormatError(f"{path}: truncated in the offsets of {num_docs} documents")
+    offsets = np.frombuffer(data, "<i8", num_docs + 1, body)
+    if offsets[0] != 0:
+        raise DataFormatError(f"{path}: the offsets start at {offsets[0]}, not 0")
+    steps = np.diff(offsets)
+    if num_docs and steps.min() < 0:
+        bad = int(np.flatnonzero(steps < 0)[0])
+        raise DataFormatError(f"{record(bad)}: its offsets {offsets[bad]} .. "
+                              f"{offsets[bad + 1]} decrease")
+    need = start + 4 * int(offsets[-1])
+    if need != len(data):
+        what = ("truncated" if need > len(data)
+                else f"{len(data) - need} trailing bytes after the last token")
+        raise DataFormatError(f"{path}: {what}: the offsets of {num_docs} documents "
+                              f"need {need} bytes, the file has {len(data)}")
+    tokens = np.frombuffer(data, "<i4", int(offsets[-1]), start)
+    # one pass for both bounds: a negative id is huge as uint32
+    if tokens.size and tokens.view("<u4").max() >= len(vocab):
+        pos = int(np.flatnonzero(tokens.view("<u4") >= len(vocab))[0])
+        bad = int(np.searchsorted(offsets, pos, side="right")) - 1
+        raise DataFormatError(
+            f"{record(bad)}: token id {tokens[pos]} outside [0, {len(vocab)})")
+    bounds = offsets.tolist()
     docs: dict[str, TokenizedDoc] = {}
-    with open(root / "docs.jsonl", "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{root / 'docs.jsonl'}:{lineno}"
-            try:
-                row = json.loads(line)
-                doc = TokenizedDoc(row["doc_id"], row["tokens"], row["raw_length"])
-                ids = doc.tokens
-                if ids and not 0 <= min(ids) <= max(ids) < len(vocab):
-                    raise DataFormatError(f"{where}: token id outside [0, {len(vocab)})")
-                if doc.doc_id in docs:
-                    raise DataFormatError(f"{where}: duplicate doc_id {doc.doc_id!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataFormatError(f"{where}: bad index record: {exc!r}") from exc
-            docs[doc.doc_id] = doc
-    return vocab, docs
+    for r, (doc_id, raw_length) in enumerate(zip(doc_ids, raw_lengths)):
+        if not isinstance(doc_id, str) or doc_id.split() != [doc_id]:
+            raise DataFormatError(f"{record(r)}: not a doc id")
+        if doc_id in docs:
+            raise DataFormatError(f"{record(r)}: duplicate doc_id")
+        docs[doc_id] = TokenizedDoc(doc_id, tokens[bounds[r]:bounds[r + 1]], raw_length)
+    return vocab, docs, tokens
 
 
 def _load_world(cfg: RunConfig):
     """Everything downstream commands need, rebuilt from the index dir."""
-    vocab, docs = _read_index(cfg.index_dir)
+    vocab, docs, tokens = _read_index(cfg.index_dir)
     queries = {
         qid: make_query(vocab, qid, tokenize(title))
         for qid, title in read_queries(cfg.queries)
     }
     emb = load_embeddings(cfg.embeddings, vocab)
-    index = build_index(docs.values())
+    index = build_index(docs.values(), tokens)
     return vocab, docs, queries, emb, index
 
 
@@ -215,6 +286,9 @@ def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params):
 
 
 def cmd_rerank(cfg: RunConfig, args) -> int:
+    # the tag is the last whitespace-separated field of every run line
+    if args.tag.split() != [args.tag]:
+        raise UsageError(f"--tag {args.tag!r} is empty or contains whitespace")
     _, docs, queries, emb, index = _load_world(cfg)
     params, extra = load_checkpoint(cfg.checkpoint)
     for key in ("window", "adjacency_mode"):

@@ -88,19 +88,18 @@ class Vocabulary:
         t2i = self.term_to_id
         return [t2i[t] for t in tokens if t in t2i]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_payload(self) -> dict:
+        """The JSON-ready fields `from_payload` reads back."""
+        return {
             "terms": self.terms,
             "doc_freq": self.doc_freq,
             "num_docs": self.num_docs,
             "stopwords": sorted(self.stopwords),
             "min_freq": self.min_freq,
         }
-        return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        payload = json.loads(text)
+    def from_payload(cls, payload: dict) -> "Vocabulary":
         terms = payload["terms"]
         return cls(
             terms=terms,
@@ -114,10 +113,14 @@ class Vocabulary:
 
 @dataclass
 class TokenizedDoc:
-    """A document as an order-preserving sequence of vocabulary ids."""
+    """A document as an order-preserving sequence of vocabulary ids.
+
+    `tokens` is a list, or a read-only int32 slice of the token buffer of
+    an index file.
+    """
 
     doc_id: str
-    tokens: list[int]
+    tokens: list[int] | np.ndarray
     raw_length: int
 
 
@@ -186,10 +189,20 @@ def make_query(vocab: Vocabulary, query_id: str, tokens: list[str]) -> Query:
     return Query(query_id=query_id, tokens=ids, idf=idf)
 
 
+def _check_id(path: str | Path, lineno: int, kind: str, value: str) -> None:
+    """Ids are whitespace-separated fields of run and qrels files, so an
+    empty one or one with whitespace inside is a data error."""
+    if value.split() != [value]:
+        raise DataFormatError(
+            f"{path}:{lineno}: {kind} {value!r} is empty or contains whitespace"
+        )
+
+
 def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
     """JSON-lines corpus reader: one {"doc_id", "text"} object per line.
 
-    A doc_id seen on an earlier line is an error, not an overwrite.
+    A doc_id seen on an earlier line is an error, not an overwrite, and so
+    is one that is empty or contains whitespace.
     """
     seen: set[str] = set()
     with open_text(path) as fh:
@@ -203,6 +216,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
             doc_id = str(doc_id)
+            _check_id(path, lineno, "doc_id", doc_id)
             if doc_id in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
@@ -212,7 +226,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
 def read_queries(path: str | Path) -> list[tuple[str, str]]:
     """TSV query reader: `query_id<TAB>title text` per line.
 
-    A query_id seen on an earlier line is an error, not an overwrite.
+    A query_id seen on an earlier line is an error, not an overwrite, and
+    so is one that is empty or contains whitespace.
     """
     out = []
     seen: set[str] = set()
@@ -225,6 +240,7 @@ def read_queries(path: str | Path) -> list[tuple[str, str]]:
                 raise DataFormatError(f"{path}:{lineno}: expected query_id<TAB>text")
             qid, text = line.split("\t", 1)
             qid = qid.strip()
+            _check_id(path, lineno, "query_id", qid)
             if qid in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             seen.add(qid)

@@ -106,10 +106,9 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     shorter than the window is one window of its own length.
     """
     lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
-    # the token objects themselves, so a cached graph holds no new ints
-    tokens = [tid for doc in docs for tid in doc.tokens]
+    tokens = np.concatenate([np.asarray(doc.tokens, dtype=np.int64) for doc in docs])
     doc_of = np.repeat(np.arange(len(docs)), lengths)
-    ids = np.asarray(tokens, dtype=np.int64)
+    ids = tokens.copy()
     if ids.size:
         ids -= ids.min()
         ids += doc_of * (int(ids.max()) + 1)  # documents never share a node
@@ -117,7 +116,7 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
     node_of = np.argsort(order).astype(np.int32)[inverse]
-    node_terms = [tokens[i] for i in first[order].tolist()]
+    node_terms = tokens[first[order]].tolist()
     n = len(node_terms)
     node_offsets = np.concatenate(
         [[0], np.cumsum(np.bincount(doc_of[first], minlength=len(docs)))]

@@ -1,5 +1,7 @@
 """Atomic artifact writes: a writer that fails leaves the previous file."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -67,24 +69,32 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
-    def test_failed_index_keeps_both_files(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("crash", ["encode", "write"])
+    def test_failed_index_keeps_old_index_file(self, tmp_path, monkeypatch, crash):
         overfit_corpus(seed=0).write(tmp_path)
         argv = ["index", "--corpus", str(tmp_path / "corpus.jsonl"),
                 "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]
         assert cli.main(argv) == 0
         index_dir = tmp_path / "index"
         before = {p.name: p.read_bytes() for p in index_dir.iterdir()}
-        calls = []
+        assert sorted(before) == ["index.bin"]
+        if crash == "encode":
+            calls = []
+            real_encode = cli.encode_document
 
-        def encode_then_fail(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("crash mid-index")
-            return real_encode(*args)
+            def encode_then_fail(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise RuntimeError("crash mid-index")
+                return real_encode(*args)
 
-        real_encode = cli.encode_document
-        monkeypatch.setattr(cli, "encode_document", encode_then_fail)
-        with pytest.raises(RuntimeError):
+            monkeypatch.setattr(cli, "encode_document", encode_then_fail)
+            expected = RuntimeError
+        else:
+            # the preamble cannot pack a negative version: the write fails
+            # after the temporary file is open
+            monkeypatch.setattr(cli, "INDEX_VERSION", -1)
+            expected = struct.error
+        with pytest.raises(expected):
             cli.main(argv)
         assert {p.name: p.read_bytes() for p in index_dir.iterdir()} == before
-        assert sorted(before) == ["docs.jsonl", "vocab.json"]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import helpers
+from gowrank import cli
 from gowrank.cli import main
-from gowrank.corpus import Vocabulary
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
 from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
@@ -67,6 +67,17 @@ class TestExitCodes:
         assert rc == 2
         assert "corpus.jsonl:2: duplicate doc_id" in capsys.readouterr().err
 
+    def test_doc_id_with_whitespace_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "a b"}\n'
+                          '{"doc_id": "doc with space", "text": "a b"}\n')
+        rc = main(["index", "--corpus", str(corpus),
+                   "--index-dir", str(tmp_path / "index")])
+        assert rc == 2
+        assert (f"{corpus}:2: doc_id 'doc with space' is empty or contains "
+                "whitespace") in capsys.readouterr().err
+        assert not (tmp_path / "index" / "index.bin").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("adjacency_mode = diagonal\n")
@@ -110,8 +121,51 @@ def _bad_byte(path, lineno, byte):
     path.write_bytes(b"".join(lines))
 
 
-def _vocab_size(root):
-    return len(Vocabulary.from_json((root / "index" / "vocab.json").read_text()))
+def _read_index_file(path):
+    """(preamble fields, header, offsets, tokens) of an index.bin, the
+    arrays as writable copies."""
+    data = path.read_bytes()
+    magic, version, header_len = cli._PREAMBLE.unpack_from(data)
+    body = cli._PREAMBLE.size + header_len
+    header = json.loads(data[cli._PREAMBLE.size:body])
+    n = len(header["doc_ids"])
+    offsets = np.frombuffer(data, "<i8", n + 1, body).copy()
+    tokens = np.frombuffer(data, "<i4", offset=body + 8 * (n + 1)).copy()
+    return (magic, version), header, offsets, tokens
+
+
+def _write_index_file(path, preamble, header, offsets, tokens):
+    """The inverse of `_read_index_file`; `header` is an object or raw bytes."""
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    raw += b" " * (-(cli._PREAMBLE.size + len(raw)) % 8)
+    path.write_bytes(cli._PREAMBLE.pack(*preamble, len(raw)) + raw
+                     + offsets.astype("<i8").tobytes() + tokens.astype("<i4").tobytes())
+
+
+def _edit_index(world, edit):
+    """Rewrite world/index/index.bin with `edit(preamble, header, offsets,
+    tokens)`, which changes its arguments in place or returns new ones."""
+    path = world / "index" / "index.bin"
+    parts = list(_read_index_file(path))
+    _write_index_file(path, *(edit(*parts) or parts))
+
+
+def _set_token(record, value):
+    """Index edit: the first token of 1-based `record` becomes `value`."""
+    def edit(preamble, header, offsets, tokens):
+        tokens[offsets[record - 1]] = value
+    return edit
+
+
+def _vocab_size(header):
+    return len(header["vocabulary"]["terms"])
+
+
+def _old_index_layout(world):
+    """The index dir as versions before index.bin left it."""
+    (world / "index" / "index.bin").unlink()
+    (world / "index" / "vocab.json").write_text('{"terms": []}')
+    (world / "index" / "docs.jsonl").write_text('{"doc_id": "o000", "tokens": []}\n')
 
 
 def _bump_count(line):
@@ -129,39 +183,65 @@ def _first_value(text):
 
 # (case, file, mutation of the world dir, fragment the message must contain)
 MALFORMED_ARTIFACTS = [
-    ("docs-garbage-line", "index/docs.jsonl",
-     lambda w: _edit_line(w / "index/docs.jsonl", 3, lambda _: "{not json\n"),
-     "docs.jsonl:3: bad index record"),
-    ("docs-truncated", "index/docs.jsonl",
-     lambda w: (w / "index/docs.jsonl").write_bytes(
-         (w / "index/docs.jsonl").read_bytes()[:50]),
-     "docs.jsonl:1: bad index record"),
-    ("docs-missing-key", "index/docs.jsonl",
-     lambda w: _edit_row(w / "index/docs.jsonl", 2,
-                         lambda r: {k: v for k, v in r.items() if k != "tokens"}),
-     "docs.jsonl:2: bad index record"),
-    ("docs-not-an-object", "index/docs.jsonl",
-     lambda w: _edit_line(w / "index/docs.jsonl", 2, lambda _: "[1, 2]\n"),
-     "docs.jsonl:2: bad index record"),
-    ("docs-token-id-too-large", "index/docs.jsonl",
-     lambda w: _edit_row(w / "index/docs.jsonl", 2,
-                         lambda r: {**r, "tokens": r["tokens"] + [_vocab_size(w)]}),
-     "docs.jsonl:2: token id outside"),
-    ("docs-token-id-negative", "index/docs.jsonl",
-     lambda w: _edit_row(w / "index/docs.jsonl", 4,
-                         lambda r: {**r, "tokens": [-1] + r["tokens"]}),
-     "docs.jsonl:4: token id outside"),
-    ("docs-token-id-string", "index/docs.jsonl",
-     lambda w: _edit_row(w / "index/docs.jsonl", 2,
-                         lambda r: {**r, "tokens": ["q00a"] + r["tokens"]}),
-     "docs.jsonl:2: bad index record"),
-    ("docs-duplicate-doc-id", "index/docs.jsonl",
-     lambda w: _append_copy(w / "index/docs.jsonl", 1),
-     "docs.jsonl:41: duplicate doc_id"),
-    ("vocab-truncated", "index/vocab.json",
-     lambda w: (w / "index/vocab.json").write_text(
-         (w / "index/vocab.json").read_text()[:30]),
-     "vocab.json: unreadable"),
+    ("index-bad-magic", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, *rest: [(b"NOTINDEX", pre[1]), *rest]),
+     "index.bin: not a gowrank index file"),
+    ("index-unknown-version", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, *rest: [(pre[0], 2), *rest]),
+     "index.bin: index version 2, expected 1"),
+    # the file cut 30 bytes into the header, which holds the vocabulary
+    ("vocab-truncated", "index/index.bin",
+     lambda w: (w / "index/index.bin").write_bytes(
+         (w / "index/index.bin").read_bytes()[:cli._PREAMBLE.size + 30]),
+     "index.bin: a header of 2876 bytes runs past the end of the file (50 bytes)"),
+    ("docs-garbage-line", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: [pre, b"{not json", o, t]),
+     "index.bin: bad index header: JSONDecodeError"),
+    ("docs-not-an-object", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: [pre, [1, 2], o, t]),
+     "index.bin: bad index header: TypeError"),
+    ("docs-missing-key", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: [
+         pre, {k: v for k, v in h.items() if k != "doc_ids"}, o, t]),
+     "index.bin: bad index header: KeyError('doc_ids')"),
+    ("index-doc-ids-not-a-list", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: h.__setitem__("doc_ids", "o000")),
+     "index.bin: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
+    ("docs-truncated", "index/index.bin",
+     lambda w: (w / "index/index.bin").write_bytes(
+         (w / "index/index.bin").read_bytes()[:-6]),
+     "index.bin: truncated"),
+    ("index-trailing-bytes", "index/index.bin",
+     lambda w: (w / "index/index.bin").write_bytes(
+         (w / "index/index.bin").read_bytes() + b"\x00" * 4),
+     "index.bin: 4 trailing bytes after the last token"),
+    ("index-offsets-decrease", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(3, o[2] - 1)),
+     "index.bin: record 3 (doc_id 'o002'): its offsets 33 .. 32 decrease"),
+    ("index-offsets-not-from-zero", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(0, 1)),
+     "index.bin: the offsets start at 1, not 0"),
+    ("index-offsets-past-token-count", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(-1, o[-1] + 1)),
+     "index.bin: truncated"),
+    ("docs-token-id-too-large", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: _set_token(2, _vocab_size(h))(
+         pre, h, o, t)),
+     "index.bin: record 2 (doc_id 'o001'): token id 184 outside [0, 184)"),
+    ("docs-token-id-negative", "index/index.bin",
+     lambda w: _edit_index(w, _set_token(4, -1)),
+     "index.bin: record 4 (doc_id 'o003'): token id -1 outside [0, 184)"),
+    ("docs-duplicate-doc-id", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: h["doc_ids"].__setitem__(
+         40 - 1, h["doc_ids"][0])),
+     "index.bin: record 40 (doc_id 'o000'): duplicate doc_id"),
+    ("index-doc-id-with-space", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: h["doc_ids"].__setitem__(
+         5 - 1, "o 004")),
+     "index.bin: record 5 (doc_id 'o 004'): not a doc id"),
+    ("index-old-layout", "index/index.bin",
+     _old_index_layout,
+     "index.bin: missing"),
     ("queries-duplicate-id", "queries.tsv",
      lambda w: _append_copy(w / "queries.tsv", 2),
      "queries.tsv:9: duplicate query_id 'q01'"),
@@ -207,6 +287,16 @@ MALFORMED_ARTIFACTS = [
 ]
 
 
+def _rerank_world(world, *flags):
+    return main([
+        "rerank", "--index-dir", str(world / "index"),
+        "--queries", str(world / "queries.tsv"),
+        "--embeddings", str(world / "embeddings.txt"),
+        "--checkpoint", str(world / "model.ckpt"),
+        "--run-out", str(world / "x.run"), *flags,
+    ])
+
+
 @pytest.mark.parametrize(
     "artifact, mutate, fragment",
     [case[1:] for case in MALFORMED_ARTIFACTS],
@@ -218,13 +308,7 @@ def test_malformed_artifact_is_data_error_naming_the_file(
     world = tmp_path / "world"
     shutil.copytree(clean_world, world)
     mutate(world)
-    rc = main([
-        "rerank", "--index-dir", str(world / "index"),
-        "--queries", str(world / "queries.tsv"),
-        "--embeddings", str(world / "embeddings.txt"),
-        "--checkpoint", str(world / "model.ckpt"),
-        "--run-out", str(world / "x.run"),
-    ])
+    rc = _rerank_world(world)
     err = capsys.readouterr().err
     assert rc == 2, err
     assert str(world / artifact) in err
@@ -233,17 +317,46 @@ def test_malformed_artifact_is_data_error_naming_the_file(
     assert not (world / "x.run").exists()
 
 
+def test_query_id_with_whitespace_is_data_error(clean_world, tmp_path, capsys):
+    world = tmp_path / "world"
+    shutil.copytree(clean_world, world)
+    _edit_line(world / "queries.tsv", 3, lambda line: "q 02" + line[3:])
+    assert _rerank_world(world) == 2
+    err = capsys.readouterr().err
+    assert (f"{world / 'queries.tsv'}:3: query_id 'q 02' is empty or contains "
+            "whitespace") in err
+    assert not (world / "x.run").exists()
+
+
+@pytest.mark.parametrize("tag", ["my tag", "", "tab\there"])
+def test_tag_with_whitespace_is_usage_error(clean_world, tmp_path, capsys, tag):
+    world = tmp_path / "world"
+    shutil.copytree(clean_world, world)
+    assert _rerank_world(world, "--tag", tag) == 1
+    assert "is empty or contains whitespace" in capsys.readouterr().err
+    assert not (world / "x.run").exists()
+
+
 def test_index_bytes_are_pinned(tmp_path, capsys):
-    """`index` on bridged_corpus(seed=0) at min_freq 1 writes these exact
-    files: term ids and counts must not move with how they are tallied."""
+    """`index` on bridged_corpus(seed=0) at min_freq 1 writes this exact
+    index.bin; rendered as the vocab.json and docs.jsonl that earlier
+    versions wrote, it still gives their pinned bytes, so term ids and
+    counts cannot move with how they are tallied or stored."""
     bridged_corpus(seed=0).write(tmp_path)
     assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
                  "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / "index" / name).read_bytes()).hexdigest()
-        for name in ("vocab.json", "docs.jsonl")
+    vocab, docs, _ = cli._read_index(tmp_path / "index")
+    rendered = {
+        "index.bin": (tmp_path / "index" / "index.bin").read_bytes(),
+        "vocab.json": json.dumps(vocab.to_payload(), sort_keys=True).encode(),
+        "docs.jsonl": "".join(
+            json.dumps({"doc_id": doc.doc_id, "tokens": doc.tokens.tolist(),
+                        "raw_length": doc.raw_length}, sort_keys=True) + "\n"
+            for doc in docs.values()).encode(),
     }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in rendered.items()}
     assert digests == {
+        "index.bin": "703de084e56b46f65d208bc662e8f12937a40afb02708be771f07994c8a2e84a",
         "vocab.json": "68b664f886ba063eb11feb01927f933c32414d8f0e1a82c21b7057e92ebddc3c",
         "docs.jsonl": "58c52c295c686e0d4420c38a46eff3b1abbccc0e1ca8ce6e706b8913966694dd",
     }
@@ -291,13 +404,18 @@ def test_input_not_utf8_is_data_error_naming_the_line(
 class TestPipeline:
     def test_index_writes_vocabulary_and_documents(self, workdir):
         assert _run(workdir, "index") == 0
-        vocab = Vocabulary.from_json((workdir / "index" / "vocab.json").read_text())
+        assert [p.name for p in (workdir / "index").iterdir()] == ["index.bin"]
+        vocab, docs, tokens = cli._read_index(workdir / "index")
         assert len(vocab) > 0
         assert vocab.min_freq == 1
-        lines = (workdir / "index" / "docs.jsonl").read_text().splitlines()
-        assert len(lines) == 40
-        row = json.loads(lines[0])
-        assert set(row) == {"doc_id", "tokens", "raw_length"}
+        assert list(docs) == sorted(docs) and len(docs) == 40
+        # every document is a read-only int32 slice of the one buffer
+        assert tokens.dtype == np.int32 and not tokens.flags.writeable
+        assert sum(len(doc.tokens) for doc in docs.values()) == tokens.size
+        for doc in docs.values():
+            assert doc.tokens.dtype == np.int32 and not doc.tokens.flags.writeable
+            assert doc.tokens.size == 0 or np.shares_memory(doc.tokens, tokens)
+            assert doc.raw_length >= len(doc.tokens)
 
     def test_train_writes_checkpoint_and_log(self, workdir):
         assert _run(workdir, "train", "--log-out", str(workdir / "train.log")) == 0
@@ -384,20 +502,20 @@ class TestConfigPrecedence:
         idx = tmp_path / "idx_flag"
         rc = _run(workdir, "index", "--min-freq", "3", "--index-dir", str(idx))
         assert rc == 0
-        vocab = Vocabulary.from_json((idx / "vocab.json").read_text())
+        vocab = cli._read_index(idx)[0]
         assert vocab.min_freq == 3
 
     def test_env_beats_file_but_not_flag(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("GOWRANK_MIN_FREQ", "2")
         idx = tmp_path / "idx_env"
         assert _run(workdir, "index", "--index-dir", str(idx)) == 0
-        vocab = Vocabulary.from_json((idx / "vocab.json").read_text())
+        vocab = cli._read_index(idx)[0]
         assert vocab.min_freq == 2
 
         idx2 = tmp_path / "idx_env_flag"
         assert _run(workdir, "index", "--min-freq", "4",
                     "--index-dir", str(idx2)) == 0
-        vocab = Vocabulary.from_json((idx2 / "vocab.json").read_text())
+        vocab = cli._read_index(idx2)[0]
         assert vocab.min_freq == 4
 
     def test_off_grid_value_warned_once(self, workdir, tmp_path, caplog):

@@ -1,5 +1,6 @@
 """Tokenization, vocabulary, and idf tests."""
 
+import json
 import math
 
 import numpy as np
@@ -87,7 +88,7 @@ class TestVocabulary:
 
     def test_roundtrip_json(self):
         v = build_vocabulary(_toy_docs(), stopwords={"the"}, min_freq=1)
-        w = Vocabulary.from_json(v.to_json())
+        w = Vocabulary.from_payload(json.loads(json.dumps(v.to_payload())))
         assert w.terms == v.terms
         assert w.term_to_id == v.term_to_id
         assert w.doc_freq == v.doc_freq

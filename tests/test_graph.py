@@ -152,13 +152,29 @@ class TestBuildGraph:
                 for arr in (mat.indptr, mat.indices, mat.data):
                     assert arr.base is None or arr.base.size <= arr.size
 
-    def test_node_terms_are_the_token_objects(self):
-        # a cached graph shares its term ids with the document
-        tokens = [1000 + t for t in (5, 3, 5, 9)]
-        doc = _doc(tokens)
-        g = build_graph(doc, window=2)
-        assert g.node_terms == [1005, 1003, 1009]
-        assert all(a is b for a, b in zip(g.node_terms, [tokens[0], tokens[1], tokens[3]]))
+    def test_index_buffer_documents_match_list_documents(self):
+        # an index file's documents are read-only int32 slices of one
+        # buffer; their graphs are the list documents' graphs, and node
+        # terms stay a list of plain ints either way
+        rng = np.random.default_rng(37)
+        lists = [rng.integers(0, 60, size=n).tolist() for n in (0, 1, 4, 300, 90, 7)]
+        buffer = np.array([t for tokens in lists for t in tokens], dtype="<i4")
+        buffer.flags.writeable = False
+        bounds = np.cumsum([0] + [len(tokens) for tokens in lists]).tolist()
+        views = [TokenizedDoc("d", buffer[lo:hi], hi - lo)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        for window in (2, 5):
+            got = build_graphs(views, window=window)
+            want = build_graphs([_doc(tokens) for tokens in lists], window=window)
+            for g, w in zip(got, want, strict=True):
+                assert type(g.node_terms) is list
+                assert all(type(t) is int for t in g.node_terms)
+                assert g.node_terms == w.node_terms
+                for a, b in ((g.adjacency, w.adjacency),
+                             (g.norm_adjacency, w.norm_adjacency)):
+                    for name in ("indptr", "indices", "data"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert buffer.tolist() == [t for tokens in lists for t in tokens]
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(29)
@@ -223,8 +239,6 @@ class TestPooledBuild:
             for doc, g in zip(docs, graphs):
                 ref_terms, ref_adj, ref_norm = reference.loop_graph(doc.tokens, width)
                 assert g.node_terms == ref_terms
-                assert all(a is b for a, b in zip(
-                    g.node_terms, [doc.tokens[doc.tokens.index(t)] for t in ref_terms]))
                 for got, want in ((g.adjacency, ref_adj), (g.norm_adjacency, ref_norm)):
                     assert got.shape == want.shape
                     for name in ("indptr", "indices", "data"):

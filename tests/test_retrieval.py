@@ -90,6 +90,30 @@ class TestBuildIndex:
                 for k in (1, 7, 100):
                     assert top_candidates(q, idx, k) == brute[:k]
 
+    def test_index_buffer_gives_the_gathered_index(self):
+        # an index file's documents are read-only int32 slices of one
+        # buffer, which is passed along instead of gathering the slices
+        rng = np.random.default_rng(41)
+        lists = [rng.integers(0, 30, size=n).tolist() for n in (5, 0, 17, 1, 40, 0)]
+        buffer = np.array([t for tokens in lists for t in tokens], dtype="<i4")
+        buffer.flags.writeable = False
+        bounds = np.cumsum([0] + [len(tokens) for tokens in lists]).tolist()
+        views = [_doc(f"d{i}", buffer[lo:hi])
+                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        want = build_index([_doc(f"d{i}", tokens) for i, tokens in enumerate(lists)])
+        for got in (build_index(views, buffer), build_index(views)):
+            assert got.doc_ids == want.doc_ids
+            assert got.doc_len == want.doc_len
+            assert got.coll_freq == want.coll_freq
+            assert (got.coll_len, got.avg_doc_len) == (want.coll_len, want.avg_doc_len)
+            for name in ("_indptr", "_rows", "_tf", "_bm25_norm", "_id_rank"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        # the postings are built from a copy: the documents keep their tokens
+        assert buffer.tolist() == [t for tokens in lists for t in tokens]
+        with pytest.raises(ValueError):
+            build_index(views, buffer[:-1])
+
     def test_duplicate_doc_id(self):
         with pytest.raises(DataFormatError, match="duplicate"):
             build_index([_doc("d1", [0]), _doc("d1", [1])])
