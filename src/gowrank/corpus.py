@@ -100,11 +100,15 @@ class Vocabulary:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Vocabulary":
-        terms = payload["terms"]
+        terms, doc_freq = payload["terms"], payload["doc_freq"]
+        if not (isinstance(terms, list) and isinstance(doc_freq, list)
+                and len(terms) == len(doc_freq) and type(payload["num_docs"]) is int):
+            raise ValueError("terms and doc_freq must be lists of one length, "
+                             "num_docs an int")
         return cls(
             terms=terms,
             term_to_id={t: i for i, t in enumerate(terms)},
-            doc_freq=payload["doc_freq"],
+            doc_freq=doc_freq,
             num_docs=payload["num_docs"],
             stopwords=set(payload["stopwords"]),
             min_freq=payload["min_freq"],

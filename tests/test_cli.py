@@ -102,10 +102,6 @@ def _edit_line(path, lineno, edit):
     path.write_text("".join(lines))
 
 
-def _edit_row(path, lineno, edit):
-    _edit_line(path, lineno, lambda line: json.dumps(edit(json.loads(line))) + "\n")
-
-
 def _append_copy(path, lineno, header=None):
     lines = path.read_text().splitlines(keepends=True)
     lines.append(lines[lineno - 1])
@@ -148,17 +144,6 @@ def _edit_index(world, edit):
     path = world / "index" / "index.bin"
     parts = list(_read_index_file(path))
     _write_index_file(path, *(edit(*parts) or parts))
-
-
-def _set_token(record, value):
-    """Index edit: the first token of 1-based `record` becomes `value`."""
-    def edit(preamble, header, offsets, tokens):
-        tokens[offsets[record - 1]] = value
-    return edit
-
-
-def _vocab_size(header):
-    return len(header["vocabulary"]["terms"])
 
 
 def _old_index_layout(world):
@@ -204,6 +189,10 @@ MALFORMED_ARTIFACTS = [
      lambda w: _edit_index(w, lambda pre, h, o, t: [
          pre, {k: v for k, v in h.items() if k != "doc_ids"}, o, t]),
      "index.bin: bad index header: KeyError('doc_ids')"),
+    ("index-vocabulary-doc-freq-short", "index/index.bin",
+     lambda w: _edit_index(w, lambda pre, h, o, t: h["vocabulary"].__setitem__(
+         "doc_freq", h["vocabulary"]["doc_freq"][:10])),
+     "index.bin: bad index header: ValueError('terms and doc_freq must be lists"),
     ("index-doc-ids-not-a-list", "index/index.bin",
      lambda w: _edit_index(w, lambda pre, h, o, t: h.__setitem__("doc_ids", "o000")),
      "index.bin: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
@@ -224,12 +213,14 @@ MALFORMED_ARTIFACTS = [
     ("index-offsets-past-token-count", "index/index.bin",
      lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(-1, o[-1] + 1)),
      "index.bin: truncated"),
+    # o[r - 1] is the first token of record r: the record lookup is
+    # tested at a document boundary
     ("docs-token-id-too-large", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: _set_token(2, _vocab_size(h))(
-         pre, h, o, t)),
+     lambda w: _edit_index(w, lambda pre, h, o, t: t.__setitem__(
+         o[1], len(h["vocabulary"]["terms"]))),
      "index.bin: record 2 (doc_id 'o001'): token id 184 outside [0, 184)"),
     ("docs-token-id-negative", "index/index.bin",
-     lambda w: _edit_index(w, _set_token(4, -1)),
+     lambda w: _edit_index(w, lambda pre, h, o, t: t.__setitem__(o[3], -1)),
      "index.bin: record 4 (doc_id 'o003'): token id -1 outside [0, 184)"),
     ("docs-duplicate-doc-id", "index/index.bin",
      lambda w: _edit_index(w, lambda pre, h, o, t: h["doc_ids"].__setitem__(
