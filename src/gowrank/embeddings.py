@@ -39,12 +39,69 @@ class EmbeddingTable:
         self.unit[usable] = vectors[usable] / norms[usable, None]
 
 
+# Vocabulary rows parsed per np.loadtxt call: one call amortizes the
+# parser's setup, and the bound caps the value strings held at once.
+CHUNK_ROWS = 2048
+
+
+def _parse(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+
+
+def _rejects(text: str) -> bool:
+    """Whether `_parse` rejects `text` as one row (an empty one it would
+    skip, not parse)."""
+    if not text:
+        return True
+    try:
+        _parse([text])
+    except ValueError:
+        return True
+    return False
+
+
+def _store(path, vocab, vectors, rows, tids, linenos) -> None:
+    """Parse the value strings `rows` of vocabulary ids `tids`, read from
+    lines `linenos`, into `vectors[tids]`, then empty the three lists.
+
+    A chunk that does not parse is searched row by row with the same
+    parser, and the rows before the first rejected one are checked first,
+    so the fault named is the first in the file.
+    """
+    if not rows:
+        return
+    try:
+        block = _parse(rows) if all(rows) else None
+    except ValueError:
+        block = None
+    bad = None
+    if block is None:
+        bad = next(i for i, text in enumerate(rows) if _rejects(text))
+        block = _parse(rows[:bad]) if bad else np.empty((0, vectors.shape[1]))
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataFormatError(f"{path}:{linenos[i]}: non-finite value in the "
+                              f"vector for {vocab.terms[tids[i]]!r}")
+    if bad is not None:
+        value = next((v for v in rows[bad].split(" ") if _rejects(v)), rows[bad])
+        raise DataFormatError(f"{path}:{linenos[bad]}: bad float {value!r} in the "
+                              f"vector for {vocab.terms[tids[bad]]!r}")
+    vectors[tids] = block
+    rows.clear()
+    tids.clear()
+    linenos.clear()
+
+
 def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
     """Read word2vec text format and align rows to vocabulary ids.
 
     First line is `count dim`; each following line is a token and dim
-    floats.  Tokens outside the vocabulary are skipped, vocabulary terms
-    absent from the file are flagged missing, and a second vector is an error.
+    floats, separated by single spaces.  Tokens outside the vocabulary are
+    skipped and their values never parsed, vocabulary terms absent from
+    the file are flagged missing, and a second vector is an error.  The
+    values of vocabulary rows go to numpy's C reader, CHUNK_ROWS rows per
+    call, so no line is split into one string per value.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -59,37 +116,39 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
 
         vectors = np.zeros((len(vocab), dim), dtype=np.float64)
         has_vector = np.zeros(len(vocab), dtype=bool)
+        rows, tids, linenos = [], [], []  # the vocabulary rows not yet parsed
         seen = 0
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
-            parts = line.rstrip("\n").split(" ")
+            line = line.rstrip("\n")
             # trailing space before newline is common in this format
-            if parts and parts[-1] == "":
-                parts.pop()
-            if len(parts) != dim + 1:
+            if line.endswith(" "):
+                line = line[:-1]
+            token, sep, rest = line.partition(" ")
+            values = rest.count(" ") + 1 if sep else 0
+            if values != dim:
+                # a fault in a row above this line comes first
+                _store(path, vocab, vectors, rows, tids, linenos)
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected token + {dim} values, got {len(parts) - 1}"
+                    f"{path}:{lineno}: expected token + {dim} values, got {values}"
                 )
             seen += 1
-            token = parts[0]
             tid = vocab.term_to_id.get(token)
             if tid is None:
                 continue
             if has_vector[tid]:
+                _store(path, vocab, vectors, rows, tids, linenos)
                 raise DataFormatError(f"{path}:{lineno}: second vector for {token!r}")
-            try:
-                vectors[tid] = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad float: {exc}") from exc
-            if not np.isfinite(vectors[tid]).all():
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-finite value in the vector for {token!r}"
-                )
             has_vector[tid] = True
+            rows.append(rest)
+            tids.append(tid)
+            linenos.append(lineno)
+            if len(rows) == CHUNK_ROWS:
+                _store(path, vocab, vectors, rows, tids, linenos)
+        _store(path, vocab, vectors, rows, tids, linenos)
         if seen != count:
             raise DataFormatError(
                 f"{path}: header announced {count} vectors, file has {seen}"
             )
     return EmbeddingTable(dim, vectors, has_vector)
-

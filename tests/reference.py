@@ -17,6 +17,10 @@ the run files were produced from.
 `retrieval.PostingsIndex` did, one dict insert per token, so the CSR
 index can be checked statistic by statistic.
 
+`line_embeddings` reads a word-vector file the way the first
+`embeddings.load_embeddings` did, one `float()` call per value, so the
+chunked numpy parse can be checked row by row.
+
 `doc_forward` and `doc_backprop` are the model's first numpy path, one
 document at a time: the forward pass over one graph and the reverse
 replay of its trace.  The batched `model.forward_batch` and
@@ -198,6 +202,54 @@ def dict_postings(docs):
             plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
             coll_freq[tid] = coll_freq.get(tid, 0) + 1
     return postings, doc_len, coll_freq, coll_len
+
+
+def line_embeddings(path, vocab):
+    """(vectors, has_vector) of a word2vec text file, aligned to vocab ids.
+
+    Raises ValueError starting `path:line:` on the first malformed line,
+    or `path:` when the header's count disagrees with the rows.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}:1: expected header `count dim`")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: expected header `count dim`") from exc
+        if dim < 1:
+            raise ValueError(f"{path}:1: dim must be positive, got {dim}")
+        vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+        has_vector = np.zeros(len(vocab), dtype=bool)
+        seen = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(" ")
+            if parts and parts[-1] == "":
+                parts.pop()
+            if len(parts) != dim + 1:
+                raise ValueError(
+                    f"{path}:{lineno}: expected token + {dim} values, got {len(parts) - 1}"
+                )
+            seen += 1
+            token = parts[0]
+            tid = vocab.term_to_id.get(token)
+            if tid is None:
+                continue
+            if has_vector[tid]:
+                raise ValueError(f"{path}:{lineno}: second vector for {token!r}")
+            try:
+                vectors[tid] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad float: {exc}") from exc
+            if not np.isfinite(vectors[tid]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
+            has_vector[tid] = True
+        if seen != count:
+            raise ValueError(f"{path}: header announced {count} vectors, file has {seen}")
+    return vectors, has_vector
 
 
 def _blocks(layer, m):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli
+from gowrank import cli, embeddings
 from gowrank.cli import main
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
@@ -251,6 +251,17 @@ MALFORMED_ARTIFACTS = [
     ("embeddings-overflow", "embeddings.txt",
      lambda w: _edit_line(w / "embeddings.txt", 2, _first_value("1e999")),
      "embeddings.txt:2: non-finite value in the vector for 'q00a'"),
+    # float() reads "1_0" as 10.0; the C parser takes no underscores
+    ("embeddings-underscore-float", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 2, _first_value("1_0")),
+     "embeddings.txt:2: bad float '1_0' in the vector for 'q00a'"),
+    # lines 150 and 170 hold vocabulary rows of the third chunk
+    ("embeddings-bad-float-past-first-chunk", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 150, _first_value("\uff11")),
+     "embeddings.txt:150: bad float '\uff11' in the vector for 'w108'"),
+    ("embeddings-nan-past-first-chunk", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 170, _first_value("nan")),
+     "embeddings.txt:170: non-finite value in the vector for 'w128'"),
     ("checkpoint-empty-header", "model.ckpt",
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {}),
      "bad checkpoint header: KeyError('version')"),
@@ -294,8 +305,11 @@ def _rerank_world(world, *flags):
     ids=[case[0] for case in MALFORMED_ARTIFACTS],
 )
 def test_malformed_artifact_is_data_error_naming_the_file(
-    clean_world, tmp_path, capsys, artifact, mutate, fragment
+    clean_world, tmp_path, capsys, monkeypatch, artifact, mutate, fragment
 ):
+    # the world's 184 vocabulary rows are parsed in three chunks, so a
+    # fault past the first chunk must still name its own line
+    monkeypatch.setattr(embeddings, "CHUNK_ROWS", 64)
     world = tmp_path / "world"
     shutil.copytree(clean_world, world)
     mutate(world)
