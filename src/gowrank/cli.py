@@ -166,10 +166,10 @@ def cmd_index(cfg: RunConfig, args) -> int:
 
 
 def _read_index(index_dir: str | Path):
-    """The vocabulary, the documents and their token buffer from the
-    `index_dir/index.bin` that `index` wrote, checked once.
+    """The vocabulary and the documents of the `index_dir/index.bin` that
+    `index` wrote, checked once.
 
-    Each document's tokens are a read-only int32 slice of the buffer.
+    Each document's tokens are a read-only int32 slice of one buffer.
     """
     path = Path(index_dir) / INDEX_FILE
     try:
@@ -235,18 +235,18 @@ def _read_index(index_dir: str | Path):
         if doc_id in docs:
             raise DataFormatError(f"{record(r)}: duplicate doc_id")
         docs[doc_id] = TokenizedDoc(doc_id, tokens[bounds[r]:bounds[r + 1]], raw_length)
-    return vocab, docs, tokens
+    return vocab, docs
 
 
 def _load_world(cfg: RunConfig):
     """Everything downstream commands need, rebuilt from the index dir."""
-    vocab, docs, tokens = _read_index(cfg.index_dir)
+    vocab, docs = _read_index(cfg.index_dir)
     queries = {
         qid: make_query(vocab, qid, tokenize(title))
         for qid, title in read_queries(cfg.queries)
     }
     emb = load_embeddings(cfg.embeddings, vocab)
-    index = build_index(docs.values(), tokens)
+    index = build_index(docs.values())
     return vocab, docs, queries, emb, index
 
 

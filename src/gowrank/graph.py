@@ -15,6 +15,8 @@ input features.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -30,35 +32,33 @@ from .errors import DataFormatError
 BLOCK_NODES = 2048
 
 
+@dataclass(eq=False)
 class DocumentGraph:
     """Unique terms as nodes (first-occurrence order) with windowed
-    co-occurrence counts as edges.
+    co-occurrence counts as edges, held as compact CSR arrays.
 
-    `adjacency` holds raw counts (symmetric, zero diagonal);
-    `norm_adjacency` is D^{-1/2} A D^{-1/2} with zero rows for isolated
-    nodes.  Both are immutable after construction.
+    `indptr` and `indices` (int32) are the pattern of the symmetric
+    adjacency A, with sorted rows and no diagonal; `counts` (float64)
+    holds A's raw counts and `weights` (float64) D^{-1/2} A D^{-1/2},
+    entry for entry, so an isolated node has an empty row.  Each array is
+    the graph's own; none is changed after construction.
     """
 
-    def __init__(self, node_terms: list[int], adjacency: csr_matrix):
-        self.node_terms = node_terms
-        self.adjacency = adjacency
-        self.norm_adjacency = normalize_adjacency(adjacency)
+    node_terms: list[int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+    weights: np.ndarray
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_terms)
 
-    @classmethod
-    def _normalized(
-        cls, node_terms: list[int], adjacency: csr_matrix, norm_adjacency: csr_matrix
-    ) -> DocumentGraph:
-        """A graph whose block of a pooled adjacency was already checked
-        and normalized by `build_graphs`."""
-        graph = cls.__new__(cls)
-        graph.node_terms = node_terms
-        graph.adjacency = adjacency
-        graph.norm_adjacency = norm_adjacency
-        return graph
+    @property
+    def adjacency(self) -> csr_matrix:
+        """The raw counts as a CSR matrix over the graph's own arrays."""
+        n = self.num_nodes
+        return csr_matrix((self.counts, self.indices, self.indptr), shape=(n, n))
 
 
 def build_graphs(
@@ -154,13 +154,9 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     for lo, hi, a, b in zip(node_offsets, node_offsets[1:], edge_offsets, edge_offsets[1:]):
         # fresh arrays: views would keep the chunk's buffers alive in
         # every cached graph
-        doc_ptr = indptr[lo:hi + 1] - a
-        doc_indices = indices[a:b] - lo
-        shape = (hi - lo, hi - lo)
-        graphs.append(DocumentGraph._normalized(
-            node_terms[lo:hi],
-            csr_matrix((data[a:b].copy(), doc_indices, doc_ptr), shape=shape),
-            csr_matrix((norm.data[a:b].copy(), doc_indices, doc_ptr), shape=shape),
+        graphs.append(DocumentGraph(
+            node_terms[lo:hi], indptr[lo:hi + 1] - a, indices[a:b] - lo,
+            data[a:b].copy(), norm.data[a:b].copy(),
         ))
     return graphs
 

@@ -285,24 +285,23 @@ def score(
     return (gates * term_scores).sum(axis=-1), term_scores
 
 
-def _block_diagonal(mats: list[csr_matrix]) -> csr_matrix:
-    """The disjoint union of square CSR matrices, from their own arrays.
+def _block_diagonal(graphs: list[DocumentGraph]) -> csr_matrix:
+    """The disjoint union of the graphs' normalized adjacencies, one CSR
+    matrix built from their arrays.
 
-    Row i of each block keeps its entries in stored order, so a product
-    with the union sums every row exactly as a product with its block.
+    Row i of each graph keeps its entries in stored order, so a product
+    with the union sums every row exactly as a product with its graph.
     """
-    if len(mats) == 1:
-        return mats[0]
-    # Python-int offsets keep the blocks' index dtype; BLOCK_NODES keeps
-    # them far from its limit
-    rows = np.cumsum([0] + [mat.shape[0] for mat in mats]).tolist()
-    entries = np.cumsum([0] + [mat.nnz for mat in mats]).tolist()
+    # Python-int offsets keep the graphs' int32 index dtype; BLOCK_NODES
+    # keeps them far from its limit
+    rows = np.cumsum([0] + [g.num_nodes for g in graphs]).tolist()
+    entries = np.cumsum([0] + [g.indices.size for g in graphs]).tolist()
     indptr = np.concatenate(
-        [mats[0].indptr[:1]]
-        + [mat.indptr[1:] + off for mat, off in zip(mats, entries)]
+        [graphs[0].indptr[:1]]
+        + [g.indptr[1:] + off for g, off in zip(graphs, entries)]
     )
-    indices = np.concatenate([mat.indices + off for mat, off in zip(mats, rows)])
-    data = np.concatenate([mat.data for mat in mats])
+    indices = np.concatenate([g.indices + off for g, off in zip(graphs, rows)])
+    data = np.concatenate([g.weights for g in graphs])
     return csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
 
 
@@ -352,7 +351,7 @@ def forward_batch(
     traces: list[ForwardTrace] | None = [] if record else None
     for m, members in _blocks(widths, sizes):
         block = [docs[i] for i in members]
-        norm_adj = _block_diagonal([graph.norm_adjacency for graph, _, _ in block])
+        norm_adj = _block_diagonal([graph for graph, _, _ in block])
         h = np.concatenate([S[:, :m] for _, S, _ in block])
         idf = np.stack([query.idf[:m] for _, _, query in block])
         states = [h]

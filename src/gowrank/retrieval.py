@@ -13,7 +13,6 @@ runs are byte-reproducible.
 from __future__ import annotations
 
 import math
-from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,18 +37,14 @@ class PostingsIndex:
     term that occurs to its count in the collection.
     """
 
-    def __init__(self, docs: Iterable[TokenizedDoc], tokens: np.ndarray | None = None):
-        """`tokens`, when given, holds the tokens of `docs` back to back in
-        their order (an index file's buffer); the documents' tokens are
-        then not gathered one by one."""
+    def __init__(self, docs: Iterable[TokenizedDoc]):
         self.doc_ids: list[str] = []
         self.doc_len: dict[str, int] = {}
-        gathered = array("i")
+        gathered = []
         for doc in docs:
             if doc.doc_id in self.doc_len:
                 raise DataFormatError(f"duplicate doc_id {doc.doc_id!r}")
-            if tokens is None:
-                gathered.extend(doc.tokens)
+            gathered.append(np.asarray(doc.tokens, dtype=np.intc))
             self.doc_ids.append(doc.doc_id)
             self.doc_len[doc.doc_id] = len(doc.tokens)
         if not self.doc_ids:
@@ -61,14 +56,10 @@ class PostingsIndex:
         self._id_rank = np.empty(self.num_docs, dtype=np.int64)
         self._id_rank[by_id] = np.arange(self.num_docs)
 
-        # sum_duplicates sorts and shrinks `flat` in place, so a given
-        # buffer, which the documents share, is copied
-        if tokens is None:
-            flat = np.frombuffer(gathered, dtype=np.intc)
-        else:
-            flat = tokens.astype(np.intc)
-            if flat.size != lens.sum():
-                raise ValueError(f"{flat.size} tokens for documents of {lens.sum()}")
+        # a fresh array, so sum_duplicates may sort and shrink it in place;
+        # the documents' own copies go at once
+        flat = np.concatenate(gathered)
+        del gathered
         # count before sum_duplicates changes `flat`
         counts = np.bincount(flat)
         present = np.flatnonzero(counts)
@@ -110,10 +101,8 @@ class PostingsIndex:
         return int(tf[pos]) if pos < len(rows) and rows[pos] == row else 0
 
 
-def build_index(
-    docs: Iterable[TokenizedDoc], tokens: np.ndarray | None = None
-) -> PostingsIndex:
-    return PostingsIndex(docs, tokens)
+def build_index(docs: Iterable[TokenizedDoc]) -> PostingsIndex:
+    return PostingsIndex(docs)
 
 
 # BM25 in three parts, so `bm25_score` (one document) and `top_candidates`

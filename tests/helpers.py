@@ -57,7 +57,7 @@ def oracle_rel(graph, S, query, params) -> float:
     sub = lambda w: w[:m, :m].tolist()  # noqa: E731
     vec = lambda b: b[:m].tolist()  # noqa: E731
     return reference.rel_score(
-        norm_adj=graph.norm_adjacency.toarray().tolist(),
+        norm_adj=reference.norm_adjacency(graph).toarray().tolist(),
         S=S.tolist(),
         idf=query.idf.tolist(),
         steps=params.hyper.steps,

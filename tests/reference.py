@@ -11,7 +11,8 @@ matrix product of unit rows.
 `loop_graph` builds a graph-of-word the slow way, one window and one term
 pair at a time, and hands the counts to scipy exactly as the first
 implementation of `gowrank.graph` did, so its CSR arrays are the layout
-the run files were produced from.
+the run files were produced from.  `norm_adjacency` is the one place a
+test turns a graph's arrays into a CSR matrix.
 
 `dict_postings` builds the BM25 postings the way the first
 `retrieval.PostingsIndex` did, one dict insert per token, so the CSR
@@ -91,6 +92,13 @@ def loop_graph(tokens, window):
     # the two scales multiply first, so the result is exactly symmetric
     norm = csr_matrix(adjacency.multiply(np.outer(inv_sqrt, inv_sqrt)))
     return node_terms, adjacency, norm
+
+
+def norm_adjacency(graph):
+    """A `DocumentGraph`'s normalized adjacency, as a CSR matrix over the
+    graph's own arrays."""
+    n = graph.num_nodes
+    return csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
 
 
 def sigmoid(x):
@@ -273,11 +281,12 @@ def doc_forward(graph, S, query, params):
     hyper = params.hyper
     m = min(S.shape[1], hyper.max_query_len)
     h = S[:, :m]
+    norm_adj = norm_adjacency(graph)
     t = SimpleNamespace(states=[h], messages=[], upd=[], reset=[], cand=[],
-                        idf=query.idf[:m], norm_adj=graph.norm_adjacency)
+                        idf=query.idf[:m], norm_adj=norm_adj)
     for step in range(hyper.steps):
         layer = _blocks(_layer(params, step), m)
-        a = graph.norm_adjacency @ (h @ layer.msg_w.T)
+        a = norm_adj @ (h @ layer.msg_w.T)
         z = expit(a @ layer.w_up.T + h @ layer.u_up.T + layer.b_up)
         r = expit(a @ layer.w_reset.T + h @ layer.u_reset.T + layer.b_reset)
         c = np.tanh(a @ layer.w_cand.T + (r * h) @ layer.u_cand.T + layer.b_cand)

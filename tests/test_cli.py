@@ -350,7 +350,7 @@ def test_index_bytes_are_pinned(tmp_path, capsys):
     bridged_corpus(seed=0).write(tmp_path)
     assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
                  "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
-    vocab, docs, _ = cli._read_index(tmp_path / "index")
+    vocab, docs = cli._read_index(tmp_path / "index")
     rendered = {
         "index.bin": (tmp_path / "index" / "index.bin").read_bytes(),
         "vocab.json": json.dumps(vocab.to_payload(), sort_keys=True).encode(),
@@ -410,16 +410,17 @@ class TestPipeline:
     def test_index_writes_vocabulary_and_documents(self, workdir):
         assert _run(workdir, "index") == 0
         assert [p.name for p in (workdir / "index").iterdir()] == ["index.bin"]
-        vocab, docs, tokens = cli._read_index(workdir / "index")
+        vocab, docs = cli._read_index(workdir / "index")
         assert len(vocab) > 0
         assert vocab.min_freq == 1
         assert list(docs) == sorted(docs) and len(docs) == 40
-        # every document is a read-only int32 slice of the one buffer
-        assert tokens.dtype == np.int32 and not tokens.flags.writeable
-        assert sum(len(doc.tokens) for doc in docs.values()) == tokens.size
+        # every document is a read-only int32 slice of one buffer
+        buffer = next(iter(docs.values())).tokens.base
+        assert buffer.dtype == np.int32 and not buffer.flags.writeable
+        assert sum(len(doc.tokens) for doc in docs.values()) == buffer.size
         for doc in docs.values():
+            assert doc.tokens.base is buffer
             assert doc.tokens.dtype == np.int32 and not doc.tokens.flags.writeable
-            assert doc.tokens.size == 0 or np.shares_memory(doc.tokens, tokens)
             assert doc.raw_length >= len(doc.tokens)
 
     def test_train_writes_checkpoint_and_log(self, workdir):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 import gowrank.graph
 from gowrank.corpus import OOV_ID, Query, TokenizedDoc
@@ -52,6 +52,36 @@ def brute_force_adjacency(tokens, window):
     return uniq, A
 
 
+def assert_loop_layout(g, ref):
+    """`g`'s arrays are byte for byte those of the loop builder's CSR
+    matrices `ref` = (node_terms, adjacency, norm_adjacency): the layout,
+    not just the matrix, decides the summation order of every sparse
+    product downstream, so run files stay byte-stable only if the arrays
+    are the loop builder's."""
+    terms, adjacency, norm = ref
+    assert g.node_terms == terms
+    for mat, data in ((adjacency, g.counts), (norm, g.weights)):
+        for got, want in ((g.indptr, mat.indptr), (g.indices, mat.indices),
+                          (data, mat.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def assert_compact_arrays(g):
+    """An int32 pattern and float64 values, each array owning exactly its
+    n + 1 or nnz entries, so a cached graph keeps no chunk buffer alive;
+    and no scipy matrix among the graph's attributes."""
+    nnz = int(g.indptr[-1])
+    for name, dtype, size in (("indptr", np.int32, g.num_nodes + 1),
+                              ("indices", np.int32, nnz),
+                              ("counts", np.float64, nnz),
+                              ("weights", np.float64, nnz)):
+        arr = getattr(g, name)
+        assert arr.dtype == dtype and arr.size == size, name
+        assert arr.flags.owndata, name
+    assert not any(issparse(value) for value in vars(g).values())
+
+
 class TestBuildGraph:
     def test_window2_example(self):
         # [a,b,a,c] w=2: windows {a,b},{b,a},{a,c}
@@ -94,7 +124,7 @@ class TestBuildGraph:
         g = build_graph(_doc([]))
         assert g.num_nodes == 0
         assert g.adjacency.shape == (0, 0)
-        assert g.norm_adjacency.shape == (0, 0)
+        assert g.indptr.tolist() == [0] and g.weights.size == 0
 
     def test_repeated_term_no_self_loops(self):
         g = build_graph(_doc([7, 7, 7, 7]), window=3)
@@ -117,9 +147,6 @@ class TestBuildGraph:
             np.testing.assert_array_equal(g.adjacency.toarray(), A_ref)
 
     def test_csr_arrays_match_loop_oracle(self):
-        # the CSR layout, not just the matrix, decides the summation order
-        # of every sparse product downstream, so run files stay byte-stable
-        # only if the arrays are the loop builder's
         rng = np.random.default_rng(53)
         for window in (2, 3, 5, 7):
             for _ in range(40):
@@ -127,30 +154,20 @@ class TestBuildGraph:
                 vocab = int(rng.choice([3, 20, 200]))
                 tokens = [int(t) for t in rng.integers(0, vocab, size=length)]
                 g = build_graph(_doc(tokens), window=window)
-                ref_terms, ref_adj, ref_norm = reference.loop_graph(tokens, window)
-                assert g.node_terms == ref_terms
-                for got, want in ((g.adjacency, ref_adj), (g.norm_adjacency, ref_norm)):
-                    assert got.shape == want.shape
-                    for name in ("indptr", "indices", "data"):
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert a.dtype == b.dtype, name
-                        assert a.tobytes() == b.tobytes(), name
+                assert_loop_layout(g, reference.loop_graph(tokens, window))
 
     def test_compact_canonical_layout(self):
-        # sorted indices, no stored zeros or self-loops, and no array that
-        # is a view into a larger buffer (a cached graph holds only its edges)
+        # strictly increasing indices in each row, no self-loops, no stored
+        # zeros, and compact arrays of the graph's own
         rng = np.random.default_rng(59)
         for _ in range(40):
             tokens = [int(t) for t in rng.integers(0, 30, size=rng.integers(0, 200))]
             g = build_graph(_doc(tokens), window=int(rng.choice([2, 3, 5, 7])))
-            for mat in (g.adjacency, g.norm_adjacency):
-                assert mat.has_sorted_indices
-                assert np.all(mat.data != 0)
-                rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-                assert np.all(np.diff(mat.indices)[np.diff(rows) == 0] > 0)
-                assert not np.any(mat.indices == rows)
-                for arr in (mat.indptr, mat.indices, mat.data):
-                    assert arr.base is None or arr.base.size <= arr.size
+            assert_compact_arrays(g)
+            rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+            assert np.all(np.diff(g.indices)[np.diff(rows) == 0] > 0)
+            assert not np.any(g.indices == rows)
+            assert np.all(g.counts != 0) and np.all(g.weights != 0)
 
     def test_index_buffer_documents_match_list_documents(self):
         # an index file's documents are read-only int32 slices of one
@@ -170,10 +187,8 @@ class TestBuildGraph:
                 assert type(g.node_terms) is list
                 assert all(type(t) is int for t in g.node_terms)
                 assert g.node_terms == w.node_terms
-                for a, b in ((g.adjacency, w.adjacency),
-                             (g.norm_adjacency, w.norm_adjacency)):
-                    for name in ("indptr", "indices", "data"):
-                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                for name in ("indptr", "indices", "counts", "weights"):
+                    assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
         assert buffer.tolist() == [t for tokens in lists for t in tokens]
 
     def test_invariants_hold(self):
@@ -202,8 +217,8 @@ class TestBuildGraph:
             A1 = g1.adjacency.toarray()
             A2 = g2.adjacency.toarray()
             np.testing.assert_array_equal(A2, A1[np.ix_(perm, perm)])
-            N1 = g1.norm_adjacency.toarray()
-            N2 = g2.norm_adjacency.toarray()
+            N1 = reference.norm_adjacency(g1).toarray()
+            N2 = reference.norm_adjacency(g2).toarray()
             np.testing.assert_allclose(N2, N1[np.ix_(perm, perm)], atol=1e-15)
 
 
@@ -237,14 +252,7 @@ class TestPooledBuild:
             # token: the same nodes, and no pair ever shares a window
             width = {"graph": window, "sequence": 2, "zero": 1}[mode]
             for doc, g in zip(docs, graphs):
-                ref_terms, ref_adj, ref_norm = reference.loop_graph(doc.tokens, width)
-                assert g.node_terms == ref_terms
-                for got, want in ((g.adjacency, ref_adj), (g.norm_adjacency, ref_norm)):
-                    assert got.shape == want.shape
-                    for name in ("indptr", "indices", "data"):
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert a.dtype == b.dtype, name
-                        assert a.tobytes() == b.tobytes(), name
+                assert_loop_layout(g, reference.loop_graph(doc.tokens, width))
 
     def test_no_documents_no_graphs(self):
         assert build_graphs([], window=3) == []
@@ -271,17 +279,7 @@ class TestPooledBuild:
         rng = np.random.default_rng(71)
         docs = [_doc(rng.integers(0, 300, size=500).tolist()) for _ in range(100)]
         for g in build_graphs(docs, window=5):
-            n = g.num_nodes
-            for mat in (g.adjacency, g.norm_adjacency):
-                for arr in (mat.indptr, mat.indices, mat.data):
-                    # scipy may hold a view of the whole array, never of more
-                    root = arr
-                    while root.base is not None:
-                        root = root.base
-                    assert root.nbytes == arr.nbytes
-                assert mat.data.nbytes == mat.nnz * mat.data.itemsize
-                assert mat.indices.nbytes == mat.nnz * mat.indices.itemsize
-                assert mat.indptr.nbytes == (n + 1) * mat.indptr.itemsize
+            assert_compact_arrays(g)
 
     def test_transient_peak_is_bounded_by_what_the_graphs_keep(self):
         # a pool of 100 500-token documents built as one unbounded product
@@ -358,18 +356,19 @@ class TestNormalizeAdjacency:
                     assert N[i, j] == pytest.approx(expected, abs=1e-15)
 
     def test_result_is_its_own_transpose_bit_for_bit(self):
-        # the backward pass multiplies by norm_adjacency where the math has
-        # its transpose, so (i, j) and (j, i) must round identically
+        # the backward pass multiplies by the normalized adjacency where the
+        # math has its transpose, so (i, j) and (j, i) must round identically
         rng = np.random.default_rng(43)
-        mats = [
-            build_graph(_doc([]), window=3).norm_adjacency,  # n = 0
-            build_graph(_doc([7, 7, 7]), window=3).norm_adjacency,  # n = 1
+        graphs = [
+            build_graph(_doc([]), window=3),  # n = 0
+            build_graph(_doc([7, 7, 7]), window=3),  # n = 1
         ]
         for window in range(2, 8):
             for _ in range(25):
                 vocab = int(rng.choice([3, 20, 200]))
                 tokens = rng.integers(0, vocab, size=int(rng.integers(0, 150)))
-                mats.append(build_graph(_doc(tokens.tolist()), window).norm_adjacency)
+                graphs.append(build_graph(_doc(tokens.tolist()), window))
+        mats = [reference.norm_adjacency(g) for g in graphs]
         for _ in range(25):  # isolated nodes: zero rows and columns
             n = int(rng.integers(2, 15))
             upper = np.triu(rng.integers(0, 5, size=(n, n)).astype(float), 1)
@@ -390,7 +389,7 @@ class TestNormalizeAdjacency:
         for _ in range(15):
             tokens = list(rng.integers(0, 50, size=rng.integers(5, 300)))
             g = build_graph(_doc(tokens), window=5)
-            N = g.norm_adjacency
+            N = reference.norm_adjacency(g)
             if g.num_nodes == 0:
                 continue
             x = rng.normal(size=g.num_nodes)
@@ -424,7 +423,7 @@ class TestAdjacencyModes:
         full = build_graph(doc, window=5)
         assert z.node_terms == full.node_terms
         assert z.adjacency.nnz == 0
-        assert z.norm_adjacency.nnz == 0
+        assert z.weights.size == 0
 
     def test_graph_mode_passthrough(self):
         doc = _doc([0, 1, 2, 0, 3])
