@@ -105,13 +105,19 @@ class Vocabulary:
                 and len(terms) == len(doc_freq) and type(payload["num_docs"]) is int):
             raise ValueError("terms and doc_freq must be lists of one length, "
                              "num_docs an int")
+        stopwords, min_freq = payload["stopwords"], payload["min_freq"]
+        if not (set(map(type, terms)) <= {str} and set(map(type, doc_freq)) <= {int}
+                and min(doc_freq, default=0) >= 0 and isinstance(stopwords, list)
+                and set(map(type, stopwords)) <= {str} and type(min_freq) is int):
+            raise TypeError("terms and stopwords must be lists of str, doc_freq "
+                            "of non-negative ints, min_freq an int")
         return cls(
             terms=terms,
             term_to_id={t: i for i, t in enumerate(terms)},
             doc_freq=doc_freq,
             num_docs=payload["num_docs"],
-            stopwords=set(payload["stopwords"]),
-            min_freq=payload["min_freq"],
+            stopwords=set(stopwords),
+            min_freq=min_freq,
         )
 
 

@@ -43,6 +43,10 @@ class EmbeddingTable:
 # parser's setup, and the bound caps the value strings held at once.
 CHUNK_ROWS = 2048
 
+# ASCII separators, which numpy's parser strips from a value as
+# whitespace and `float()` refuses; a value holding one is a bad float
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 
 def _parse(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
@@ -51,7 +55,7 @@ def _parse(rows: list[str]) -> np.ndarray:
 def _rejects(text: str) -> bool:
     """Whether `_parse` rejects `text` as one row (an empty one it would
     skip, not parse)."""
-    if not text:
+    if not text or any(c in text for c in _SEPARATORS):
         return True
     try:
         _parse([text])
@@ -70,8 +74,10 @@ def _store(path, vocab, vectors, rows, tids, linenos) -> None:
     """
     if not rows:
         return
+    joined = "".join(rows)  # a separator anywhere means the row-by-row search
+    clean = all(rows) and not any(c in joined for c in _SEPARATORS)
     try:
-        block = _parse(rows) if all(rows) else None
+        block = _parse(rows) if clean else None
     except ValueError:
         block = None
     bad = None

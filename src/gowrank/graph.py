@@ -150,15 +150,13 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     norm = normalize_adjacency(csr_matrix((data, indices, indptr), shape=(n, n)))
 
     edge_offsets = indptr[node_offsets].tolist()
-    graphs = []
-    for lo, hi, a, b in zip(node_offsets, node_offsets[1:], edge_offsets, edge_offsets[1:]):
-        # fresh arrays: views would keep the chunk's buffers alive in
-        # every cached graph
-        graphs.append(DocumentGraph(
-            node_terms[lo:hi], indptr[lo:hi + 1] - a, indices[a:b] - lo,
-            data[a:b].copy(), norm.data[a:b].copy(),
-        ))
-    return graphs
+    # fresh arrays: views would keep the chunk's buffers alive in every
+    # cached graph
+    return [
+        DocumentGraph(node_terms[lo:hi], indptr[lo:hi + 1] - a, indices[a:b] - lo,
+                      data[a:b].copy(), norm.data[a:b].copy())
+        for lo, hi, a, b in zip(node_offsets, node_offsets[1:], edge_offsets, edge_offsets[1:])
+    ]
 
 
 def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:

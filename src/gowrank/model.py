@@ -434,7 +434,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint, validating magic, version, and tensor shapes."""
+    """Read a checkpoint, validating magic, version, tensor shapes and values."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -491,6 +491,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             if len(raw) != tensor.size * 8:
                 raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
             tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
+            if not np.isfinite(tensor).all():
+                raise DataFormatError(f"{path}: non-finite value in tensor {name!r}")
         if expected:
             raise DataFormatError(f"{path}: missing tensors {sorted(expected)}")
         if fh.read(1):

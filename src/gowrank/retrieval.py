@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 
 from .artifacts import atomic_write
 from .corpus import Query, TokenizedDoc
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericalError
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -57,7 +57,7 @@ class PostingsIndex:
         self._id_rank[by_id] = np.arange(self.num_docs)
 
         # a fresh array, so sum_duplicates may sort and shrink it in place;
-        # the documents' own copies go at once
+        # the per-document arrays are freed before the postings are built
         flat = np.concatenate(gathered)
         del gathered
         # count before sum_duplicates changes `flat`
@@ -193,8 +193,12 @@ def write_run(
     """TREC run format: `query_id Q0 doc_id rank score tag`, rank from 1.
 
     Query blocks are written in key order of `ranked`; scores use a fixed
-    6-decimal format so reruns are byte-identical.
+    6-decimal format so reruns are byte-identical.  A non-finite score is
+    refused before `path` is opened, so no such run file is published.
     """
+    for qid, docs in ranked.items():
+        if not all(math.isfinite(score) for _, score in docs):
+            raise NumericalError(f"{path}: non-finite score for query {qid!r}")
     with atomic_write(path) as fh:
         for qid, docs in ranked.items():
             for rank, (doc_id, score) in enumerate(docs, start=1):

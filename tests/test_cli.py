@@ -158,6 +158,20 @@ def _bump_count(line):
     return f"{int(count) + 1} {dim}\n"
 
 
+def _vocabulary_edit(key, edit):
+    """Index edit: the vocabulary's `key` becomes `edit(old value)`."""
+    def index_edit(pre, header, offsets, tokens):
+        vocabulary = header["vocabulary"]
+        vocabulary[key] = edit(vocabulary[key])
+    return lambda world: _edit_index(world, index_edit)
+
+
+def _nan_weight(world):
+    params = init_params(HyperParams(), np.random.default_rng(0))
+    params.out_w[0] = np.nan
+    save_checkpoint(world / "model.ckpt", params)
+
+
 def _first_value(text):
     """Line edit: the first value of an embedding row becomes `text`."""
     def edit(line):
@@ -193,6 +207,23 @@ MALFORMED_ARTIFACTS = [
      lambda w: _edit_index(w, lambda pre, h, o, t: h["vocabulary"].__setitem__(
          "doc_freq", h["vocabulary"]["doc_freq"][:10])),
      "index.bin: bad index header: ValueError('terms and doc_freq must be lists"),
+    ("index-vocabulary-term-not-a-str", "index/index.bin",
+     _vocabulary_edit("terms", lambda terms: [7] + terms[1:]),
+     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+    # a query with the term took doc_freq "3" to a TypeError in idf()
+    ("index-vocabulary-doc-freq-a-str", "index/index.bin",
+     _vocabulary_edit("doc_freq", lambda df: ["3"] + df[1:]),
+     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+    ("index-vocabulary-doc-freq-negative", "index/index.bin",
+     _vocabulary_edit("doc_freq", lambda df: df[:-1] + [-1]),
+     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+    # set("the") would be the stopwords {"t", "h", "e"}
+    ("index-vocabulary-stopwords-a-str", "index/index.bin",
+     _vocabulary_edit("stopwords", lambda _: "the"),
+     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+    ("index-vocabulary-min-freq-not-an-int", "index/index.bin",
+     _vocabulary_edit("min_freq", str),
+     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
     ("index-doc-ids-not-a-list", "index/index.bin",
      lambda w: _edit_index(w, lambda pre, h, o, t: h.__setitem__("doc_ids", "o000")),
      "index.bin: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
@@ -282,6 +313,10 @@ MALFORMED_ARTIFACTS = [
          **h, "tensors": h["tensors"] + [{"name": "out_b", "shape": []}]},
          tail=np.float64(5.0).tobytes()),
      "unexpected or repeated tensor 'out_b'"),
+    # loaded, it made rerank write `nan` scores that eval then refused
+    ("checkpoint-nan-weight", "model.ckpt",
+     _nan_weight,
+     "model.ckpt: non-finite value in tensor 'out_w'"),
     ("checkpoint-trailing-bytes", "model.ckpt",
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: h,
                                                  tail=b"\x00" * 8),

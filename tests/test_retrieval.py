@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gowrank.corpus import Query, TokenizedDoc
-from gowrank.errors import DataFormatError
+from gowrank.errors import DataFormatError, NumericalError
 from gowrank.retrieval import (
     PostingsIndex,
     bm25_score,
@@ -283,3 +283,16 @@ class TestWriteRun:
         write_run(p1, ranked, tag="x")
         write_run(p2, ranked, tag="x")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_leaves_the_target_untouched(self, tmp_path, bad):
+        path = tmp_path / "run.txt"
+        path.write_text("an earlier run\n")
+        ranked = {"q1": [("d1", 0.5)], "q2": [("d2", 0.25), ("d3", bad)]}
+        with pytest.raises(NumericalError, match=r"run\.txt: non-finite score for query 'q2'"):
+            write_run(path, ranked, tag="x")
+        assert path.read_text() == "an earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+        with pytest.raises(NumericalError):
+            write_run(tmp_path / "new.txt", ranked, tag="x")
+        assert not (tmp_path / "new.txt").exists()
