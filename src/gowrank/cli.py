@@ -270,18 +270,26 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params):
-    """Re-score the first-stage pool for every query; returns run dict."""
+    """Re-score the first-stage pool for every query; returns run dict.
+
+    A pool and its scores depend only on the query's token ids, so ids
+    that repeat a text share one pool and one scoring (None: no match).
+    """
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
-    ranked = {}
+    ranked, by_text = {}, {}
     for qid in sorted(queries):
-        if not queries[qid].tokens:
+        tokens = tuple(queries[qid].tokens)
+        if not tokens:
             log.warning("query %s has no indexed terms; skipped", qid)
             continue
-        pool = top_candidates(queries[qid], index, cfg.candidates)
-        if not pool:
+        if tokens not in by_text:
+            pool = top_candidates(queries[qid], index, cfg.candidates)
+            by_text[tokens] = score_pool(ctx, qid, pool, params) if pool else None
+        if by_text[tokens] is None:
             log.warning("query %s matched no documents; skipped", qid)
             continue
-        ranked[qid] = score_pool(ctx, qid, pool, params)
+        ctx.warn_truncated(qid, params.hyper.max_query_len)
+        ranked[qid] = by_text[tokens]
     return ranked
 
 

@@ -111,9 +111,13 @@ class Vocabulary:
                 and set(map(type, stopwords)) <= {str} and type(min_freq) is int):
             raise TypeError("terms and stopwords must be lists of str, doc_freq "
                             "of non-negative ints, min_freq an int")
+        term_to_id = {t: i for i, t in enumerate(terms)}
+        if len(term_to_id) != len(terms):
+            # a repeated term's first id could never match a query
+            raise ValueError("terms must not repeat")
         return cls(
             terms=terms,
-            term_to_id={t: i for i, t in enumerate(terms)},
+            term_to_id=term_to_id,
             doc_freq=doc_freq,
             num_docs=payload["num_docs"],
             stopwords=set(stopwords),

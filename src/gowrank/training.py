@@ -302,21 +302,19 @@ class ScoringContext:
             self._feats[key] = interaction_matrix(self.graph(doc_id), query, self.emb)
         return self._feats[key]
 
+    def warn_truncated(self, qid: str, budget: int) -> None:
+        """Warn, once per query id, when the query has more than `budget` terms."""
+        length = len(self.queries[qid].tokens)
+        if length > budget and qid not in self._truncated:
+            self._truncated.add(qid)
+            log.warning("query %s has %d terms; keeping the first %d", qid, length, budget)
+
     def score(
         self, pairs: list[tuple[str, str]], params: ModelParams, record: bool = False
     ) -> tuple[np.ndarray, list[ForwardTrace] | None]:
         """Score (query id, doc id) pairs in one `forward_batch` call."""
-        budget = params.hyper.max_query_len
         for qid in dict.fromkeys(qid for qid, _ in pairs):
-            query = self.queries[qid]
-            if len(query.tokens) > budget and qid not in self._truncated:
-                self._truncated.add(qid)
-                log.warning(
-                    "query %s has %d terms; keeping the first %d",
-                    qid,
-                    len(query.tokens),
-                    budget,
-                )
+            self.warn_truncated(qid, params.hyper.max_query_len)
         self._cache_graphs(doc_id for _, doc_id in pairs)
         docs = [
             (self._graphs[doc_id], self.feats(qid, doc_id), self.queries[qid])

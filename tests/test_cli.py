@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli, embeddings
+from gowrank import cli, embeddings, training
 from gowrank.cli import main
+from gowrank.config import load_config
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
 from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
+from gowrank.retrieval import top_candidates, write_run
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +226,10 @@ MALFORMED_ARTIFACTS = [
     ("index-vocabulary-min-freq-not-an-int", "index/index.bin",
      _vocabulary_edit("min_freq", str),
      "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+    # ["a", "b", "a"] read as {"a": 2, "b": 1}, so id 0 could never match
+    ("index-vocabulary-repeated-term", "index/index.bin",
+     _vocabulary_edit("terms", lambda terms: terms[:-1] + terms[:1]),
+     "index.bin: bad index header: ValueError('terms must not repeat')"),
     ("index-doc-ids-not-a-list", "index/index.bin",
      lambda w: _edit_index(w, lambda pre, h, o, t: h.__setitem__("doc_ids", "o000")),
      "index.bin: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
@@ -576,3 +582,122 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert out.count("max rel err") == 4  # three instances + overall
+
+
+# (query id, title) appended to the overfit collection's queries: each
+# text is issued under two ids, written two ways where it can be
+REPEATED_QUERIES = [
+    ("a1", "Apple pie"),
+    ("a2", "apple, PIE!"),
+    ("q00x", "Q00A, q00b."),
+    # ten indexed terms, two more than the model scores
+    ("long1", "q01a q01b q01s0 q01s1 q01s2 q02a q02b q02s0 q02s1 q02s2"),
+    ("long2", "Q01A q01b q01s0 q01s1 q01s2 q02a q02b q02s0 q02s1 Q02S2"),
+    # terms outside the vocabulary: indexed as OOV, matching no document
+    ("none1", "zebra quagga"),
+    ("none2", "Zebra, QUAGGA"),
+]
+
+
+@pytest.fixture(scope="module")
+def repeat_world(tmp_path_factory):
+    """An index, a trained checkpoint and a config over queries whose
+    texts repeat under other ids."""
+    root = tmp_path_factory.mktemp("repeat")
+    overfit_corpus(seed=2).write(root)
+    with open(root / "corpus.jsonl", "a") as fh:
+        fh.write('{"doc_id": "p000", "text": "apple pie with cream q03a"}\n'
+                 '{"doc_id": "p001", "text": "a pie crust and apple slices"}\n')
+    with open(root / "queries.tsv", "a") as fh:
+        fh.writelines(f"{qid}\t{title}\n" for qid, title in REPEATED_QUERIES)
+    (root / "run.conf").write_text("".join(f"{line}\n" for line in [
+        f"corpus = {root / 'corpus.jsonl'}",
+        f"queries = {root / 'queries.tsv'}",
+        f"qrels = {root / 'qrels.txt'}",
+        f"embeddings = {root / 'embeddings.txt'}",
+        f"index_dir = {root / 'index'}",
+        f"checkpoint = {root / 'model.ckpt'}",
+        "min_freq = 1", "epochs = 2", "lr = 0.005", "batch = 8",
+        "steps_per_epoch = 2", "folds = 4",
+    ]))
+    assert _run(root, "index") == 0
+    assert _run(root, "train", "--log-out", str(root / "train.log")) == 0
+    return root
+
+
+class TestRepeatedQueryTexts:
+    """`rerank` retrieves and scores each distinct query text once; every
+    id still gets its own run-file block and its own warnings."""
+
+    def _rerank(self, world, out):
+        assert _run(world, "rerank", "--run-out", str(out)) == 0
+        return out.read_text().splitlines()
+
+    def test_run_matches_a_fresh_scoring_per_id(self, repeat_world, tmp_path):
+        cfg = load_config(repeat_world / "run.conf")
+        _, docs, queries, emb, index = cli._load_world(cfg)
+        params, _ = load_checkpoint(cfg.checkpoint)
+        assert queries["a1"].tokens == queries["a2"].tokens
+        oracle = {}
+        for qid in sorted(queries):
+            pool = top_candidates(queries[qid], index, cfg.candidates)
+            if queries[qid].tokens and pool:
+                ctx = training.ScoringContext(docs, queries, emb, cfg.window,
+                                              cfg.adjacency_mode)
+                oracle[qid] = training.score_pool(ctx, qid, pool, params)
+        write_run(tmp_path / "oracle.run", oracle, "gowrank")
+        lines = self._rerank(repeat_world, tmp_path / "x.run")
+        assert lines == (tmp_path / "oracle.run").read_text().splitlines()
+        blocks = {qid: [line.split()[2:5] for line in lines if line.split()[0] == qid]
+                  for qid in ("a1", "a2", "long1", "long2")}
+        assert blocks["a1"] and blocks["a1"] == blocks["a2"]
+        assert blocks["long1"] and blocks["long1"] == blocks["long2"]
+
+    def test_each_distinct_text_retrieved_and_scored_once(
+        self, repeat_world, tmp_path, monkeypatch
+    ):
+        retrieved, scored = [], []
+
+        def counted_top_candidates(query, *args):
+            retrieved.append(tuple(query.tokens))
+            return top_candidates(query, *args)
+
+        def counted_forward_batch(docs, *args):
+            scored.append(tuple(docs[0][2].tokens))
+            return forward_batch(docs, *args)
+
+        forward_batch = training.forward_batch
+        monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
+        monkeypatch.setattr(training, "forward_batch", counted_forward_batch)
+        self._rerank(repeat_world, tmp_path / "x.run")
+        queries = cli._load_world(load_config(repeat_world / "run.conf"))[2]
+        texts = {tuple(q.tokens) for q in queries.values() if q.tokens}
+        assert len(texts) < len(queries)
+        assert sorted(retrieved) == sorted(texts)
+        unmatched = tuple(queries["none1"].tokens)
+        assert sorted(scored) == sorted(texts - {unmatched})
+
+    def test_truncation_warned_for_each_id_of_a_long_text(
+        self, repeat_world, tmp_path, caplog
+    ):
+        with caplog.at_level(logging.WARNING):
+            self._rerank(repeat_world, tmp_path / "x.run")
+        warned = [r.getMessage() for r in caplog.records
+                  if "keeping the first" in r.getMessage()]
+        assert warned == ["query long1 has 10 terms; keeping the first 8",
+                          "query long2 has 10 terms; keeping the first 8"]
+
+    def test_unmatched_text_warned_for_each_id(self, repeat_world, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            lines = self._rerank(repeat_world, tmp_path / "x.run")
+        warned = [r.getMessage() for r in caplog.records
+                  if "matched no documents" in r.getMessage()]
+        assert warned == ["query none1 matched no documents; skipped",
+                          "query none2 matched no documents; skipped"]
+        assert not any(line.split()[0].startswith("none") for line in lines)
+
+    def test_ablate_graph_cell_matches_train_and_rerank(self, repeat_world, tmp_path):
+        self._rerank(repeat_world, tmp_path / "x.run")
+        assert _run(repeat_world, "ablate", "--out-dir", str(tmp_path / "ablation")) == 0
+        cell = tmp_path / "ablation" / "run_graph_t2.txt"
+        assert cell.read_bytes() == (tmp_path / "x.run").read_bytes()

@@ -96,6 +96,13 @@ class TestVocabulary:
         assert w.stopwords == v.stopwords
         assert w.min_freq == v.min_freq
 
+    def test_repeated_term_rejected(self):
+        # ["a", "b", "a"] read as {"a": 2, "b": 1}: id 0 could never match
+        payload = build_vocabulary([["a", "b", "c"]], min_freq=1).to_payload()
+        payload["terms"] = ["a", "b", "a"]
+        with pytest.raises(ValueError, match="terms must not repeat"):
+            Vocabulary.from_payload(payload)
+
 
 class TestIdf:
     def test_known_value(self):

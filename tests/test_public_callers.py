@@ -1,7 +1,9 @@
 """The package keeps no public code for its tests alone: every public
 top-level function and class in `src/gowrank`, and every public method
 and property of a top-level class, is referenced somewhere in the
-package outside its own definition."""
+package outside its own definition.  A method or property counts as
+referenced only through an attribute (`x.name`), so a parameter or local
+that shares its name does not hide a missing caller."""
 
 import ast
 from collections import Counter
@@ -22,17 +24,20 @@ NO_CALLER_NEEDED = {
     "bridged_corpus",
     # argparse calls it on bad usage; the override raises UsageError
     "_Parser.error",
+    # acceptance criterion 3 compares build_graph(...).adjacency.toarray()
+    "DocumentGraph.adjacency",
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """Identifiers that `node`'s code refers to, as a bare name or as an
-    attribute; docstrings are constants and comments are not in the tree,
-    so neither counts."""
+def _names(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """Identifiers that `node`'s code refers to, as an attribute or, unless
+    `attributes_only`, as a bare name; docstrings are constants and
+    comments are not in the tree, so neither counts."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if isinstance(sub, kinds)
     )
 
 
@@ -51,13 +56,16 @@ def _definitions(tree: ast.Module):
 def _public_definitions_without_caller() -> list[str]:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    # everywhere[True] counts attributes only: a method is reached as `x.name`
+    everywhere = {method: sum((_names(t, method) for t in trees.values()), Counter())
+                  for method in (False, True)}
     orphans = []
     for module, tree in trees.items():
         for qualified, node in _definitions(tree):
             if node.name.startswith("_") or qualified in NO_CALLER_NEEDED:
                 continue
-            if everywhere[node.name] - _names(node)[node.name] == 0:
+            method = "." in qualified
+            if everywhere[method][node.name] - _names(node, method)[node.name] == 0:
                 orphans.append(f"{module}:{node.lineno} {qualified}")
     return orphans
 
