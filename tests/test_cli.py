@@ -657,16 +657,17 @@ class TestRepeatedQueryTexts:
         self, repeat_world, tmp_path, monkeypatch
     ):
         retrieved, scored = [], []
+        forward_batch = training.forward_batch
 
         def counted_top_candidates(query, *args):
             retrieved.append(tuple(query.tokens))
             return top_candidates(query, *args)
 
         def counted_forward_batch(docs, *args):
+            # docs holds (graph, features, query) per pool document
             scored.append(tuple(docs[0][2].tokens))
             return forward_batch(docs, *args)
 
-        forward_batch = training.forward_batch
         monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
         monkeypatch.setattr(training, "forward_batch", counted_forward_batch)
         self._rerank(repeat_world, tmp_path / "x.run")
