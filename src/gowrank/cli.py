@@ -11,14 +11,13 @@ import dataclasses
 import json
 import logging
 import os
-import struct
 import sys
 from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_arrays, write_arrays
 from .config import RunConfig, load_config
 from .corpus import (
     TokenizedDoc,
@@ -122,14 +121,11 @@ def _stopword_set(cfg: RunConfig):
     return read_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
 
-# index.bin: a fixed preamble (magic, version, header length), a UTF-8
-# JSON header (vocabulary, sorted doc ids, raw lengths) padded with spaces
-# to a multiple of 8 bytes, then num_docs + 1 int64 offsets and the int32
-# tokens, all little-endian; document r is tokens[offsets[r]:offsets[r + 1]]
-INDEX_FILE = "index.bin"
-INDEX_MAGIC = b"GOWINDEX"
-INDEX_VERSION = 1
-_PREAMBLE = struct.Struct("<8sIQ")
+# index.npz (see artifacts.write_arrays): a JSON header (version,
+# vocabulary, sorted doc ids, raw lengths), num_docs + 1 int64 `offsets`
+# and the int32 `tokens`; document r is tokens[offsets[r]:offsets[r + 1]]
+INDEX_FILE = "index.npz"
+INDEX_VERSION = 2
 
 
 def cmd_index(cfg: RunConfig, args) -> int:
@@ -153,43 +149,26 @@ def cmd_index(cfg: RunConfig, args) -> int:
         tokens.extend(doc.tokens)
         offsets[row] = len(tokens)
         raw_lengths.append(doc.raw_length)
-    header = json.dumps({"vocabulary": vocab.to_payload(), "doc_ids": doc_ids,
-                         "raw_lengths": raw_lengths}, sort_keys=True).encode()
-    header += b" " * (-(_PREAMBLE.size + len(header)) % 8)
-    with atomic_write(out / INDEX_FILE, binary=True) as fh:
-        fh.write(_PREAMBLE.pack(INDEX_MAGIC, INDEX_VERSION, len(header)))
-        fh.write(header)
-        fh.write(offsets)
-        fh.write(np.frombuffer(tokens, dtype=np.intc).astype("<i4", copy=False))
+    header = {"version": INDEX_VERSION, "vocabulary": vocab.to_payload(),
+              "doc_ids": doc_ids, "raw_lengths": raw_lengths}
+    tokens = np.frombuffer(tokens, dtype=np.intc).astype("<i4", copy=False)
+    write_arrays(out / INDEX_FILE, header, {"offsets": offsets, "tokens": tokens})
     print(f"indexed {len(doc_ids)} documents, vocabulary size {len(vocab)}")
     return 0
 
 
 def _read_index(index_dir: str | Path):
-    """The vocabulary and the documents of the `index_dir/index.bin` that
+    """The vocabulary and the documents of the `index_dir/index.npz` that
     `index` wrote, checked once.
 
-    Each document's tokens are a read-only int32 slice of one buffer.
+    Each document's tokens are a read-only int32 slice of one array.
     """
     path = Path(index_dir) / INDEX_FILE
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"{path}: missing; run `gowrank index` to write it "
-                              f"(older versions wrote vocab.json and docs.jsonl)") from exc
-    if len(data) < _PREAMBLE.size or not data.startswith(INDEX_MAGIC):
-        raise DataFormatError(f"{path}: not a gowrank index file")
-    _, version, header_len = _PREAMBLE.unpack_from(data)
-    if version != INDEX_VERSION:
-        raise DataFormatError(f"{path}: index version {version}, expected {INDEX_VERSION}")
-    body = _PREAMBLE.size + header_len
-    if body > len(data):
-        raise DataFormatError(f"{path}: a header of {header_len} bytes runs past "
-                              f"the end of the file ({len(data)} bytes)")
-    # ValueError covers bad JSON and UTF-8; KeyError and TypeError a header
+    header, arrays = read_arrays(path, "gowrank index")
+    # ValueError covers a bad vocabulary; KeyError and TypeError a header
     # without the layout `index` writes
     try:
-        header = json.loads(data[_PREAMBLE.size:body])
+        version = header["version"]
         vocab = Vocabulary.from_payload(header["vocabulary"])
         doc_ids, raw_lengths = header["doc_ids"], header["raw_lengths"]
         if not (isinstance(doc_ids, list) and isinstance(raw_lengths, list)
@@ -197,16 +176,21 @@ def _read_index(index_dir: str | Path):
             raise TypeError("doc_ids and raw_lengths must be lists of one length")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: bad index header: {exc!r}") from exc
+    if version != INDEX_VERSION:
+        raise DataFormatError(f"{path}: index version {version}, expected {INDEX_VERSION}")
 
     def record(r: int) -> str:
         """Document r, named by its 1-based number and its id."""
         return f"{path}: record {r + 1} (doc_id {doc_ids[r]!r})"
 
     num_docs = len(doc_ids)
-    start = body + 8 * (num_docs + 1)
-    if start > len(data):
-        raise DataFormatError(f"{path}: truncated in the offsets of {num_docs} documents")
-    offsets = np.frombuffer(data, "<i8", num_docs + 1, body)
+    offsets, tokens = arrays.get("offsets"), arrays.get("tokens")
+    if not (arrays.keys() == {"offsets", "tokens"}
+            and offsets.dtype == "<i8" and offsets.shape == (num_docs + 1,)
+            and tokens.dtype == "<i4" and tokens.ndim == 1):
+        found = {name: f"{a.dtype}{list(a.shape)}" for name, a in arrays.items()}
+        raise DataFormatError(f"{path}: arrays {found}, expected int64 offsets "
+                              f"[{num_docs + 1}] and int32 tokens")
     if offsets[0] != 0:
         raise DataFormatError(f"{path}: the offsets start at {offsets[0]}, not 0")
     steps = np.diff(offsets)
@@ -214,19 +198,16 @@ def _read_index(index_dir: str | Path):
         bad = int(np.flatnonzero(steps < 0)[0])
         raise DataFormatError(f"{record(bad)}: its offsets {offsets[bad]} .. "
                               f"{offsets[bad + 1]} decrease")
-    need = start + 4 * int(offsets[-1])
-    if need != len(data):
-        what = ("truncated" if need > len(data)
-                else f"{len(data) - need} trailing bytes after the last token")
-        raise DataFormatError(f"{path}: {what}: the offsets of {num_docs} documents "
-                              f"need {need} bytes, the file has {len(data)}")
-    tokens = np.frombuffer(data, "<i4", int(offsets[-1]), start)
+    if offsets[-1] != tokens.size:
+        raise DataFormatError(f"{path}: the offsets of {num_docs} documents end at "
+                              f"{offsets[-1]}, not at the {tokens.size} tokens")
     # one pass for both bounds: a negative id is huge as uint32
     if tokens.size and tokens.view("<u4").max() >= len(vocab):
         pos = int(np.flatnonzero(tokens.view("<u4") >= len(vocab))[0])
         bad = int(np.searchsorted(offsets, pos, side="right")) - 1
         raise DataFormatError(
             f"{record(bad)}: token id {tokens[pos]} outside [0, {len(vocab)})")
+    tokens.flags.writeable = False
     bounds = offsets.tolist()
     docs: dict[str, TokenizedDoc] = {}
     for r, (doc_id, raw_length) in enumerate(zip(doc_ids, raw_lengths)):
@@ -360,6 +341,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds {args.seeds}: at least one seed is needed")
     worst_overall = 0.0
     failed = False
     for spec in GRADCHECK_INSTANCES:

@@ -191,7 +191,8 @@ def evaluate_run(
     Queries present in the run but without judgments are listed under
     `unjudged` and excluded from the means.  Queries judged only with
     grade 0 (so their ideal DCG is 0) are excluded the same way rather
-    than deflating the averages.
+    than deflating the averages.  A run with no judged query has no mean,
+    which is a data error.
     """
     runs = parse_run(run_path)
     qrels = parse_qrels(qrels_path)
@@ -207,19 +208,19 @@ def evaluate_run(
             f"ndcg@{cutoff}": ndcg_at(ranked, judged, cutoff),
             f"p@{cutoff}": precision_at(ranked, judged, cutoff),
         }
-    report = {
+    if not per_query:
+        raise DataFormatError(f"{run_path}: no query of the run has a judgment "
+                              f"above grade 0 in {qrels_path}")
+    keys = [f"ndcg@{cutoff}", f"p@{cutoff}"]
+    return {
         "per_query": per_query,
         "unjudged": unjudged,
         "num_queries": len(per_query),
-        "mean": {},
-    }
-    if per_query:
-        keys = [f"ndcg@{cutoff}", f"p@{cutoff}"]
-        report["mean"] = {
+        "mean": {
             key: sum(q[key] for q in per_query.values()) / len(per_query)
             for key in keys
-        }
-    return report
+        },
+    }
 
 
 def write_report(report: dict, path: str | Path) -> None:

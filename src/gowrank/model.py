@@ -19,9 +19,6 @@ can replay the computation exactly in reverse.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -30,13 +27,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from .artifacts import atomic_write
+from .artifacts import read_arrays, write_arrays
 from .corpus import Query
 from .errors import DataFormatError
 from .graph import BLOCK_NODES, DocumentGraph
 
-CHECKPOINT_MAGIC = b"GOWRANK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -405,96 +401,65 @@ def forward(
 
 # --- checkpoint serialization ---------------------------------------------
 #
-# Layout: magic, then a little-endian uint32 header length, then a JSON
-# header {version, hyper, extra, tensors: [{name, shape}]}, then each
-# tensor's float64 little-endian bytes in manifest order.
+# Layout (see artifacts.write_arrays): a JSON header {version, hyper,
+# extra} and one float64 array per tensor, named as `iter_tensors` names it.
 
 
 def save_checkpoint(
     path: str | Path, params: ModelParams, extra: dict | None = None
 ) -> None:
-    names = []
-    blobs = []
-    for name, tensor in iter_tensors(params):
-        names.append({"name": name, "shape": list(tensor.shape)})
-        blobs.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     header = {
         "version": CHECKPOINT_VERSION,
         "hyper": asdict(params.hyper),
         "extra": extra or {},
-        "tensors": names,
     }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    write_arrays(path, header, {
+        name: np.asarray(tensor, dtype="<f8") for name, tensor in iter_tensors(params)
+    })
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint, validating magic, version, tensor shapes and values."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"{path}: not a model checkpoint")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise DataFormatError(f"{path}: truncated checkpoint header")
-        (header_len,) = struct.unpack("<I", raw_len)
-        # bound the length before reading, so a corrupt field cannot ask
-        # for gigabytes
-        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+    """Read a checkpoint, validating its version, hyperparameters, and each
+    tensor's name, dtype, shape and values."""
+    header, arrays = read_arrays(path, "gowrank train")
+    # TypeError and ValueError cover a header or `extra` that is not an
+    # object and an unknown hyperparameter; KeyError a missing field
+    try:
+        version, extra = header["version"], dict(header["extra"])
+        hyper = HyperParams(**header["hyper"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: bad checkpoint header: {exc!r}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(
+            f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+        )
+    if not (
+        all(isinstance(v, int) for v in vars(hyper).values())
+        and hyper.steps >= 0
+        and hyper.pool_k >= 1
+        and hyper.max_query_len >= 1
+    ):
+        raise DataFormatError(f"{path}: bad hyperparameters {vars(hyper)}")
+    try:
+        params = zero_params(hyper)
+    except (ValueError, MemoryError) as exc:  # sizes too large to allocate
+        raise DataFormatError(
+            f"{path}: bad hyperparameters {vars(hyper)}: {exc!r}"
+        ) from exc
+    expected = dict(iter_tensors(params))
+    if arrays.keys() != expected.keys():
+        raise DataFormatError(
+            f"{path}: unexpected tensors {sorted(arrays.keys() - expected.keys())}, "
+            f"missing tensors {sorted(expected.keys() - arrays.keys())}"
+        )
+    for name, tensor in expected.items():
+        array = arrays[name]
+        if array.dtype != "<f8" or array.shape != tensor.shape:
             raise DataFormatError(
-                f"{path}: truncated checkpoint header "
-                f"({header_len} bytes announced)"
+                f"{path}: tensor {name!r} is {array.dtype} of shape {array.shape}, "
+                f"expected float64 of shape {tensor.shape}"
             )
-        # ValueError covers JSONDecodeError and UnicodeDecodeError; KeyError
-        # and TypeError a header without the layout save_checkpoint writes
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            version, extra = header["version"], dict(header["extra"])
-            hyper = HyperParams(**header["hyper"])
-            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: bad checkpoint header: {exc!r}") from exc
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(
-                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-            )
-        if not (
-            all(isinstance(v, int) for v in vars(hyper).values())
-            and hyper.steps >= 0
-            and hyper.pool_k >= 1
-            and hyper.max_query_len >= 1
-        ):
-            raise DataFormatError(f"{path}: bad hyperparameters {vars(hyper)}")
-        try:
-            params = zero_params(hyper)
-        except (ValueError, MemoryError) as exc:  # sizes too large to allocate
-            raise DataFormatError(
-                f"{path}: bad hyperparameters {vars(hyper)}: {exc!r}"
-            ) from exc
-        # each listed tensor is popped, so a repeated name is rejected too
-        expected = dict(iter_tensors(params))
-        for name, shape in entries:
-            if name not in expected:
-                raise DataFormatError(f"{path}: unexpected or repeated tensor {name!r}")
-            tensor = expected.pop(name)
-            if shape != tensor.shape:
-                raise DataFormatError(
-                    f"{path}: tensor {name!r} has shape {shape}, "
-                    f"expected {tensor.shape}"
-                )
-            raw = fh.read(tensor.size * 8)
-            if len(raw) != tensor.size * 8:
-                raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
-            tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
-            if not np.isfinite(tensor).all():
-                raise DataFormatError(f"{path}: non-finite value in tensor {name!r}")
-        if expected:
-            raise DataFormatError(f"{path}: missing tensors {sorted(expected)}")
-        if fh.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after the last tensor")
+        if not np.isfinite(array).all():
+            raise DataFormatError(f"{path}: non-finite value in tensor {name!r}")
+        tensor[...] = array
     return params, extra

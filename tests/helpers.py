@@ -1,10 +1,12 @@
 """Shared fixtures-by-hand for model, gradient and checkpoint tests."""
 
-import json
-import struct
+import io
+import warnings
+import zipfile
 
 import numpy as np
 
+from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.graph import DocumentGraph, build_graph
 from gowrank.model import HyperParams, ModelParams, init_params, iter_tensors
@@ -83,13 +85,31 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / denom if denom else 0.0
 
 
-def rewrite_checkpoint_header(path, edit, tail=b""):
-    """Replace a checkpoint's JSON header with `edit(header)`, keeping the
-    magic and the tensor bytes, and append `tail` to the file."""
-    data = path.read_bytes()
-    (length,) = struct.unpack("<I", data[8:12])
-    payload = json.dumps(edit(json.loads(data[12 : 12 + length]))).encode("utf-8")
-    path.write_bytes(
-        data[:8] + struct.pack("<I", len(payload)) + payload + data[12 + length :]
-        + tail
-    )
+def rewrite_checkpoint_header(path, edit, members=dict):
+    """Rewrite a checkpoint with `edit(header)` as its header and
+    `members(tensors)` as its arrays, through the package's own writer."""
+    header, arrays = read_arrays(path, "gowrank train")
+    write_arrays(path, edit(header), members(arrays))
+
+
+def npy_bytes(array, tail=b""):
+    """`array` as the bytes of an .npy file, with `tail` appended."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(array), allow_pickle=False)
+    return buf.getvalue() + tail
+
+
+def write_members(path, members):
+    """An uncompressed zip at `path` of the (name, bytes) `members`, as
+    given: names may repeat and bytes need not be one array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zipfile warns of a repeated name
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members:
+                archive.writestr(name, data)
+
+
+def archive_members(path):
+    """The (name, bytes) members of the zip at `path`, in order."""
+    with zipfile.ZipFile(path) as archive:
+        return [(info.filename, archive.read(info)) for info in archive.infolist()]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import helpers
 from gowrank import cli, embeddings, training
+from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.cli import main
 from gowrank.config import load_config
 from gowrank.datagen import bridged_corpus, overfit_corpus
@@ -78,7 +80,7 @@ class TestExitCodes:
         assert rc == 2
         assert (f"{corpus}:2: doc_id 'doc with space' is empty or contains "
                 "whitespace") in capsys.readouterr().err
-        assert not (tmp_path / "index" / "index.bin").exists()
+        assert not (tmp_path / "index" / "index.npz").exists()
 
     def test_bad_config_value_is_data_error(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -119,40 +121,53 @@ def _bad_byte(path, lineno, byte):
     path.write_bytes(b"".join(lines))
 
 
-def _read_index_file(path):
-    """(preamble fields, header, offsets, tokens) of an index.bin, the
-    arrays as writable copies."""
-    data = path.read_bytes()
-    magic, version, header_len = cli._PREAMBLE.unpack_from(data)
-    body = cli._PREAMBLE.size + header_len
-    header = json.loads(data[cli._PREAMBLE.size:body])
-    n = len(header["doc_ids"])
-    offsets = np.frombuffer(data, "<i8", n + 1, body).copy()
-    tokens = np.frombuffer(data, "<i4", offset=body + 8 * (n + 1)).copy()
-    return (magic, version), header, offsets, tokens
-
-
-def _write_index_file(path, preamble, header, offsets, tokens):
-    """The inverse of `_read_index_file`; `header` is an object or raw bytes."""
-    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
-    raw += b" " * (-(cli._PREAMBLE.size + len(raw)) % 8)
-    path.write_bytes(cli._PREAMBLE.pack(*preamble, len(raw)) + raw
-                     + offsets.astype("<i8").tobytes() + tokens.astype("<i4").tobytes())
-
-
 def _edit_index(world, edit):
-    """Rewrite world/index/index.bin with `edit(preamble, header, offsets,
-    tokens)`, which changes its arguments in place or returns new ones."""
-    path = world / "index" / "index.bin"
-    parts = list(_read_index_file(path))
-    _write_index_file(path, *(edit(*parts) or parts))
+    """Rewrite world/index/index.npz with `edit(header, offsets, tokens)`,
+    which changes its arguments in place or returns new ones; a header
+    returned as bytes is stored as those bytes, not as JSON."""
+    path = world / "index" / "index.npz"
+    header, arrays = read_arrays(path, "gowrank index")
+    parts = [header, arrays["offsets"], arrays["tokens"]]
+    header, offsets, tokens = edit(*parts) or parts
+    if isinstance(header, bytes):
+        helpers.write_members(path, [
+            ("header.npy", helpers.npy_bytes(np.frombuffer(header, np.uint8))),
+            ("offsets.npy", helpers.npy_bytes(offsets)),
+            ("tokens.npy", helpers.npy_bytes(tokens))])
+    else:
+        write_arrays(path, header, {"offsets": offsets, "tokens": tokens})
+
+
+def _edit_members(path, edit):
+    """Rewrite the archive at `path` as `edit(name, data)` of each member's
+    (name, bytes)."""
+    helpers.write_members(path, [(name, edit(name, data))
+                                 for name, data in helpers.archive_members(path)])
 
 
 def _old_index_layout(world):
     """The index dir as versions before index.bin left it."""
-    (world / "index" / "index.bin").unlink()
+    (world / "index" / "index.npz").unlink()
     (world / "index" / "vocab.json").write_text('{"terms": []}')
     (world / "index" / "docs.jsonl").write_text('{"doc_id": "o000", "tokens": []}\n')
+
+
+def _old_index_file(world):
+    """The index dir as versions before index.npz left it: a preamble
+    (magic, version, header length) and a JSON header."""
+    (world / "index" / "index.npz").unlink()
+    header = b'{"doc_ids": [], "raw_lengths": []}'
+    (world / "index" / "index.bin").write_bytes(
+        b"GOWINDEX" + struct.pack("<IQ", 1, len(header)) + header + bytes(8))
+
+
+def _old_checkpoint(world):
+    """A checkpoint as versions before the .npz format wrote it: magic, a
+    header length and a JSON header (listing no tensors, so no tensor
+    bytes follow)."""
+    header = b'{"extra": {}, "hyper": {}, "tensors": [], "version": 1}'
+    (world / "model.ckpt").write_bytes(
+        b"GOWRANK1" + struct.pack("<I", len(header)) + header)
 
 
 def _bump_count(line):
@@ -162,7 +177,7 @@ def _bump_count(line):
 
 def _vocabulary_edit(key, edit):
     """Index edit: the vocabulary's `key` becomes `edit(old value)`."""
-    def index_edit(pre, header, offsets, tokens):
+    def index_edit(header, offsets, tokens):
         vocabulary = header["vocabulary"]
         vocabulary[key] = edit(vocabulary[key])
     return lambda world: _edit_index(world, index_edit)
@@ -184,92 +199,105 @@ def _first_value(text):
 
 # (case, file, mutation of the world dir, fragment the message must contain)
 MALFORMED_ARTIFACTS = [
-    ("index-bad-magic", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, *rest: [(b"NOTINDEX", pre[1]), *rest]),
-     "index.bin: not a gowrank index file"),
-    ("index-unknown-version", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, *rest: [(pre[0], 2), *rest]),
-     "index.bin: index version 2, expected 1"),
-    # the file cut 30 bytes into the header, which holds the vocabulary
-    ("vocab-truncated", "index/index.bin",
-     lambda w: (w / "index/index.bin").write_bytes(
-         (w / "index/index.bin").read_bytes()[:cli._PREAMBLE.size + 30]),
-     "index.bin: a header of 2876 bytes runs past the end of the file (50 bytes)"),
-    ("docs-garbage-line", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: [pre, b"{not json", o, t]),
-     "index.bin: bad index header: JSONDecodeError"),
-    ("docs-not-an-object", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: [pre, [1, 2], o, t]),
-     "index.bin: bad index header: TypeError"),
-    ("docs-missing-key", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: [
-         pre, {k: v for k, v in h.items() if k != "doc_ids"}, o, t]),
-     "index.bin: bad index header: KeyError('doc_ids')"),
-    ("index-vocabulary-doc-freq-short", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: h["vocabulary"].__setitem__(
+    # the first member's zip magic PK\x03\x04 overwritten
+    ("index-bad-magic", "index/index.npz",
+     lambda w: (w / "index/index.npz").write_bytes(
+         b"NOTZ" + (w / "index/index.npz").read_bytes()[4:]),
+     "index.npz: unreadable (BadZipFile: Bad magic number for file header); "
+     "run `gowrank index` to write it again"),
+    ("index-unknown-version", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: h.__setitem__("version", 3)),
+     "index.npz: index version 3, expected 2"),
+    # the file cut inside the header member, which holds the vocabulary
+    ("vocab-truncated", "index/index.npz",
+     lambda w: (w / "index/index.npz").write_bytes(
+         (w / "index/index.npz").read_bytes()[:100]),
+     "index.npz: unreadable (BadZipFile: File is not a zip file)"),
+    ("docs-garbage-line", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: [b"{not json", o, t]),
+     "index.npz: unreadable (JSONDecodeError: Expecting property name"),
+    ("docs-not-an-object", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: [[1, 2], o, t]),
+     "index.npz: bad index header: TypeError"),
+    ("docs-missing-key", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: [
+         {k: v for k, v in h.items() if k != "doc_ids"}, o, t]),
+     "index.npz: bad index header: KeyError('doc_ids')"),
+    ("index-vocabulary-doc-freq-short", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: h["vocabulary"].__setitem__(
          "doc_freq", h["vocabulary"]["doc_freq"][:10])),
-     "index.bin: bad index header: ValueError('terms and doc_freq must be lists"),
-    ("index-vocabulary-term-not-a-str", "index/index.bin",
+     "index.npz: bad index header: ValueError('terms and doc_freq must be lists"),
+    ("index-vocabulary-term-not-a-str", "index/index.npz",
      _vocabulary_edit("terms", lambda terms: [7] + terms[1:]),
-     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+     "index.npz: bad index header: TypeError('terms and stopwords must be lists of str"),
     # a query with the term took doc_freq "3" to a TypeError in idf()
-    ("index-vocabulary-doc-freq-a-str", "index/index.bin",
+    ("index-vocabulary-doc-freq-a-str", "index/index.npz",
      _vocabulary_edit("doc_freq", lambda df: ["3"] + df[1:]),
-     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
-    ("index-vocabulary-doc-freq-negative", "index/index.bin",
+     "index.npz: bad index header: TypeError('terms and stopwords must be lists of str"),
+    ("index-vocabulary-doc-freq-negative", "index/index.npz",
      _vocabulary_edit("doc_freq", lambda df: df[:-1] + [-1]),
-     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+     "index.npz: bad index header: TypeError('terms and stopwords must be lists of str"),
     # set("the") would be the stopwords {"t", "h", "e"}
-    ("index-vocabulary-stopwords-a-str", "index/index.bin",
+    ("index-vocabulary-stopwords-a-str", "index/index.npz",
      _vocabulary_edit("stopwords", lambda _: "the"),
-     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
-    ("index-vocabulary-min-freq-not-an-int", "index/index.bin",
+     "index.npz: bad index header: TypeError('terms and stopwords must be lists of str"),
+    ("index-vocabulary-min-freq-not-an-int", "index/index.npz",
      _vocabulary_edit("min_freq", str),
-     "index.bin: bad index header: TypeError('terms and stopwords must be lists of str"),
+     "index.npz: bad index header: TypeError('terms and stopwords must be lists of str"),
     # ["a", "b", "a"] read as {"a": 2, "b": 1}, so id 0 could never match
-    ("index-vocabulary-repeated-term", "index/index.bin",
+    ("index-vocabulary-repeated-term", "index/index.npz",
      _vocabulary_edit("terms", lambda terms: terms[:-1] + terms[:1]),
-     "index.bin: bad index header: ValueError('terms must not repeat')"),
-    ("index-doc-ids-not-a-list", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: h.__setitem__("doc_ids", "o000")),
-     "index.bin: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
-    ("docs-truncated", "index/index.bin",
-     lambda w: (w / "index/index.bin").write_bytes(
-         (w / "index/index.bin").read_bytes()[:-6]),
-     "index.bin: truncated"),
-    ("index-trailing-bytes", "index/index.bin",
-     lambda w: (w / "index/index.bin").write_bytes(
-         (w / "index/index.bin").read_bytes() + b"\x00" * 4),
-     "index.bin: 4 trailing bytes after the last token"),
-    ("index-offsets-decrease", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(3, o[2] - 1)),
-     "index.bin: record 3 (doc_id 'o002'): its offsets 33 .. 32 decrease"),
-    ("index-offsets-not-from-zero", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(0, 1)),
-     "index.bin: the offsets start at 1, not 0"),
-    ("index-offsets-past-token-count", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: o.__setitem__(-1, o[-1] + 1)),
-     "index.bin: truncated"),
+     "index.npz: bad index header: ValueError('terms must not repeat')"),
+    ("index-doc-ids-not-a-list", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: h.__setitem__("doc_ids", "o000")),
+     "index.npz: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
+    # the zip's end record cut short
+    ("docs-truncated", "index/index.npz",
+     lambda w: (w / "index/index.npz").write_bytes(
+         (w / "index/index.npz").read_bytes()[:-6]),
+     "index.npz: unreadable (BadZipFile: File is not a zip file)"),
+    # four bytes after the token array, inside its member
+    ("index-trailing-bytes", "index/index.npz",
+     lambda w: _edit_members(w / "index/index.npz", lambda name, data: (
+         data + b"\x00" * 4 if name == "tokens.npy" else data)),
+     "index.npz: unreadable (ValueError: member 'tokens.npy' has bytes after "
+     "its array)"),
+    ("index-offsets-decrease", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: o.__setitem__(3, o[2] - 1)),
+     "index.npz: record 3 (doc_id 'o002'): its offsets 33 .. 32 decrease"),
+    ("index-offsets-not-from-zero", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: o.__setitem__(0, 1)),
+     "index.npz: the offsets start at 1, not 0"),
+    ("index-offsets-past-token-count", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: o.__setitem__(-1, o[-1] + 1)),
+     "index.npz: the offsets of 40 documents end at 657, not at the 656 tokens"),
+    ("index-tokens-not-int32", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: [h, o, t.astype("<i8")]),
+     "index.npz: arrays {'offsets': 'int64[41]', 'tokens': 'int64[656]'}, "
+     "expected int64 offsets [41] and int32 tokens"),
     # o[r - 1] is the first token of record r: the record lookup is
     # tested at a document boundary
-    ("docs-token-id-too-large", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: t.__setitem__(
+    ("docs-token-id-too-large", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: t.__setitem__(
          o[1], len(h["vocabulary"]["terms"]))),
-     "index.bin: record 2 (doc_id 'o001'): token id 184 outside [0, 184)"),
-    ("docs-token-id-negative", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: t.__setitem__(o[3], -1)),
-     "index.bin: record 4 (doc_id 'o003'): token id -1 outside [0, 184)"),
-    ("docs-duplicate-doc-id", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: h["doc_ids"].__setitem__(
+     "index.npz: record 2 (doc_id 'o001'): token id 184 outside [0, 184)"),
+    ("docs-token-id-negative", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: t.__setitem__(o[3], -1)),
+     "index.npz: record 4 (doc_id 'o003'): token id -1 outside [0, 184)"),
+    ("docs-duplicate-doc-id", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: h["doc_ids"].__setitem__(
          40 - 1, h["doc_ids"][0])),
-     "index.bin: record 40 (doc_id 'o000'): duplicate doc_id"),
-    ("index-doc-id-with-space", "index/index.bin",
-     lambda w: _edit_index(w, lambda pre, h, o, t: h["doc_ids"].__setitem__(
+     "index.npz: record 40 (doc_id 'o000'): duplicate doc_id"),
+    ("index-doc-id-with-space", "index/index.npz",
+     lambda w: _edit_index(w, lambda h, o, t: h["doc_ids"].__setitem__(
          5 - 1, "o 004")),
-     "index.bin: record 5 (doc_id 'o 004'): not a doc id"),
-    ("index-old-layout", "index/index.bin",
+     "index.npz: record 5 (doc_id 'o 004'): not a doc id"),
+    ("index-old-layout", "index/index.npz",
      _old_index_layout,
-     "index.bin: missing"),
+     "index.npz: missing; run `gowrank index` to write it"),
+    ("index-old-format", "index/index.npz",
+     _old_index_file,
+     "index.npz: missing; run `gowrank index` to write it"),
     ("queries-duplicate-id", "queries.tsv",
      lambda w: _append_copy(w / "queries.tsv", 2),
      "queries.tsv:9: duplicate query_id 'q01'"),
@@ -302,10 +330,11 @@ MALFORMED_ARTIFACTS = [
     ("checkpoint-empty-header", "model.ckpt",
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {}),
      "bad checkpoint header: KeyError('version')"),
+    # a member named only ".npy"
     ("checkpoint-entry-without-name", "model.ckpt",
-     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
-         **h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]}),
-     "bad checkpoint header: KeyError('name')"),
+     lambda w: helpers.rewrite_checkpoint_header(
+         w / "model.ckpt", lambda h: h, lambda a: {**a, "": a["out_b"]}),
+     "unexpected tensors [''], missing tensors []"),
     ("checkpoint-unknown-hyper", "model.ckpt",
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
          **h, "hyper": {**h["hyper"], "hidden": 16}}),
@@ -315,18 +344,22 @@ MALFORMED_ARTIFACTS = [
          HyperParams(pool_k=0), np.random.default_rng(0))),
      "bad hyperparameters"),
     ("checkpoint-repeated-tensor", "model.ckpt",
-     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
-         **h, "tensors": h["tensors"] + [{"name": "out_b", "shape": []}]},
-         tail=np.float64(5.0).tobytes()),
-     "unexpected or repeated tensor 'out_b'"),
+     lambda w: helpers.write_members(w / "model.ckpt", helpers.archive_members(
+         w / "model.ckpt") + [("out_b.npy", helpers.npy_bytes(5.0))]),
+     "member 'out_b.npy' is repeated, compressed, encrypted or not .npy"),
     # loaded, it made rerank write `nan` scores that eval then refused
     ("checkpoint-nan-weight", "model.ckpt",
      _nan_weight,
      "model.ckpt: non-finite value in tensor 'out_w'"),
+    # eight bytes after the last tensor's array, inside its member
     ("checkpoint-trailing-bytes", "model.ckpt",
-     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: h,
-                                                 tail=b"\x00" * 8),
-     "trailing bytes after the last tensor"),
+     lambda w: _edit_members(w / "model.ckpt", lambda name, data: (
+         data + b"\x00" * 8 if name == "idf_scale.npy" else data)),
+     "member 'idf_scale.npy' has bytes after its array"),
+    ("checkpoint-old-format", "model.ckpt",
+     _old_checkpoint,
+     "model.ckpt: unreadable (BadZipFile: File is not a zip file); "
+     "run `gowrank train` to write it again"),
 ]
 
 
@@ -385,7 +418,7 @@ def test_tag_with_whitespace_is_usage_error(clean_world, tmp_path, capsys, tag):
 
 def test_index_bytes_are_pinned(tmp_path, capsys):
     """`index` on bridged_corpus(seed=0) at min_freq 1 writes this exact
-    index.bin; rendered as the vocab.json and docs.jsonl that earlier
+    index.npz; rendered as the vocab.json and docs.jsonl that earlier
     versions wrote, it still gives their pinned bytes, so term ids and
     counts cannot move with how they are tallied or stored."""
     bridged_corpus(seed=0).write(tmp_path)
@@ -393,7 +426,7 @@ def test_index_bytes_are_pinned(tmp_path, capsys):
                  "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
     vocab, docs = cli._read_index(tmp_path / "index")
     rendered = {
-        "index.bin": (tmp_path / "index" / "index.bin").read_bytes(),
+        "index.npz": (tmp_path / "index" / "index.npz").read_bytes(),
         "vocab.json": json.dumps(vocab.to_payload(), sort_keys=True).encode(),
         "docs.jsonl": "".join(
             json.dumps({"doc_id": doc.doc_id, "tokens": doc.tokens.tolist(),
@@ -402,7 +435,7 @@ def test_index_bytes_are_pinned(tmp_path, capsys):
     }
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in rendered.items()}
     assert digests == {
-        "index.bin": "703de084e56b46f65d208bc662e8f12937a40afb02708be771f07994c8a2e84a",
+        "index.npz": "28aed14a1b401c4c10ae94b2c1b1ff763848df16550a5e60fa0d5842668c6569",
         "vocab.json": "68b664f886ba063eb11feb01927f933c32414d8f0e1a82c21b7057e92ebddc3c",
         "docs.jsonl": "58c52c295c686e0d4420c38a46eff3b1abbccc0e1ca8ce6e706b8913966694dd",
     }
@@ -450,14 +483,15 @@ def test_input_not_utf8_is_data_error_naming_the_line(
 class TestPipeline:
     def test_index_writes_vocabulary_and_documents(self, workdir):
         assert _run(workdir, "index") == 0
-        assert [p.name for p in (workdir / "index").iterdir()] == ["index.bin"]
+        assert [p.name for p in (workdir / "index").iterdir()] == ["index.npz"]
         vocab, docs = cli._read_index(workdir / "index")
         assert len(vocab) > 0
         assert vocab.min_freq == 1
         assert list(docs) == sorted(docs) and len(docs) == 40
-        # every document is a read-only int32 slice of one buffer
+        # every document is a read-only int32 slice of one buffer (numpy
+        # owns it, so only the slices are read-only)
         buffer = next(iter(docs.values())).tokens.base
-        assert buffer.dtype == np.int32 and not buffer.flags.writeable
+        assert buffer.dtype == np.int32
         assert sum(len(doc.tokens) for doc in docs.values()) == buffer.size
         for doc in docs.values():
             assert doc.tokens.base is buffer
@@ -508,13 +542,28 @@ class TestPipeline:
     def test_eval_missing_run_is_data_error(self, workdir):
         assert _run(workdir, "eval", "--run", str(workdir / "ghost.run")) == 2
 
+    def test_eval_of_a_run_with_no_judged_query_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\n")
+        (tmp_path / "r.run").write_text("zzz Q0 d1 1 0.5 tag\n")
+        rc = main(["eval", "--run", str(tmp_path / "r.run"),
+                   "--qrels", str(tmp_path / "qrels.txt"),
+                   "--report-out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert (f"{tmp_path / 'r.run'}: no query of the run has a judgment above "
+                f"grade 0 in {tmp_path / 'qrels.txt'}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path):
         good = tmp_path / "good.ckpt"
         save_checkpoint(good, init_params(HyperParams(), np.random.default_rng(0)))
         data = good.read_bytes()
-        garbled = data[:12] + b"\xff" + data[13:]
+        mid = len(data) // 2
+        garbled = data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:]
         bad = tmp_path / "bad.ckpt"
-        # junk, cut in the header-length field, cut in the header, bad header
+        # junk, cut in the first zip header, cut in the header member, one
+        # bit flipped in the tensor bytes
         for content in (b"not a checkpoint at all", data[:10], data[:40], garbled):
             bad.write_bytes(content)
             rc = _run(workdir, "rerank", "--checkpoint", str(bad),
@@ -582,6 +631,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert out.count("max rel err") == 4  # three instances + overall
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seed_is_usage_error(self, capsys, seeds):
+        assert main(["gradcheck", "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert f"usage error: --seeds {seeds}: at least one seed is needed" in err
+        assert out == ""
 
 
 # (query id, title) appended to the overfit collection's queries: each

@@ -497,7 +497,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
-        with pytest.raises(DataFormatError, match="not a model checkpoint"):
+        with pytest.raises(DataFormatError, match="unreadable .BadZipFile: File is not a zip"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
@@ -506,35 +506,49 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
         data = path.read_bytes()
-        # cut inside the tensor data, the header-length field and the header
+        # cut inside the end-of-archive record, the first member's zip
+        # header and the header member
         for cut in (len(data) - 16, 10, 40):
             path.write_bytes(data[:cut])
-            with pytest.raises(DataFormatError, match="truncated"):
+            with pytest.raises(DataFormatError, match="unreadable .BadZipFile"):
                 load_checkpoint(path)
 
+    # (header edit, edit of the tensor members or a raw rewrite, fragment of
+    # the message)
     @pytest.mark.parametrize(
-        "edit, tail",
+        "edit, members, fragment",
         [
-            (lambda h: {}, b""),
-            (lambda h: [h], b""),
-            (lambda h: {k: v for k, v in h.items() if k != "version"}, b""),
-            (lambda h: {k: v for k, v in h.items() if k != "hyper"}, b""),
-            (lambda h: {k: v for k, v in h.items() if k != "tensors"}, b""),
-            (lambda h: {k: v for k, v in h.items() if k != "extra"}, b""),
-            (lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}}, b""),
-            (lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}}, b""),
-            (lambda h: {**h, "tensors": [{"shape": [8, 8]}] + h["tensors"][1:]}, b""),
-            (lambda h: {**h, "tensors": [{"name": "layer0.msg_w"}] + h["tensors"][1:]},
-             b""),
-            (lambda h: {**h, "tensors": 5}, b""),
-            (lambda h: {**h, "extra": 5}, b""),
-            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": -1}}, b""),
-            (lambda h: {**h, "hyper": {**h["hyper"], "pool_k": 0}}, b""),
-            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": 2**40}}, b""),
-            # the repeated entry's bytes are there, so only the name is wrong
-            (lambda h: {**h, "tensors": h["tensors"] + [{"name": "out_b", "shape": []}]},
-             np.float64(5.0).tobytes()),
-            (lambda h: h, b"\x00" * 8),
+            (lambda h: {}, dict, "bad checkpoint header: KeyError('version')"),
+            (lambda h: [h], dict, "bad checkpoint header: TypeError"),
+            (lambda h: {k: v for k, v in h.items() if k != "version"}, dict,
+             "bad checkpoint header: KeyError('version')"),
+            (lambda h: {k: v for k, v in h.items() if k != "hyper"}, dict,
+             "bad checkpoint header: KeyError('hyper')"),
+            (lambda h: h, lambda a: {}, "unexpected tensors [], missing tensors ['idf_scale'"),
+            (lambda h: {k: v for k, v in h.items() if k != "extra"}, dict,
+             "bad checkpoint header: KeyError('extra')"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}}, dict,
+             "bad checkpoint header: TypeError"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}}, dict,
+             "bad hyperparameters"),
+            # a member named only ".npy"
+            (lambda h: h, lambda a: {**a, "": a["out_b"]},
+             "unexpected tensors [''], missing tensors []"),
+            (lambda h: h, lambda a: {**a, "layer0.msg_w": a["layer0.msg_w"].ravel()},
+             "tensor 'layer0.msg_w' is float64 of shape (64,), expected float64 of "
+             "shape (8, 8)"),
+            (lambda h: h, lambda a: {**a, "out_w": a["out_w"].astype("<f4")},
+             "tensor 'out_w' is float32 of shape (40,), expected float64"),
+            (lambda h: {**h, "extra": 5}, dict, "bad checkpoint header: TypeError"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": -1}}, dict,
+             "bad hyperparameters"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "pool_k": 0}}, dict,
+             "bad hyperparameters"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": 2**40}}, dict,
+             "bad hyperparameters"),
+            (lambda h: h, "repeated",
+             "member 'out_b.npy' is repeated, compressed, encrypted or not .npy"),
+            (lambda h: h, "trailing", "member 'out_w.npy' has bytes after its array"),
         ],
         ids=["empty", "not-object", "no-version", "no-hyper", "no-tensors",
              "no-extra", "unknown-hyper", "string-hyper", "entry-no-name",
@@ -542,21 +556,31 @@ class TestCheckpoint:
              "negative-hyper", "zero-pool-k", "huge-hyper", "repeated-tensor",
              "trailing-bytes"],
     )
-    def test_malformed_header_names_path(self, tmp_path, edit, tail):
+    def test_malformed_header_names_path(self, tmp_path, edit, members, fragment):
         params = helpers.random_params(np.random.default_rng(114), HyperParams())
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        helpers.rewrite_checkpoint_header(path, edit, tail)
-        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        raw = helpers.archive_members(path)
+        if members == "repeated":
+            helpers.write_members(path, raw + [("out_b.npy", helpers.npy_bytes(5.0))])
+        elif members == "trailing":
+            helpers.write_members(path, [
+                (name, data + b"\x00" * 8 if name == "out_w.npy" else data)
+                for name, data in raw])
+        else:
+            helpers.rewrite_checkpoint_header(path, edit, members)
+        with pytest.raises(DataFormatError) as info:
             load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert fragment in str(info.value)
 
     # whole-file digests of the format: a change to how the header is
     # assembled must not move a byte of any checkpoint
     @pytest.mark.parametrize(
         "per_step, digest",
         [
-            (False, "9b2563a7209458d2fcf6bfc91734d4ded194bde891ce97c6c0aa34065de8dad4"),
-            (True, "17f35e14c9c5e11b827df9dbef6212aecec8fad9ffe8ae211dfb35efa479ac79"),
+            (False, "537143bf6e77dec7cb17d4a59d3d813225206c3c5fea45592ce55c18107fb7cd"),
+            (True, "4554afd3a9d08638df7041c9562d3a56969d63408bfe79fba877bd7ebf3f102a"),
         ],
         ids=["shared", "per-step"],
     )
