@@ -159,10 +159,8 @@ def cmd_index(cfg: RunConfig, args) -> int:
 
 def _read_index(index_dir: str | Path):
     """The vocabulary and the documents of the `index_dir/index.npz` that
-    `index` wrote, checked once.
-
-    Each document's tokens are a read-only int32 slice of one array.
-    """
+    `index` wrote, checked once; each document's tokens are a read-only
+    int32 slice of one array."""
     path = Path(index_dir) / INDEX_FILE
     header, arrays = read_arrays(path, "gowrank index")
     # ValueError covers a bad vocabulary; KeyError and TypeError a header
@@ -208,6 +206,8 @@ def _read_index(index_dir: str | Path):
         raise DataFormatError(
             f"{record(bad)}: token id {tokens[pos]} outside [0, {len(vocab)})")
     tokens.flags.writeable = False
+    if tokens.base is not None:  # read_array reshapes: lock the owner too
+        tokens.base.flags.writeable = False
     bounds = offsets.tolist()
     docs: dict[str, TokenizedDoc] = {}
     for r, (doc_id, raw_length) in enumerate(zip(doc_ids, raw_lengths)):

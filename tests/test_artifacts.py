@@ -41,14 +41,17 @@ def _params():
                        np.random.default_rng(0))
 
 
+# name: (writer that fails midway, the exception it raises)
 WRITERS = {
-    "atomic_write": _raise_mid_write,
+    "atomic_write": (_raise_mid_write, RuntimeError),
     # the second query's block raises after the first block is written
-    "run": lambda path: write_run(path, {"q1": [("d1", 1.0)], "q2": _Boom()}, "t"),
+    "run": (lambda path: write_run(path, {"q1": [("d1", 1.0)], "q2": _Boom()}, "t"),
+            RuntimeError),
     # json.dump streams the first key before the unserializable value
-    "report": lambda path: write_report({"a": 1, "b": object()}, path),
+    "report": (lambda path: write_report({"a": 1, "b": object()}, path), TypeError),
     # the header member is written before the object array is refused
-    "arrays": lambda path: write_arrays(path, {}, {"a": np.array([None])}),
+    "arrays": (lambda path: write_arrays(path, {}, {"a": np.array([None])}),
+               ValueError),
 }
 
 
@@ -83,8 +86,9 @@ class TestAtomicWrite:
     def test_failed_writer_keeps_old_bytes(self, tmp_path, writer):
         path = tmp_path / "artifact"
         path.write_bytes(b"old bytes\n")
-        with pytest.raises((RuntimeError, TypeError, ValueError)):
-            WRITERS[writer](path)
+        write, error = WRITERS[writer]
+        with pytest.raises(error):
+            write(path)
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 

@@ -123,19 +123,12 @@ def _bad_byte(path, lineno, byte):
 
 def _edit_index(world, edit):
     """Rewrite world/index/index.npz with `edit(header, offsets, tokens)`,
-    which changes its arguments in place or returns new ones; a header
-    returned as bytes is stored as those bytes, not as JSON."""
+    which changes its arguments in place or returns new ones."""
     path = world / "index" / "index.npz"
     header, arrays = read_arrays(path, "gowrank index")
     parts = [header, arrays["offsets"], arrays["tokens"]]
     header, offsets, tokens = edit(*parts) or parts
-    if isinstance(header, bytes):
-        helpers.write_members(path, [
-            ("header.npy", helpers.npy_bytes(np.frombuffer(header, np.uint8))),
-            ("offsets.npy", helpers.npy_bytes(offsets)),
-            ("tokens.npy", helpers.npy_bytes(tokens))])
-    else:
-        write_arrays(path, header, {"offsets": offsets, "tokens": tokens})
+    write_arrays(path, header, {"offsets": offsets, "tokens": tokens})
 
 
 def _edit_members(path, edit):
@@ -214,7 +207,9 @@ MALFORMED_ARTIFACTS = [
          (w / "index/index.npz").read_bytes()[:100]),
      "index.npz: unreadable (BadZipFile: File is not a zip file)"),
     ("docs-garbage-line", "index/index.npz",
-     lambda w: _edit_index(w, lambda h, o, t: [b"{not json", o, t]),
+     lambda w: _edit_members(w / "index/index.npz", lambda name, data: (
+         helpers.npy_bytes(np.frombuffer(b"{not json", np.uint8))
+         if name == "header.npy" else data)),
      "index.npz: unreadable (JSONDecodeError: Expecting property name"),
     ("docs-not-an-object", "index/index.npz",
      lambda w: _edit_index(w, lambda h, o, t: [[1, 2], o, t]),
@@ -488,10 +483,9 @@ class TestPipeline:
         assert len(vocab) > 0
         assert vocab.min_freq == 1
         assert list(docs) == sorted(docs) and len(docs) == 40
-        # every document is a read-only int32 slice of one buffer (numpy
-        # owns it, so only the slices are read-only)
+        # every document is a read-only int32 slice of one buffer
         buffer = next(iter(docs.values())).tokens.base
-        assert buffer.dtype == np.int32
+        assert buffer.dtype == np.int32 and not buffer.flags.writeable
         assert sum(len(doc.tokens) for doc in docs.values()) == buffer.size
         for doc in docs.values():
             assert doc.tokens.base is buffer
