@@ -36,7 +36,7 @@ from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
 from .model import load_checkpoint
 from .retrieval import build_index, top_candidates, write_run
-from .training import ScoringContext, grad_check, score_pool, train
+from .training import ScoringContext, grad_check, rank_pools, train
 
 log = logging.getLogger(__name__)
 
@@ -254,24 +254,26 @@ def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params):
     """Re-score the first-stage pool for every query; returns run dict.
 
     A pool and its scores depend only on the query's token ids, so ids
-    that repeat a text share one pool and one scoring (None: no match).
+    that repeat a text share the pool of its first id; every pool is
+    scored in one call.
     """
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
-    ranked, by_text = {}, {}
+    pools, first_of, pool_id = {}, {}, {}  # first_of: text -> its first id
     for qid in sorted(queries):
         tokens = tuple(queries[qid].tokens)
         if not tokens:
             log.warning("query %s has no indexed terms; skipped", qid)
             continue
-        if tokens not in by_text:
-            pool = top_candidates(queries[qid], index, cfg.candidates)
-            by_text[tokens] = score_pool(ctx, qid, pool, params) if pool else None
-        if by_text[tokens] is None:
+        if tokens not in first_of:
+            first_of[tokens] = qid
+            pools[qid] = top_candidates(queries[qid], index, cfg.candidates)
+        if not pools[first_of[tokens]]:
             log.warning("query %s matched no documents; skipped", qid)
             continue
         ctx.warn_truncated(qid, params.hyper.max_query_len)
-        ranked[qid] = by_text[tokens]
-    return ranked
+        pool_id[qid] = first_of[tokens]
+    ranked = rank_pools(ctx, pools, params)
+    return {qid: ranked[first] for qid, first in pool_id.items()}
 
 
 def cmd_rerank(cfg: RunConfig, args) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, fields
@@ -104,8 +105,8 @@ class RunConfig:
             raise DataFormatError(f"max_query_len must be >= 1, got {self.max_query_len}")
         if self.candidates < 1:
             raise DataFormatError(f"candidates must be >= 1, got {self.candidates}")
-        if not self.lr > 0:
-            raise DataFormatError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataFormatError(f"lr must be finite and > 0, got {self.lr}")
         if self.min_freq < 1:
             raise DataFormatError(f"min_freq must be >= 1, got {self.min_freq}")
         if self.epochs < 0:
@@ -118,6 +119,10 @@ class RunConfig:
             )
         if self.folds < 2:
             raise DataFormatError(f"folds must be >= 2, got {self.folds}")
+        if not 0 <= self.fold_rotation < self.folds:
+            raise DataFormatError(
+                f"fold_rotation must be in [0, folds={self.folds}), got {self.fold_rotation}"
+            )
         self._warn_off_grid()
 
     def _warn_off_grid(self) -> None:

@@ -9,7 +9,7 @@ gradient over every document of a block in the same stacked products.
 Gradients flow only through the paths the forward pass actually took:
 selected top-k entries, the leading parameter blocks of the m scored
 query columns, and the documents of active hinges.  Validation and
-reranking score a whole candidate pool in one call without recording.
+reranking score all their candidate pools in one call without recording.
 """
 
 from __future__ import annotations
@@ -323,17 +323,27 @@ class ScoringContext:
         return forward_batch(docs, params, record)
 
 
+def rank_pools(
+    ctx: ScoringContext, pools: dict[str, list[tuple[str, float]]], params: ModelParams
+) -> dict[str, list[tuple[str, float]]]:
+    """Re-score every (query id: candidate pool) in one batched call; each
+    pool comes back in (-score, doc_id) order."""
+    rel, _ = ctx.score(
+        [(qid, doc_id) for qid, pool in pools.items() for doc_id, _ in pool], params
+    )
+    scores = iter(rel.tolist())
+    ranked = {}
+    for qid, pool in pools.items():
+        rescored = [(doc_id, next(scores)) for doc_id, _ in pool]
+        ranked[qid] = sorted(rescored, key=lambda pair: (-pair[1], pair[0]))
+    return ranked
+
+
 def score_pool(
-    ctx: ScoringContext,
-    qid: str,
-    pool: list[tuple[str, float]],
-    params: ModelParams,
+    ctx: ScoringContext, qid: str, pool: list[tuple[str, float]], params: ModelParams
 ) -> list[tuple[str, float]]:
-    """Re-score a candidate pool in one batched call; (-score, doc_id) order."""
-    rel, _ = ctx.score([(qid, doc_id) for doc_id, _ in pool], params)
-    rescored = [(doc_id, value) for (doc_id, _), value in zip(pool, rel.tolist())]
-    rescored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return rescored
+    """`rank_pools` of one pool."""
+    return rank_pools(ctx, {qid: pool}, params)[qid]
 
 
 def _validation_ndcg(
@@ -342,15 +352,16 @@ def _validation_ndcg(
     pools: dict[str, list[tuple[str, float]]],
     qrels: QRels,
     val_qids: list[str],
+    epoch: int,
     cutoff: int = 20,
 ) -> float:
-    values = []
-    for qid in val_qids:
-        judged = qrels.get(qid)
-        if not judged or max(judged.values()) == 0:
-            continue
-        ranked = [doc for doc, _ in score_pool(ctx, qid, pools[qid], params)]
-        values.append(ndcg_at(ranked, judged, cutoff))
+    """Mean nDCG@cutoff over the judged validation queries, every pool
+    scored in one call; a query with an empty pool counts 0."""
+    judged = [q for q in val_qids if qrels.get(q) and max(qrels[q].values()) > 0]
+    ranked = rank_pools(ctx, {qid: pools[qid] for qid in judged}, params)
+    if not np.isfinite([v for pool in ranked.values() for _, v in pool]).all():
+        raise NumericalError(f"epoch {epoch}: non-finite validation score")
+    values = [ndcg_at([d for d, _ in ranked[q]], qrels[q], cutoff) for q in judged]
     return sum(values) / len(values) if values else 0.0
 
 
@@ -409,6 +420,8 @@ def train(
                 params,
                 record=True,
             )
+            if not np.isfinite(rel).all():
+                raise NumericalError(f"epoch {epoch}: non-finite training score")
             batch_losses, d_rel = pairwise_hinge(rel)
             losses.extend(batch_losses.tolist())
             correct += int(np.count_nonzero(rel[0::2] > rel[1::2]))
@@ -418,7 +431,7 @@ def train(
             adam_step(params, tape, state)
 
         val = (
-            _validation_ndcg(ctx, params, pools, qrels, val_qids)
+            _validation_ndcg(ctx, params, pools, qrels, val_qids, epoch)
             if have_validation
             else 0.0
         )

@@ -87,6 +87,18 @@ class TestExitCodes:
         conf.write_text("adjacency_mode = diagonal\n")
         assert main(["index", "--config", str(conf)]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "inf", "lr must be finite and > 0, got inf"),
+        ("--fold-rotation", "99", "fold_rotation must be in [0, folds=5), got 99"),
+        ("--fold-rotation", "-1", "fold_rotation must be in [0, folds=5), got -1"),
+    ])
+    def test_out_of_range_value_is_data_error_naming_its_key(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        assert main(["train", flag, value, "--log-out", str(tmp_path / "t.log")]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "t.log").exists()
+
 
 @pytest.fixture(scope="module")
 def clean_world(tmp_path_factory):
@@ -715,7 +727,7 @@ class TestRepeatedQueryTexts:
 
         def counted_forward_batch(docs, *args):
             # docs holds (graph, features, query) per pool document
-            scored.append(tuple(docs[0][2].tokens))
+            scored.append({tuple(query.tokens) for _, _, query in docs})
             return forward_batch(docs, *args)
 
         monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
@@ -725,8 +737,9 @@ class TestRepeatedQueryTexts:
         texts = {tuple(q.tokens) for q in queries.values() if q.tokens}
         assert len(texts) < len(queries)
         assert sorted(retrieved) == sorted(texts)
+        # every matched text's pool, in one call for the whole command
         unmatched = tuple(queries["none1"].tokens)
-        assert sorted(scored) == sorted(texts - {unmatched})
+        assert scored == [texts - {unmatched}]
 
     def test_truncation_warned_for_each_id_of_a_long_text(
         self, repeat_world, tmp_path, caplog
@@ -737,6 +750,19 @@ class TestRepeatedQueryTexts:
                   if "keeping the first" in r.getMessage()]
         assert warned == ["query long1 has 10 terms; keeping the first 8",
                           "query long2 has 10 terms; keeping the first 8"]
+
+    def test_warnings_follow_the_sorted_ids(self, repeat_world, tmp_path, caplog):
+        # a truncation is warned in the loop over ids, not when the pools
+        # are scored after it, so long1's warning precedes none1's
+        with caplog.at_level(logging.WARNING):
+            self._rerank(repeat_world, tmp_path / "x.run")
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.WARNING] == [
+            "query long1 has 10 terms; keeping the first 8",
+            "query long2 has 10 terms; keeping the first 8",
+            "query none1 matched no documents; skipped",
+            "query none2 matched no documents; skipped",
+        ]
 
     def test_unmatched_text_warned_for_each_id(self, repeat_world, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):

@@ -17,6 +17,7 @@ from gowrank.config import RunConfig, seed_stream
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
+from gowrank.evaluation import ndcg_at
 from gowrank.graph import build_graphs, interaction_matrix
 from gowrank.model import (
     HyperParams,
@@ -41,6 +42,7 @@ from gowrank.training import (
     grad_check,
     hinge_loss,
     pairwise_hinge,
+    rank_pools,
     sample_triplets,
     score_pool,
     train,
@@ -595,6 +597,86 @@ class TestScoringContext:
             assert scores["nb2"] == scores["z-nb2"]
 
 
+class TestRankPools:
+    """Every pool of a validation pass or a rerank is scored in one call,
+    and ranked exactly as it would be alone."""
+
+    def _world(self):
+        docs, queries, qrels, index, emb = _tiny_world()
+        # copies tie with their sources exactly, so (-score, doc_id)
+        # order is exercised as well as the scores
+        for source in ("pa1", "nb2"):
+            docs[f"z-{source}"] = TokenizedDoc(f"z-{source}", list(docs[source].tokens), 9)
+        queries["mixed"] = Query("mixed", [0, 1, 2], np.array([1.2, 1.4, 0.9]))
+        params = helpers.random_params(
+            np.random.default_rng(43), HyperParams(steps=2, pool_k=4, max_query_len=8)
+        )
+        return docs, queries, qrels, emb, params
+
+    def test_matches_score_pool_per_pool(self):
+        docs, queries, _, emb, params = self._world()
+        pools = {
+            "qa": [(d, 0.0) for d in ("pa1", "z-pa1", "na0", "pa0", "nb2")],
+            "empty": [],
+            # pa0 and nb2 are in two pools each, under other queries
+            "mixed": [(d, 0.0) for d in ("nb2", "pa0", "z-nb2", "pb0")],
+            "qb": [(d, 0.0) for d in ("z-nb2", "nb2", "pa0")],
+        }
+        ranked = rank_pools(ScoringContext(docs, queries, emb, 3, "graph"), pools, params)
+        assert list(ranked) == list(pools)
+        for qid, pool in pools.items():
+            alone = score_pool(ScoringContext(docs, queries, emb, 3, "graph"),
+                               qid, pool, params)
+            assert ranked[qid] == alone
+        assert ranked["empty"] == []
+        scores = dict(ranked["qa"])
+        assert scores["pa1"] == scores["z-pa1"]
+        order = [d for d, _ in ranked["qa"]]
+        assert order.index("pa1") + 1 == order.index("z-pa1")
+        scores = dict(ranked["mixed"])
+        assert scores["nb2"] == scores["z-nb2"]
+
+    def test_validation_ndcg_is_the_per_query_mean(self):
+        docs, queries, qrels, emb, params = self._world()
+        qrels = dict(qrels, mixed={"pa0": 1, "pb0": 2}, dry={"pa0": 0},
+                     lost={"pa1": 1})
+        queries["dry"] = queries["lost"] = queries["qb"]
+        pools = {
+            "qa": [(d, 0.0) for d in sorted(qrels["qa"])],
+            "qb": [(d, 0.0) for d in sorted(qrels["qb"]) + ["z-nb2"]],
+            "mixed": [(d, 0.0) for d in ("nb2", "pa0", "z-nb2", "pb0")],
+            "dry": [("pa0", 0.0)],
+            "lost": [],
+        }
+        val_qids = ["qb", "lost", "dry", "mixed", "qa"]
+        values = []
+        for qid in val_qids:  # dry has no relevant doc; lost counts 0
+            if max(qrels[qid].values()) > 0:
+                ctx = ScoringContext(docs, queries, emb, 3, "graph")
+                ranked = [d for d, _ in score_pool(ctx, qid, pools[qid], params)]
+                values.append(ndcg_at(ranked, qrels[qid], 20))
+        assert len(values) == 4 and values[1] == 0.0
+        ctx = ScoringContext(docs, queries, emb, 3, "graph")
+        mean = training._validation_ndcg(ctx, params, pools, qrels, val_qids, epoch=1)
+        assert mean == sum(values) / len(values)
+
+    def test_one_forward_per_validation_epoch(self, monkeypatch):
+        docs, queries, qrels, index, emb = _tiny_world()
+        calls = []
+        forward_batch = training.forward_batch
+
+        def counted(batch, params, record=False):
+            calls.append(record)
+            return forward_batch(batch, params, record)
+
+        monkeypatch.setattr(training, "forward_batch", counted)
+        cfg = _tiny_config(epochs=3)
+        train(docs, queries, qrels, index, emb, cfg,
+              train_qids=["qa", "qb"], val_qids=["qa", "qb"])
+        assert calls.count(False) == cfg.epochs
+        assert calls.count(True) == cfg.epochs * cfg.steps_per_epoch
+
+
 class TestTrainLoop:
     def test_log_schema_and_length(self, tmp_path):
         docs, queries, qrels, index, emb = _tiny_world()
@@ -666,6 +748,23 @@ class TestTrainLoop:
         pool = [(doc_id, 0.0) for doc_id in sorted(qrels["qa"])]
         ranked = [doc for doc, _ in score_pool(ctx, "qa", pool, params)]
         assert all(doc.startswith("p") for doc in ranked[:4]), ranked
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("steps_per_epoch, stage", [(2, "training"),
+                                                         (1, "validation")])
+    def test_nonfinite_score_raises_and_writes_nothing(
+        self, tmp_path, steps_per_epoch, stage
+    ):
+        # an infinite step turns every weight with a zero gradient into
+        # NaN, whose scores leave every hinge inactive: the gradients stay
+        # finite zeros, so only the scores show the failure
+        docs, queries, qrels, index, emb = _tiny_world()
+        cfg = _tiny_config(lr=math.inf, steps_per_epoch=steps_per_epoch)
+        with pytest.raises(NumericalError, match=f"epoch 1: non-finite {stage} score"):
+            train(docs, queries, qrels, index, emb, cfg,
+                  train_qids=["qa", "qb"], val_qids=["qa"],
+                  log_path=tmp_path / "train.log", checkpoint_path=tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_qrels_raises(self):
         docs, queries, qrels, index, emb = _tiny_world()
