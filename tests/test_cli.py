@@ -515,6 +515,16 @@ class TestPipeline:
         ]
         assert [r["epoch"] for r in records] == [1, 2, 3]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_training_exits_3_writing_nothing(self, repeat_world, tmp_path,
+                                                        capsys):
+        # a finite but huge step overflows the weights, then the scores
+        log, ckpt = str(tmp_path / "t.log"), str(tmp_path / "m.ckpt")
+        assert _run(repeat_world, "train", "--lr", "1e308", "--log-out", log,
+                    "--checkpoint", ckpt) == 3
+        assert "numerical failure: epoch 1: non-finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerank_scores_exactly_the_first_stage_pool(self, workdir):
         run_path = workdir / "rerank.run"
         assert _run(workdir, "rerank", "--run-out", str(run_path)) == 0

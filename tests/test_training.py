@@ -504,6 +504,21 @@ def _tiny_config(**overrides):
     return RunConfig(**base)
 
 
+def _tied_world():
+    """`_tiny_world` plus copies of pa1 and nb2, which tie with them
+    exactly, so the (-score, doc_id) order is exercised as well as the
+    scores; a three-term query; and random two-step parameters."""
+    docs, queries, qrels, _, emb = _tiny_world()
+    for source in ("pa1", "nb2"):
+        copy = f"z-{source}"
+        docs[copy] = TokenizedDoc(copy, list(docs[source].tokens), 9)
+    queries["mixed"] = Query("mixed", [0, 1, 2], np.array([1.2, 1.4, 0.9]))
+    params = helpers.random_params(
+        np.random.default_rng(41), HyperParams(steps=2, pool_k=4, max_query_len=8)
+    )
+    return docs, queries, qrels, emb, params
+
+
 class TestScoringContext:
     def test_truncation_warned_once_per_query(self, caplog):
         docs, queries, _, _, emb = _tiny_world()
@@ -569,17 +584,8 @@ class TestScoringContext:
         assert first.tolist() == second.tolist()
 
     def test_pool_scored_at_once_ranks_as_one_at_a_time(self):
-        # copies of two documents tie with them exactly, so the (-score,
-        # doc_id) order is exercised as well as the scores
-        docs, queries, _, _, emb = _tiny_world()
-        for source in ("pa1", "nb2"):
-            copy = f"z-{source}"
-            docs[copy] = TokenizedDoc(copy, list(docs[source].tokens), 9)
-        queries["mixed"] = Query("mixed", [0, 1, 2], np.array([1.2, 1.4, 0.9]))
+        docs, queries, _, emb, params = _tied_world()
         ctx = ScoringContext(docs, queries, emb, 3, "graph")
-        params = helpers.random_params(
-            np.random.default_rng(41), HyperParams(steps=2, pool_k=4, max_query_len=8)
-        )
         pool = [(doc_id, 0.0) for doc_id in sorted(docs)]
         for qid in ("qa", "mixed"):
             ranked = score_pool(ctx, qid, pool, params)
@@ -601,22 +607,10 @@ class TestRankPools:
     """Every pool of a validation pass or a rerank is scored in one call,
     and ranked exactly as it would be alone."""
 
-    def _world(self):
-        docs, queries, qrels, index, emb = _tiny_world()
-        # copies tie with their sources exactly, so (-score, doc_id)
-        # order is exercised as well as the scores
-        for source in ("pa1", "nb2"):
-            docs[f"z-{source}"] = TokenizedDoc(f"z-{source}", list(docs[source].tokens), 9)
-        queries["mixed"] = Query("mixed", [0, 1, 2], np.array([1.2, 1.4, 0.9]))
-        params = helpers.random_params(
-            np.random.default_rng(43), HyperParams(steps=2, pool_k=4, max_query_len=8)
-        )
-        return docs, queries, qrels, emb, params
-
     def test_matches_score_pool_per_pool(self):
-        docs, queries, _, emb, params = self._world()
+        docs, queries, _, emb, params = _tied_world()
         pools = {
-            "qa": [(d, 0.0) for d in ("pa1", "z-pa1", "na0", "pa0", "nb2")],
+            "qa": [(d, 0.0) for d in ("z-pa1", "na0", "pa1", "pa0", "nb2")],
             "empty": [],
             # pa0 and nb2 are in two pools each, under other queries
             "mixed": [(d, 0.0) for d in ("nb2", "pa0", "z-nb2", "pb0")],
@@ -637,7 +631,7 @@ class TestRankPools:
         assert scores["nb2"] == scores["z-nb2"]
 
     def test_validation_ndcg_is_the_per_query_mean(self):
-        docs, queries, qrels, emb, params = self._world()
+        docs, queries, qrels, emb, params = _tied_world()
         qrels = dict(qrels, mixed={"pa0": 1, "pb0": 2}, dry={"pa0": 0},
                      lost={"pa1": 1})
         queries["dry"] = queries["lost"] = queries["qb"]
