@@ -12,16 +12,13 @@ import json
 import logging
 import os
 import sys
-from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write, read_arrays, write_arrays
+from .artifacts import atomic_write
 from .config import RunConfig, load_config
 from .corpus import (
-    TokenizedDoc,
-    Vocabulary,
     build_vocabulary,
     default_stopwords,
     encode_document,
@@ -34,9 +31,12 @@ from .corpus import (
 from .embeddings import load_embeddings
 from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
+from .gradcheck import grad_check
+from .indexfile import read_index, write_index
 from .model import load_checkpoint
 from .retrieval import build_index, top_candidates, write_run
-from .training import ScoringContext, grad_check, rank_pools, train
+from .scoring import ScoringContext, rank_pools
+from .training import train
 
 log = logging.getLogger(__name__)
 
@@ -121,13 +121,6 @@ def _stopword_set(cfg: RunConfig):
     return read_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
 
-# index.npz (see artifacts.write_arrays): a JSON header (version,
-# vocabulary, sorted doc ids, raw lengths), num_docs + 1 int64 `offsets`
-# and the int32 `tokens`; document r is tokens[offsets[r]:offsets[r + 1]]
-INDEX_FILE = "index.npz"
-INDEX_VERSION = 2
-
-
 def cmd_index(cfg: RunConfig, args) -> int:
     tokenized = {doc_id: tokenize(text) for doc_id, text in read_corpus(cfg.corpus)}
     out = Path(cfg.index_dir)
@@ -139,89 +132,16 @@ def cmd_index(cfg: RunConfig, args) -> int:
         count_documents=cfg.min_freq_mode == "docs",
     )
     doc_ids = sorted(tokenized)
-    # one growing buffer, never every document's id list at once; each
-    # document's strings go as its ids come, so the peak does not rise
-    tokens = array("i")
-    offsets = np.zeros(len(doc_ids) + 1, dtype="<i8")
-    raw_lengths = []
-    for row, doc_id in enumerate(doc_ids, start=1):
-        doc = encode_document(vocab, doc_id, tokenized.pop(doc_id))
-        tokens.extend(doc.tokens)
-        offsets[row] = len(tokens)
-        raw_lengths.append(doc.raw_length)
-    header = {"version": INDEX_VERSION, "vocabulary": vocab.to_payload(),
-              "doc_ids": doc_ids, "raw_lengths": raw_lengths}
-    tokens = np.frombuffer(tokens, dtype=np.intc).astype("<i4", copy=False)
-    write_arrays(out / INDEX_FILE, header, {"offsets": offsets, "tokens": tokens})
+    # each document's strings go as its ids come, so the peak does not rise
+    write_index(out, vocab, (encode_document(vocab, doc_id, tokenized.pop(doc_id))
+                             for doc_id in doc_ids))
     print(f"indexed {len(doc_ids)} documents, vocabulary size {len(vocab)}")
     return 0
 
 
-def _read_index(index_dir: str | Path):
-    """The vocabulary and the documents of the `index_dir/index.npz` that
-    `index` wrote, checked once; each document's tokens are a read-only
-    int32 slice of one array."""
-    path = Path(index_dir) / INDEX_FILE
-    header, arrays = read_arrays(path, "gowrank index")
-    # ValueError covers a bad vocabulary; KeyError and TypeError a header
-    # without the layout `index` writes
-    try:
-        version = header["version"]
-        vocab = Vocabulary.from_payload(header["vocabulary"])
-        doc_ids, raw_lengths = header["doc_ids"], header["raw_lengths"]
-        if not (isinstance(doc_ids, list) and isinstance(raw_lengths, list)
-                and len(doc_ids) == len(raw_lengths)):
-            raise TypeError("doc_ids and raw_lengths must be lists of one length")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: bad index header: {exc!r}") from exc
-    if version != INDEX_VERSION:
-        raise DataFormatError(f"{path}: index version {version}, expected {INDEX_VERSION}")
-
-    def record(r: int) -> str:
-        """Document r, named by its 1-based number and its id."""
-        return f"{path}: record {r + 1} (doc_id {doc_ids[r]!r})"
-
-    num_docs = len(doc_ids)
-    offsets, tokens = arrays.get("offsets"), arrays.get("tokens")
-    if not (arrays.keys() == {"offsets", "tokens"}
-            and offsets.dtype == "<i8" and offsets.shape == (num_docs + 1,)
-            and tokens.dtype == "<i4" and tokens.ndim == 1):
-        found = {name: f"{a.dtype}{list(a.shape)}" for name, a in arrays.items()}
-        raise DataFormatError(f"{path}: arrays {found}, expected int64 offsets "
-                              f"[{num_docs + 1}] and int32 tokens")
-    if offsets[0] != 0:
-        raise DataFormatError(f"{path}: the offsets start at {offsets[0]}, not 0")
-    steps = np.diff(offsets)
-    if num_docs and steps.min() < 0:
-        bad = int(np.flatnonzero(steps < 0)[0])
-        raise DataFormatError(f"{record(bad)}: its offsets {offsets[bad]} .. "
-                              f"{offsets[bad + 1]} decrease")
-    if offsets[-1] != tokens.size:
-        raise DataFormatError(f"{path}: the offsets of {num_docs} documents end at "
-                              f"{offsets[-1]}, not at the {tokens.size} tokens")
-    # one pass for both bounds: a negative id is huge as uint32
-    if tokens.size and tokens.view("<u4").max() >= len(vocab):
-        pos = int(np.flatnonzero(tokens.view("<u4") >= len(vocab))[0])
-        bad = int(np.searchsorted(offsets, pos, side="right")) - 1
-        raise DataFormatError(
-            f"{record(bad)}: token id {tokens[pos]} outside [0, {len(vocab)})")
-    tokens.flags.writeable = False
-    if tokens.base is not None:  # read_array reshapes: lock the owner too
-        tokens.base.flags.writeable = False
-    bounds = offsets.tolist()
-    docs: dict[str, TokenizedDoc] = {}
-    for r, (doc_id, raw_length) in enumerate(zip(doc_ids, raw_lengths)):
-        if not isinstance(doc_id, str) or doc_id.split() != [doc_id]:
-            raise DataFormatError(f"{record(r)}: not a doc id")
-        if doc_id in docs:
-            raise DataFormatError(f"{record(r)}: duplicate doc_id")
-        docs[doc_id] = TokenizedDoc(doc_id, tokens[bounds[r]:bounds[r + 1]], raw_length)
-    return vocab, docs
-
-
 def _load_world(cfg: RunConfig):
     """Everything downstream commands need, rebuilt from the index dir."""
-    vocab, docs = _read_index(cfg.index_dir)
+    vocab, docs = read_index(cfg.index_dir)
     queries = {
         qid: make_query(vocab, qid, tokenize(title))
         for qid, title in read_queries(cfg.queries)
@@ -345,6 +265,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds {args.seeds}: at least one seed is needed")
+    if not 0.0 < args.tolerance < float("inf"):
+        raise UsageError(f"--tolerance {args.tolerance}: must be finite and > 0")
     worst_overall = 0.0
     failed = False
     for spec in GRADCHECK_INSTANCES:
@@ -382,7 +304,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _make_config(args)
-        return _DISPATCH[args.command](cfg, args)
+        # every numeric output is checked for finiteness; numpy's warnings repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

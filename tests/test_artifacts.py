@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli
+from gowrank import cli, indexfile
 from gowrank.artifacts import atomic_write, read_arrays, write_arrays
 from gowrank.datagen import overfit_corpus
 from gowrank.errors import DataFormatError
@@ -240,7 +240,7 @@ def _damaged(data: bytes, seed: int):
 
 
 def _index_content(path):
-    vocab, docs = cli._read_index(path.parent)
+    vocab, docs = indexfile.read_index(path.parent)
     return vocab.to_payload(), [(d.doc_id, d.tokens.tolist(), d.raw_length)
                                 for d in docs.values()]
 

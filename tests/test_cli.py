@@ -6,13 +6,14 @@ import json
 import logging
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli, embeddings, training
+from gowrank import cli, embeddings, indexfile, scoring
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.cli import main
 from gowrank.config import load_config
@@ -431,7 +432,7 @@ def test_index_bytes_are_pinned(tmp_path, capsys):
     bridged_corpus(seed=0).write(tmp_path)
     assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
                  "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
-    vocab, docs = cli._read_index(tmp_path / "index")
+    vocab, docs = indexfile.read_index(tmp_path / "index")
     rendered = {
         "index.npz": (tmp_path / "index" / "index.npz").read_bytes(),
         "vocab.json": json.dumps(vocab.to_payload(), sort_keys=True).encode(),
@@ -491,7 +492,7 @@ class TestPipeline:
     def test_index_writes_vocabulary_and_documents(self, workdir):
         assert _run(workdir, "index") == 0
         assert [p.name for p in (workdir / "index").iterdir()] == ["index.npz"]
-        vocab, docs = cli._read_index(workdir / "index")
+        vocab, docs = indexfile.read_index(workdir / "index")
         assert len(vocab) > 0
         assert vocab.min_freq == 1
         assert list(docs) == sorted(docs) and len(docs) == 40
@@ -515,13 +516,15 @@ class TestPipeline:
         ]
         assert [r["epoch"] for r in records] == [1, 2, 3]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_training_exits_3_writing_nothing(self, repeat_world, tmp_path,
                                                         capsys):
         # a finite but huge step overflows the weights, then the scores
         log, ckpt = str(tmp_path / "t.log"), str(tmp_path / "m.ckpt")
-        assert _run(repeat_world, "train", "--lr", "1e308", "--log-out", log,
-                    "--checkpoint", ckpt) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(repeat_world, "train", "--lr", "1e308", "--log-out", log,
+                        "--checkpoint", ckpt) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "numerical failure: epoch 1: non-finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -614,20 +617,20 @@ class TestConfigPrecedence:
         idx = tmp_path / "idx_flag"
         rc = _run(workdir, "index", "--min-freq", "3", "--index-dir", str(idx))
         assert rc == 0
-        vocab = cli._read_index(idx)[0]
+        vocab = indexfile.read_index(idx)[0]
         assert vocab.min_freq == 3
 
     def test_env_beats_file_but_not_flag(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("GOWRANK_MIN_FREQ", "2")
         idx = tmp_path / "idx_env"
         assert _run(workdir, "index", "--index-dir", str(idx)) == 0
-        vocab = cli._read_index(idx)[0]
+        vocab = indexfile.read_index(idx)[0]
         assert vocab.min_freq == 2
 
         idx2 = tmp_path / "idx_env_flag"
         assert _run(workdir, "index", "--min-freq", "4",
                     "--index-dir", str(idx2)) == 0
-        vocab = cli._read_index(idx2)[0]
+        vocab = indexfile.read_index(idx2)[0]
         assert vocab.min_freq == 4
 
     def test_off_grid_value_warned_once(self, workdir, tmp_path, caplog):
@@ -653,6 +656,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seeds", seeds]) == 1
         out, err = capsys.readouterr()
         assert f"usage error: --seeds {seeds}: at least one seed is needed" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1"])
+    def test_tolerance_not_above_zero_is_usage_error(self, capsys, tolerance):
+        assert main(["gradcheck", "--tolerance", tolerance]) == 1
+        out, err = capsys.readouterr()
+        assert f"usage error: --tolerance {float(tolerance)}: must be finite and > 0" in err
         assert out == ""
 
 
@@ -714,9 +724,9 @@ class TestRepeatedQueryTexts:
         for qid in sorted(queries):
             pool = top_candidates(queries[qid], index, cfg.candidates)
             if queries[qid].tokens and pool:
-                ctx = training.ScoringContext(docs, queries, emb, cfg.window,
-                                              cfg.adjacency_mode)
-                oracle[qid] = training.score_pool(ctx, qid, pool, params)
+                ctx = scoring.ScoringContext(docs, queries, emb, cfg.window,
+                                             cfg.adjacency_mode)
+                oracle[qid] = scoring.score_pool(ctx, qid, pool, params)
         write_run(tmp_path / "oracle.run", oracle, "gowrank")
         lines = self._rerank(repeat_world, tmp_path / "x.run")
         assert lines == (tmp_path / "oracle.run").read_text().splitlines()
@@ -729,7 +739,7 @@ class TestRepeatedQueryTexts:
         self, repeat_world, tmp_path, monkeypatch
     ):
         retrieved, scored = [], []
-        forward_batch = training.forward_batch
+        forward_batch = scoring.forward_batch
 
         def counted_top_candidates(query, *args):
             retrieved.append(tuple(query.tokens))
@@ -741,7 +751,7 @@ class TestRepeatedQueryTexts:
             return forward_batch(docs, *args)
 
         monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
-        monkeypatch.setattr(training, "forward_batch", counted_forward_batch)
+        monkeypatch.setattr(scoring, "forward_batch", counted_forward_batch)
         self._rerank(repeat_world, tmp_path / "x.run")
         queries = cli._load_world(load_config(repeat_world / "run.conf"))[2]
         texts = {tuple(q.tokens) for q in queries.values() if q.tokens}

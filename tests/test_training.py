@@ -30,10 +30,9 @@ from gowrank.model import (
     readout,
     score,
 )
-from gowrank import training
+from gowrank import scoring, training
 from gowrank.retrieval import build_index
 from gowrank.training import (
-    FD_STEP,
     AdamState,
     ScoringContext,
     Triplet,
@@ -528,7 +527,7 @@ class TestScoringContext:
             HyperParams(steps=1, pool_k=4, max_query_len=8),
             np.random.default_rng(0),
         )
-        with caplog.at_level(logging.WARNING, logger="gowrank.training"):
+        with caplog.at_level(logging.WARNING, logger="gowrank.scoring"):
             ctx.score([("long", "pa0"), ("long", "na0")], params)
             ctx.score([("long", "pb0")], params)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -550,7 +549,7 @@ class TestScoringContext:
             assert (window, mode) == (3, "sequence")
             return build_graphs(batch, window, mode)
 
-        monkeypatch.setattr(training, "build_graphs", counted)
+        monkeypatch.setattr(scoring, "build_graphs", counted)
         # pa0 in three pairs under two queries, na0 in two
         ctx.score([("qa", "pa0"), ("qb", "pa0"), ("qa", "na0"), ("qa", "pa0"),
                    ("qb", "na0"), ("qb", "pb0")], params)
@@ -576,7 +575,7 @@ class TestScoringContext:
             calls.append(query.query_id)
             return interaction_matrix(graph, query, emb)
 
-        monkeypatch.setattr(training, "interaction_matrix", counted)
+        monkeypatch.setattr(scoring, "interaction_matrix", counted)
         pool = sorted(docs)
         first, _ = ctx.score([("qa", doc_id) for doc_id in pool], params)
         second, _ = ctx.score([("qa2", doc_id) for doc_id in pool], params)
@@ -657,13 +656,13 @@ class TestRankPools:
     def test_one_forward_per_validation_epoch(self, monkeypatch):
         docs, queries, qrels, index, emb = _tiny_world()
         calls = []
-        forward_batch = training.forward_batch
+        forward_batch = scoring.forward_batch
 
         def counted(batch, params, record=False):
             calls.append(record)
             return forward_batch(batch, params, record)
 
-        monkeypatch.setattr(training, "forward_batch", counted)
+        monkeypatch.setattr(scoring, "forward_batch", counted)
         cfg = _tiny_config(epochs=3)
         train(docs, queries, qrels, index, emb, cfg,
               train_qids=["qa", "qb"], val_qids=["qa", "qb"])
