@@ -281,7 +281,7 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
         print(f"{shape:<24} max rel err {worst:.3e}  "
               f"{'ok' if ok else 'FAIL'}")
     print(f"overall max rel err {worst_overall:.3e} "
-          f"({'PASS' if not failed else 'FAIL'} at {args.tolerance:.0e})")
+          f"({'PASS' if not failed else 'FAIL'} at {args.tolerance})")
     if failed:
         raise NumericalError("gradient check exceeded tolerance")
     return 0
@@ -313,8 +313,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, FileNotFoundError, NotADirectoryError,
-            IsADirectoryError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,6 +87,10 @@ class RunConfig:
     fold_rotation: int = 0
 
     def validate(self) -> None:
+        for key in ("corpus", "queries", "qrels", "embeddings", "index_dir",
+                    "checkpoint", "stopwords"):
+            if "\0" in getattr(self, key):
+                raise DataFormatError(f"{key} path holds a NUL byte: {getattr(self, key)!r}")
         if self.adjacency_mode not in ("graph", "sequence", "zero"):
             raise DataFormatError(
                 f"adjacency_mode must be graph|sequence|zero, got {self.adjacency_mode!r}"

@@ -19,7 +19,9 @@ can replay the computation exactly in reverse.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
+from math import prod
 from pathlib import Path
 from typing import Iterator
 
@@ -78,8 +80,9 @@ class ModelParams:
     `layers` has one entry normally (weights shared across steps) or
     `steps` entries when per-step weights are enabled.  `out_w`/`out_b`
     map a pooled k-vector to a scalar per-term score; `idf_scale` is the
-    gate temperature.  Gradients and Adam moments use the same container,
-    so they always have the parameters' layout.
+    gate temperature.  Every tensor is a view of the one float64 vector
+    `flat` (see `zero_params`), and gradients use the same container, so
+    whole-model arithmetic is arithmetic on `flat`.
     """
 
     hyper: HyperParams
@@ -87,25 +90,13 @@ class ModelParams:
     out_w: np.ndarray  # (pool_k,)
     out_b: np.ndarray  # scalar, kept 0-d for uniform tape handling
     idf_scale: np.ndarray  # scalar
-
-    def map(self, fn) -> "ModelParams":
-        """New parameters holding fn(tensor) for every tensor, same layout."""
-        return ModelParams(
-            hyper=replace(self.hyper),
-            layers=[
-                LayerParams(**{k: fn(v) for k, v in vars(layer).items()})
-                for layer in self.layers
-            ],
-            out_w=fn(self.out_w),
-            out_b=fn(self.out_b),
-            idf_scale=fn(self.idf_scale),
-        )
+    flat: np.ndarray
 
     def copy(self) -> "ModelParams":
-        return self.map(np.copy)
+        return zero_params(self.hyper, self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return self.map(np.zeros_like)
+        return zero_params(self.hyper)
 
 
 _LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
@@ -142,19 +133,25 @@ def leading_block(layer: LayerParams, m: int) -> LayerParams:
     )
 
 
-def zero_params(hyper: HyperParams) -> ModelParams:
-    """All-zero parameters; the one place that fixes each tensor's shape."""
+def zero_params(hyper: HyperParams, flat: np.ndarray | None = None) -> ModelParams:
+    """Parameters whose tensors are views of `flat` (zeros when None), laid
+    out in `iter_tensors` order; the one place that fixes each tensor's
+    shape.  The scalars are 0-d views, so `+=` on them writes through."""
     m = hyper.max_query_len
-    shapes = {f: (m,) if f.startswith("b_") else (m, m) for f in _LAYER_FIELDS}
+    shapes = [(m,) if f.startswith("b_") else (m, m) for f in _LAYER_FIELDS]
+    shapes = shapes * hyper.num_layers() + [(hyper.pool_k,), (), ()]
+    ends = list(accumulate(map(prod, shapes), initial=0))
+    if flat is None:
+        flat = np.zeros(ends[-1])
+    views = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+    n = len(_LAYER_FIELDS)
     return ModelParams(
         hyper=hyper,
-        layers=[
-            LayerParams(**{f: np.zeros(shape) for f, shape in shapes.items()})
-            for _ in range(hyper.num_layers())
-        ],
-        out_w=np.zeros(hyper.pool_k),
-        out_b=np.array(0.0),
-        idf_scale=np.array(0.0),
+        layers=[LayerParams(*views[i : i + n]) for i in range(0, len(views) - 3, n)],
+        out_w=views[-3],
+        out_b=views[-2],
+        idf_scale=views[-1],
+        flat=flat,
     )
 
 

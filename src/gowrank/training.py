@@ -142,7 +142,7 @@ def backward(traces: list[ForwardTrace], d_rel: np.ndarray) -> ModelParams:
 
 
 class AdamState:
-    """Adam's learning rate, step count, and moments laid out like the params."""
+    """Adam's learning rate, step count, and moments laid out like `params.flat`."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -151,29 +151,26 @@ class AdamState:
     def __init__(self, params: ModelParams, lr: float = 0.001):
         self.lr = lr
         self.step = 0
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
 
 def adam_step(params: ModelParams, tape: ModelParams, state: AdamState) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction; a non-finite gradient
+    raises, naming its tensor, before anything changes."""
+    if not np.isfinite(tape.flat).all():
+        name = next(n for n, grad in iter_tensors(tape) if not np.isfinite(grad).all())
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for (name, tensor), (_, grad), (_, m), (_, v) in zip(
-        iter_tensors(params),
-        iter_tensors(tape),
-        iter_tensors(state.m),
-        iter_tensors(state.v),
-    ):
-        if not np.isfinite(grad).all():
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        tensor -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    grad, m, v = tape.flat, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 @dataclass
@@ -220,14 +217,12 @@ def usable_queries(
 
 
 def sample_triplets(
-    qrels: QRels,
-    pools: dict[str, list[tuple[str, float]]],
+    usable: dict[str, tuple[list[str], list[str]]],
     rng: np.random.Generator,
     count: int,
-    judged_only: bool = False,
 ) -> list[Triplet]:
-    """Uniformly sample (query, positive, negative) triplets."""
-    usable = usable_queries(qrels, pools, judged_only)
+    """Uniformly sample (query, positive, negative) triplets from the
+    (positives, negatives) that `usable_queries` returns."""
     if not usable:
         raise DataFormatError(
             "no trainable queries: every query lacks positives or negatives"
@@ -303,15 +298,12 @@ def train(
     have_validation = bool(val_qids)
     records: list[dict] = []
     per_epoch = cfg.batch * cfg.steps_per_epoch
+    usable = usable_queries(
+        qrels, {q: pools[q] for q in train_qids}, cfg.judged_negatives_only
+    )
 
     for epoch in range(1, cfg.epochs + 1):
-        triplets = sample_triplets(
-            qrels,
-            {q: pools[q] for q in train_qids},
-            sampler,
-            per_epoch,
-            cfg.judged_negatives_only,
-        )
+        triplets = sample_triplets(usable, sampler, per_epoch)
         losses = []
         correct = 0
         for start in range(0, len(triplets), cfg.batch):
@@ -327,8 +319,7 @@ def train(
             losses.extend(batch_losses.tolist())
             correct += int(np.count_nonzero(rel[0::2] > rel[1::2]))
             tape = backward(traces, d_rel)
-            for _, grad in iter_tensors(tape):
-                grad *= 1.0 / len(batch)
+            tape.flat *= 1.0 / len(batch)
             adam_step(params, tape, state)
 
         val = (

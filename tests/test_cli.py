@@ -64,6 +64,14 @@ class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["index", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_overlong_file_name_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / ("x" * 300)
+        assert main(["index", "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert "File name too long" in err
+        assert str(corpus) in err
+        assert "Traceback" not in err
+
     def test_duplicate_doc_id_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"doc_id": "d1", "text": "a b"}\n' * 2)
@@ -650,6 +658,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert out.count("max rel err") == 4  # three instances + overall
+
+    def test_prints_the_tolerance_it_checked_against(self, capsys):
+        main(["gradcheck", "--seeds", "1", "--tolerance", "1.5e-5"])
+        assert "at 1.5e-05)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_seed_is_usage_error(self, capsys, seeds):

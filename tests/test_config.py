@@ -126,6 +126,12 @@ class TestLoadConfig:
         with pytest.raises(DataFormatError, match="steps"):
             load_config(None, overrides={"steps": -1}, env={})
 
+    def test_nul_in_path_is_data_error(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("corpus = a\0b\n")
+        with pytest.raises(DataFormatError, match="corpus path holds a NUL byte"):
+            load_config(p, env={})
+
     def test_off_grid_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="gowrank.config"):
             load_config(None, overrides={"window": 21}, env={})

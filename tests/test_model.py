@@ -17,7 +17,6 @@ from gowrank.graph import DocumentGraph, build_graph, build_graphs, normalize_ad
 from gowrank.model import (
     HyperParams,
     LayerParams,
-    ModelParams,
     forward,
     gate_weights,
     gru_update,
@@ -459,13 +458,10 @@ class TestForward:
         )
         assert len(params.layers) == 2
         rel, _ = forward(graph, S, query, params)
-        shared = ModelParams(
-            hyper=HyperParams(steps=2, pool_k=4, max_query_len=8),
-            layers=[params.layers[0]],
-            out_w=params.out_w,
-            out_b=params.out_b,
-            idf_scale=params.idf_scale,
-        )
+        shared = zero_params(HyperParams(steps=2, pool_k=4, max_query_len=8))
+        tensors = dict(iter_tensors(params))
+        for name, tensor in iter_tensors(shared):
+            tensor[...] = tensors[name]
         rel_shared, _ = forward(graph, S, query, shared)
         assert rel != rel_shared
 

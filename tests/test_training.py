@@ -379,6 +379,23 @@ class TestAdam:
         with pytest.raises(NumericalError, match="layer0.w_up"):
             adam_step(params, tape, state)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(25)
+        params = init_params(HyperParams(steps=1, pool_k=3, max_query_len=8), rng)
+        state = AdamState(params)
+        adam_step(params, self._tape_like(params, rng=rng), state)
+        before = {name: t.copy() for name, t in iter_tensors(params)}
+        m, v = state.m.copy(), state.v.copy()
+        tape = self._tape_like(params, rng=rng)
+        tape.idf_scale[...] = np.nan
+        with pytest.raises(NumericalError, match="'idf_scale'"):
+            adam_step(params, tape, state)
+        for name, tensor in iter_tensors(params):
+            npt.assert_array_equal(tensor, before[name])
+        npt.assert_array_equal(state.m, m)
+        npt.assert_array_equal(state.v, v)
+        assert state.step == 1
+
 
 class TestTripletSampling:
     POOLS = {
@@ -392,30 +409,32 @@ class TestTripletSampling:
 
     def test_positives_come_from_the_pool(self):
         rng = np.random.default_rng(30)
-        triplets = sample_triplets(self.QRELS, {"q1": self.POOLS["q1"]}, rng, 200)
+        triplets = sample_triplets(usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 200)
         assert {t.pos_doc for t in triplets} == {"d1"}
 
     def test_negatives_include_unjudged_by_default(self):
         rng = np.random.default_rng(31)
-        triplets = sample_triplets(self.QRELS, {"q1": self.POOLS["q1"]}, rng, 400)
+        triplets = sample_triplets(usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 400)
         assert {t.neg_doc for t in triplets} == {"d2", "d3"}
 
     def test_judged_only_excludes_unjudged(self):
         rng = np.random.default_rng(32)
         triplets = sample_triplets(
-            self.QRELS, {"q1": self.POOLS["q1"]}, rng, 200, judged_only=True
+            usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}, judged_only=True),
+            rng,
+            200,
         )
         assert {t.neg_doc for t in triplets} == {"d2"}
 
     def test_fallback_to_judged_relevant_outside_pool(self):
         rng = np.random.default_rng(33)
-        triplets = sample_triplets(self.QRELS, {"q2": self.POOLS["q2"]}, rng, 100)
+        triplets = sample_triplets(usable_queries(self.QRELS, {"q2": self.POOLS["q2"]}), rng, 100)
         assert {t.pos_doc for t in triplets} == {"d9"}
         assert {t.neg_doc for t in triplets} == {"d4", "d5"}
 
     def test_both_queries_get_sampled(self):
         rng = np.random.default_rng(34)
-        triplets = sample_triplets(self.QRELS, self.POOLS, rng, 300)
+        triplets = sample_triplets(usable_queries(self.QRELS, self.POOLS), rng, 300)
         assert {t.query_id for t in triplets} == {"q1", "q2"}
         assert len(triplets) == 300
 
@@ -430,11 +449,12 @@ class TestTripletSampling:
     def test_no_usable_queries_raises(self):
         rng = np.random.default_rng(35)
         with pytest.raises(DataFormatError, match="no trainable queries"):
-            sample_triplets({"q3": {"d1": 1}}, {"q3": [("d1", 1.0)]}, rng, 8)
+            sample_triplets(usable_queries({"q3": {"d1": 1}}, {"q3": [("d1", 1.0)]}), rng, 8)
 
     def test_same_seed_same_triplets(self):
-        a = sample_triplets(self.QRELS, self.POOLS, np.random.default_rng(36), 50)
-        b = sample_triplets(self.QRELS, self.POOLS, np.random.default_rng(36), 50)
+        usable = usable_queries(self.QRELS, self.POOLS)
+        a = sample_triplets(usable, np.random.default_rng(36), 50)
+        b = sample_triplets(usable, np.random.default_rng(36), 50)
         assert a == b
 
 
@@ -686,6 +706,17 @@ class TestTrainLoop:
             assert isinstance(record["mean_loss"], float)
         lines = log_path.read_text().splitlines()
         assert [json.loads(line) for line in lines] == records
+
+    def test_excluded_query_logged_once_per_run(self, caplog):
+        docs, queries, qrels, index, emb = _tiny_world()
+        qrels["qb"] = {doc: grade for doc, grade in qrels["qb"].items() if grade > 0}
+        cfg = _tiny_config(epochs=3, judged_negatives_only=True)
+        with caplog.at_level(logging.INFO, logger="gowrank.training"):
+            train(docs, queries, qrels, index, emb, cfg,
+                  train_qids=["qa", "qb"], val_qids=[])
+        excluded = [r.getMessage() for r in caplog.records
+                    if "excluded from sampling" in r.getMessage()]
+        assert excluded == ["query qb excluded from sampling (4 positives, 0 negatives)"]
 
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
         docs, queries, qrels, index, emb = _tiny_world()
