@@ -409,12 +409,16 @@ class TestTripletSampling:
 
     def test_positives_come_from_the_pool(self):
         rng = np.random.default_rng(30)
-        triplets = sample_triplets(usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 200)
+        triplets = sample_triplets(
+            usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 200
+        )
         assert {t.pos_doc for t in triplets} == {"d1"}
 
     def test_negatives_include_unjudged_by_default(self):
         rng = np.random.default_rng(31)
-        triplets = sample_triplets(usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 400)
+        triplets = sample_triplets(
+            usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 400
+        )
         assert {t.neg_doc for t in triplets} == {"d2", "d3"}
 
     def test_judged_only_excludes_unjudged(self):
@@ -428,7 +432,9 @@ class TestTripletSampling:
 
     def test_fallback_to_judged_relevant_outside_pool(self):
         rng = np.random.default_rng(33)
-        triplets = sample_triplets(usable_queries(self.QRELS, {"q2": self.POOLS["q2"]}), rng, 100)
+        triplets = sample_triplets(
+            usable_queries(self.QRELS, {"q2": self.POOLS["q2"]}), rng, 100
+        )
         assert {t.pos_doc for t in triplets} == {"d9"}
         assert {t.neg_doc for t in triplets} == {"d4", "d5"}
 
@@ -449,7 +455,9 @@ class TestTripletSampling:
     def test_no_usable_queries_raises(self):
         rng = np.random.default_rng(35)
         with pytest.raises(DataFormatError, match="no trainable queries"):
-            sample_triplets(usable_queries({"q3": {"d1": 1}}, {"q3": [("d1", 1.0)]}), rng, 8)
+            sample_triplets(
+                usable_queries({"q3": {"d1": 1}}, {"q3": [("d1", 1.0)]}), rng, 8
+            )
 
     def test_same_seed_same_triplets(self):
         usable = usable_queries(self.QRELS, self.POOLS)
@@ -716,7 +724,9 @@ class TestTrainLoop:
                   train_qids=["qa", "qb"], val_qids=[])
         excluded = [r.getMessage() for r in caplog.records
                     if "excluded from sampling" in r.getMessage()]
-        assert excluded == ["query qb excluded from sampling (4 positives, 0 negatives)"]
+        assert excluded == [
+            "query qb excluded from sampling (4 positives, 0 negatives)"
+        ]
 
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
         docs, queries, qrels, index, emb = _tiny_world()
