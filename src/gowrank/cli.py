@@ -64,13 +64,9 @@ def _common_flags() -> _Parser:
     group.add_argument("--config", default=None, metavar="FILE",
                        help="flat key = value config file")
     for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        if field.type == "bool":
-            group.add_argument(flag, dest=field.name, default=None,
-                               action=argparse.BooleanOptionalAction)
-        else:
-            kind = {"int": int, "float": float, "str": str}[field.type]
-            group.add_argument(flag, dest=field.name, default=None, type=kind)
+        kind = {"int": int, "float": float, "str": str}[field.type]
+        group.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                           default=None, type=kind)
     return common
 
 
@@ -148,7 +144,7 @@ def _load_world(cfg: RunConfig):
     }
     emb = load_embeddings(cfg.embeddings, vocab)
     index = build_index(docs.values())
-    return vocab, docs, queries, emb, index
+    return docs, queries, emb, index
 
 
 def _split(cfg: RunConfig, queries):
@@ -156,7 +152,7 @@ def _split(cfg: RunConfig, queries):
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    _, docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
     _, records = train(
@@ -200,7 +196,7 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
     # the tag is the last whitespace-separated field of every run line
     if args.tag.split() != [args.tag]:
         raise UsageError(f"--tag {args.tag!r} is empty or contains whitespace")
-    _, docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index = _load_world(cfg)
     params, extra = load_checkpoint(cfg.checkpoint)
     for key in ("window", "adjacency_mode"):
         if key in extra and extra[key] != getattr(cfg, key):
@@ -227,7 +223,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
 

@@ -69,14 +69,12 @@ class RunConfig:
     pool_k: int = 40
     max_query_len: int = 8
     adjacency_mode: str = "graph"  # graph | sequence | zero
-    per_step_weights: bool = False
 
     # training
     lr: float = 0.001
     epochs: int = 300
     batch: int = 16
     steps_per_epoch: int = 32
-    judged_negatives_only: bool = False
 
     # retrieval
     candidates: int = 100
@@ -136,21 +134,9 @@ class RunConfig:
                 log.warning("%s=%s is outside the tuned range [%s, %s]", key, val, lo, hi)
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
 def _coerce(name: str, raw: str, target_type: type):
-    raw = raw.strip()
-    if target_type is bool:
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise DataFormatError(f"{name}: expected a boolean, got {raw!r}")
     try:
-        return target_type(raw)
+        return target_type(raw.strip())
     except ValueError as exc:
         raise DataFormatError(f"{name}: {exc}") from exc
 

@@ -120,7 +120,12 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
         if dim < 1:
             raise DataFormatError(f"{path}:1: dim must be positive, got {dim}")
 
-        vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+        try:
+            vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+        except (ValueError, MemoryError) as exc:
+            raise DataFormatError(
+                f"{path}:1: dim {dim} too large to allocate ({exc})"
+            ) from exc
         has_vector = np.zeros(len(vocab), dtype=bool)
         rows, tids, linenos = [], [], []  # the vocabulary rows not yet parsed
         seen = 0

@@ -39,17 +39,13 @@ def _selection_safe(trace: ForwardTrace, k: int) -> bool:
     return not (gaps.size and gaps.min() < _SAFETY_GAP)
 
 
-def _checkable_instance(
-    rng, n: int, m: int, steps: int, k: int, m_max: int = 8, per_step: bool = False
-):
+def _checkable_instance(rng, n: int, m: int, steps: int, k: int, m_max: int = 8):
     """Instance pair whose loss is differentiable in a 2*FD_STEP ball.
 
     Re-rolls until the hinge is active but away from its kink, and the
     top-k selections have clear margins.
     """
-    hyper = HyperParams(
-        steps=steps, pool_k=k, max_query_len=m_max, per_step_weights=per_step
-    )
+    hyper = HyperParams(steps=steps, pool_k=k, max_query_len=m_max)
     for _ in range(500):
         graph_p, S_p = _random_doc_side(rng, n, m)
         graph_n, S_n = _random_doc_side(rng, n, m)
@@ -78,7 +74,6 @@ def grad_check(
     tolerance: float = 1e-5,
     coords_per_tensor: int = 200,
     m_max: int = 8,
-    per_step: bool = False,
     tamper=None,
 ) -> dict:
     """Compare the hand-written backward pass against central differences.
@@ -89,9 +84,7 @@ def grad_check(
     Returns a report with per-tensor and overall worst relative errors.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6FD]))
-    graph_p, S_p, graph_n, S_n, query, params = _checkable_instance(
-        rng, n, m, steps, k, m_max, per_step
-    )
+    graph_p, S_p, graph_n, S_n, query, params = _checkable_instance(rng, n, m, steps, k, m_max)
 
     pair = [(graph_p, S_p, query), (graph_n, S_n, query)]
 

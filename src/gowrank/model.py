@@ -34,7 +34,7 @@ from .corpus import Query
 from .errors import DataFormatError
 from .graph import BLOCK_NODES, DocumentGraph
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -44,15 +44,12 @@ class HyperParams:
     steps: int = 2
     pool_k: int = 40
     max_query_len: int = 8
-    per_step_weights: bool = False
-
-    def num_layers(self) -> int:
-        return self.steps if (self.per_step_weights and self.steps > 0) else 1
 
 
 @dataclass
 class LayerParams:
-    """One message-passing layer: aggregation weights plus the gated update.
+    """The message-passing layer, shared by every step: aggregation weights
+    plus the gated update.
 
     All matrices are (max_query_len, max_query_len) and biases have
     max_query_len entries; a query with m terms uses the leading blocks
@@ -77,16 +74,15 @@ class LayerParams:
 class ModelParams:
     """All trainable tensors plus the hyperparameters fixing their shapes.
 
-    `layers` has one entry normally (weights shared across steps) or
-    `steps` entries when per-step weights are enabled.  `out_w`/`out_b`
-    map a pooled k-vector to a scalar per-term score; `idf_scale` is the
-    gate temperature.  Every tensor is a view of the one float64 vector
+    `layer` is applied at every propagation step.  `out_w`/`out_b` map a
+    pooled k-vector to a scalar per-term score; `idf_scale` is the gate
+    temperature.  Every tensor is a view of the one float64 vector
     `flat` (see `zero_params`), and gradients use the same container, so
     whole-model arithmetic is arithmetic on `flat`.
     """
 
     hyper: HyperParams
-    layers: list[LayerParams]
+    layer: LayerParams
     out_w: np.ndarray  # (pool_k,)
     out_b: np.ndarray  # scalar, kept 0-d for uniform tape handling
     idf_scale: np.ndarray  # scalar
@@ -103,19 +99,13 @@ _LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
 
 
 def iter_tensors(params: ModelParams):
-    """Yield (name, array) for every trainable tensor, in a fixed order."""
-    for i, layer in enumerate(params.layers):
-        for name in _LAYER_FIELDS:
-            yield f"layer{i}.{name}", getattr(layer, name)
+    """Yield (name, array) for every trainable tensor, in a fixed order.
+    The layer's tensors keep the `layer0.` prefix of the checkpoint format."""
+    for name in _LAYER_FIELDS:
+        yield f"layer0.{name}", getattr(params.layer, name)
     yield "out_w", params.out_w
     yield "out_b", params.out_b
     yield "idf_scale", params.idf_scale
-
-
-def layer_for_step(params: ModelParams, step: int) -> LayerParams:
-    if params.hyper.per_step_weights:
-        return params.layers[step]
-    return params.layers[0]
 
 
 def leading_block(layer: LayerParams, m: int) -> LayerParams:
@@ -136,18 +126,23 @@ def leading_block(layer: LayerParams, m: int) -> LayerParams:
 def zero_params(hyper: HyperParams, flat: np.ndarray | None = None) -> ModelParams:
     """Parameters whose tensors are views of `flat` (zeros when None), laid
     out in `iter_tensors` order; the one place that fixes each tensor's
-    shape.  The scalars are 0-d views, so `+=` on them writes through."""
+    shape.  The scalars are 0-d views, so `+=` on them writes through.
+    Sizes too large to allocate are a DataFormatError."""
     m = hyper.max_query_len
     shapes = [(m,) if f.startswith("b_") else (m, m) for f in _LAYER_FIELDS]
-    shapes = shapes * hyper.num_layers() + [(hyper.pool_k,), (), ()]
+    shapes += [(hyper.pool_k,), (), ()]
     ends = list(accumulate(map(prod, shapes), initial=0))
     if flat is None:
-        flat = np.zeros(ends[-1])
+        try:
+            flat = np.zeros(ends[-1])
+        except (ValueError, MemoryError) as exc:
+            raise DataFormatError(
+                f"bad hyperparameters {vars(hyper)}: too large to allocate ({exc})"
+            ) from exc
     views = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
-    n = len(_LAYER_FIELDS)
     return ModelParams(
         hyper=hyper,
-        layers=[LayerParams(*views[i : i + n]) for i in range(0, len(views) - 3, n)],
+        layer=LayerParams(*views[:-3]),
         out_w=views[-3],
         out_b=views[-2],
         idf_scale=views[-1],
@@ -327,7 +322,7 @@ def forward_batch(
     query terms, one state column each; terms past the budget are
     dropped.  Documents with equal m are stacked into blocks of one
     block-diagonal graph each (see `_blocks`), so every step is one
-    propagation and one gated update per block with the layers' leading
+    propagation and one gated update per block with the layer's leading
     m x m blocks.  `rel[i]` is document i's score.  With `record`,
     `traces` holds one ForwardTrace per block, else it is None.  An empty
     query cannot be scored; an empty document scores the all-zero readout.
@@ -347,14 +342,13 @@ def forward_batch(
         norm_adj = _block_diagonal([graph for graph, _, _ in block])
         h = np.concatenate([S[:, :m] for _, S, _ in block])
         idf = np.stack([query.idf[:m] for _, _, query in block])
+        layer = leading_block(params.layer, m)
         states = [h]
         messages: list[np.ndarray] = []
         upd: list[np.ndarray] = []
         reset: list[np.ndarray] = []
         cand: list[np.ndarray] = []
-        for step in range(hyper.steps):
-            # the leading blocks are sliced once per block and step
-            layer = leading_block(layer_for_step(params, step), m)
+        for _ in range(hyper.steps):
             a = propagate(h, norm_adj, layer.msg_w)
             h, z, r, c = gru_update(a, h, layer)
             if record:
@@ -420,29 +414,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     tensor's name, dtype, shape and values."""
     header, arrays = read_arrays(path, "gowrank train")
     # TypeError and ValueError cover a header or `extra` that is not an
-    # object and an unknown hyperparameter; KeyError a missing field
+    # object and an unknown hyperparameter; KeyError a missing field.  The
+    # version is read first: another version may hold other hyperparameters
     try:
-        version, extra = header["version"], dict(header["extra"])
+        version = header["version"]
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(
+                f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        extra = dict(header["extra"])
         hyper = HyperParams(**header["hyper"])
+        if not (
+            all(isinstance(v, int) for v in vars(hyper).values())
+            and hyper.steps >= 0
+            and hyper.pool_k >= 1
+            and hyper.max_query_len >= 1
+        ):
+            raise DataFormatError(f"bad hyperparameters {vars(hyper)}")
+        params = zero_params(hyper)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: bad checkpoint header: {exc!r}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    if not (
-        all(isinstance(v, int) for v in vars(hyper).values())
-        and hyper.steps >= 0
-        and hyper.pool_k >= 1
-        and hyper.max_query_len >= 1
-    ):
-        raise DataFormatError(f"{path}: bad hyperparameters {vars(hyper)}")
-    try:
-        params = zero_params(hyper)
-    except (ValueError, MemoryError) as exc:  # sizes too large to allocate
-        raise DataFormatError(
-            f"{path}: bad hyperparameters {vars(hyper)}: {exc!r}"
-        ) from exc
     expected = dict(iter_tensors(params))
     if arrays.keys() != expected.keys():
         raise DataFormatError(

@@ -27,8 +27,8 @@ from .embeddings import EmbeddingTable
 from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
 from .model import (
-    ForwardTrace, HyperParams, ModelParams, init_params, iter_tensors, layer_for_step,
-    leading_block, save_checkpoint,
+    ForwardTrace, HyperParams, ModelParams, init_params, iter_tensors, leading_block,
+    save_checkpoint,
 )
 from .retrieval import PostingsIndex, top_candidates
 from .scoring import ScoringContext, rank_pools, score_pool  # noqa: F401 (criterion 9)
@@ -94,9 +94,9 @@ def backward(traces: list[ForwardTrace], d_rel: np.ndarray) -> ModelParams:
         doc, term, slot = np.nonzero(trace.pooled_idx >= 0)
         dh[trace.pooled_idx[doc, term, slot], term] = dx[doc, term, slot]
 
+        layer = leading_block(params.layer, m)
+        grad = leading_block(tape.layer, m)
         for step in reversed(range(params.hyper.steps)):
-            layer = leading_block(layer_for_step(params, step), m)
-            grad = leading_block(layer_for_step(tape, step), m)
             h_in = trace.states[step]
             a = trace.messages[step]
             z = trace.upd_gate[step]
@@ -181,17 +181,14 @@ class Triplet:
 
 
 def usable_queries(
-    qrels: QRels,
-    pools: dict[str, list[tuple[str, float]]],
-    judged_only: bool = False,
+    qrels: QRels, pools: dict[str, list[tuple[str, float]]]
 ) -> dict[str, tuple[list[str], list[str]]]:
     """Per query: (positives, negatives) drawn from its candidate pool.
 
     Positives are judged-relevant pool members, falling back to all
     judged-relevant docs when none survived first-stage retrieval.
-    Negatives are pool members judged non-relevant — or unjudged too,
-    unless `judged_only`.  Queries lacking either side are dropped (and
-    logged).
+    Negatives are the pool members not judged relevant, unjudged ones
+    included.  Queries lacking either side are dropped (and logged).
     """
     usable: dict[str, tuple[list[str], list[str]]] = {}
     for qid in sorted(pools):
@@ -200,10 +197,7 @@ def usable_queries(
         pos = [d for d in pool_docs if judged.get(d, 0) > 0]
         if not pos:
             pos = sorted(d for d, grade in judged.items() if grade > 0)
-        if judged_only:
-            neg = [d for d in pool_docs if judged.get(d, -1) == 0]
-        else:
-            neg = [d for d in pool_docs if judged.get(d, 0) == 0]
+        neg = [d for d in pool_docs if judged.get(d, 0) == 0]
         if pos and neg:
             usable[qid] = (pos, neg)
         else:
@@ -298,9 +292,7 @@ def train(
     have_validation = bool(val_qids)
     records: list[dict] = []
     per_epoch = cfg.batch * cfg.steps_per_epoch
-    usable = usable_queries(
-        qrels, {q: pools[q] for q in train_qids}, cfg.judged_negatives_only
-    )
+    usable = usable_queries(qrels, {q: pools[q] for q in train_qids})
 
     for epoch in range(1, cfg.epochs + 1):
         triplets = sample_triplets(usable, sampler, per_epoch)

@@ -35,11 +35,9 @@ def random_params(rng, hyper: HyperParams) -> ModelParams:
     return params
 
 
-def random_instance(rng, n, m, steps, k, m_max=8, per_step=False):
+def random_instance(rng, n, m, steps, k, m_max=8):
     """(graph, S, query, params) with n nodes and m real query terms."""
-    hyper = HyperParams(
-        steps=steps, pool_k=k, max_query_len=m_max, per_step_weights=per_step
-    )
+    hyper = HyperParams(steps=steps, pool_k=k, max_query_len=m_max)
     graph = random_graph(rng, n)
     S = rng.uniform(-1.0, 1.0, size=(n, m))
     idf = rng.uniform(0.1, 3.0, size=m)
@@ -51,11 +49,11 @@ def random_instance(rng, n, m, steps, k, m_max=8, per_step=False):
 def oracle_rel(graph, S, query, params) -> float:
     """Evaluate the straight-line reference on the query's M columns.
 
-    Parameter blocks are cut down to the real query width; weight sharing
-    means layer 0 is the one applied at every step.
+    Parameter blocks are cut down to the real query width; the one layer
+    is applied at every step.
     """
     m = S.shape[1]
-    layer = params.layers[0]
+    layer = params.layer
     sub = lambda w: w[:m, :m].tolist()  # noqa: E731
     vec = lambda b: b[:m].tolist()  # noqa: E731
     return reference.rel_score(

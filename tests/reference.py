@@ -267,10 +267,6 @@ def _blocks(layer, m):
     )
 
 
-def _layer(params, step):
-    return params.layers[step if params.hyper.per_step_weights else 0]
-
-
 def doc_forward(graph, S, query, params):
     """(rel, trace) of one document, as the per-document model computed it.
 
@@ -284,8 +280,8 @@ def doc_forward(graph, S, query, params):
     norm_adj = norm_adjacency(graph)
     t = SimpleNamespace(states=[h], messages=[], upd=[], reset=[], cand=[],
                         idf=query.idf[:m], norm_adj=norm_adj)
-    for step in range(hyper.steps):
-        layer = _blocks(_layer(params, step), m)
+    layer = _blocks(params.layer, m)
+    for _ in range(hyper.steps):
         a = norm_adj @ (h @ layer.msg_w.T)
         z = expit(a @ layer.w_up.T + h @ layer.u_up.T + layer.b_up)
         r = expit(a @ layer.w_reset.T + h @ layer.u_reset.T + layer.b_reset)
@@ -330,9 +326,9 @@ def doc_backprop(trace, params, d_rel, tape):
     term, slot = np.nonzero(trace.pooled_idx >= 0)
     dh[trace.pooled_idx[term, slot], term] = dx[term, slot]
 
+    layer = _blocks(params.layer, m)
+    grad = _blocks(tape.layer, m)
     for step in reversed(range(params.hyper.steps)):
-        layer = _blocks(_layer(params, step), m)
-        grad = _blocks(_layer(tape, step), m)
         h_in = trace.states[step]
         a = trace.messages[step]
         z = trace.upd[step]

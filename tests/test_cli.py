@@ -96,17 +96,44 @@ class TestExitCodes:
         conf.write_text("adjacency_mode = diagonal\n")
         assert main(["index", "--config", str(conf)]) == 2
 
+    # the per-step weights and judged-only negatives options were removed
+    def test_removed_config_key_is_data_error_naming_it(self, tmp_path, capsys):
+        conf = tmp_path / "old.conf"
+        conf.write_text("per_step_weights = true\n")
+        assert main(["index", "--config", str(conf)]) == 2
+        assert "unknown config key 'per_step_weights'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--per-step-weights", "--judged-negatives-only"])
+    def test_removed_flag_is_usage_error(self, capsys, flag):
+        assert main(["train", flag]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    # the model rows ask for at least a TiB, which no allocation can get
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "inf", "lr must be finite and > 0, got inf"),
         ("--fold-rotation", "99", "fold_rotation must be in [0, folds=5), got 99"),
         ("--fold-rotation", "-1", "fold_rotation must be in [0, folds=5), got -1"),
+        ("--pool-k", "1000000000000", "bad hyperparameters {'steps': 2, "
+         "'pool_k': 1000000000000, 'max_query_len': 8}: too large to allocate"),
+        ("--max-query-len", "100000000", "bad hyperparameters {'steps': 2, "
+         "'pool_k': 40, 'max_query_len': 100000000}: too large to allocate"),
     ])
     def test_out_of_range_value_is_data_error_naming_its_key(
-        self, tmp_path, capsys, flag, value, message
+        self, clean_world, tmp_path, capsys, flag, value, message
     ):
-        assert main(["train", flag, value, "--log-out", str(tmp_path / "t.log")]) == 2
-        assert f"data error: {message}" in capsys.readouterr().err
+        assert main([
+            "train", "--index-dir", str(clean_world / "index"),
+            "--queries", str(clean_world / "queries.tsv"),
+            "--qrels", str(clean_world / "qrels.txt"),
+            "--embeddings", str(clean_world / "embeddings.txt"),
+            "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--log-out", str(tmp_path / "t.log"), flag, value,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "t.log").exists()
+        assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +347,11 @@ MALFORMED_ARTIFACTS = [
     ("queries-not-utf8", "queries.tsv",
      lambda w: _bad_byte(w / "queries.tsv", 3, b"\xff"),
      "queries.tsv:3: not UTF-8: byte 0xff"),
+    # a TiB-sized vocabulary table, which no allocation can get
+    ("embeddings-huge-dim", "embeddings.txt",
+     lambda w: _edit_line(w / "embeddings.txt", 1,
+                          lambda line: line.split()[0] + " 1000000000000\n"),
+     "embeddings.txt:1: dim 1000000000000 too large to allocate"),
     ("embeddings-not-utf8", "embeddings.txt",
      lambda w: _bad_byte(w / "embeddings.txt", 5, b"\xe9"),
      "embeddings.txt:5: not UTF-8: byte 0xe9"),
@@ -355,6 +387,11 @@ MALFORMED_ARTIFACTS = [
      lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
          **h, "hyper": {**h["hyper"], "hidden": 16}}),
      "bad checkpoint header: TypeError"),
+    # written before the per-step weights option was removed
+    ("checkpoint-version-2", "model.ckpt",
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
+         **h, "version": 2, "hyper": {**h["hyper"], "per_step_weights": False}}),
+     "model.ckpt: checkpoint version 2, expected 3"),
     ("checkpoint-zero-pool-k", "model.ckpt",
      lambda w: save_checkpoint(w / "model.ckpt", init_params(
          HyperParams(pool_k=0), np.random.default_rng(0))),
@@ -729,7 +766,7 @@ class TestRepeatedQueryTexts:
 
     def test_run_matches_a_fresh_scoring_per_id(self, repeat_world, tmp_path):
         cfg = load_config(repeat_world / "run.conf")
-        _, docs, queries, emb, index = cli._load_world(cfg)
+        docs, queries, emb, index = cli._load_world(cfg)
         params, _ = load_checkpoint(cfg.checkpoint)
         assert queries["a1"].tokens == queries["a2"].tokens
         oracle = {}
@@ -765,7 +802,7 @@ class TestRepeatedQueryTexts:
         monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
         monkeypatch.setattr(scoring, "forward_batch", counted_forward_batch)
         self._rerank(repeat_world, tmp_path / "x.run")
-        queries = cli._load_world(load_config(repeat_world / "run.conf"))[2]
+        queries = cli._load_world(load_config(repeat_world / "run.conf"))[1]
         texts = {tuple(q.tokens) for q in queries.values() if q.tokens}
         assert len(texts) < len(queries)
         assert sorted(retrieved) == sorted(texts)

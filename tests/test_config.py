@@ -83,10 +83,10 @@ class TestLoadConfig:
 
     def test_file_overrides_defaults(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("window = 7\nper_step_weights = true\n")
+        p.write_text("window = 7\nadjacency_mode = sequence\n")
         cfg = load_config(p, env={})
         assert cfg.window == 7
-        assert cfg.per_step_weights is True
+        assert cfg.adjacency_mode == "sequence"
 
     def test_env_overrides_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -111,12 +111,6 @@ class TestLoadConfig:
     def test_unknown_env_ignored(self):
         cfg = load_config(None, env={"GOWRANK_WIBBLE": "1"})
         assert cfg.window == 5
-
-    def test_bad_bool(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("per_step_weights = maybe\n")
-        with pytest.raises(DataFormatError, match="boolean"):
-            load_config(p, env={})
 
     def test_validation(self):
         with pytest.raises(DataFormatError, match="adjacency_mode"):

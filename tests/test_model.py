@@ -40,7 +40,7 @@ def _query(m, idf=None):
 
 
 def _zero_layer(m):
-    return zero_params(HyperParams(max_query_len=m)).layers[0]
+    return zero_params(HyperParams(max_query_len=m)).layer
 
 
 class TestPropagate:
@@ -256,7 +256,6 @@ class TestInitParams:
     def test_shapes_and_ranges(self):
         hyper = HyperParams(steps=2, pool_k=5, max_query_len=6)
         params = init_params(hyper, np.random.default_rng(0))
-        assert len(params.layers) == 1
         lim = math.sqrt(6.0 / 12)
         for name, tensor in iter_tensors(params):
             assert np.isfinite(tensor).all()
@@ -273,26 +272,18 @@ class TestInitParams:
                 assert tensor.shape == (6, 6)
                 assert np.abs(tensor).max() <= lim
 
-    def test_per_step_layer_count(self):
-        hyper = HyperParams(steps=3, per_step_weights=True)
-        params = init_params(hyper, np.random.default_rng(0))
-        assert len(params.layers) == 3
-        names = [n for n, _ in iter_tensors(params)]
-        assert "layer2.msg_w" in names
-
     # sha256 over each tensor's name and little-endian float64 bytes, in
-    # iter_tensors order: the draws from the init stream must not move
+    # iter_tensors order: the draws from the init stream must not move, and
+    # the one layer serves any number of steps
     @pytest.mark.parametrize(
-        "per_step, steps, digest",
+        "steps, digest",
         [
-            (False, 0, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
-            (False, 2, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
-            (True, 0, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
-            (True, 2, "628bfff43688ef1d8ef2732241253b3f2ea65c14eb18deddd295eedaa80a5b3f"),
+            (0, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
+            (2, "d514a970da1647032fc39b7c31ab23c21b31381d7045b373ef82a09a08c3ce09"),
         ],
     )
-    def test_bytes_pinned(self, per_step, steps, digest):
-        hyper = HyperParams(steps=steps, per_step_weights=per_step)
+    def test_bytes_pinned(self, steps, digest):
+        hyper = HyperParams(steps=steps)
         params = init_params(hyper, np.random.default_rng(7))
         sha = hashlib.sha256()
         for name, tensor in iter_tensors(params):
@@ -302,8 +293,7 @@ class TestInitParams:
 
     @pytest.mark.parametrize(
         "hyper",
-        [HyperParams(), HyperParams(steps=3, pool_k=5, max_query_len=6,
-                                    per_step_weights=True)],
+        [HyperParams(), HyperParams(steps=3, pool_k=5, max_query_len=6)],
     )
     def test_zero_params_fixes_every_shape(self, tmp_path, hyper):
         zeros = list(iter_tensors(zero_params(hyper)))
@@ -359,7 +349,7 @@ class TestForward:
 
             h = S
             for _ in range(steps):
-                layer = leading_block(params.layers[0], m)
+                layer = leading_block(params.layer, m)
                 h, *_ = gru_update(np.zeros_like(h), h, layer)
             pooled, _ = readout(h, k, [len(h)])
             gates = gate_weights(query.idf, float(params.idf_scale))
@@ -451,20 +441,6 @@ class TestForward:
         assert np.isfinite(trace.pooled).all()
         assert np.isfinite(trace.gates).all()
 
-    def test_per_step_weights_differ_from_shared(self):
-        rng = np.random.default_rng(109)
-        graph, S, query, params = helpers.random_instance(
-            rng, 10, 3, 2, 4, per_step=True
-        )
-        assert len(params.layers) == 2
-        rel, _ = forward(graph, S, query, params)
-        shared = zero_params(HyperParams(steps=2, pool_k=4, max_query_len=8))
-        tensors = dict(iter_tensors(params))
-        for name, tensor in iter_tensors(shared):
-            tensor[...] = tensors[name]
-        rel_shared, _ = forward(graph, S, query, shared)
-        assert rel != rel_shared
-
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -525,6 +501,10 @@ class TestCheckpoint:
              "bad checkpoint header: KeyError('extra')"),
             (lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}}, dict,
              "bad checkpoint header: TypeError"),
+            # version 2 held one more hyperparameter
+            (lambda h: {**h, "version": 2,
+                        "hyper": {**h["hyper"], "per_step_weights": False}}, dict,
+             "checkpoint version 2, expected 3"),
             (lambda h: {**h, "hyper": {**h["hyper"], "steps": "2"}}, dict,
              "bad hyperparameters"),
             # a member named only ".npy"
@@ -547,7 +527,7 @@ class TestCheckpoint:
             (lambda h: h, "trailing", "member 'out_w.npy' has bytes after its array"),
         ],
         ids=["empty", "not-object", "no-version", "no-hyper", "no-tensors",
-             "no-extra", "unknown-hyper", "string-hyper", "entry-no-name",
+             "no-extra", "unknown-hyper", "old-version", "string-hyper", "entry-no-name",
              "entry-no-shape", "tensors-not-list", "extra-not-object",
              "negative-hyper", "zero-pool-k", "huge-hyper", "repeated-tensor",
              "trailing-bytes"],
@@ -570,32 +550,13 @@ class TestCheckpoint:
         assert str(info.value).startswith(f"{path}: ")
         assert fragment in str(info.value)
 
-    # whole-file digests of the format: a change to how the header is
+    # a whole-file digest of the format: a change to how the header is
     # assembled must not move a byte of any checkpoint
-    @pytest.mark.parametrize(
-        "per_step, digest",
-        [
-            (False, "537143bf6e77dec7cb17d4a59d3d813225206c3c5fea45592ce55c18107fb7cd"),
-            (True, "4554afd3a9d08638df7041c9562d3a56969d63408bfe79fba877bd7ebf3f102a"),
-        ],
-        ids=["shared", "per-step"],
-    )
-    def test_file_bytes_are_pinned(self, tmp_path, per_step, digest):
-        hyper = HyperParams(
-            steps=2, pool_k=5, max_query_len=4, per_step_weights=per_step
-        )
+    def test_file_bytes_are_pinned(self, tmp_path):
+        hyper = HyperParams(steps=2, pool_k=5, max_query_len=4)
         params = helpers.random_params(np.random.default_rng(115), hyper)
         path = tmp_path / "model.ckpt"
         extra = {"window": 5, "adjacency_mode": "graph", "min_freq": 1, "seed": 7}
         save_checkpoint(path, params, extra=extra)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-    def test_per_step_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(113)
-        hyper = HyperParams(steps=3, per_step_weights=True)
-        params = helpers.random_params(rng, hyper)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        loaded, _ = load_checkpoint(path)
-        assert len(loaded.layers) == 3
-        np.testing.assert_array_equal(loaded.layers[2].msg_w, params.layers[2].msg_w)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3f9377e8923a3e128bfab713490d9bc2c030978774b338a222542fb494d5fd27")

@@ -66,12 +66,10 @@ class TestHingeLoss:
             assert hinge_loss(a, b) >= 0.0
 
 
-def _forward_pair(rng, n=8, m=3, steps=2, k=3, per_step=False):
+def _forward_pair(rng, n=8, m=3, steps=2, k=3):
     """Two documents scored against a shared query and shared params in
     one recorded batch: (rel, traces, params)."""
-    graph_p, s_p, query, params = helpers.random_instance(
-        rng, n, m, steps, k, per_step=per_step
-    )
+    graph_p, s_p, query, params = helpers.random_instance(rng, n, m, steps, k)
     graph_n, s_n, _, _ = helpers.random_instance(rng, n, m, steps, k)
     rel, traces = forward_batch(
         [(graph_p, s_p, query), (graph_n, s_n, query)], params, record=True
@@ -125,7 +123,7 @@ class TestBackward:
         """A 3-term query trains only the weights that act on 3 columns."""
         rng = np.random.default_rng(17)
         for attempt in range(20):
-            rel, traces, params = _forward_pair(rng, m=3, per_step=True)
+            rel, traces, params = _forward_pair(rng, m=3)
             if hinge_loss(rel[0], rel[1]) > 1e-3:
                 break
         else:
@@ -196,16 +194,13 @@ class TestBatchedAgainstOracle:
     """`forward_batch` and `backward` against the per-document path of
     `tests/reference.py`, on batches that mix widths and document sizes."""
 
-    @pytest.mark.parametrize("per_step", [False, True])
     @pytest.mark.parametrize("steps", [0, 1, 2, 3])
     @pytest.mark.parametrize("block_nodes", [None, 40])
-    def test_scores_and_summed_gradients(self, monkeypatch, steps, per_step,
-                                         block_nodes):
+    def test_scores_and_summed_gradients(self, monkeypatch, steps, block_nodes):
         if block_nodes is not None:
             monkeypatch.setattr(gowrank.model, "BLOCK_NODES", block_nodes)
-        rng = np.random.default_rng(300 + 10 * steps + per_step)
-        hyper = HyperParams(steps=steps, pool_k=5, max_query_len=8,
-                            per_step_weights=per_step)
+        rng = np.random.default_rng(300 + 10 * steps)
+        hyper = HyperParams(steps=steps, pool_k=5, max_query_len=8)
         params = helpers.random_params(rng, hyper)
         docs = _mixed_batch(rng)
         # one document in three is on the satisfied side of its hinge
@@ -270,11 +265,6 @@ class TestGradCheck:
         report = grad_check(n=5, m=3, steps=2, k=8, seed=2)
         assert report["passed"], report
 
-    def test_per_step_weights(self):
-        report = grad_check(n=7, m=3, steps=3, k=3, seed=3, per_step=True)
-        assert report["passed"], report
-        assert any(name.startswith("layer2.") for name in report["per_tensor"])
-
     def test_single_step(self):
         report = grad_check(n=6, m=3, steps=1, k=4, seed=4)
         assert report["passed"], report
@@ -290,7 +280,7 @@ class TestGradCheck:
 
     def test_tampered_gradient_is_caught(self):
         def corrupt(tape):
-            tape.layers[0].u_cand += 0.05
+            tape.layer.u_cand += 0.05
 
         report = grad_check(n=8, m=3, steps=2, k=3, seed=6, tamper=corrupt)
         assert not report["passed"]
@@ -375,7 +365,7 @@ class TestAdam:
         params = init_params(HyperParams(steps=1, pool_k=3, max_query_len=8), rng)
         state = AdamState(params)
         tape = params.zeros_like()
-        tape.layers[0].w_up[0, 0] = np.nan
+        tape.layer.w_up[0, 0] = np.nan
         with pytest.raises(NumericalError, match="layer0.w_up"):
             adam_step(params, tape, state)
 
@@ -420,15 +410,6 @@ class TestTripletSampling:
             usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}), rng, 400
         )
         assert {t.neg_doc for t in triplets} == {"d2", "d3"}
-
-    def test_judged_only_excludes_unjudged(self):
-        rng = np.random.default_rng(32)
-        triplets = sample_triplets(
-            usable_queries(self.QRELS, {"q1": self.POOLS["q1"]}, judged_only=True),
-            rng,
-            200,
-        )
-        assert {t.neg_doc for t in triplets} == {"d2"}
 
     def test_fallback_to_judged_relevant_outside_pool(self):
         rng = np.random.default_rng(33)
@@ -717,15 +698,16 @@ class TestTrainLoop:
 
     def test_excluded_query_logged_once_per_run(self, caplog):
         docs, queries, qrels, index, emb = _tiny_world()
-        qrels["qb"] = {doc: grade for doc, grade in qrels["qb"].items() if grade > 0}
-        cfg = _tiny_config(epochs=3, judged_negatives_only=True)
+        # every document of qb's pool judged relevant leaves no negative
+        qrels["qb"] = dict.fromkeys(qrels["qb"], 1)
+        cfg = _tiny_config(epochs=3)
         with caplog.at_level(logging.INFO, logger="gowrank.training"):
             train(docs, queries, qrels, index, emb, cfg,
                   train_qids=["qa", "qb"], val_qids=[])
         excluded = [r.getMessage() for r in caplog.records
                     if "excluded from sampling" in r.getMessage()]
         assert excluded == [
-            "query qb excluded from sampling (4 positives, 0 negatives)"
+            "query qb excluded from sampling (8 positives, 0 negatives)"
         ]
 
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
