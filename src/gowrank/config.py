@@ -47,6 +47,27 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
 
 
 @dataclass
+class HyperParams:
+    """Shape-determining knobs of the scoring model.
+
+    Each must be an int (a bool is not) at or above its floor, so a bad
+    value from a config, a flag or a checkpoint header is refused here.
+    """
+
+    steps: int = 2
+    pool_k: int = 40
+    max_query_len: int = 8
+
+    def __post_init__(self) -> None:
+        for name, floor in (("steps", 0), ("pool_k", 1), ("max_query_len", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < floor:
+                raise DataFormatError(
+                    f"bad hyperparameters {vars(self)}: {name} must be an int >= {floor}"
+                )
+
+
+@dataclass
 class RunConfig:
     """All knobs for indexing, training, re-ranking, and evaluation."""
 
@@ -65,9 +86,9 @@ class RunConfig:
 
     # graph + model
     window: int = 5
-    steps: int = 2
-    pool_k: int = 40
-    max_query_len: int = 8
+    steps: int = HyperParams.steps
+    pool_k: int = HyperParams.pool_k
+    max_query_len: int = HyperParams.max_query_len
     adjacency_mode: str = "graph"  # graph | sequence | zero
 
     # training
@@ -99,12 +120,7 @@ class RunConfig:
             )
         if self.window < 2:
             raise DataFormatError(f"window must be >= 2, got {self.window}")
-        if self.steps < 0:
-            raise DataFormatError(f"steps must be >= 0, got {self.steps}")
-        if self.pool_k < 1:
-            raise DataFormatError(f"pool_k must be >= 1, got {self.pool_k}")
-        if self.max_query_len < 1:
-            raise DataFormatError(f"max_query_len must be >= 1, got {self.max_query_len}")
+        self.hyper()  # HyperParams checks the shape knobs
         if self.candidates < 1:
             raise DataFormatError(f"candidates must be >= 1, got {self.candidates}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -126,6 +142,10 @@ class RunConfig:
                 f"fold_rotation must be in [0, folds={self.folds}), got {self.fold_rotation}"
             )
         self._warn_off_grid()
+
+    def hyper(self) -> HyperParams:
+        """The model's shape knobs, checked by HyperParams."""
+        return HyperParams(self.steps, self.pool_k, self.max_query_len)
 
     def _warn_off_grid(self) -> None:
         for key, (lo, hi) in GRID.items():

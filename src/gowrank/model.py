@@ -13,8 +13,12 @@ that share a query width into block-diagonal graphs (disjoint unions of
 up to BLOCK_NODES nodes), so a training minibatch or a rerank pool costs
 a few sparse products and gated updates per block rather than per
 document; `forward` is its one-document case.  With `record`, every
-intermediate is kept in a ForwardTrace per block so the training module
-can replay the computation exactly in reverse.
+intermediate is kept in a ForwardTrace per block, which `backward`
+replays exactly in reverse, by hand (no autodiff framework), to the
+gradients of the pairwise hinge loss.  Gradients flow only through the
+paths the forward pass actually took: selected top-k entries, the
+leading parameter blocks of the m scored query columns, and the
+documents of active hinges.
 """
 
 from __future__ import annotations
@@ -30,20 +34,12 @@ from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .artifacts import read_arrays, write_arrays
+from .config import HyperParams
 from .corpus import Query
 from .errors import DataFormatError
 from .graph import BLOCK_NODES, DocumentGraph
 
 CHECKPOINT_VERSION = 3
-
-
-@dataclass
-class HyperParams:
-    """Shape-determining knobs of the scoring model."""
-
-    steps: int = 2
-    pool_k: int = 40
-    max_query_len: int = 8
 
 
 @dataclass
@@ -231,8 +227,6 @@ def readout(
     fewer than k nodes.  Returns (pooled values (B, m, k), source rows of
     `h_final` (B, m, k) with -1 marking padded slots).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     slot = np.arange(sizes.max(initial=0))
@@ -390,6 +384,111 @@ def forward(
     return float(rel[0]), traces[0]
 
 
+def hinge_loss(rel_pos, rel_neg):
+    """Pairwise hinge: max(0, 1 - rel_pos + rel_neg), elementwise."""
+    return np.maximum(0.0, 1.0 - rel_pos + rel_neg)
+
+
+def pairwise_hinge(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hinge losses of interleaved (positive, negative) scores, and the
+    derivative of their sum with respect to every score: -1 and +1 for
+    the two documents of an active pair, 0 for both of a satisfied one.
+    """
+    losses = hinge_loss(rel[0::2], rel[1::2])
+    d_rel = np.zeros_like(rel)
+    active = losses > 0.0
+    d_rel[0::2][active] = -1.0
+    d_rel[1::2][active] = 1.0
+    return losses, d_rel
+
+
+def backward(traces: list[ForwardTrace], d_rel: np.ndarray) -> ModelParams:
+    """Gradients of sum_i d_rel[i] * rel[i] over one recorded batch.
+
+    `traces` come from one `forward_batch(..., record=True)` call on at
+    least one document, and `d_rel[i]` is d(loss)/d(rel) of its document
+    i.  Returns a ModelParams of gradients, laid out like the parameters
+    the traces were recorded with.  Each parameter's gradient is
+    summed over a block's documents by the stacked products, and only the
+    leading blocks that act on a block's m columns get gradient.  A
+    document with d_rel 0 carries exact zeros through every product, so
+    it adds exactly nothing; a block of such documents is skipped.
+    """
+    params = traces[0].params
+    tape = params.zeros_like()
+    for trace in traces:
+        d = d_rel[trace.members][:, None]  # (B, 1)
+        if not d.any():
+            continue
+        m = trace.states[0].shape[1]
+        g = trace.gates
+        s = trace.term_scores
+
+        # rel_b = sum_j g_bj * s_bj with s = tanh(pooled @ out_w + out_b)
+        ds = d * g
+        dg = d * s
+        dpre = ds * (1.0 - s * s)  # (B, m)
+        k = trace.pooled.shape[2]
+        tape.out_w += trace.pooled.reshape(-1, k).T @ dpre.reshape(-1)
+        tape.out_b += dpre.sum()
+        dx = dpre[:, :, None] * params.out_w  # (B, m, k)
+
+        # softmax gates per document: dy_j = g_j (dg_j - sum_l dg_l g_l)
+        dy = g * (dg - (dg * g).sum(axis=1, keepdims=True))
+        tape.idf_scale += (dy * trace.idf).sum()
+
+        # k-max pooling routed gradient only to the selected node entries
+        dh = np.zeros_like(trace.states[-1])
+        doc, term, slot = np.nonzero(trace.pooled_idx >= 0)
+        dh[trace.pooled_idx[doc, term, slot], term] = dx[doc, term, slot]
+
+        layer = leading_block(params.layer, m)
+        grad = leading_block(tape.layer, m)
+        for step in reversed(range(params.hyper.steps)):
+            h_in = trace.states[step]
+            a = trace.messages[step]
+            z = trace.upd_gate[step]
+            r = trace.reset_gate[step]
+            cand = trace.candidate[step]
+
+            # forward was h_out = cand*z + h_in*(1-z)
+            dz = dh * (cand - h_in)
+            dcand = dh * z
+            dh_acc = dh * (1.0 - z)
+
+            dp_c = dcand * (1.0 - cand * cand)
+            grad.w_cand += dp_c.T @ a
+            grad.u_cand += dp_c.T @ (r * h_in)
+            grad.b_cand += dp_c.sum(axis=0)
+            da = dp_c @ layer.w_cand
+            drh = dp_c @ layer.u_cand
+            dr = drh * h_in
+            dh_acc += drh * r
+
+            dp_r = dr * r * (1.0 - r)
+            grad.w_reset += dp_r.T @ a
+            grad.u_reset += dp_r.T @ h_in
+            grad.b_reset += dp_r.sum(axis=0)
+            da += dp_r @ layer.w_reset
+            dh_acc += dp_r @ layer.u_reset
+
+            dp_z = dz * z * (1.0 - z)
+            grad.w_up += dp_z.T @ a
+            grad.u_up += dp_z.T @ h_in
+            grad.b_up += dp_z.sum(axis=0)
+            da += dp_z @ layer.w_up
+            dh_acc += dp_z @ layer.u_up
+
+            # messages were a = adj @ (h_in @ msg_w.T); adj is its own
+            # transpose (see graph.normalize_adjacency)
+            d_mixed = trace.norm_adj @ da
+            grad.msg_w += d_mixed.T @ h_in
+            dh_acc += d_mixed @ layer.msg_w
+
+            dh = dh_acc
+    return tape
+
+
 # --- checkpoint serialization ---------------------------------------------
 #
 # Layout (see artifacts.write_arrays): a JSON header {version, hyper,
@@ -423,15 +522,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
                 f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
         extra = dict(header["extra"])
-        hyper = HyperParams(**header["hyper"])
-        if not (
-            all(isinstance(v, int) for v in vars(hyper).values())
-            and hyper.steps >= 0
-            and hyper.pool_k >= 1
-            and hyper.max_query_len >= 1
-        ):
-            raise DataFormatError(f"bad hyperparameters {vars(hyper)}")
-        params = zero_params(hyper)
+        params = zero_params(HyperParams(**header["hyper"]))
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:

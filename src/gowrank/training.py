@@ -1,21 +1,17 @@
-"""Pairwise training: exact reverse-mode gradients, Adam, triplet
-sampling and the epoch loop.
+"""Pairwise training: Adam, triplet sampling and the epoch loop.
 
 A minibatch is scored in one `forward_batch` call: its positive and
 negative documents, interleaved, stacked into block-diagonal graphs per
-query width.  The backward pass replays the recorded block traces in
-reverse, by hand — no autodiff framework — and sums each parameter's
-gradient over every document of a block in the same stacked products.
-Gradients flow only through the paths the forward pass actually took:
-selected top-k entries, the leading parameter blocks of the m scored
-query columns, and the documents of active hinges.
+query width.  `model.backward` replays the recorded block traces to the
+gradients of the pairwise hinge, summed over every document of a block
+in the same stacked products, and Adam steps on their batch mean.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,119 +22,14 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
+from .gradcheck import grad_check  # noqa: F401 (criterion 1)
 from .model import (
-    ForwardTrace, HyperParams, ModelParams, init_params, iter_tensors, leading_block,
-    save_checkpoint,
+    ModelParams, backward, init_params, iter_tensors, pairwise_hinge, save_checkpoint,
 )
 from .retrieval import PostingsIndex, top_candidates
 from .scoring import ScoringContext, rank_pools, score_pool  # noqa: F401 (criterion 9)
 
 log = logging.getLogger(__name__)
-
-
-def hinge_loss(rel_pos, rel_neg):
-    """Pairwise hinge: max(0, 1 - rel_pos + rel_neg), elementwise."""
-    return np.maximum(0.0, 1.0 - rel_pos + rel_neg)
-
-
-def pairwise_hinge(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hinge losses of interleaved (positive, negative) scores, and the
-    derivative of their sum with respect to every score: -1 and +1 for
-    the two documents of an active pair, 0 for both of a satisfied one.
-    """
-    losses = hinge_loss(rel[0::2], rel[1::2])
-    d_rel = np.zeros_like(rel)
-    active = losses > 0.0
-    d_rel[0::2][active] = -1.0
-    d_rel[1::2][active] = 1.0
-    return losses, d_rel
-
-
-def backward(traces: list[ForwardTrace], d_rel: np.ndarray) -> ModelParams:
-    """Gradients of sum_i d_rel[i] * rel[i] over one recorded batch.
-
-    `traces` come from one `forward_batch(..., record=True)` call on at
-    least one document, and `d_rel[i]` is d(loss)/d(rel) of its document
-    i.  Returns a ModelParams of gradients, laid out like the parameters
-    the traces were recorded with.  Each parameter's gradient is
-    summed over a block's documents by the stacked products, and only the
-    leading blocks that act on a block's m columns get gradient.  A
-    document with d_rel 0 carries exact zeros through every product, so
-    it adds exactly nothing; a block of such documents is skipped.
-    """
-    params = traces[0].params
-    tape = params.zeros_like()
-    for trace in traces:
-        d = d_rel[trace.members][:, None]  # (B, 1)
-        if not d.any():
-            continue
-        m = trace.states[0].shape[1]
-        g = trace.gates
-        s = trace.term_scores
-
-        # rel_b = sum_j g_bj * s_bj with s = tanh(pooled @ out_w + out_b)
-        ds = d * g
-        dg = d * s
-        dpre = ds * (1.0 - s * s)  # (B, m)
-        k = trace.pooled.shape[2]
-        tape.out_w += trace.pooled.reshape(-1, k).T @ dpre.reshape(-1)
-        tape.out_b += dpre.sum()
-        dx = dpre[:, :, None] * params.out_w  # (B, m, k)
-
-        # softmax gates per document: dy_j = g_j (dg_j - sum_l dg_l g_l)
-        dy = g * (dg - (dg * g).sum(axis=1, keepdims=True))
-        tape.idf_scale += (dy * trace.idf).sum()
-
-        # k-max pooling routed gradient only to the selected node entries
-        dh = np.zeros_like(trace.states[-1])
-        doc, term, slot = np.nonzero(trace.pooled_idx >= 0)
-        dh[trace.pooled_idx[doc, term, slot], term] = dx[doc, term, slot]
-
-        layer = leading_block(params.layer, m)
-        grad = leading_block(tape.layer, m)
-        for step in reversed(range(params.hyper.steps)):
-            h_in = trace.states[step]
-            a = trace.messages[step]
-            z = trace.upd_gate[step]
-            r = trace.reset_gate[step]
-            cand = trace.candidate[step]
-
-            # forward was h_out = cand*z + h_in*(1-z)
-            dz = dh * (cand - h_in)
-            dcand = dh * z
-            dh_acc = dh * (1.0 - z)
-
-            dp_c = dcand * (1.0 - cand * cand)
-            grad.w_cand += dp_c.T @ a
-            grad.u_cand += dp_c.T @ (r * h_in)
-            grad.b_cand += dp_c.sum(axis=0)
-            da = dp_c @ layer.w_cand
-            drh = dp_c @ layer.u_cand
-            dr = drh * h_in
-            dh_acc += drh * r
-
-            dp_r = dr * r * (1.0 - r)
-            grad.w_reset += dp_r.T @ a
-            grad.u_reset += dp_r.T @ h_in
-            grad.b_reset += dp_r.sum(axis=0)
-            da += dp_r @ layer.w_reset
-            dh_acc += dp_r @ layer.u_reset
-
-            dp_z = dz * z * (1.0 - z)
-            grad.w_up += dp_z.T @ a
-            grad.u_up += dp_z.T @ h_in
-            grad.b_up += dp_z.sum(axis=0)
-            da += dp_z @ layer.w_up
-            dh_acc += dp_z @ layer.u_up
-
-            # messages were a = adj @ (h_in @ msg_w.T); adj is its own
-            # transpose (see graph.normalize_adjacency)
-            d_mixed = trace.norm_adj @ da
-            grad.msg_w += d_mixed.T @ h_in
-            dh_acc += d_mixed @ layer.msg_w
-
-            dh = dh_acc
-    return tape
 
 
 class AdamState:
@@ -274,8 +165,7 @@ def train(
     Returns (best params, per-epoch log records); the JSONL log has one
     {epoch, mean_loss, pair_acc, val_ndcg20} record per epoch.
     """
-    hyper = HyperParams(**{f.name: getattr(cfg, f.name) for f in fields(HyperParams)})
-    params = init_params(hyper, seed_stream(cfg.seed, "init"))
+    params = init_params(cfg.hyper(), seed_stream(cfg.seed, "init"))
     state = AdamState(params, lr=cfg.lr)
     sampler = seed_stream(cfg.seed, "triplets")
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
@@ -289,7 +179,6 @@ def train(
 
     best_params = params.copy()
     best_val = float("-inf")
-    have_validation = bool(val_qids)
     records: list[dict] = []
     per_epoch = cfg.batch * cfg.steps_per_epoch
     usable = usable_queries(qrels, {q: pools[q] for q in train_qids})
@@ -316,10 +205,10 @@ def train(
 
         val = (
             _validation_ndcg(ctx, params, pools, qrels, val_qids, epoch)
-            if have_validation
+            if val_qids
             else 0.0
         )
-        if have_validation and val > best_val:
+        if not val_qids or val > best_val:
             best_val = val
             best_params = params.copy()
         records.append(
@@ -330,9 +219,6 @@ def train(
                 "val_ndcg20": float(val),
             }
         )
-
-    if not have_validation:
-        best_params = params.copy()
 
     if log_path is not None:
         with atomic_write(log_path) as fh:
@@ -351,11 +237,3 @@ def train(
         )
     return best_params, records
 
-
-def __getattr__(name: str):
-    """`grad_check` for criterion 1, imported late: `gradcheck` imports us."""
-    if name == "grad_check":
-        from .gradcheck import grad_check
-
-        return grad_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ chunked numpy parse can be checked row by row.
 `doc_forward` and `doc_backprop` are the model's first numpy path, one
 document at a time: the forward pass over one graph and the reverse
 replay of its trace.  The batched `model.forward_batch` and
-`training.backward` are checked against them.
+`model.backward` are checked against them.
 """
 
 import math

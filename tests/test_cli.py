@@ -393,8 +393,8 @@ MALFORMED_ARTIFACTS = [
          **h, "version": 2, "hyper": {**h["hyper"], "per_step_weights": False}}),
      "model.ckpt: checkpoint version 2, expected 3"),
     ("checkpoint-zero-pool-k", "model.ckpt",
-     lambda w: save_checkpoint(w / "model.ckpt", init_params(
-         HyperParams(pool_k=0), np.random.default_rng(0))),
+     lambda w: helpers.rewrite_checkpoint_header(w / "model.ckpt", lambda h: {
+         **h, "hyper": {**h["hyper"], "pool_k": 0}}),
      "bad hyperparameters"),
     ("checkpoint-repeated-tensor", "model.ckpt",
      lambda w: helpers.write_members(w / "model.ckpt", helpers.archive_members(

@@ -119,6 +119,8 @@ class TestLoadConfig:
             load_config(None, overrides={"window": 1}, env={})
         with pytest.raises(DataFormatError, match="steps"):
             load_config(None, overrides={"steps": -1}, env={})
+        with pytest.raises(DataFormatError, match="steps must be an int >= 0"):
+            load_config(None, overrides={"steps": True}, env={})
 
     def test_nul_in_path_is_data_error(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -522,6 +522,11 @@ class TestCheckpoint:
              "bad hyperparameters"),
             (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": 2**40}}, dict,
              "bad hyperparameters"),
+            # a JSON true is a Python bool, which isinstance(..., int) accepts
+            (lambda h: {**h, "hyper": {**h["hyper"], "steps": True}}, dict,
+             "bad hyperparameters"),
+            (lambda h: {**h, "hyper": {**h["hyper"], "max_query_len": True}}, dict,
+             "bad hyperparameters"),
             (lambda h: h, "repeated",
              "member 'out_b.npy' is repeated, compressed, encrypted or not .npy"),
             (lambda h: h, "trailing", "member 'out_w.npy' has bytes after its array"),
@@ -529,7 +534,8 @@ class TestCheckpoint:
         ids=["empty", "not-object", "no-version", "no-hyper", "no-tensors",
              "no-extra", "unknown-hyper", "old-version", "string-hyper", "entry-no-name",
              "entry-no-shape", "tensors-not-list", "extra-not-object",
-             "negative-hyper", "zero-pool-k", "huge-hyper", "repeated-tensor",
+             "negative-hyper", "zero-pool-k", "huge-hyper", "bool-steps",
+             "bool-max-query-len", "repeated-tensor",
              "trailing-bytes"],
     )
     def test_malformed_header_names_path(self, tmp_path, edit, members, fragment):

@@ -21,12 +21,15 @@ from gowrank.evaluation import ndcg_at
 from gowrank.graph import build_graphs, interaction_matrix
 from gowrank.model import (
     HyperParams,
+    backward,
     forward,
     forward_batch,
     gate_weights,
+    hinge_loss,
     init_params,
     iter_tensors,
     load_checkpoint,
+    pairwise_hinge,
     readout,
     score,
 )
@@ -37,10 +40,7 @@ from gowrank.training import (
     ScoringContext,
     Triplet,
     adam_step,
-    backward,
     grad_check,
-    hinge_loss,
-    pairwise_hinge,
     rank_pools,
     sample_triplets,
     score_pool,
