@@ -142,7 +142,7 @@ def _load_world(cfg: RunConfig):
         qid: make_query(vocab, qid, tokenize(title))
         for qid, title in read_queries(cfg.queries)
     }
-    emb = load_embeddings(cfg.embeddings, vocab)
+    emb = load_embeddings(cfg.embeddings, vocab, cfg.index_dir)
     index = build_index(docs.values())
     return docs, queries, emb, index
 

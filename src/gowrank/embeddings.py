@@ -8,13 +8,23 @@ neutral rather than noisy.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import open_text
+from .artifacts import open_text, read_arrays, write_arrays
 from .corpus import Vocabulary
 from .errors import DataFormatError
+
+log = logging.getLogger(__name__)
+
+# index_dir/embeddings.npz (see artifacts.write_arrays): the parsed float64
+# `vectors` (V, dim) and bool `has_vector` (V,) under the version, `dim` and
+# the sha256 of the file's bytes and of the vocabulary's terms in id order
+CACHE_FILE, CACHE_VERSION = "embeddings.npz", 1
 
 class EmbeddingTable:
     """Unit-norm vectors indexed by vocabulary id.
@@ -99,8 +109,66 @@ def _store(path, vocab, vectors, rows, tids, linenos) -> None:
     linenos.clear()
 
 
-def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
+def load_embeddings(path: str | Path, vocab: Vocabulary,
+                    cache_dir: str | Path | None = None) -> EmbeddingTable:
     """Read word2vec text format and align rows to vocabulary ids.
+
+    With `cache_dir`, the vectors come from `cache_dir/embeddings.npz` when
+    it holds this file's and vocabulary's; otherwise the text is parsed and
+    the cache written.  Stale, damaged or not writable, the cache costs a
+    parse, never an error.  One INFO line says what the cache did.
+    """
+    if cache_dir is None:
+        return EmbeddingTable(*_parse_text(path, vocab))
+    cache = Path(cache_dir) / CACHE_FILE
+    key = {"version": CACHE_VERSION,
+           "file_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+           "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest()}
+    table, outcome = _read_cache(cache, key, len(vocab))
+    if table is None:
+        dim, vectors, has_vector = _parse_text(path, vocab)
+        table, outcome = EmbeddingTable(dim, vectors, has_vector), f"miss ({outcome})"
+        # bytes that changed during the parse may not be the ones parsed
+        if hashlib.sha256(Path(path).read_bytes()).hexdigest() == key["file_sha256"]:
+            try:
+                write_arrays(cache, {**key, "dim": dim},
+                             {"vectors": vectors, "has_vector": has_vector})
+                outcome += ", written"
+            except OSError as exc:
+                log.warning("embeddings cache %s not written: %s", cache, exc)
+    log.info("embeddings cache %s: %s", cache, outcome)
+    return table
+
+
+def _read_cache(cache: Path, key: dict, size: int):
+    """(table, "hit") when `cache` holds the vectors of `key`, else (None,
+    why not); a cache that is damaged, foreign, of another version or
+    holds arrays of another shape or dtype is warned about."""
+    if not cache.exists():
+        return None, "no file"
+    why = "damaged"
+    try:
+        header, arrays = read_arrays(cache, "gowrank train")
+        why = "version"
+        if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
+            raise DataFormatError(f"not a version {CACHE_VERSION} cache")
+        if {name: header.get(name) for name in key} != key:
+            return None, "digest"
+        why, dim = "shape", header.get("dim")
+        shapes = {name: (a.dtype, a.shape) for name, a in arrays.items()}
+        if type(dim) is not int or shapes != {"vectors": (np.float64, (size, dim)),
+                                              "has_vector": (bool, (size,))}:
+            raise DataFormatError(f"arrays {shapes}, expected ({size}, dim) "
+                                  f"float64 vectors and ({size},) bool has_vector")
+        why = "damaged"  # a non-finite vector
+        return EmbeddingTable(dim, arrays["vectors"], arrays["has_vector"]), "hit"
+    except DataFormatError as exc:
+        log.warning("embeddings cache %s ignored (%s): %s", cache, why, exc)
+        return None, why
+
+
+def _parse_text(path: str | Path, vocab: Vocabulary):
+    """(dim, vectors, has_vector) of the text at `path`.
 
     First line is `count dim`; each following line is a token and dim
     floats, separated by single spaces.  Tokens outside the vocabulary are
@@ -162,4 +230,4 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
             raise DataFormatError(
                 f"{path}: header announced {count} vectors, file has {seen}"
             )
-    return EmbeddingTable(dim, vectors, has_vector)
+    return dim, vectors, has_vector

@@ -2,9 +2,8 @@
 
 The postings are term-major CSR arrays: the rows (documents, in input
 order) that contain term t, ascending, and their term frequencies.  They
-come from one doc-by-term incidence matrix with duplicates summed,
-transposed once, as `graph.build_graphs` builds the window-by-node
-incidence of a chunk of documents.
+come from one doc-by-term incidence matrix of every token, transposed
+once, whose runs of a repeated (term, document) are collapsed into its tf.
 The index is immutable after construction; scoring distinct queries is
 embarrassingly parallel.  Ties are always broken by ascending doc_id so
 runs are byte-reproducible.
@@ -56,11 +55,9 @@ class PostingsIndex:
         self._id_rank = np.empty(self.num_docs, dtype=np.int64)
         self._id_rank[by_id] = np.arange(self.num_docs)
 
-        # a fresh array, so sum_duplicates may sort and shrink it in place;
         # the per-document arrays are freed before the postings are built
         flat = np.concatenate(gathered)
         del gathered
-        # count before sum_duplicates changes `flat`
         counts = np.bincount(flat)
         present = np.flatnonzero(counts)
         self.coll_freq = dict(zip(present.tolist(), counts[present].tolist()))
@@ -70,15 +67,27 @@ class PostingsIndex:
         self._bm25_norm = _bm25_norm(lens, self.avg_doc_len or 1.0, BM25_K1, BM25_B)
         indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
-        incidence = csr_matrix(
-            (np.ones(flat.size, dtype=np.intc), flat, indptr),
-            shape=(self.num_docs, len(counts)),
-        )
-        incidence.sum_duplicates()
+        # repeats kept: the transpose lists a term's rows ascending, so a
+        # document's repeats are one run, whose length is their tf; each
+        # temporary goes once used, as this build's peak is the command's
+        incidence = csr_matrix((np.ones(flat.size, dtype=np.int8), flat, indptr),
+                               shape=(self.num_docs, len(counts)))
+        del flat
         postings = incidence.tocsc()
-        self._indptr = postings.indptr
-        self._rows = postings.indices
-        self._tf = postings.data
+        del incidence
+        rows, colptr = postings.indices, postings.indptr
+        del postings
+        first = np.ones(rows.size, dtype=bool)  # the first posting of a run
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        first[colptr[:-1][np.diff(colptr) > 0]] = True
+        self._rows = rows[first]
+        del rows
+        starts = np.flatnonzero(first)
+        del first
+        self._tf = np.empty(starts.size, dtype=np.intc)
+        np.subtract(starts[1:], starts[:-1], out=self._tf[:-1])
+        self._tf[-1:] = colptr[-1] - starts[-1:]
+        self._indptr = np.searchsorted(starts, colptr).astype(colptr.dtype)
 
     def postings_of(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending rows of the docs containing `term_id`, and their tf.

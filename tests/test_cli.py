@@ -847,3 +847,184 @@ class TestRepeatedQueryTexts:
         assert _run(repeat_world, "ablate", "--out-dir", str(tmp_path / "ablation")) == 0
         cell = tmp_path / "ablation" / "run_graph_t2.txt"
         assert cell.read_bytes() == (tmp_path / "x.run").read_bytes()
+
+
+# --- the embeddings cache through the commands ----------------------------------
+#
+# `train`, `rerank` and `ablate` read index_dir/embeddings.npz when it holds
+# the vectors of this embeddings file and vocabulary, and parse the text
+# (then write the cache) otherwise.  The cache is derived data: no state of
+# it may change an artifact or fail a command.
+
+CACHE_OUTPUTS = ("train.log", "model.ckpt", "rerank.run", "rerank2.run",
+                 "ablation/table.txt", "ablation/table.json",
+                 *(f"ablation/run_{cell}.txt" for cell in (
+                     "graph_t2", "sequence_t2", "zero_t2", "graph_t0", "graph_t1",
+                     "graph_t3", "graph_t4")))
+
+
+def _in_world(world, command, *flags):
+    """`command` on the inputs in `world`, with every artifact under it."""
+    paths = {
+        "index": ["--corpus", "corpus.jsonl", "--index-dir", "index"],
+        "train": ["--log-out", "train.log"],
+        "rerank": [],
+        "ablate": ["--out-dir", "ablation"],
+    }[command]
+    if command != "index":
+        paths += ["--index-dir", "index", "--queries", "queries.tsv",
+                  "--qrels", "qrels.txt", "--embeddings", "embeddings.txt",
+                  "--checkpoint", "model.ckpt"]
+    argv = [str(world / p) if p[0] != "-" else p for p in paths]
+    return main([command, *argv, "--min-freq", "1", "--epochs", "2",
+                 "--steps-per-epoch", "2", "--batch", "8", "--folds", "4", *flags])
+
+
+def _cache_log(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.name == "gowrank.embeddings"]
+
+
+@pytest.fixture(scope="module")
+def parsed_world(tmp_path_factory):
+    """Inputs and every cache output of a pipeline whose embeddings are
+    always parsed; its `inputs` dir holds the inputs and the index alone."""
+    root = tmp_path_factory.mktemp("parsed")
+    overfit_corpus(seed=3).write(root / "inputs")
+    assert _in_world(root / "inputs", "index") == 0
+    shutil.copytree(root / "inputs", root / "world")
+    parse = embeddings.load_embeddings
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_embeddings",
+                      lambda path, vocab, cache_dir=None: parse(path, vocab))
+        world = root / "world"
+        assert _in_world(world, "train") == 0
+        assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
+        assert _in_world(world, "rerank", "--run-out", str(world / "rerank2.run")) == 0
+        assert _in_world(world, "ablate") == 0
+    assert not (world / "index" / embeddings.CACHE_FILE).exists()
+    return root
+
+
+def _fresh_world(parsed_world, tmp_path):
+    world = tmp_path / "world"
+    shutil.copytree(parsed_world / "inputs", world)
+    return world
+
+
+class TestEmbeddingsCache:
+    def test_cold_and_warm_runs_equal_a_parsing_run(self, parsed_world, tmp_path,
+                                                    caplog):
+        world = _fresh_world(parsed_world, tmp_path)
+        cache = world / "index" / embeddings.CACHE_FILE
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            assert _in_world(world, "train") == 0
+            assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
+            assert _in_world(world, "rerank", "--run-out", str(world / "rerank2.run")) == 0
+            assert _in_world(world, "ablate") == 0
+        assert _cache_log(caplog) == [
+            ("INFO", f"embeddings cache {cache}: miss (no file), written"),
+            *[("INFO", f"embeddings cache {cache}: hit")] * 3,
+        ]
+        for name in CACHE_OUTPUTS:
+            assert (world / name).read_bytes() == (parsed_world / "world" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["flipped", "truncated", "foreign"])
+    def test_damaged_cache_is_warned_about_and_rewritten(
+        self, parsed_world, tmp_path, capsys, caplog, damage
+    ):
+        world = _fresh_world(parsed_world, tmp_path)
+        shutil.copy(parsed_world / "world" / "model.ckpt", world)
+        cache = world / "index" / embeddings.CACHE_FILE
+        run = ["--run-out", str(world / "rerank.run")]
+        assert _in_world(world, "rerank", *run) == 0
+        good = cache.read_bytes()
+        damaged = {
+            "flipped": good[:200] + bytes([good[200] ^ 4]) + good[201:],
+            "truncated": good[:len(good) // 2],
+            # an index archive, which write_arrays also writes
+            "foreign": (world / "index" / "index.npz").read_bytes(),
+        }[damage]
+        cache.write_bytes(damaged)
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            assert _in_world(world, "rerank", *run) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (level, warning), info = _cache_log(caplog)
+        assert level == "WARNING" and f"embeddings cache {cache} ignored" in warning
+        assert info[1].startswith(f"embeddings cache {cache}: miss (")
+        assert info[1].endswith("), written")
+        assert cache.read_bytes() == good
+        assert (world / "rerank.run").read_bytes() == (
+            parsed_world / "world" / "rerank.run").read_bytes()
+
+    def test_failed_cache_write_is_warned_and_outputs_unchanged(
+        self, parsed_world, tmp_path, monkeypatch, caplog
+    ):
+        world = _fresh_world(parsed_world, tmp_path)
+
+        def read_only(path, *args):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # root may write to a read-only directory, so the writer fails instead
+        monkeypatch.setattr(embeddings, "write_arrays", read_only)
+        cache = world / "index" / embeddings.CACHE_FILE
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            assert _in_world(world, "train") == 0
+            assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
+        warning = (f"embeddings cache {cache} not written: "
+                   f"[Errno 13] Permission denied: '{cache}'")
+        assert _cache_log(caplog) == [
+            ("WARNING", warning), ("INFO", f"embeddings cache {cache}: miss (no file)"),
+        ] * 2
+        assert not cache.exists()
+        for name in ("train.log", "model.ckpt", "rerank.run"):
+            assert (world / name).read_bytes() == (parsed_world / "world" / name).read_bytes()
+
+    def _cached_world(self, parsed_world, tmp_path):
+        world = _fresh_world(parsed_world, tmp_path)
+        shutil.copy(parsed_world / "world" / "model.ckpt", world)
+        assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
+        return world, world / "index" / embeddings.CACHE_FILE
+
+    def test_edited_value_is_a_miss_and_the_new_value_is_used(
+        self, parsed_world, tmp_path, caplog
+    ):
+        world, cache = self._cached_world(parsed_world, tmp_path)
+        _edit_line(world / "embeddings.txt", 2, _first_value("9.5"))
+        token = (world / "embeddings.txt").read_text().split("\n")[1].split(" ")[0]
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            assert _in_world(world, "rerank", "--run-out", str(world / "edited.run")) == 0
+        assert _cache_log(caplog) == [
+            ("INFO", f"embeddings cache {cache}: miss (digest), written")]
+        vocab, _ = indexfile.read_index(world / "index")
+        assert read_arrays(cache, "gowrank train")[1]["vectors"][
+            vocab.term_to_id[token], 0] == 9.5
+        # the same run as a parse of the edited file gives
+        cache.unlink()
+        assert _in_world(world, "rerank", "--run-out", str(world / "parsed.run")) == 0
+        assert (world / "edited.run").read_bytes() == (world / "parsed.run").read_bytes()
+
+    def test_malformed_file_behind_a_valid_cache_is_a_data_error(
+        self, parsed_world, tmp_path, capsys
+    ):
+        world, _ = self._cached_world(parsed_world, tmp_path)
+        _edit_line(world / "embeddings.txt", 2, _first_value("oops"))
+        capsys.readouterr()
+        assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {world / 'embeddings.txt'}:2: bad float 'oops'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("min_freq, outcome", [("1", "hit"),
+                                                   ("2", "miss (digest), written")])
+    def test_reindexing_misses_only_for_another_vocabulary(
+        self, parsed_world, tmp_path, caplog, min_freq, outcome
+    ):
+        world, cache = self._cached_world(parsed_world, tmp_path)
+        before = cache.read_bytes()
+        assert _in_world(world, "index", "--min-freq", min_freq) == 0
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            assert _in_world(world, "train", "--min-freq", min_freq) == 0
+        assert _cache_log(caplog) == [("INFO", f"embeddings cache {cache}: {outcome}")]
+        assert (cache.read_bytes() == before) == (outcome == "hit")

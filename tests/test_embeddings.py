@@ -1,11 +1,25 @@
 """Embedding loading, unit rows, and the cosine reference."""
 
+import errno
+import hashlib
+import json
+import logging
+import random
+
 import numpy as np
 import pytest
 
+import helpers
 from gowrank import embeddings
+from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.corpus import Vocabulary
-from gowrank.embeddings import CHUNK_ROWS, EmbeddingTable, load_embeddings
+from gowrank.embeddings import (
+    CACHE_FILE,
+    CACHE_VERSION,
+    CHUNK_ROWS,
+    EmbeddingTable,
+    load_embeddings,
+)
 from gowrank.errors import DataFormatError
 from reference import cosine, line_embeddings
 
@@ -325,3 +339,199 @@ class TestCosine:
             assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
             assert abs(cosine(u, v)) <= 1.0 + 1e-12
 
+
+
+# --- the parsed-vector cache --------------------------------------------------
+
+
+def _cache_messages(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.name == "gowrank.embeddings"]
+
+
+def _same_table(got, want):
+    assert got.dim == want.dim
+    assert got.has_vector.dtype == want.has_vector.dtype
+    assert got.has_vector.tobytes() == want.has_vector.tobytes()
+    assert got.unit.dtype == want.unit.dtype and got.unit.tobytes() == want.unit.tobytes()
+
+
+@pytest.fixture
+def cached(tmp_path):
+    """(vector file, vocabulary, cache dir, the parsed table, the bytes of
+    the cache a first cached load wrote)."""
+    p = tmp_path / "vec.txt"
+    vocab = _vector_file(p, 13, 5, 120, 30, trailing=True)
+    cache_dir = tmp_path / "index"
+    cache_dir.mkdir()
+    load_embeddings(p, vocab, cache_dir)
+    return p, vocab, cache_dir, load_embeddings(p, vocab), (cache_dir / CACHE_FILE).read_bytes()
+
+
+class TestCache:
+    def test_cold_then_warm_tables_equal_the_parsed_one(self, tmp_path, caplog):
+        p = tmp_path / "vec.txt"
+        vocab = _vector_file(p, 12, 7, 300, 40, spellings=_SPELLINGS)
+        parsed = load_embeddings(p, vocab)
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            cold = load_embeddings(p, vocab, tmp_path)
+            warm = load_embeddings(p, vocab, tmp_path)
+        cache = tmp_path / CACHE_FILE
+        assert _cache_messages(caplog) == [
+            ("INFO", f"embeddings cache {cache}: miss (no file), written"),
+            ("INFO", f"embeddings cache {cache}: hit"),
+        ]
+        _same_table(cold, parsed)
+        _same_table(warm, parsed)
+        header, arrays = read_arrays(cache, "gowrank train")
+        assert header == {
+            "version": CACHE_VERSION, "dim": 7,
+            "file_sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+            "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest(),
+        }
+        assert {n: (a.dtype, a.shape) for n, a in arrays.items()} == {
+            "vectors": (np.float64, (len(vocab), 7)), "has_vector": (bool, (len(vocab),))}
+
+    def test_without_cache_dir_nothing_is_written(self, tmp_path, caplog):
+        p = tmp_path / "vec.txt"
+        vocab = _vector_file(p, 12, 3, 20)
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            load_embeddings(p, vocab)
+        assert _cache_messages(caplog) == []
+        assert [q.name for q in tmp_path.iterdir()] == ["vec.txt"]
+
+    def test_edited_value_is_a_miss_and_the_new_value_is_used(self, cached, caplog):
+        p, vocab, cache_dir, _, _ = cached
+        lines = p.read_text().split("\n")
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("t7 "))
+        _set_line(p, lineno, lambda line: "t7 3 0 0 0 4")
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            table = load_embeddings(p, vocab, cache_dir)
+        assert _cache_messages(caplog) == [
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest), written")]
+        np.testing.assert_array_equal(table.unit[7], [0.6, 0, 0, 0, 0.8])
+        _same_table(load_embeddings(p, vocab, cache_dir), load_embeddings(p, vocab))
+
+    def test_other_vocabulary_is_a_miss(self, cached, caplog):
+        p, vocab, cache_dir, _, _ = cached
+        fewer = _vocab(vocab.terms[:-1])
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            table = load_embeddings(p, fewer, cache_dir)
+        assert _cache_messages(caplog) == [
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest), written")]
+        _same_table(table, load_embeddings(p, fewer))
+
+    def test_malformed_file_behind_a_valid_cache_is_still_an_error(self, cached):
+        p, vocab, cache_dir, _, _ = cached
+        _set_line(p, 2, _first_value("oops"))
+        with pytest.raises(DataFormatError, match=r"vec\.txt:2: bad float 'oops'"):
+            load_embeddings(p, vocab, cache_dir)
+
+    def test_file_changed_during_the_parse_is_not_cached(self, cached, monkeypatch,
+                                                         caplog):
+        p, vocab, cache_dir, _, before = cached
+        _set_line(p, 2, _first_value("7"))
+        parse = embeddings._parse_text
+
+        def parse_then_edit(path, vocab):
+            got = parse(path, vocab)
+            _set_line(p, 2, _first_value("8"))
+            return got
+
+        monkeypatch.setattr(embeddings, "_parse_text", parse_then_edit)
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            load_embeddings(p, vocab, cache_dir)
+        assert _cache_messages(caplog) == [
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest)")]
+        assert (cache_dir / CACHE_FILE).read_bytes() == before
+
+    def test_failed_write_is_warned_and_the_table_returned(self, cached, monkeypatch,
+                                                           caplog):
+        p, vocab, cache_dir, parsed, _ = cached
+        (cache_dir / CACHE_FILE).unlink()
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(embeddings, "write_arrays", no_space)
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            table = load_embeddings(p, vocab, cache_dir)
+        cache = cache_dir / CACHE_FILE
+        assert _cache_messages(caplog) == [
+            ("WARNING", f"embeddings cache {cache} not written: "
+                        f"[Errno {errno.ENOSPC}] No space left on device"),
+            ("INFO", f"embeddings cache {cache}: miss (no file)"),
+        ]
+        _same_table(table, parsed)
+        assert not cache.exists()
+
+
+def _foreign_caches(path, dim):
+    """(case, why it misses, bytes) of caches beside a good one at `path`
+    that a load must not use: foreign files, other versions, shapes and
+    dtypes, and a vector that is not finite."""
+    good_header, good = read_arrays(path, "gowrank train")
+
+    def written(header=good_header, drop=(), **arrays):
+        write_arrays(path, header, {**{n: a for n, a in good.items() if n not in drop},
+                                    **arrays})
+        return path.read_bytes()
+
+    nan = good["vectors"].copy()
+    nan[1, 0] = np.nan
+    cases = [
+        ("text", "damaged", b"count dim\n"),
+        ("plain-npy", "damaged", helpers.npy_bytes(np.arange(3))),
+        ("index-like", "version", written(
+            {"version": 2, "doc_ids": []}, drop=("vectors", "has_vector"),
+            offsets=np.zeros(1, "<i8"), tokens=np.zeros(0, "<i4"))),
+        ("header-a-list", "version", written([CACHE_VERSION])),
+        ("version-0", "version", written({**good_header, "version": 0})),
+        ("dim-a-str", "shape", written({**good_header, "dim": str(dim)})),
+        ("vectors-float32", "shape", written(vectors=good["vectors"].astype(np.float32))),
+        ("vectors-short", "shape", written(vectors=good["vectors"][:-1])),
+        ("vectors-transposed", "shape", written(vectors=good["vectors"].T.copy())),
+        ("has-vector-int8", "shape", written(has_vector=good["has_vector"].astype(np.int8))),
+        ("no-has-vector", "shape", written(drop=("has_vector",))),
+        ("extra-member", "shape", written(unit=np.zeros_like(good["vectors"]))),
+        ("non-finite", "damaged", written(vectors=nan)),
+    ]
+    path.write_bytes(b"")
+    return cases
+
+
+def _damaged_copies(data, seed):
+    """(kind, why it misses, bytes): seeded truncations and flipped bits."""
+    rng = random.Random(seed)
+    for cut in sorted(rng.sample(range(len(data)), 40)):
+        yield "truncated", "damaged", data[:cut]
+    for pos in sorted(rng.sample(range(len(data)), 80)):
+        flipped = bytearray(data)
+        flipped[pos] ^= 1 << rng.randrange(8)
+        yield "flipped", "damaged", bytes(flipped)
+
+
+def test_unusable_cache_is_warned_about_then_rewritten(cached, caplog):
+    """A damaged or foreign cache costs one warning naming it and a parse;
+    the load then writes the cache again.  A damaged copy that is not
+    refused loads the table unchanged (a zip field no reader checks)."""
+    p, vocab, cache_dir, parsed, good = cached
+    cache = cache_dir / CACHE_FILE
+    copies = [("foreign", why, data) for _, why, data in _foreign_caches(cache, parsed.dim)]
+    copies += _damaged_copies(good, seed=len(good))
+    refused = set()
+    for kind, why, data in copies:
+        cache.write_bytes(data)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
+            table = load_embeddings(p, vocab, cache_dir)
+        _same_table(table, parsed)
+        messages = _cache_messages(caplog)
+        if kind != "foreign" and messages == [("INFO", f"embeddings cache {cache}: hit")]:
+            continue
+        assert messages[1:] == [("INFO", f"embeddings cache {cache}: miss ({why}), written")]
+        level, warning = messages[0]
+        assert level == "WARNING" and str(cache) in warning, messages
+        assert cache.read_bytes() == good
+        refused.add(kind)
+    assert refused == {"foreign", "truncated", "flipped"}

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.errors import DataFormatError, NumericalError
@@ -111,6 +112,29 @@ class TestBuildIndex:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         # the postings are built from a copy: the documents keep their tokens
         assert buffer.tolist() == [t for tokens in lists for t in tokens]
+
+    def test_postings_equal_the_summed_incidence(self):
+        # the postings are the transpose of the doc-by-term incidence with
+        # repeats summed, arrays and dtypes alike, however the runs fall:
+        # empty documents and terms, and one document's last term being the
+        # next term's first row
+        rng = np.random.default_rng(53)
+        cases = [[[0, 0, 1], [1, 1, 0]], [[], [2, 2, 2]], [[]], [[3], [], [3, 3]]]
+        cases += [[rng.integers(0, v, size=rng.integers(0, 40)).tolist()
+                   for _ in range(rng.integers(1, 30))]
+                  for v in rng.integers(1, 50, size=20)]
+        for lists in cases:
+            flat = np.array([t for tokens in lists for t in tokens], dtype=np.intc)
+            indptr = np.cumsum([0] + [len(tokens) for tokens in lists])
+            summed = csr_matrix((np.ones(flat.size, dtype=np.intc), flat, indptr),
+                                shape=(len(lists), np.bincount(flat).size))
+            summed.sum_duplicates()
+            want = summed.tocsc()
+            got = build_index([_doc(f"d{i}", tokens) for i, tokens in enumerate(lists)])
+            for name, array in (("_indptr", want.indptr), ("_rows", want.indices),
+                                ("_tf", want.data)):
+                a = getattr(got, name)
+                assert a.dtype == array.dtype and a.tobytes() == array.tobytes(), name
 
     def test_duplicate_doc_id(self):
         with pytest.raises(DataFormatError, match="duplicate"):
