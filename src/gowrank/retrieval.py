@@ -69,7 +69,7 @@ class PostingsIndex:
         np.cumsum(lens, out=indptr[1:])
         # repeats kept: the transpose lists a term's rows ascending, so a
         # document's repeats are one run, whose length is their tf; each
-        # temporary goes once used, as this build's peak is the command's
+        # temporary is freed once used, which keeps the peak below a sort's
         incidence = csr_matrix((np.ones(flat.size, dtype=np.int8), flat, indptr),
                                shape=(self.num_docs, len(counts)))
         del flat
