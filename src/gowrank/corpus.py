@@ -213,7 +213,7 @@ def _check_id(path: str | Path, lineno: int, kind: str, value: str) -> None:
 
 
 def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
-    """JSON-lines corpus reader: one {"doc_id", "text"} object per line.
+    """JSON-lines corpus reader: one {"doc_id": str | int, "text": str} per line.
 
     A doc_id seen on an earlier line is an error, not an overwrite, and so
     is one that is empty or contains whitespace.
@@ -227,14 +227,17 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
             try:
                 obj = json.loads(line)
                 doc_id, text = obj["doc_id"], obj["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                if not (type(doc_id) in (str, int) and isinstance(text, str)):
+                    raise TypeError("doc_id must be a string or an integer, text a string")
+            # ValueError: also an integer beyond Python's int-to-str digit limit
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
             doc_id = str(doc_id)
             _check_id(path, lineno, "doc_id", doc_id)
             if doc_id in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            yield doc_id, str(text)
+            yield doc_id, text
 
 
 def read_queries(path: str | Path) -> list[tuple[str, str]]:

@@ -1,8 +1,8 @@
 """Pretrained word vectors aligned to vocabulary ids.
 
 The table is immutable after loading and safe to share across workers.
-Terms without a pretrained vector are flagged; any similarity that
-touches them is 0 by convention, which keeps the interaction features
+A term without a pretrained vector keeps a zero row; any similarity that
+touches it is 0 by convention, which keeps the interaction features
 neutral rather than noisy.
 """
 
@@ -22,29 +22,27 @@ from .errors import DataFormatError
 log = logging.getLogger(__name__)
 
 # index_dir/embeddings.npz (see artifacts.write_arrays): the parsed float64
-# `vectors` (V, dim) and bool `has_vector` (V,) under the version, `dim` and
-# the sha256 of the file's bytes and of the vocabulary's terms in id order
-CACHE_FILE, CACHE_VERSION = "embeddings.npz", 1
+# `vectors` (V, dim) under the version, `dim` and the sha256 of the file's
+# bytes and of the vocabulary's terms in id order
+CACHE_FILE, CACHE_VERSION = "embeddings.npz", 2
 
 class EmbeddingTable:
     """Unit-norm vectors indexed by vocabulary id.
 
-    Built from the raw (V, dim) vectors, which it does not keep:
-    `has_vector[i]` flags availability, and `unit[i]` is term i's vector
-    in float64 scaled to unit norm (zero row when missing or zero-norm),
-    so a cosine block is a single matmul of unit rows.
+    Built from the raw (V, dim) vectors, which it does not keep: `unit[i]`
+    is term i's vector in float64 scaled to unit norm (zero row when
+    missing or zero-norm), so a cosine block is one matmul of unit rows.
     """
 
-    def __init__(self, dim: int, vectors: np.ndarray, has_vector: np.ndarray):
+    def __init__(self, dim: int, vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ValueError(f"vectors must be (V, {dim}), got {vectors.shape}")
         if not np.isfinite(vectors).all():
             raise DataFormatError("embedding table contains non-finite entries")
         self.dim = dim
-        self.has_vector = np.asarray(has_vector, dtype=bool)
         norms = np.linalg.norm(vectors, axis=1)
-        usable = self.has_vector & (norms > 0)
+        usable = norms > 0
         self.unit = np.zeros(vectors.shape)
         self.unit[usable] = vectors[usable] / norms[usable, None]
 
@@ -74,16 +72,17 @@ def _rejects(text: str) -> bool:
     return False
 
 
-def _store(path, vocab, vectors, rows, tids, linenos) -> None:
-    """Parse the value strings `rows` of vocabulary ids `tids`, read from
-    lines `linenos`, into `vectors[tids]`, then empty the three lists.
+def _store(path, vocab, vectors, pending) -> None:
+    """Parse the value strings of the flat `line, id, values` records in
+    `pending` into the ids' rows of `vectors`, then empty the list.
 
     A chunk that does not parse is searched row by row with the same
     parser, and the rows before the first rejected one are checked first,
     so the fault named is the first in the file.
     """
-    if not rows:
+    if not pending:
         return
+    linenos, tids, rows = pending[0::3], pending[1::3], pending[2::3]
     joined = "".join(rows)  # a separator anywhere means the row-by-row search
     clean = all(rows) and not any(c in joined for c in _SEPARATORS)
     try:
@@ -104,9 +103,7 @@ def _store(path, vocab, vectors, rows, tids, linenos) -> None:
         raise DataFormatError(f"{path}:{linenos[bad]}: bad float {value!r} in the "
                               f"vector for {vocab.terms[tids[bad]]!r}")
     vectors[tids] = block
-    rows.clear()
-    tids.clear()
-    linenos.clear()
+    pending.clear()
 
 
 def load_embeddings(path: str | Path, vocab: Vocabulary,
@@ -116,7 +113,8 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
     With `cache_dir`, the vectors come from `cache_dir/embeddings.npz` when
     it holds this file's and vocabulary's; otherwise the text is parsed and
     the cache written.  Stale, damaged or not writable, the cache costs a
-    parse, never an error.  One INFO line says what the cache did.
+    parse, never an error.  One INFO line says what the cache did: `hit` or
+    `miss (no file | stale | damaged)`, then `, written` if it wrote it.
     """
     if cache_dir is None:
         return EmbeddingTable(*_parse_text(path, vocab))
@@ -126,13 +124,12 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
            "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest()}
     table, outcome = _read_cache(cache, key, len(vocab))
     if table is None:
-        dim, vectors, has_vector = _parse_text(path, vocab)
-        table, outcome = EmbeddingTable(dim, vectors, has_vector), f"miss ({outcome})"
+        dim, vectors = _parse_text(path, vocab)
+        table, outcome = EmbeddingTable(dim, vectors), f"miss ({outcome})"
         # bytes that changed during the parse may not be the ones parsed
         if hashlib.sha256(Path(path).read_bytes()).hexdigest() == key["file_sha256"]:
             try:
-                write_arrays(cache, {**key, "dim": dim},
-                             {"vectors": vectors, "has_vector": has_vector})
+                write_arrays(cache, {**key, "dim": dim}, {"vectors": vectors})
                 outcome += ", written"
             except OSError as exc:
                 log.warning("embeddings cache %s not written: %s", cache, exc)
@@ -141,48 +138,42 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
 
 
 def _read_cache(cache: Path, key: dict, size: int):
-    """(table, "hit") when `cache` holds the vectors of `key`, else (None,
-    why not); a cache that is damaged, foreign, of another version or
-    holds arrays of another shape or dtype is warned about."""
+    """(table, "hit") when `cache` holds the vectors of `key`; else (None,
+    "no file"), (None, "stale") when it is a cache header of another
+    version, file or vocabulary, or (None, "damaged") with a warning."""
     if not cache.exists():
         return None, "no file"
-    why = "damaged"
     try:
         header, arrays = read_arrays(cache, "gowrank train")
-        why = "version"
-        if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
-            raise DataFormatError(f"not a version {CACHE_VERSION} cache")
-        if {name: header.get(name) for name in key} != key:
-            return None, "digest"
-        why, dim = "shape", header.get("dim")
-        shapes = {name: (a.dtype, a.shape) for name, a in arrays.items()}
-        if type(dim) is not int or shapes != {"vectors": (np.float64, (size, dim)),
-                                              "has_vector": (bool, (size,))}:
-            raise DataFormatError(f"arrays {shapes}, expected ({size}, dim) "
-                                  f"float64 vectors and ({size},) bool has_vector")
-        why = "damaged"  # a non-finite vector
-        return EmbeddingTable(dim, arrays["vectors"], arrays["has_vector"]), "hit"
+        if not isinstance(header, dict) or not key.keys() <= header.keys():
+            raise DataFormatError(f"header {header!r:.80} is not a cache's")
+        if {name: header[name] for name in key} != key:
+            return None, "stale"
+        dim, shapes = header.get("dim"), {n: (a.dtype, a.shape) for n, a in arrays.items()}
+        # dim < 1, which a parse refuses, would zero every interaction feature
+        if type(dim) is not int or dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
+            raise DataFormatError(f"dim {dim!r}, arrays {shapes}, expected "
+                                  f"({size}, dim) float64 vectors")
+        return EmbeddingTable(dim, arrays["vectors"]), "hit"
     except DataFormatError as exc:
-        log.warning("embeddings cache %s ignored (%s): %s", cache, why, exc)
-        return None, why
+        log.warning("embeddings cache %s ignored: %s", cache, exc)
+        return None, "damaged"
 
 
 def _parse_text(path: str | Path, vocab: Vocabulary):
-    """(dim, vectors, has_vector) of the text at `path`.
+    """(dim, vectors) of the text at `path`.
 
     First line is `count dim`; each following line is a token and dim
     floats, separated by single spaces.  Tokens outside the vocabulary are
     skipped and their values never parsed, vocabulary terms absent from
-    the file are flagged missing, and a second vector is an error.  The
+    the file keep a zero row, and a second vector is an error.  The
     values of vocabulary rows go to numpy's C reader, CHUNK_ROWS rows per
     call, so no line is split into one string per value.
     """
     with open_text(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataFormatError(f"{path}:1: expected header `count dim`")
-        try:
-            count, dim = int(header[0]), int(header[1])
+        header = fh.readline().split()  # read outside the try: bad UTF-8 is a ValueError
+        try:  # unpacking other than two fields raises ValueError too
+            count, dim = (int(field) for field in header)
         except ValueError as exc:
             raise DataFormatError(f"{path}:1: expected header `count dim`") from exc
         if dim < 1:
@@ -194,40 +185,36 @@ def _parse_text(path: str | Path, vocab: Vocabulary):
             raise DataFormatError(
                 f"{path}:1: dim {dim} too large to allocate ({exc})"
             ) from exc
-        has_vector = np.zeros(len(vocab), dtype=bool)
-        rows, tids, linenos = [], [], []  # the vocabulary rows not yet parsed
-        seen = 0
+        seen = np.zeros(len(vocab), dtype=bool)  # the terms with a vector
+        pending = []  # flat (line, id, values) records: a tuple each would wake the GC
+        total = 0
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():
                 continue
-            line = line.rstrip("\n")
-            # trailing space before newline is common in this format
-            if line.endswith(" "):
-                line = line[:-1]
+            # one trailing space before the newline is common in this format
+            line = line.rstrip("\n").removesuffix(" ")
             token, sep, rest = line.partition(" ")
             values = rest.count(" ") + 1 if sep else 0
             if values != dim:
                 # a fault in a row above this line comes first
-                _store(path, vocab, vectors, rows, tids, linenos)
+                _store(path, vocab, vectors, pending)
                 raise DataFormatError(
                     f"{path}:{lineno}: expected token + {dim} values, got {values}"
                 )
-            seen += 1
+            total += 1
             tid = vocab.term_to_id.get(token)
             if tid is None:
                 continue
-            if has_vector[tid]:
-                _store(path, vocab, vectors, rows, tids, linenos)
+            if seen[tid]:
+                _store(path, vocab, vectors, pending)
                 raise DataFormatError(f"{path}:{lineno}: second vector for {token!r}")
-            has_vector[tid] = True
-            rows.append(rest)
-            tids.append(tid)
-            linenos.append(lineno)
-            if len(rows) == CHUNK_ROWS:
-                _store(path, vocab, vectors, rows, tids, linenos)
-        _store(path, vocab, vectors, rows, tids, linenos)
-        if seen != count:
+            seen[tid] = True
+            pending += lineno, tid, rest
+            if len(pending) == 3 * CHUNK_ROWS:
+                _store(path, vocab, vectors, pending)
+        _store(path, vocab, vectors, pending)
+        if total != count:
             raise DataFormatError(
-                f"{path}: header announced {count} vectors, file has {seen}"
+                f"{path}: header announced {count} vectors, file has {total}"
             )
-    return dim, vectors, has_vector
+    return dim, vectors

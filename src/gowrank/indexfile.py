@@ -50,9 +50,10 @@ def read_index(index_dir: str | Path):
         version = header["version"]
         vocab = Vocabulary.from_payload(header["vocabulary"])
         doc_ids, raw_lengths = header["doc_ids"], header["raw_lengths"]
+        # a num_docs other than the documents' count would skew every idf
         if not (isinstance(doc_ids, list) and isinstance(raw_lengths, list)
-                and len(doc_ids) == len(raw_lengths)):
-            raise TypeError("doc_ids and raw_lengths must be lists of one length")
+                and len(doc_ids) == len(raw_lengths) == vocab.num_docs):
+            raise TypeError("doc_ids and raw_lengths must be lists of num_docs entries")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: bad index header: {exc!r}") from exc
     if version != INDEX_VERSION:

@@ -134,16 +134,14 @@ def _validation_ndcg(
     qrels: QRels,
     val_qids: list[str],
     epoch: int,
-    cutoff: int = 20,
 ) -> float:
-    """Mean nDCG@cutoff over the judged validation queries, every pool
-    scored in one call; a query with an empty pool counts 0."""
-    judged = [q for q in val_qids if qrels.get(q) and max(qrels[q].values()) > 0]
-    ranked = rank_pools(ctx, {qid: pools[qid] for qid in judged}, params)
+    """Mean nDCG@20 over the validation queries, every pool scored in one
+    call; a query with an empty pool counts 0."""
+    ranked = rank_pools(ctx, {qid: pools[qid] for qid in val_qids}, params)
     if not np.isfinite([v for pool in ranked.values() for _, v in pool]).all():
         raise NumericalError(f"epoch {epoch}: non-finite validation score")
-    values = [ndcg_at([d for d, _ in ranked[q]], qrels[q], cutoff) for q in judged]
-    return sum(values) / len(values) if values else 0.0
+    values = [ndcg_at([d for d, _ in ranked[q]], qrels[q], 20) for q in val_qids]
+    return sum(values) / len(values)
 
 
 def train(
@@ -161,7 +159,7 @@ def train(
     """Epoch loop: sample triplets, batch-mean gradients, Adam, validate.
 
     Keeps the checkpoint with the best validation nDCG@20 (ties keep the
-    earlier epoch); without validation queries the final parameters win.
+    earlier epoch); with no validation query to measure, the last epoch wins.
     Returns (best params, per-epoch log records); the JSONL log has one
     {epoch, mean_loss, pair_acc, val_ndcg20} record per epoch.
     """
@@ -171,7 +169,12 @@ def train(
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
 
     train_qids = [q for q in train_qids if queries[q].tokens]
-    val_qids = [q for q in val_qids if queries[q].tokens]
+    measurable = [q for q in val_qids if queries[q].tokens
+                  and max(qrels.get(q, {}).values(), default=0) > 0]
+    if val_qids and not measurable:
+        log.warning("no validation query has terms and a relevant document; "
+                    "the final parameters are kept")
+    val_qids = measurable
     pools = {
         qid: top_candidates(queries[qid], index, cfg.candidates)
         for qid in sorted(set(train_qids) | set(val_qids))

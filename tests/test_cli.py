@@ -294,6 +294,11 @@ MALFORMED_ARTIFACTS = [
     ("index-doc-ids-not-a-list", "index/index.npz",
      lambda w: _edit_index(w, lambda h, o, t: h.__setitem__("doc_ids", "o000")),
      "index.npz: bad index header: TypeError('doc_ids and raw_lengths must be lists"),
+    # idf() took log((num_docs + 1) / (df + 1)) of a negative number
+    ("index-vocabulary-num-docs-negative", "index/index.npz",
+     _vocabulary_edit("num_docs", lambda _: -1),
+     "index.npz: bad index header: TypeError('doc_ids and raw_lengths must be lists "
+     "of num_docs entries')"),
     # the zip's end record cut short
     ("docs-truncated", "index/index.npz",
      lambda w: (w / "index/index.npz").write_bytes(
@@ -952,8 +957,7 @@ class TestEmbeddingsCache:
         assert "Traceback" not in capsys.readouterr().err
         (level, warning), info = _cache_log(caplog)
         assert level == "WARNING" and f"embeddings cache {cache} ignored" in warning
-        assert info[1].startswith(f"embeddings cache {cache}: miss (")
-        assert info[1].endswith("), written")
+        assert info[1] == f"embeddings cache {cache}: miss (damaged), written"
         assert cache.read_bytes() == good
         assert (world / "rerank.run").read_bytes() == (
             parsed_world / "world" / "rerank.run").read_bytes()
@@ -996,7 +1000,7 @@ class TestEmbeddingsCache:
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             assert _in_world(world, "rerank", "--run-out", str(world / "edited.run")) == 0
         assert _cache_log(caplog) == [
-            ("INFO", f"embeddings cache {cache}: miss (digest), written")]
+            ("INFO", f"embeddings cache {cache}: miss (stale), written")]
         vocab, _ = indexfile.read_index(world / "index")
         assert read_arrays(cache, "gowrank train")[1]["vectors"][
             vocab.term_to_id[token], 0] == 9.5
@@ -1017,7 +1021,7 @@ class TestEmbeddingsCache:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("min_freq, outcome", [("1", "hit"),
-                                                   ("2", "miss (digest), written")])
+                                                   ("2", "miss (stale), written")])
     def test_reindexing_misses_only_for_another_vocabulary(
         self, parsed_world, tmp_path, caplog, min_freq, outcome
     ):

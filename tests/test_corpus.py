@@ -188,6 +188,27 @@ class TestReadCorpus:
         with pytest.raises(DataFormatError, match=r"corpus.jsonl:3: duplicate doc_id"):
             list(read_corpus(path))
 
+    @pytest.mark.parametrize("record", [
+        '{"doc_id": "d1", "text": null}',  # was the one word "none"
+        '{"doc_id": null, "text": "a"}',  # was the document "None"
+        '{"doc_id": "d1", "text": {"a": 1}}',  # was the tokens "a 1"
+        '{"doc_id": true, "text": "a"}',
+        '{"doc_id": 1.5, "text": "a"}',
+        '{"doc_id": "d1", "text": ["a"]}',
+        '{"doc_id": ' + "9" * 5000 + ', "text": "a"}',
+        '["d1", "a"]',
+        '{"doc_id": "d1"}',
+        '{"doc_id": "d1", "text": "a"',
+    ], ids=["text-null", "doc-id-null", "text-object", "doc-id-bool", "doc-id-float",
+            "text-list", "doc-id-5000-digits", "list", "no-text", "not-json"])
+    def test_record_of_other_types_rejected(self, tmp_path, record):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": 7, "text": "a b"}\n' + record + "\n")
+        records = read_corpus(path)
+        assert next(records) == ("7", "a b")
+        with pytest.raises(DataFormatError, match=r"corpus.jsonl:2: bad corpus record: "):
+            next(records)
+
 
 class TestReadQueries:
     def test_duplicate_query_id_rejected(self, tmp_path):

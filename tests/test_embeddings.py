@@ -43,15 +43,14 @@ class TestLoadEmbeddings:
     def test_full_coverage(self, tmp_path):
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b"]))
-        assert table.has_vector.all()
+        assert table.unit.any(axis=1).all()
         np.testing.assert_array_equal(table.unit[0], [1, 0, 0])
         np.testing.assert_array_equal(table.unit[1], [0, 1, 0])
 
     def test_partial_coverage(self, tmp_path):
         p = _write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
         table = load_embeddings(p, _vocab(["a", "b", "c"]))
-        assert table.has_vector.sum() == 2
-        assert not table.has_vector[2]
+        assert table.unit.any(axis=1).tolist() == [True, True, False]
         np.testing.assert_array_equal(table.unit[2], [0, 0, 0])
 
     def test_short_line_rejected(self, tmp_path):
@@ -82,7 +81,7 @@ class TestLoadEmbeddings:
     def test_extra_tokens_skipped(self, tmp_path):
         p = _write(tmp_path, "3 2\na 1 0\nzzz 5 5\nb 0 1\n")
         table = load_embeddings(p, _vocab(["a", "b"]))
-        assert table.has_vector.all()
+        np.testing.assert_array_equal(table.unit, [[1, 0], [0, 1]])
 
     def test_second_vector_for_vocabulary_token_rejected(self, tmp_path):
         p = _write(tmp_path, "3 2\na 1 0\nb 0 1\na 5 5\n")
@@ -165,14 +164,14 @@ VECTOR_FILES = [
     ids=[case[0] for case in VECTOR_FILES],
 )
 def test_rows_equal_the_per_float_oracle(tmp_path, dim, vocab_rows, oov_rows, options):
-    """`unit` and `has_vector` are byte-equal to those of the rows the
-    first loader parsed one `float()` at a time."""
+    """`unit` is byte-equal to that of the rows the first loader parsed
+    one `float()` at a time."""
     p = tmp_path / "vec.txt"
     vocab = _vector_file(p, 11, dim, vocab_rows, oov_rows, **options)
     table = load_embeddings(p, vocab)
-    want = EmbeddingTable(dim, *line_embeddings(p, vocab))
-    assert table.has_vector.tobytes() == want.has_vector.tobytes()
-    assert table.has_vector.sum() == vocab_rows
+    vectors, has_vector = line_embeddings(p, vocab)
+    want = EmbeddingTable(dim, vectors)
+    assert has_vector.sum() == vocab_rows
     assert table.unit.dtype == want.unit.dtype
     assert table.unit.tobytes() == want.unit.tobytes()
 
@@ -287,9 +286,7 @@ def test_value_float_accepts_but_the_c_parser_rejects(tmp_path, value, lineno):
 
 class TestUnitRows:
     def test_unit_norms(self):
-        table = EmbeddingTable(
-            2, np.array([[3.0, 4.0], [0.0, 0.0]]), np.array([True, False])
-        )
+        table = EmbeddingTable(2, np.array([[3.0, 4.0], [0.0, 0.0]]))
         np.testing.assert_allclose(table.unit[0], [0.6, 0.8])
         np.testing.assert_array_equal(table.unit[1], [0.0, 0.0])
 
@@ -297,7 +294,7 @@ class TestUnitRows:
     def test_rows_are_exactly_v_over_norm(self, dtype):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(50, 7)).astype(dtype)
-        table = EmbeddingTable(7, vectors, np.ones(50, dtype=bool))
+        table = EmbeddingTable(7, vectors)
         v = vectors.astype(np.float64)
         assert table.unit.dtype == np.float64
         np.testing.assert_array_equal(
@@ -306,7 +303,7 @@ class TestUnitRows:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataFormatError):
-            EmbeddingTable(2, np.array([[np.nan, 0.0]]), np.array([True]))
+            EmbeddingTable(2, np.array([[np.nan, 0.0]]))
 
 
 class TestCosine:
@@ -351,8 +348,6 @@ def _cache_messages(caplog):
 
 def _same_table(got, want):
     assert got.dim == want.dim
-    assert got.has_vector.dtype == want.has_vector.dtype
-    assert got.has_vector.tobytes() == want.has_vector.tobytes()
     assert got.unit.dtype == want.unit.dtype and got.unit.tobytes() == want.unit.tobytes()
 
 
@@ -390,7 +385,7 @@ class TestCache:
             "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest(),
         }
         assert {n: (a.dtype, a.shape) for n, a in arrays.items()} == {
-            "vectors": (np.float64, (len(vocab), 7)), "has_vector": (bool, (len(vocab),))}
+            "vectors": (np.float64, (len(vocab), 7))}
 
     def test_without_cache_dir_nothing_is_written(self, tmp_path, caplog):
         p = tmp_path / "vec.txt"
@@ -408,7 +403,7 @@ class TestCache:
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             table = load_embeddings(p, vocab, cache_dir)
         assert _cache_messages(caplog) == [
-            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest), written")]
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (stale), written")]
         np.testing.assert_array_equal(table.unit[7], [0.6, 0, 0, 0, 0.8])
         _same_table(load_embeddings(p, vocab, cache_dir), load_embeddings(p, vocab))
 
@@ -418,7 +413,7 @@ class TestCache:
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             table = load_embeddings(p, fewer, cache_dir)
         assert _cache_messages(caplog) == [
-            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest), written")]
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (stale), written")]
         _same_table(table, load_embeddings(p, fewer))
 
     def test_malformed_file_behind_a_valid_cache_is_still_an_error(self, cached):
@@ -442,7 +437,7 @@ class TestCache:
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             load_embeddings(p, vocab, cache_dir)
         assert _cache_messages(caplog) == [
-            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (digest)")]
+            ("INFO", f"embeddings cache {cache_dir / CACHE_FILE}: miss (stale)")]
         assert (cache_dir / CACHE_FILE).read_bytes() == before
 
     def test_failed_write_is_warned_and_the_table_returned(self, cached, monkeypatch,
@@ -468,8 +463,9 @@ class TestCache:
 
 def _foreign_caches(path, dim):
     """(case, why it misses, bytes) of caches beside a good one at `path`
-    that a load must not use: foreign files, other versions, shapes and
-    dtypes, and a vector that is not finite."""
+    that a load must not use: the headers of other versions, which are
+    stale, and foreign files, other shapes and dtypes, and a vector that
+    is not finite, which are damaged."""
     good_header, good = read_arrays(path, "gowrank train")
 
     def written(header=good_header, drop=(), **arrays):
@@ -482,18 +478,23 @@ def _foreign_caches(path, dim):
     cases = [
         ("text", "damaged", b"count dim\n"),
         ("plain-npy", "damaged", helpers.npy_bytes(np.arange(3))),
-        ("index-like", "version", written(
-            {"version": 2, "doc_ids": []}, drop=("vectors", "has_vector"),
+        ("index-like", "damaged", written(
+            {"version": 2, "doc_ids": []}, drop=("vectors",),
             offsets=np.zeros(1, "<i8"), tokens=np.zeros(0, "<i4"))),
-        ("header-a-list", "version", written([CACHE_VERSION])),
-        ("version-0", "version", written({**good_header, "version": 0})),
-        ("dim-a-str", "shape", written({**good_header, "dim": str(dim)})),
-        ("vectors-float32", "shape", written(vectors=good["vectors"].astype(np.float32))),
-        ("vectors-short", "shape", written(vectors=good["vectors"][:-1])),
-        ("vectors-transposed", "shape", written(vectors=good["vectors"].T.copy())),
-        ("has-vector-int8", "shape", written(has_vector=good["has_vector"].astype(np.int8))),
-        ("no-has-vector", "shape", written(drop=("has_vector",))),
-        ("extra-member", "shape", written(unit=np.zeros_like(good["vectors"]))),
+        ("header-a-list", "damaged", written([CACHE_VERSION])),
+        ("version-0", "stale", written({**good_header, "version": 0})),
+        # version 1 also stored a bool `has_vector` (V,)
+        ("version-1", "stale", written({**good_header, "version": 1},
+                                       has_vector=np.ones(len(good["vectors"]), bool))),
+        ("dim-a-str", "damaged", written({**good_header, "dim": str(dim)})),
+        ("dim-0", "damaged", written({**good_header, "dim": 0},
+                                     vectors=np.zeros((len(good["vectors"]), 0)))),
+        ("no-dim", "damaged", written({k: v for k, v in good_header.items() if k != "dim"})),
+        ("vectors-float32", "damaged", written(vectors=good["vectors"].astype(np.float32))),
+        ("vectors-short", "damaged", written(vectors=good["vectors"][:-1])),
+        ("vectors-transposed", "damaged", written(vectors=good["vectors"].T.copy())),
+        ("no-vectors", "damaged", written(drop=("vectors",))),
+        ("extra-member", "damaged", written(unit=np.zeros_like(good["vectors"]))),
         ("non-finite", "damaged", written(vectors=nan)),
     ]
     path.write_bytes(b"")
@@ -512,9 +513,10 @@ def _damaged_copies(data, seed):
 
 
 def test_unusable_cache_is_warned_about_then_rewritten(cached, caplog):
-    """A damaged or foreign cache costs one warning naming it and a parse;
-    the load then writes the cache again.  A damaged copy that is not
-    refused loads the table unchanged (a zip field no reader checks)."""
+    """A damaged or foreign cache costs one warning naming it and a parse,
+    a stale one the parse alone; the load then writes the cache again.  A
+    damaged copy that is not refused loads the table unchanged (a zip
+    field no reader checks)."""
     p, vocab, cache_dir, parsed, good = cached
     cache = cache_dir / CACHE_FILE
     copies = [("foreign", why, data) for _, why, data in _foreign_caches(cache, parsed.dim)]
@@ -529,9 +531,9 @@ def test_unusable_cache_is_warned_about_then_rewritten(cached, caplog):
         messages = _cache_messages(caplog)
         if kind != "foreign" and messages == [("INFO", f"embeddings cache {cache}: hit")]:
             continue
-        assert messages[1:] == [("INFO", f"embeddings cache {cache}: miss ({why}), written")]
-        level, warning = messages[0]
-        assert level == "WARNING" and str(cache) in warning, messages
+        assert messages[-1:] == [("INFO", f"embeddings cache {cache}: miss ({why}), written")]
+        warned = [(level, str(cache) in text) for level, text in messages[:-1]]
+        assert warned == ([] if why == "stale" else [("WARNING", True)]), messages
         assert cache.read_bytes() == good
         refused.add(kind)
     assert refused == {"foreign", "truncated", "flipped"}

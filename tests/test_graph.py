@@ -447,7 +447,7 @@ def _table():
             [0.0, 0.0, 0.0],
         ]
     )
-    return EmbeddingTable(3, vecs, np.array([True, True, True, False]))
+    return EmbeddingTable(3, vecs)
 
 
 def _query(tokens):
@@ -501,7 +501,7 @@ class TestInteractionMatrix:
         rng = np.random.default_rng(47)
         vecs = rng.normal(size=(10, 4))
         vecs[7] = 0.0
-        table = EmbeddingTable(4, vecs, np.array([True] * 7 + [False] + [True] * 2))
+        table = EmbeddingTable(4, vecs)
         tokens = list(rng.integers(0, 10, size=40))
         g = build_graph(_doc(tokens), window=5)
         qtoks = [0, 7, 3, OOV_ID]
@@ -509,7 +509,7 @@ class TestInteractionMatrix:
         assert S.shape == (g.num_nodes, 4)
         for i, nt in enumerate(g.node_terms):
             for j, qt in enumerate(qtoks):
-                if qt == OOV_ID or not table.has_vector[qt] or not table.has_vector[nt]:
+                if qt == OOV_ID or not vecs[qt].any() or not vecs[nt].any():
                     expected = 0.0
                 else:
                     expected = reference.cosine(vecs[nt], vecs[qt])

@@ -3,7 +3,9 @@ top-level function and class in `src/gowrank`, and every public method
 and property of a top-level class, is referenced somewhere in the
 package outside its own definition.  A method or property counts as
 referenced only through an attribute (`x.name`), so a parameter or local
-that shares its name does not hide a missing caller."""
+that shares its name does not hide a missing caller.  Nor does it store
+a fact no code reads: every public attribute that a top-level class's
+`__init__` assigns is read as `x.name` outside that `__init__`."""
 
 import ast
 from collections import Counter
@@ -56,9 +58,13 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _public_definitions_without_caller() -> list[str]:
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     # everywhere[True] counts attributes only: a method is reached as `x.name`
     everywhere = {method: sum((_names(t, method) for t in trees.values()), Counter())
                   for method in (False, True)}
@@ -73,5 +79,33 @@ def _public_definitions_without_caller() -> list[str]:
     return orphans
 
 
+def _reads(node: ast.AST) -> Counter:
+    """Attribute names that `node`'s code loads (`x.name`, not `x.name = ...`)."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _stored_attributes_without_reader() -> list[str]:
+    trees = _trees()
+    everywhere = sum((_reads(t) for t in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for qualified, init in _definitions(tree):
+            if not qualified.endswith(".__init__"):
+                continue
+            for sub in ast.walk(init):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                        and not sub.attr.startswith("_")
+                        and everywhere[sub.attr] - _reads(init)[sub.attr] == 0):
+                    orphans.append(f"{module}:{sub.lineno} "
+                                   f"{qualified.removesuffix('__init__')}{sub.attr}")
+    return orphans
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
     assert _public_definitions_without_caller() == []
+
+
+def test_every_attribute_init_stores_is_read_in_the_package():
+    assert _stored_attributes_without_reader() == []

@@ -467,7 +467,7 @@ def _tiny_world():
     vectors[9] = [0, -1, 0, 0]
     vectors[10] = [0, 0, -1, 0]
     vectors[11] = [0, 0, 0, -1]
-    emb = EmbeddingTable(dim, vectors, np.ones(12, dtype=bool))
+    emb = EmbeddingTable(dim, vectors)
 
     docs = {}
     qrels = {"qa": {}, "qb": {}}
@@ -650,14 +650,14 @@ class TestRankPools:
             "dry": [("pa0", 0.0)],
             "lost": [],
         }
-        val_qids = ["qb", "lost", "dry", "mixed", "qa"]
+        # `train` keeps dry, which has no relevant doc, out of validation
+        val_qids = ["qb", "lost", "mixed", "qa"]
         values = []
-        for qid in val_qids:  # dry has no relevant doc; lost counts 0
-            if max(qrels[qid].values()) > 0:
-                ctx = ScoringContext(docs, queries, emb, 3, "graph")
-                ranked = [d for d, _ in score_pool(ctx, qid, pools[qid], params)]
-                values.append(ndcg_at(ranked, qrels[qid], 20))
-        assert len(values) == 4 and values[1] == 0.0
+        for qid in val_qids:  # lost counts 0
+            ctx = ScoringContext(docs, queries, emb, 3, "graph")
+            ranked = [d for d, _ in score_pool(ctx, qid, pools[qid], params)]
+            values.append(ndcg_at(ranked, qrels[qid], 20))
+        assert values[1] == 0.0
         ctx = ScoringContext(docs, queries, emb, 3, "graph")
         mean = training._validation_ndcg(ctx, params, pools, qrels, val_qids, epoch=1)
         assert mean == sum(values) / len(values)
@@ -709,6 +709,27 @@ class TestTrainLoop:
         assert excluded == [
             "query qb excluded from sampling (8 positives, 0 negatives)"
         ]
+
+    def test_unmeasurable_validation_fold_is_no_validation(self, caplog):
+        """Validation queries with no relevant document leave nDCG at 0 in
+        every epoch, which would keep epoch 1; the final parameters win."""
+        docs, queries, qrels, index, emb = _tiny_world()
+        qrels["qb"] = dict.fromkeys(qrels["qb"], 0)
+        cfg = _tiny_config(epochs=3)
+        with caplog.at_level(logging.INFO, logger="gowrank.training"):
+            params, records = train(docs, queries, qrels, index, emb, cfg,
+                                    train_qids=["qa"], val_qids=["qb"])
+        final, _ = train(docs, queries, qrels, index, emb, cfg,
+                         train_qids=["qa"], val_qids=[])
+        first, _ = train(docs, queries, qrels, index, emb, _tiny_config(epochs=1),
+                         train_qids=["qa"], val_qids=[])
+        assert params.flat.tobytes() == final.flat.tobytes()
+        assert params.flat.tobytes() != first.flat.tobytes()
+        assert [r["val_ndcg20"] for r in records] == [0.0] * 3
+        assert [(r.levelname, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING] == [
+            ("WARNING", "no validation query has terms and a relevant document; "
+                        "the final parameters are kept")]
 
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
         docs, queries, qrels, index, emb = _tiny_world()
