@@ -7,11 +7,12 @@ system.  A writer that raises removes the temporary file and leaves any
 earlier file at the target untouched.  The index and the checkpoint are
 .npz archives whose members zip guards with a CRC-32.  Every text input is
 read through `open_text`, so a byte that is not UTF-8 is a data error
-naming its line.
+naming its line.  A `Cache` keeps data derived from files in such an archive.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tokenize
@@ -66,10 +67,19 @@ def open_text(path: str | Path) -> Iterator[IO[str]]:
 
 def write_arrays(path: str | Path, header, arrays: dict[str, np.ndarray]) -> None:
     """Write `header` as JSON and the named numeric `arrays` to `path` as
-    one uncompressed .npz archive, atomically."""
+    one uncompressed .npz archive, atomically: `np.savez`'s bytes, without
+    the bytes copy of each array that `np.savez` writes from."""
     blob = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), np.uint8)
-    with atomic_write(path, binary=True) as fh:
-        np.savez(fh, allow_pickle=False, header=blob, **arrays)
+    with (atomic_write(path, binary=True) as fh,
+          zipfile.ZipFile(fh, "w", allowZip64=True) as archive):
+        for name, array in {"header": blob, **arrays}.items():
+            array = np.asanyarray(array)
+            if array.dtype.hasobject:
+                raise ValueError(f"array {name!r} holds Python objects")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                layout = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, layout)
+                member.write(np.ascontiguousarray(array.T if layout["fortran_order"] else array))
 
 
 def read_arrays(path: str | Path, writer: str) -> tuple[object, dict[str, np.ndarray]]:
@@ -105,3 +115,54 @@ def read_arrays(path: str | Path, writer: str) -> tuple[object, dict[str, np.nda
             ValueError, TypeError, tokenize.TokenError, MemoryError) as exc:
         raise DataFormatError(f"{path}: unreadable ({type(exc).__name__}: {exc}); "
                               f"run `{writer}` to write it again") from exc
+
+
+class Cache:
+    """Data derived from files, kept at `path` in an archive whose header
+    holds `key`: the caller's entries and the sha256 of each of `inputs`.
+    `read` is a `hit` or a `miss (no file | stale | damaged)`, damaged with
+    one WARNING; `write` adds `, written`, or one WARNING when it fails,
+    and writes nothing if an input changed after the key was taken (what
+    was derived may not be of the bytes there now); `report` logs the
+    outcome in one INFO line."""
+
+    def __init__(self, path: str | Path, key: dict, inputs: dict, label: str, log):
+        self.path, self.inputs, self.label, self.log = Path(path), inputs, label, log
+        self.key = {**key, **self._digests()}
+        self.outcome = "miss (no file)"
+
+    def _digests(self) -> dict[str, str]:
+        return {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                for name, path in self.inputs.items()}
+
+    def read(self, decode):
+        """`decode(header, arrays)` of the archive when it holds `key`, else
+        None; `decode` raises DataFormatError for what it refuses."""
+        if not self.path.exists():
+            return None
+        try:
+            header, arrays = read_arrays(self.path, "gowrank train")
+            if not isinstance(header, dict) or not self.key.keys() <= header.keys():
+                raise DataFormatError(f"header {header!r:.80} is not a cache's")
+            if {name: header[name] for name in self.key} != self.key:
+                self.outcome = "miss (stale)"
+                return None
+            value, self.outcome = decode(header, arrays), "hit"
+            return value
+        except DataFormatError as exc:
+            self.log.warning("%s %s ignored: %s", self.label, self.path, exc)
+            self.outcome = "miss (damaged)"
+            return None
+
+    def write(self, arrays: dict, header: dict | None = None, writer=None) -> None:
+        """`writer` (by default `write_arrays`) of `arrays` under the key and
+        `header`, unless an input changed."""
+        if self._digests().items() <= self.key.items():
+            try:
+                (writer or write_arrays)(self.path, {**self.key, **(header or {})}, arrays)
+                self.outcome += ", written"
+            except OSError as exc:
+                self.log.warning("%s %s not written: %s", self.label, self.path, exc)
+
+    def report(self) -> None:
+        self.log.info("%s %s: %s", self.label, self.path, self.outcome)

@@ -12,11 +12,12 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import Cache, atomic_write
 from .config import RunConfig, load_config
 from .corpus import (
     build_vocabulary,
@@ -32,7 +33,8 @@ from .embeddings import load_embeddings
 from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
 from .gradcheck import grad_check
-from .indexfile import read_index, write_index
+from .graph import edge_width, store_arrays, stored_graphs
+from .indexfile import INDEX_FILE, read_index, write_index
 from .model import load_checkpoint
 from .retrieval import build_index, top_candidates, write_run
 from .scoring import ScoringContext, rank_pools
@@ -147,6 +149,35 @@ def _load_world(cfg: RunConfig):
     return docs, queries, emb, index
 
 
+# index_dir/graphs-<mode>-w<width>.npz (see graph.stored_graphs) holds the
+# graphs that commands built in that mode from the index's documents
+GRAPH_STORE_VERSION = 1
+
+
+@contextmanager
+def _graph_stores(cfg: RunConfig, docs, modes):
+    """Per adjacency mode of `modes`, the graphs of index_dir's store for it
+    by doc id, in a dict that scoring fills; on a clean exit a store is
+    written again if its dict grew.  Zero mode builds no edges to store."""
+    ids, stores, graphs = list(docs), {}, {mode: {} for mode in modes}
+    for mode in [mode for mode in modes if mode != "zero"]:
+        width = edge_width(mode, cfg.window)
+        stores[mode] = Cache(Path(cfg.index_dir) / f"graphs-{mode}-w{width}.npz",
+                             {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width},
+                             {"index_sha256": Path(cfg.index_dir) / INDEX_FILE},
+                             "graph store", log)
+        stored = stores[mode].read(lambda _, arrays: stored_graphs(arrays, len(ids)))
+        rows, built = stored or ([], [])
+        graphs[mode].update(zip([ids[r] for r in rows], built))
+    held = {mode: len(graphs[mode]) for mode in stores}
+    yield graphs
+    row = {doc_id: r for r, doc_id in enumerate(ids)}
+    for mode, store in stores.items():
+        if len(graphs[mode]) > held[mode]:
+            store.write(store_arrays([row[d] for d in graphs[mode]], list(graphs[mode].values())))
+        store.report()
+
+
 def _split(cfg: RunConfig, queries):
     return kfold_split(sorted(queries), cfg.folds, cfg.seed, cfg.fold_rotation)
 
@@ -155,25 +186,27 @@ def cmd_train(cfg: RunConfig, args) -> int:
     docs, queries, emb, index = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
-    _, records = train(
-        docs, queries, qrels, index, emb, cfg,
-        train_qids=split.train, val_qids=split.validation,
-        log_path=args.log_out, checkpoint_path=cfg.checkpoint,
-    )
+    with _graph_stores(cfg, docs, [cfg.adjacency_mode]) as graphs:
+        _, records = train(
+            docs, queries, qrels, index, emb, cfg,
+            train_qids=split.train, val_qids=split.validation,
+            log_path=args.log_out, checkpoint_path=cfg.checkpoint,
+            graphs=graphs[cfg.adjacency_mode],
+        )
     best = max((r["val_ndcg20"] for r in records), default=0.0)
     print(f"trained {len(records)} epochs; best validation nDCG@20 {best:.4f}; "
           f"checkpoint -> {cfg.checkpoint}")
     return 0
 
 
-def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params):
+def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params, graphs):
     """Re-score the first-stage pool for every query; returns run dict.
 
     A pool and its scores depend only on the query's token ids, so ids
     that repeat a text share the pool of its first id; every pool is
-    scored in one call.
+    scored in one call, through the graphs of `graphs` (by doc id).
     """
-    ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
+    ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode, graphs)
     pools, first_of, pool_id = {}, {}, {}  # first_of: text -> its first id
     for qid in sorted(queries):
         tokens = tuple(queries[qid].tokens)
@@ -202,8 +235,11 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
         if key in extra and extra[key] != getattr(cfg, key):
             log.warning("checkpoint was trained with %s=%s but config says %s",
                         key, extra[key], getattr(cfg, key))
-    ranked = _rerank_all(cfg, docs, queries, emb, index, params)
-    write_run(args.run_out, ranked, args.tag)
+    with _graph_stores(cfg, docs, [cfg.adjacency_mode]) as graphs:
+        ranked = _rerank_all(cfg, docs, queries, emb, index, params,
+                             graphs[cfg.adjacency_mode])
+        del queries, emb, index  # freed before the store is written: ~5 MB off the peak
+        write_run(args.run_out, ranked, args.tag)
     print(f"wrote {sum(len(v) for v in ranked.values())} lines "
           f"for {len(ranked)} queries -> {args.run_out}")
     return 0
@@ -230,21 +266,22 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     cells = [(mode, cfg.steps) for mode in ("graph", "sequence", "zero")]
     cells += [("graph", t) for t in ABLATE_DEPTHS if ("graph", t) not in cells]
     results = {}
-    for mode, steps in cells:
-        cell_cfg = dataclasses.replace(cfg, adjacency_mode=mode, steps=steps)
-        params, _ = train(
-            docs, queries, qrels, index, emb, cell_cfg,
-            train_qids=split.train, val_qids=split.validation,
-        )
-        run_path = out / f"run_{mode}_t{steps}.txt"
-        ranked = _rerank_all(cell_cfg, docs, queries, emb, index, params)
-        # the cell identity lives in the filename; a fixed tag keeps the
-        # graph/t=2 cell byte-identical to a default rerank
-        write_run(run_path, ranked, "gowrank")
-        report = evaluate_run(run_path, cfg.qrels)
-        results[f"{mode}/t={steps}"] = report["mean"]["ndcg@20"]
-        log.info("ablation cell %s/t=%d: nDCG@20 %.4f",
-                 mode, steps, results[f"{mode}/t={steps}"])
+    with _graph_stores(cfg, docs, ("graph", "sequence", "zero")) as graphs:
+        for mode, steps in cells:
+            cell_cfg = dataclasses.replace(cfg, adjacency_mode=mode, steps=steps)
+            params, _ = train(
+                docs, queries, qrels, index, emb, cell_cfg,
+                train_qids=split.train, val_qids=split.validation, graphs=graphs[mode],
+            )
+            run_path = out / f"run_{mode}_t{steps}.txt"
+            ranked = _rerank_all(cell_cfg, docs, queries, emb, index, params, graphs[mode])
+            # the cell identity lives in the filename; a fixed tag keeps the
+            # graph/t=2 cell byte-identical to a default rerank
+            write_run(run_path, ranked, "gowrank")
+            report = evaluate_run(run_path, cfg.qrels)
+            results[f"{mode}/t={steps}"] = report["mean"]["ndcg@20"]
+            log.info("ablation cell %s/t=%d: nDCG@20 %.4f",
+                     mode, steps, results[f"{mode}/t={steps}"])
 
     lines = ["setting          nDCG@20", "-" * 25]
     for name, value in results.items():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import open_text, read_arrays, write_arrays
+from .artifacts import Cache, open_text, write_arrays
 from .corpus import Vocabulary
 from .errors import DataFormatError
 
@@ -112,52 +112,31 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
 
     With `cache_dir`, the vectors come from `cache_dir/embeddings.npz` when
     it holds this file's and vocabulary's; otherwise the text is parsed and
-    the cache written.  Stale, damaged or not writable, the cache costs a
-    parse, never an error.  One INFO line says what the cache did: `hit` or
-    `miss (no file | stale | damaged)`, then `, written` if it wrote it.
+    the cache written (see artifacts.Cache, which logs one INFO line).
     """
     if cache_dir is None:
         return EmbeddingTable(*_parse_text(path, vocab))
-    cache = Path(cache_dir) / CACHE_FILE
-    key = {"version": CACHE_VERSION,
-           "file_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
-           "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest()}
-    table, outcome = _read_cache(cache, key, len(vocab))
+    terms = json.dumps(vocab.terms).encode()
+    cache = Cache(Path(cache_dir) / CACHE_FILE,
+                  {"version": CACHE_VERSION, "vocab_sha256": hashlib.sha256(terms).hexdigest()},
+                  {"file_sha256": Path(path)}, "embeddings cache", log)
+    table = cache.read(lambda header, arrays: _decode(header, arrays, len(vocab)))
     if table is None:
         dim, vectors = _parse_text(path, vocab)
-        table, outcome = EmbeddingTable(dim, vectors), f"miss ({outcome})"
-        # bytes that changed during the parse may not be the ones parsed
-        if hashlib.sha256(Path(path).read_bytes()).hexdigest() == key["file_sha256"]:
-            try:
-                write_arrays(cache, {**key, "dim": dim}, {"vectors": vectors})
-                outcome += ", written"
-            except OSError as exc:
-                log.warning("embeddings cache %s not written: %s", cache, exc)
-    log.info("embeddings cache %s: %s", cache, outcome)
+        table = EmbeddingTable(dim, vectors)
+        cache.write({"vectors": vectors}, {"dim": dim}, write_arrays)
+    cache.report()
     return table
 
 
-def _read_cache(cache: Path, key: dict, size: int):
-    """(table, "hit") when `cache` holds the vectors of `key`; else (None,
-    "no file"), (None, "stale") when it is a cache header of another
-    version, file or vocabulary, or (None, "damaged") with a warning."""
-    if not cache.exists():
-        return None, "no file"
-    try:
-        header, arrays = read_arrays(cache, "gowrank train")
-        if not isinstance(header, dict) or not key.keys() <= header.keys():
-            raise DataFormatError(f"header {header!r:.80} is not a cache's")
-        if {name: header[name] for name in key} != key:
-            return None, "stale"
-        dim, shapes = header.get("dim"), {n: (a.dtype, a.shape) for n, a in arrays.items()}
-        # dim < 1, which a parse refuses, would zero every interaction feature
-        if type(dim) is not int or dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
-            raise DataFormatError(f"dim {dim!r}, arrays {shapes}, expected "
-                                  f"({size}, dim) float64 vectors")
-        return EmbeddingTable(dim, arrays["vectors"]), "hit"
-    except DataFormatError as exc:
-        log.warning("embeddings cache %s ignored: %s", cache, exc)
-        return None, "damaged"
+def _decode(header: dict, arrays: dict, size: int) -> EmbeddingTable:
+    """The table of a cache of `size` vocabulary rows."""
+    dim, shapes = header.get("dim"), {n: (a.dtype, a.shape) for n, a in arrays.items()}
+    # dim < 1, which a parse refuses, would zero every interaction feature
+    if type(dim) is not int or dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
+        raise DataFormatError(f"dim {dim!r}, arrays {shapes}, expected "
+                              f"({size}, dim) float64 vectors")
+    return EmbeddingTable(dim, arrays["vectors"])
 
 
 def _parse_text(path: str | Path, vocab: Vocabulary):

@@ -38,10 +38,12 @@ class DocumentGraph:
     co-occurrence counts as edges, held as compact CSR arrays.
 
     `indptr` and `indices` (int32) are the pattern of the symmetric
-    adjacency A, with sorted rows and no diagonal; `counts` (float64)
-    holds A's raw counts and `weights` (float64) D^{-1/2} A D^{-1/2},
-    entry for entry, so an isolated node has an empty row.  Each array is
-    the graph's own; none is changed after construction.
+    adjacency A, with sorted rows and no diagonal; `counts` (int32 when
+    built, the store's unsigned dtype when loaded) holds A's raw counts
+    and `weights` (float64) D^{-1/2} A D^{-1/2}, entry for entry, so an
+    isolated node has an empty row.  Each array is the graph's own, or a
+    view of a graph store's (see `stored_graphs`); none is changed after
+    construction.
     """
 
     node_terms: list[int]
@@ -61,34 +63,39 @@ class DocumentGraph:
         return csr_matrix((self.counts, self.indices, self.indptr), shape=(n, n))
 
 
+def edge_width(mode: str, window: int) -> int:
+    """The width of the windows whose co-occurrences adjacency `mode`
+    counts: graph, `window`; sequence, 2 (a chain over adjacent tokens);
+    zero, 0 (no edges: message passing sees nothing)."""
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    widths = {"graph": window, "sequence": 2, "zero": 0}
+    if mode not in widths:
+        raise DataFormatError(f"unknown adjacency mode {mode!r}")
+    return widths[mode]
+
+
 def build_graphs(
     docs: list[TokenizedDoc], window: int = 5, mode: str = "graph"
 ) -> list[DocumentGraph]:
-    """The graphs of `docs`, in order, built a chunk at a time.
+    """The graphs of `docs` in adjacency `mode`, in order, built a chunk
+    of at most BLOCK_NODES tokens at a time (see `_chunks`)."""
+    width = edge_width(mode, window)
+    return [graph for lo, hi in _chunks([len(doc.tokens) for doc in docs], BLOCK_NODES)
+            for graph in _build_chunk(docs[lo:hi], width)]
 
-    graph    — windowed co-occurrence at the configured width;
-    sequence — width-2 windows, i.e. a chain over adjacent tokens;
-    zero     — same nodes, no edges (message passing sees nothing).
 
-    Consecutive documents form a chunk while their tokens number at most
-    BLOCK_NODES; a longer document is a chunk of its own.
-    """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    widths = {"graph": window, "sequence": 2, "zero": 0}  # 0: no edges
-    if mode not in widths:
-        raise DataFormatError(f"unknown adjacency mode {mode!r}")
-    width = widths[mode]
-    graphs: list[DocumentGraph] = []
-    start = size = 0
-    for end, doc in enumerate(docs):
-        if end > start and size + len(doc.tokens) > BLOCK_NODES:
-            graphs += _build_chunk(docs[start:end], width)
-            start, size = end, 0
-        size += len(doc.tokens)
-    if docs:
-        graphs += _build_chunk(docs[start:], width)
-    return graphs
+def _chunks(sizes: list[int], limit: int):
+    """(start, end) of runs of consecutive items whose sizes sum to at most
+    `limit`, in order; a larger item is a run of its own."""
+    start = total = 0
+    for end, size in enumerate(sizes):
+        if end > start and total + size > limit:
+            yield start, end
+            start, total = end, 0
+        total += size
+    if sizes:
+        yield start, len(sizes)
 
 
 def build_graph(doc: TokenizedDoc, window: int = 5) -> DocumentGraph:
@@ -122,8 +129,7 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
         [[0], np.cumsum(np.bincount(doc_of[first], minlength=len(docs)))]
     ).tolist()
 
-    row = indices = np.zeros(0, dtype=np.int32)
-    data = np.zeros(0)
+    row = indices = data = np.zeros(0, dtype=np.int32)
     if width and n:
         # a window starts at each of a document's first L - width + 1
         # tokens, or at its first token only when L < width
@@ -135,11 +141,11 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
         positions = (np.repeat(starts - win_ptr[:-1], span)
                      + np.arange(win_ptr[-1]))
         incidence = csr_matrix(
-            (np.ones(len(positions)), node_of[positions], win_ptr.astype(np.int32)),
+            (np.ones(len(positions), np.int32), node_of[positions], win_ptr.astype(np.int32)),
             shape=(len(span), n),
         )
         incidence.sum_duplicates()
-        incidence.data[:] = 1.0
+        incidence.data[:] = 1
         gram = incidence.T.tocsr() @ incidence
         gram.sort_indices()
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(gram.indptr))
@@ -168,7 +174,7 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     count is applied, so entries (i, j) and (j, i) are equal bit for bit
     and the result is its own transpose.
     """
-    if (adjacency != adjacency.T).nnz:
+    if not _symmetric(adjacency):
         raise DataFormatError("adjacency matrix must be symmetric")
     n = adjacency.shape[0]
     row = np.repeat(np.arange(n), np.diff(adjacency.indptr))
@@ -176,6 +182,93 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
     scaled = adjacency.data * (inv_sqrt[row] * inv_sqrt[adjacency.indices])
     return csr_matrix((scaled, adjacency.indices, adjacency.indptr), shape=(n, n))
+
+
+def _symmetric(adjacency: csr_matrix) -> bool:
+    """Whether `adjacency` equals its transpose: the arrays of its canonical
+    form (sorted rows, no repeat, no stored zero) equal its transpose's."""
+    if not adjacency.has_canonical_format or not adjacency.data.all():
+        adjacency = adjacency.copy()
+        adjacency.sum_duplicates()
+        adjacency.eliminate_zeros()
+    transpose = adjacency.T.tocsr()
+    transpose.sort_indices()
+    return all(np.array_equal(getattr(adjacency, name), getattr(transpose, name))
+               for name in ("indptr", "indices", "data"))
+
+
+def store_arrays(rows: list[int], graphs: list[DocumentGraph]) -> dict[str, np.ndarray]:
+    """The arrays of a graph store of `graphs`, those of the index rows
+    `rows` (see `stored_graphs`)."""
+    top = max(int(g.counts.max(initial=0)) for g in graphs)
+    return {"rows": np.array(rows, np.int32),
+            "sizes": np.array([g.num_nodes for g in graphs], np.int32),
+            "node_terms": np.array([t for g in graphs for t in g.node_terms], np.int32),
+            "indptr": np.concatenate([g.indptr for g in graphs]),
+            "indices": np.concatenate([g.indices for g in graphs]),
+            "counts": np.concatenate([g.counts for g in graphs], casting="unsafe",
+                                     dtype=np.min_scalar_type(top))}
+
+
+def stored_graphs(arrays: dict[str, np.ndarray],
+                  num_docs: int) -> tuple[list[int], list[DocumentGraph]]:
+    """(rows, graphs) of a graph store's arrays, which hold for each graph
+    its row in an index of `num_docs` documents, its node count, its node
+    terms, its own `indptr` and `indices` (int32, each set end to end)
+    and its raw counts (in the smallest unsigned dtype for all of them).
+
+    Arrays that no build gives raise DataFormatError.  The weights are
+    computed again, with the symmetry check, over block-diagonal chunks
+    of at most STORE_EDGES edges, so each is its built value bit for bit;
+    the other arrays of a graph are views of the store's.
+    """
+    dtypes = {name: a.dtype.str for name, a in arrays.items() if a.ndim == 1}
+    if dtypes.keys() != {*_STORED, "counts"} or dtypes["counts"][1] != "u" or any(
+            dtypes[name] != np.dtype(np.int32).str for name in _STORED):
+        raise DataFormatError(f"arrays {dtypes}, expected int32 {_STORED} and counts")
+    rows, sizes, terms, indptr, indices = (arrays[name] for name in _STORED)
+    counts = arrays["counts"]
+    ends = np.cumsum(sizes, dtype=np.int64) + np.arange(len(sizes))  # last entries
+    if not (len(sizes) == len(rows) == np.unique(rows).size and sizes.min(initial=0) >= 0
+            and rows.min(initial=0) >= 0 and rows.max(initial=0) < num_docs
+            and len(terms) == sizes.sum() and len(indptr) == len(terms) + len(rows)
+            and not indptr[ends - sizes].any() and indptr[ends].min(initial=0) >= 0
+            and len(indices) == len(counts) == indptr[ends].sum()):
+        raise DataFormatError("the rows, sizes, node terms and indptr do not agree")
+    node_ptr, edge_ptr = ([0, *np.cumsum(a, dtype=np.int64).tolist()] for a in (sizes, indptr[ends]))
+    graphs, terms = [], terms.tolist()
+    for lo, hi in _chunks(indptr[ends].tolist(), STORE_EDGES):
+        (first, last), (a, b) = (node_ptr[lo], node_ptr[hi]), (edge_ptr[lo], edge_ptr[hi])
+        graphs += _stored_chunk(terms[first:last], sizes[lo:hi], indptr[first + lo:last + hi],
+                                indices[a:b], counts[a:b])
+    return rows.tolist(), graphs
+
+
+_STORED = ("rows", "sizes", "node_terms", "indptr", "indices")
+# edges per chunk of a store read, which bounds its temporary arrays
+STORE_EDGES = 1 << 16
+
+
+def _stored_chunk(terms, sizes, indptr, indices, counts) -> list[DocumentGraph]:
+    """The graphs of consecutive entries of a store (see `stored_graphs`),
+    checked and normalized as one block-diagonal matrix."""
+    ends = np.cumsum(sizes, dtype=np.int64) + np.arange(len(sizes))  # last entries
+    nnz = indptr[ends]
+    node_ptr, edge_ptr = (np.concatenate([[0], np.cumsum(a, dtype=np.int64)]) for a in (sizes, nnz))
+    starts = np.append(np.delete(indptr, ends) + np.repeat(edge_ptr[:-1], sizes), len(indices))
+    adjacency = csr_matrix((counts, indices + np.repeat(node_ptr[:-1].astype(np.int32), nnz),
+                            starts.astype(np.int32)), shape=(len(terms),) * 2)
+    # has_canonical_format is false for a falling indptr too; a negative
+    # index is huge as uint32
+    if (not adjacency.has_canonical_format or adjacency.diagonal().any()
+            or (indices.view(np.uint32) >= np.repeat(sizes, nnz)).any() or not counts.all()):
+        raise DataFormatError("an index unsorted, repeated, on the diagonal or outside "
+                              "its graph, or a zero count")
+    weights = normalize_adjacency(adjacency).data
+    node_ptr, edge_ptr = node_ptr.tolist(), edge_ptr.tolist()
+    return [DocumentGraph(terms[lo:hi], indptr[lo + d:hi + d + 1], indices[a:b], counts[a:b],
+                          weights[a:b])
+            for d, (lo, hi, a, b) in enumerate(zip(node_ptr, node_ptr[1:], edge_ptr, edge_ptr[1:]))]
 
 
 def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:

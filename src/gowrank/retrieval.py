@@ -12,6 +12,7 @@ runs are byte-reproducible.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +34,7 @@ class PostingsIndex:
 
     `doc_ids[r]` is the id of row r, rows numbered in input order;
     `doc_len` maps each doc id to its token count and `coll_freq` each
-    term that occurs to its count in the collection.
+    term that occurs to its count in the collection (built on first read).
     """
 
     def __init__(self, docs: Iterable[TokenizedDoc]):
@@ -58,9 +59,7 @@ class PostingsIndex:
         # the per-document arrays are freed before the postings are built
         flat = np.concatenate(gathered)
         del gathered
-        counts = np.bincount(flat)
-        present = np.flatnonzero(counts)
-        self.coll_freq = dict(zip(present.tolist(), counts[present].tolist()))
+        self._term_counts = counts = np.bincount(flat)
         self.coll_len = flat.size
         self.avg_doc_len = self.coll_len / self.num_docs
         # avg_doc_len is 0 only when there is no posting to weigh
@@ -88,6 +87,11 @@ class PostingsIndex:
         np.subtract(starts[1:], starts[:-1], out=self._tf[:-1])
         self._tf[-1:] = colptr[-1] - starts[-1:]
         self._indptr = np.searchsorted(starts, colptr).astype(colptr.dtype)
+
+    @cached_property
+    def coll_freq(self) -> dict[int, int]:
+        present = np.flatnonzero(self._term_counts)
+        return dict(zip(present.tolist(), self._term_counts[present].tolist()))
 
     def postings_of(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending rows of the docs containing `term_id`, and their tf.

@@ -21,8 +21,9 @@ class ScoringContext:
     """Caches graphs and interaction features for repeated scoring.
 
     The documents of a `score` call that have no graph yet are built
-    together, in one `build_graphs` call.  Also warns, once per query id,
-    when a query has more terms than the model scores.
+    together, in one `build_graphs` call, and added to `graphs` (by doc
+    id) when it is given.  Also warns, once per query id, when a query
+    has more terms than the model scores.
     """
 
     def __init__(
@@ -32,13 +33,14 @@ class ScoringContext:
         emb: EmbeddingTable,
         window: int,
         adjacency_mode: str,
+        graphs: dict[str, DocumentGraph] | None = None,
     ):
         self.docs = docs
         self.queries = queries
         self.emb = emb
         self.window = window
         self.adjacency_mode = adjacency_mode
-        self._graphs: dict[str, DocumentGraph] = {}
+        self._graphs = {} if graphs is None else graphs
         self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
         self._truncated: set[str] = set()
 

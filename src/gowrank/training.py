@@ -22,6 +22,7 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
+from .graph import DocumentGraph
 from .gradcheck import grad_check  # noqa: F401 (criterion 1)
 from .model import (
     ModelParams, backward, init_params, iter_tensors, pairwise_hinge, save_checkpoint,
@@ -155,18 +156,20 @@ def train(
     val_qids: list[str],
     log_path: str | Path | None = None,
     checkpoint_path: str | Path | None = None,
+    graphs: dict[str, DocumentGraph] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Epoch loop: sample triplets, batch-mean gradients, Adam, validate.
 
     Keeps the checkpoint with the best validation nDCG@20 (ties keep the
     earlier epoch); with no validation query to measure, the last epoch wins.
+    Documents are scored through the graphs of `graphs` (see ScoringContext).
     Returns (best params, per-epoch log records); the JSONL log has one
     {epoch, mean_loss, pair_acc, val_ndcg20} record per epoch.
     """
     params = init_params(cfg.hyper(), seed_stream(cfg.seed, "init"))
     state = AdamState(params, lr=cfg.lr)
     sampler = seed_stream(cfg.seed, "triplets")
-    ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode)
+    ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode, graphs)
 
     train_qids = [q for q in train_qids if queries[q].tokens]
     measurable = [q for q in val_qids if queries[q].tokens

@@ -1,8 +1,10 @@
 """Artifacts: a writer that fails leaves the previous file, the .npz
-reader refuses what `write_arrays` does not write, and a damaged index or
-checkpoint is refused or loads unchanged."""
+reader refuses what `write_arrays` does not write, a damaged index or
+checkpoint is refused or loads unchanged, and a damaged graph store is
+ignored or loads unchanged."""
 
 import io
+import logging
 import random
 import zipfile
 
@@ -12,6 +14,7 @@ import pytest
 import helpers
 from gowrank import cli, indexfile
 from gowrank.artifacts import atomic_write, read_arrays, write_arrays
+from gowrank.config import RunConfig
 from gowrank.datagen import overfit_corpus
 from gowrank.errors import DataFormatError
 from gowrank.evaluation import write_report
@@ -56,18 +59,18 @@ WRITERS = {
 
 
 def _fail_on_second_member(monkeypatch):
-    """Make np.savez raise as it starts its second member, after the
+    """Make write_arrays raise as it starts its second member, after the
     first one is in the temporary file."""
-    write_array = np.lib.format.write_array
+    write_header = np.lib.format.write_array_header_1_0
     calls = []
 
     def write_then_fail(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
             raise RuntimeError("crash mid-write")
-        return write_array(*args, **kwargs)
+        return write_header(*args, **kwargs)
 
-    monkeypatch.setattr(np.lib.format, "write_array", write_then_fail)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", write_then_fail)
 
 
 class TestAtomicWrite:
@@ -250,8 +253,31 @@ def _checkpoint_content(path):
     return vars(params.hyper), extra, [(n, t.tolist()) for n, t in iter_tensors(params)]
 
 
+def _graphs_content(path):
+    """The graphs that a command reads from the store at `path`.  A store
+    it ignores, with a warning, is refused here as a DataFormatError."""
+    cfg = RunConfig(index_dir=str(path.parent))
+    _, docs = indexfile.read_index(path.parent)
+    with cli._graph_stores(cfg, docs, ["graph"]) as graphs:
+        pass
+    if not graphs["graph"]:
+        raise DataFormatError(f"{path}: ignored")
+    return [(doc_id, g.node_terms, *(getattr(g, name).tolist() for name in
+                                     ("indptr", "indices", "counts", "weights")))
+            for doc_id, g in graphs["graph"].items()]
+
+
 ARTIFACTS = {"index": ("index/index.npz", _index_content),
-             "checkpoint": ("model.ckpt", _checkpoint_content)}
+             "checkpoint": ("model.ckpt", _checkpoint_content),
+             "graphs": ("index/graphs-graph-w5.npz", _graphs_content)}
+RERANK_INPUTS = ("index/index.npz", "model.ckpt", "queries.tsv", "embeddings.txt")
+
+
+def _rerank(world, run, queries="queries.tsv"):
+    return cli.main(["rerank", "--index-dir", str(world / "index"),
+                     "--queries", str(world / queries),
+                     "--embeddings", str(world / "embeddings.txt"),
+                     "--checkpoint", str(world / "model.ckpt"), "--run-out", str(run)])
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +289,9 @@ def small_world(tmp_path_factory):
                      "--index-dir", str(root / "index"), "--min-freq", "1"]) == 0
     save_checkpoint(root / "model.ckpt", init_params(
         HyperParams(steps=2, pool_k=5, max_query_len=4), np.random.default_rng(0)))
+    # a store of one query's pool keeps the damage table near a second
+    (root / "q1.tsv").write_text((root / "queries.tsv").read_text().splitlines()[0] + "\n")
+    assert _rerank(root, root / "q1.run", "q1.tsv") == 0
     return root
 
 
@@ -288,31 +317,56 @@ def test_damaged_artifact_is_refused_or_unchanged(small_world, artifact):
     assert refused == {"truncated", "flipped", "edited"}
 
 
-@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def _first_refused(kind, data, content, path):
+    """Write to `path` the first damaged copy of `data` of `kind` that
+    `content` refuses."""
+    for got, damaged in _damaged(data, seed=len(data)):
+        if got == kind:
+            path.write_bytes(damaged)
+            try:
+                content(path)
+            except DataFormatError:
+                return
+
+
+def _copy_world(small_world, world, names):
+    (world / "index").mkdir(parents=True)
+    for name in names:
+        (world / name).write_bytes((small_world / name).read_bytes())
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "index"])
 @pytest.mark.parametrize("kind", ["truncated", "flipped", "edited"])
 def test_damaged_artifact_exits_2_from_rerank(small_world, tmp_path, capsys,
                                               artifact, kind):
     name, content = ARTIFACTS[artifact]
     data = (small_world / name).read_bytes()
     world = tmp_path / "world"
-    (world / "index").mkdir(parents=True)
-    for other in ("index/index.npz", "model.ckpt", "queries.tsv", "embeddings.txt"):
-        (world / other).write_bytes((small_world / other).read_bytes())
-    # the first copy of this kind that the loader refuses
-    for got, damaged in _damaged(data, seed=len(data)):
-        if got == kind:
-            (world / name).write_bytes(damaged)
-            try:
-                content(world / name)
-            except DataFormatError:
-                break
-    rc = cli.main(["rerank", "--index-dir", str(world / "index"),
-                   "--queries", str(world / "queries.tsv"),
-                   "--embeddings", str(world / "embeddings.txt"),
-                   "--checkpoint", str(world / "model.ckpt"),
-                   "--run-out", str(world / "x.run")])
+    _copy_world(small_world, world, RERANK_INPUTS)
+    _first_refused(kind, data, content, world / name)
+    rc = _rerank(world, world / "x.run")
     err = capsys.readouterr().err
     assert rc == 2, err
     assert f"data error: {world / name}: " in err
     assert "Traceback" not in err
     assert not (world / "x.run").exists()
+
+
+@pytest.mark.parametrize("kind", ["truncated", "flipped", "edited"])
+def test_damaged_graph_store_is_warned_about_and_rebuilt(small_world, tmp_path, caplog,
+                                                         kind):
+    # the graphs are derived data: a damaged store costs a rebuild, never
+    # an error or another ranking
+    name, content = ARTIFACTS["graphs"]
+    world = tmp_path / "world"
+    _copy_world(small_world, world, [*RERANK_INPUTS, "q1.tsv"])
+    _first_refused(kind, (small_world / name).read_bytes(), content, world / name)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "q1.run", "q1.tsv") == 0
+    store = [(r.levelname, r.getMessage()) for r in caplog.records
+             if r.getMessage().startswith(f"graph store {world / name}")]
+    assert [level for level, _ in store] == ["WARNING", "INFO"]
+    assert store[1][1].endswith(": miss (damaged), written")
+    assert (world / name).read_bytes() == (small_world / name).read_bytes()
+    assert (world / "q1.run").read_bytes() == (small_world / "q1.run").read_bytes()

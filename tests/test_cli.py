@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli, embeddings, indexfile, scoring
+from gowrank import artifacts, cli, embeddings, indexfile, scoring
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.cli import main
 from gowrank.config import load_config
@@ -1032,3 +1032,97 @@ class TestEmbeddingsCache:
             assert _in_world(world, "train", "--min-freq", min_freq) == 0
         assert _cache_log(caplog) == [("INFO", f"embeddings cache {cache}: {outcome}")]
         assert (cache.read_bytes() == before) == (outcome == "hit")
+
+
+# --- the graph store through the commands -------------------------------------
+#
+# `train`, `rerank` and `ablate` read the graphs that earlier commands built
+# from index_dir/graphs-<mode>-w<width>.npz, and write the store again when
+# they built one it lacked.  Like the embeddings cache, it is derived data.
+
+
+def _store_log(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith("graph store ")]
+
+
+class TestGraphStore:
+    def _world(self, parsed_world, tmp_path):
+        world = _fresh_world(parsed_world, tmp_path)
+        shutil.copy(parsed_world / "world" / "model.ckpt", world)
+        return world, world / "index" / "graphs-graph-w5.npz"
+
+    def test_runs_equal_with_no_store_a_warm_one_and_a_damaged_one(
+        self, parsed_world, tmp_path, caplog
+    ):
+        world, store = self._world(parsed_world, tmp_path)
+        want = (parsed_world / "world" / "rerank.run").read_bytes()
+        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+            for state in ("none", "warm", "damaged"):
+                if state == "damaged":
+                    store.write_bytes(store.read_bytes()[:-100])
+                assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 0
+                assert (world / "x.run").read_bytes() == want, state
+        log = _store_log(caplog)
+        assert log[:2] == [("INFO", f"graph store {store}: miss (no file), written"),
+                           ("INFO", f"graph store {store}: hit")]
+        assert [level for level, _ in log[2:]] == ["WARNING", "INFO"]
+        assert log[2][1].startswith(f"graph store {store} ignored: {store}: unreadable")
+        assert log[3][1] == f"graph store {store}: miss (damaged), written"
+
+    @pytest.mark.parametrize("change", ["index", "mode", "width"])
+    def test_store_of_another_index_mode_or_width_is_stale(
+        self, parsed_world, tmp_path, caplog, change
+    ):
+        world, store = self._world(parsed_world, tmp_path)
+        assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 0
+        flags = {"index": ["--min-freq", "2"], "mode": ["--adjacency-mode", "sequence"],
+                 "width": ["--window", "3"]}[change]
+        if change == "index":
+            assert _in_world(world, "index", *flags) == 0
+        else:  # the store written under this mode and width's name
+            name = {"mode": "graphs-sequence-w2.npz", "width": "graphs-graph-w3.npz"}[change]
+            store = shutil.copy(store, store.with_name(name))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+            assert _in_world(world, "rerank", "--run-out", str(world / "x.run"), *flags) == 0
+        assert _store_log(caplog) == [("INFO", f"graph store {store}: miss (stale), written")]
+
+    def test_failed_store_write_is_warned_and_outputs_unchanged(
+        self, parsed_world, tmp_path, monkeypatch, caplog, capsys
+    ):
+        world = _fresh_world(parsed_world, tmp_path)
+        store = world / "index" / "graphs-graph-w5.npz"
+
+        def read_only(path, *args):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # the store's writer; the embeddings cache passes its own
+        monkeypatch.setattr(artifacts, "write_arrays", read_only)
+        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+            assert _in_world(world, "train") == 0
+            assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
+        warning = f"graph store {store} not written: [Errno 13] Permission denied: '{store}'"
+        assert _store_log(caplog) == [
+            ("WARNING", warning), ("INFO", f"graph store {store}: miss (no file)")] * 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not store.exists()
+        for name in ("train.log", "model.ckpt", "rerank.run"):
+            assert (world / name).read_bytes() == (parsed_world / "world" / name).read_bytes()
+
+    def test_ablate_shares_one_store_per_mode_with_edges(self, parsed_world, tmp_path,
+                                                         caplog):
+        world = _fresh_world(parsed_world, tmp_path)
+        stores = [world / "index" / name
+                  for name in ("graphs-graph-w5.npz", "graphs-sequence-w2.npz")]
+        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+            assert _in_world(world, "ablate") == 0
+            assert _in_world(world, "ablate") == 0
+        assert _store_log(caplog) == [
+            *[("INFO", f"graph store {store}: miss (no file), written") for store in stores],
+            *[("INFO", f"graph store {store}: hit") for store in stores]]
+        assert sorted((world / "index").glob("graphs-*")) == sorted(stores)
+        for name in CACHE_OUTPUTS:
+            if name.startswith("ablation/"):
+                assert (world / name).read_bytes() == (
+                    parsed_world / "world" / name).read_bytes(), name

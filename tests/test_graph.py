@@ -11,6 +11,7 @@ import gowrank.graph
 from gowrank.corpus import OOV_ID, Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError
+from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.graph import (
     BLOCK_NODES,
     DocumentGraph,
@@ -18,6 +19,8 @@ from gowrank.graph import (
     build_graphs,
     interaction_matrix,
     normalize_adjacency,
+    store_arrays,
+    stored_graphs,
 )
 
 import reference
@@ -57,24 +60,27 @@ def assert_loop_layout(g, ref):
     matrices `ref` = (node_terms, adjacency, norm_adjacency): the layout,
     not just the matrix, decides the summation order of every sparse
     product downstream, so run files stay byte-stable only if the arrays
-    are the loop builder's."""
+    are the loop builder's.  The counts are held as int32, so they are
+    compared with the loop builder's float counts cast to int32."""
     terms, adjacency, norm = ref
     assert g.node_terms == terms
-    for mat, data in ((adjacency, g.counts), (norm, g.weights)):
+    for mat, data, want_data in ((adjacency, g.counts, adjacency.data.astype(np.int32)),
+                                 (norm, g.weights, norm.data)):
+        assert np.array_equal(want_data, mat.data)
         for got, want in ((g.indptr, mat.indptr), (g.indices, mat.indices),
-                          (data, mat.data)):
+                          (data, want_data)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
 
 def assert_compact_arrays(g):
-    """An int32 pattern and float64 values, each array owning exactly its
-    n + 1 or nnz entries, so a cached graph keeps no chunk buffer alive;
-    and no scipy matrix among the graph's attributes."""
+    """An int32 pattern and counts and float64 weights, each array owning
+    exactly its n + 1 or nnz entries, so a cached graph keeps no chunk
+    buffer alive; and no scipy matrix among the graph's attributes."""
     nnz = int(g.indptr[-1])
     for name, dtype, size in (("indptr", np.int32, g.num_nodes + 1),
                               ("indices", np.int32, nnz),
-                              ("counts", np.float64, nnz),
+                              ("counts", np.int32, nnz),
                               ("weights", np.float64, nnz)):
         arr = getattr(g, name)
         assert arr.dtype == dtype and arr.size == size, name
@@ -299,6 +305,98 @@ class TestPooledBuild:
         assert peak - base <= 1.5 * (kept - base)
 
 
+def _store_docs(rng, window):
+    """`_mixed_docs` and the cases a store must keep: an isolated node
+    (a repeated term alone), a document shorter than the window and one
+    whose terms repeat."""
+    return _mixed_docs(rng, window) + [_doc([5, 5, 5]), _doc([3, 9]), _doc([1, 2, 1, 1, 2, 7])]
+
+
+def _unsort_first_row(arrays):
+    for name in ("indices", "counts"):
+        arrays[name][[0, 1]] = arrays[name][[1, 0]]
+
+
+class TestGraphStore:
+    @pytest.mark.parametrize("mode", ["graph", "sequence"])
+    @pytest.mark.parametrize("chunk", [1 << 16, 30])
+    def test_loaded_graphs_are_the_built_ones_bit_for_bit(self, tmp_path, monkeypatch,
+                                                          mode, chunk):
+        monkeypatch.setattr(gowrank.graph, "STORE_EDGES", chunk)
+        rng = np.random.default_rng(89)
+        for window in (2, 3, 5):
+            docs = _store_docs(rng, window)
+            built = build_graphs(docs, window=window, mode=mode)
+            rows = rng.permutation(len(docs) + 5)[:len(docs)].tolist()
+            write_arrays(tmp_path / "s.npz", {}, store_arrays(rows, built))
+            got_rows, loaded = stored_graphs(read_arrays(tmp_path / "s.npz", "t")[1],
+                                             len(docs) + 5)
+            assert got_rows == rows and len(loaded) == len(built)
+            for g, want in zip(loaded, built):
+                assert g.node_terms == want.node_terms
+                assert all(type(t) is int for t in g.node_terms)
+                for name in ("indptr", "indices", "weights"):
+                    got, expected = getattr(g, name), getattr(want, name)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert g.counts.dtype.kind == "u"
+                assert np.array_equal(g.counts, want.counts)
+
+    def test_counts_take_the_smallest_unsigned_dtype(self):
+        small = build_graph(_doc([1, 2] * 100), window=2)
+        assert store_arrays([0], [small])["counts"].dtype == np.uint8
+        large = build_graph(_doc([1, 2] * 200), window=2)
+        assert store_arrays([0, 1], [small, large])["counts"].dtype == np.uint16
+
+    @staticmethod
+    def _arrays():
+        # the last graph is one edge: indices [1, 0], counts [1, 1]
+        docs = [_doc([1, 2, 3, 1, 4]), _doc([]), _doc([7, 7]), _doc([10, 11])]
+        return store_arrays([3, 0, 1, 2], build_graphs(docs, window=3))
+
+    # (case, edit) of arrays that no build writes, each caught by one check
+    EDITS = [
+        ("unsorted-row", _unsort_first_row),
+        ("repeated-index", lambda a: a["indices"].__setitem__(1, a["indices"][0])),
+        ("zero-counts", lambda a: a["counts"].__setitem__(slice(-2, None), 0)),
+        ("asymmetric-count", lambda a: a["counts"].__setitem__(-1, 2)),
+        ("diagonal", lambda a: a["indices"].__setitem__(slice(-2, None), [0, 1])),
+        ("index-outside-graph", lambda a: a["indices"].__setitem__(-1, 2)),
+        ("negative-index", lambda a: a["indices"].__setitem__(-1, -1)),
+        ("indptr-not-from-0", lambda a: a["indptr"].__setitem__(0, 1)),
+        ("falling-indptr", lambda a: a["indptr"].__setitem__(2, 0)),
+        ("short-indices", lambda a: a.update(indices=a["indices"][:-1])),
+        ("extra-count", lambda a: a.update(counts=np.append(a["counts"], 1))),
+        ("row-outside-index", lambda a: a["rows"].__setitem__(0, 4)),
+        ("repeated-row", lambda a: a["rows"].__setitem__(0, 0)),
+        ("negative-size", lambda a: a["sizes"].__setitem__(1, -1)),
+        ("sizes-past-terms", lambda a: a["sizes"].__setitem__(1, 1)),
+        ("signed-counts", lambda a: a.update(counts=a["counts"].astype(np.int32))),
+        ("int64-indices", lambda a: a.update(indices=a["indices"].astype(np.int64))),
+        ("missing-member", lambda a: a.pop("sizes")),
+        ("extra-member", lambda a: a.update(weights=np.zeros(3))),
+    ]
+
+    def test_intact_arrays_load(self):
+        rows, graphs = stored_graphs(self._arrays(), 4)
+        assert rows == [3, 0, 1, 2] and [g.num_nodes for g in graphs] == [4, 0, 1, 2]
+
+    def test_edge_between_two_graphs_is_refused(self):
+        # two one-edge graphs joined by an edge: the block matrix stays
+        # symmetric and sorted, so only each graph's own bounds catch it
+        as_int32 = {name: np.array(values, np.int32) for name, values in (
+            ("rows", [0, 1]), ("sizes", [2, 2]), ("node_terms", [5, 6, 7, 8]),
+            ("indptr", [0, 1, 3, 0, 2, 3]), ("indices", [1, 0, 2, -1, 1, 0]))}
+        with pytest.raises(DataFormatError, match="outside its graph"):
+            stored_graphs({**as_int32, "counts": np.ones(6, np.uint8)}, 2)
+
+    @pytest.mark.parametrize("edit", [e for _, e in EDITS], ids=[c for c, _ in EDITS])
+    def test_arrays_no_build_writes_are_refused(self, edit):
+        arrays = self._arrays()
+        edit(arrays)
+        with pytest.raises(DataFormatError):
+            stored_graphs(arrays, 4)
+
+
 class TestNormalizeAdjacency:
     def test_degree_two(self):
         A = csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -337,6 +435,43 @@ class TestNormalizeAdjacency:
         dense = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         deg = dense.sum(axis=1)
         np.testing.assert_allclose(N, dense / np.sqrt(np.outer(deg, deg)), atol=1e-15)
+
+    def test_symmetry_verdict_is_the_elementwise_comparison(self):
+        # symmetric matrices, and ones asymmetric in value or in pattern,
+        # each also with rows out of order, repeated entries that sum to
+        # one value, and stored zeros, sometimes with no mirror entry
+        rng = np.random.default_rng(97)
+        verdicts = set()
+        for case in range(600):
+            n = int(rng.integers(1, 7))
+            dense = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.6)
+            dense = (dense + dense.T).astype(float)
+            i, j = rng.integers(0, n, size=2)
+            if case % 3 == 1:
+                dense[i, j] += 1.0  # asymmetric in value, or in pattern
+            rows, cols = np.nonzero(dense)
+            values = dense[rows, cols]
+            if case % 2:  # a value split in two entries of one position
+                k = int(rng.integers(0, len(values) + 1))
+                rows, cols = np.append(rows, rows[:k][-1:]), np.append(cols, cols[:k][-1:])
+                values = np.append(values, values[:k][-1:] * 0.5)
+                values[k - 1:k] *= 0.5
+            if case % 5 < 2:  # stored zeros
+                extra = rng.integers(0, n, size=(2, int(rng.integers(1, 4))))
+                rows, cols = np.append(rows, extra[0]), np.append(cols, extra[1])
+                values = np.append(values, np.zeros(extra.shape[1]))
+            order = np.lexsort((rng.random(len(rows)), rows))  # rows unsorted within
+            A = csr_matrix((values[order], cols[order],
+                            np.searchsorted(rows[order], np.arange(n + 1))), shape=(n, n))
+            expected = not (A.copy() != A.copy().T).nnz
+            try:
+                normalize_adjacency(A)
+                symmetric = True
+            except DataFormatError:
+                symmetric = False
+            assert symmetric == expected, A.toarray()
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(37)

@@ -41,6 +41,13 @@ class TestBuildIndex:
         assert idx.avg_doc_len == 1.5
         assert idx.num_docs == 2
 
+    def test_collection_counts_wait_for_their_first_read(self):
+        # only the query-likelihood oracle reads them
+        idx = build_index([_doc("d1", [0, 3, 0]), _doc("d2", [3])])
+        assert "coll_freq" not in vars(idx)
+        assert idx.coll_freq == {0: 2, 3: 2}
+        assert "coll_freq" in vars(idx)
+
     def test_tf_sums_to_doc_len(self):
         docs = [_doc("d1", [0, 0, 1, 2]), _doc("d2", [1, 1, 1])]
         idx = build_index(docs)
