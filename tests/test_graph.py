@@ -364,6 +364,8 @@ class TestGraphStore:
         ("negative-index", lambda a: a["indices"].__setitem__(-1, -1)),
         ("indptr-not-from-0", lambda a: a["indptr"].__setitem__(0, 1)),
         ("falling-indptr", lambda a: a["indptr"].__setitem__(2, 0)),
+        # the edge counts still sum to the indices' length
+        ("negative-edge-count", lambda a: a["indptr"].__setitem__([7, 10], [-1, 3])),
         ("short-indices", lambda a: a.update(indices=a["indices"][:-1])),
         ("extra-count", lambda a: a.update(counts=np.append(a["counts"], 1))),
         ("row-outside-index", lambda a: a["rows"].__setitem__(0, 4)),
