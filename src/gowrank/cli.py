@@ -20,9 +20,9 @@ import numpy as np
 from .artifacts import Cache, atomic_write
 from .config import RunConfig, load_config
 from .corpus import (
-    build_vocabulary,
+    count_vocabulary,
     default_stopwords,
-    encode_document,
+    first_ids,
     make_query,
     read_corpus,
     read_queries,
@@ -120,20 +120,16 @@ def _stopword_set(cfg: RunConfig):
 
 
 def cmd_index(cfg: RunConfig, args) -> int:
-    tokenized = {doc_id: tokenize(text) for doc_id, text in read_corpus(cfg.corpus)}
+    ids_of: dict[str, int] = {}
+    # a document's token strings go once its ids are taken
+    docs = {doc_id: first_ids(ids_of, tokenize(text))
+            for doc_id, text in read_corpus(cfg.corpus)}
     out = Path(cfg.index_dir)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = build_vocabulary(
-        tokenized.values(),
-        stopwords=_stopword_set(cfg),
-        min_freq=cfg.min_freq,
-        count_documents=cfg.min_freq_mode == "docs",
-    )
-    doc_ids = sorted(tokenized)
-    # each document's strings go as its ids come, so the peak does not rise
-    write_index(out, vocab, (encode_document(vocab, doc_id, tokenized.pop(doc_id))
-                             for doc_id in doc_ids))
-    print(f"indexed {len(doc_ids)} documents, vocabulary size {len(vocab)}")
+    vocab, vocab_ids = count_vocabulary(docs.values(), ids_of, _stopword_set(cfg),
+                                        cfg.min_freq, cfg.min_freq_mode == "docs")
+    write_index(out, vocab, vocab_ids, docs)
+    print(f"indexed {len(docs)} documents, vocabulary size {len(vocab)}")
     return 0
 
 

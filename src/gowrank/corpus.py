@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 import string
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,6 +28,9 @@ from .errors import DataFormatError
 OOV_ID = -1
 
 _STRIP_CHARS = string.punctuation + "‘’“”"
+
+# tokens per batch of the frequency counts; a batch can end inside a document
+COUNT_BATCH = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -82,11 +85,6 @@ class Vocabulary:
         """
         df = self.doc_freq[term_id] if term_id >= 0 else 0
         return math.log((self.num_docs + 1) / (df + 1))
-
-    def encode(self, tokens: Iterable[str]) -> list[int]:
-        """Map surface tokens to ids, dropping out-of-vocabulary tokens."""
-        t2i = self.term_to_id
-        return [t2i[t] for t in tokens if t in t2i]
 
     def to_payload(self) -> dict:
         """The JSON-ready fields `from_payload` reads back."""
@@ -152,47 +150,102 @@ class Query:
     idf: np.ndarray
 
 
-def build_vocabulary(
-    docs: Iterable[list[str]],
-    stopwords: set[str] | None = None,
-    min_freq: int = 10,
-    count_documents: bool = False,
-) -> Vocabulary:
-    """Scan tokenized documents once and retain frequent non-stopword terms.
+def first_ids(ids_of: dict[str, int], tokens: list[str]) -> np.ndarray:
+    """`tokens` as int32 ids in order of first appearance over every call
+    that shares `ids_of`, which gains each new term: one dict lookup per
+    token, and no Python loop."""
+    # map takes len(ids_of) just before each setdefault: a new term's id
+    return np.fromiter(map(ids_of.setdefault, tokens, map(len, repeat(ids_of))),
+                       np.int32, len(tokens))
 
-    The frequency threshold applies to total corpus occurrences by default;
+
+def _key_batches(docs: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, int]]:
+    """(keys, documents so far): the (document << 32 | id) key of each token
+    of `docs`, in batches of COUNT_BATCH tokens and one last, shorter batch."""
+    pending, size, num_docs = [], 0, 0
+    for num_docs, ids in enumerate(docs, start=1):
+        pending.append(ids + np.int64((num_docs - 1) << 32))
+        size += ids.size
+        if size >= COUNT_BATCH:
+            keys, cut = np.concatenate(pending), size - size % COUNT_BATCH
+            pending, size = [keys[cut:]], size - cut
+            for batch in np.split(keys[:cut], cut // COUNT_BATCH):
+                yield batch, num_docs
+    yield np.concatenate([np.zeros(0, np.int64), *pending]), num_docs
+
+
+def _add_counts(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """`counts` plus one for each of `ids`, grown to cover them."""
+    total = np.bincount(ids, minlength=counts.size)
+    total[:counts.size] += counts
+    return total
+
+
+def _frequencies(docs: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Corpus and document frequency of each first-appearance id in `docs`,
+    and the number of documents; no more than a batch of keys is held."""
+    corpus_freq = doc_freq = held = np.zeros(0, np.int64)
+    for keys, num_docs in _key_batches(docs):
+        corpus_freq = _add_counts(corpus_freq, keys & 0xFFFFFFFF)
+        pairs = np.concatenate([held, keys])
+        pairs.sort()  # and dedupe, in place of np.unique: it hashes, 6x slower
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        # every batch but the last is full, and the next one may go on with
+        # its last document: that document's pairs wait for it
+        cut = pairs.size if keys.size < COUNT_BATCH else int(
+            np.searchsorted(pairs, pairs[-1] >> 32 << 32))
+        doc_freq = _add_counts(doc_freq, pairs[:cut] & 0xFFFFFFFF)
+        held = pairs[cut:]
+    return corpus_freq, doc_freq, num_docs
+
+
+def count_vocabulary(docs: Iterable[np.ndarray], ids_of: dict[str, int],
+                     stopwords: set[str] | None = None, min_freq: int = 10,
+                     count_documents: bool = False) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of `docs`, each the `first_ids` of its tokens under
+    `ids_of`, and the int32 vocabulary id of each first-appearance id: -1
+    for a stopword or a term below the frequency threshold.
+
+    The threshold applies to total corpus occurrences by default;
     `count_documents=True` switches it to document frequency.  Ids follow
     first appearance in the stream, so the result is deterministic.
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     stopwords = stopwords if stopwords is not None else set()
-
-    # Counters keep insertion order: corpus_freq lists terms as first seen
-    corpus_freq: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    num_docs = 0
-    for tokens in docs:
-        num_docs += 1
-        corpus_freq.update(tokens)
-        doc_freq.update(set(tokens))
+    corpus_freq, doc_freq, num_docs = _frequencies(docs)
     if num_docs == 0:
         raise DataFormatError("empty corpus: no documents to index")
 
-    freq = doc_freq if count_documents else corpus_freq
-    terms = [t for t in corpus_freq if t not in stopwords and freq[t] >= min_freq]
+    stop = np.fromiter(map(stopwords.__contains__, ids_of), bool, len(ids_of))
+    keep = ~stop & ((doc_freq if count_documents else corpus_freq) >= min_freq)
+    kept = np.flatnonzero(keep)
+    vocab_ids = np.full(len(ids_of), -1, np.int32)
+    vocab_ids[kept] = np.arange(kept.size)
+    terms = list(compress(ids_of, keep.tolist()))
     return Vocabulary(
         terms=terms,
-        term_to_id={t: i for i, t in enumerate(terms)},
-        doc_freq=[doc_freq[t] for t in terms],
+        # ids_of's values are 0, 1, ... in order: sharing them makes no new int
+        term_to_id=dict(zip(terms, ids_of.values())),
+        doc_freq=doc_freq[kept].tolist(),
         num_docs=num_docs,
         stopwords=set(stopwords),
         min_freq=min_freq,
-    )
+    ), vocab_ids
+
+
+def build_vocabulary(docs: Iterable[list[str]], stopwords: set[str] | None = None,
+                     min_freq: int = 10, count_documents: bool = False) -> Vocabulary:
+    """`count_vocabulary` of tokenized documents, read once."""
+    ids_of: dict[str, int] = {}
+    return count_vocabulary((first_ids(ids_of, tokens) for tokens in docs), ids_of,
+                            stopwords, min_freq, count_documents)[0]
 
 
 def encode_document(vocab: Vocabulary, doc_id: str, tokens: list[str]) -> TokenizedDoc:
-    return TokenizedDoc(doc_id=doc_id, tokens=vocab.encode(tokens), raw_length=len(tokens))
+    """`tokens` as vocabulary ids, out-of-vocabulary tokens dropped."""
+    t2i = vocab.term_to_id
+    return TokenizedDoc(doc_id, [t2i[t] for t in tokens if t in t2i], len(tokens))
 
 
 def make_query(vocab: Vocabulary, query_id: str, tokens: list[str]) -> Query:

@@ -3,9 +3,7 @@ writes to `index_dir/index.npz` and every later command reads, checked."""
 
 from __future__ import annotations
 
-from array import array
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -20,22 +18,23 @@ INDEX_FILE = "index.npz"
 INDEX_VERSION = 2
 
 
-def write_index(index_dir: str | Path, vocab: Vocabulary,
-                docs: Iterable[TokenizedDoc]) -> None:
-    """Write `index_dir/index.npz` from `docs`, taken one at a time."""
-    # one growing buffer, never every document's id list at once
-    tokens = array("i")
-    offsets, doc_ids, raw_lengths = [0], [], []
-    for doc in docs:
-        tokens.extend(doc.tokens)
-        offsets.append(len(tokens))
-        doc_ids.append(doc.doc_id)
-        raw_lengths.append(doc.raw_length)
+def write_index(index_dir: str | Path, vocab: Vocabulary, vocab_ids: np.ndarray,
+                docs: dict[str, np.ndarray]) -> None:
+    """Write `index_dir/index.npz` from `docs`, each doc id's first-appearance
+    ids, which `vocab_ids` maps to vocabulary ids (-1: left out)."""
+    doc_ids = sorted(docs)
+    raw_lengths = [docs[doc_id].size for doc_id in doc_ids]
+    # one gather puts the documents in doc id order; a document's offset
+    # is the number of kept tokens before it
+    tokens = vocab_ids[np.concatenate([docs[doc_id] for doc_id in doc_ids])]
+    kept = tokens >= 0
+    kept_before = np.zeros(tokens.size + 1, "<i8")
+    np.cumsum(kept, out=kept_before[1:])
+    offsets = kept_before[np.cumsum([0, *raw_lengths])]
     header = {"version": INDEX_VERSION, "vocabulary": vocab.to_payload(),
               "doc_ids": doc_ids, "raw_lengths": raw_lengths}
-    tokens = np.frombuffer(tokens, dtype=np.intc).astype("<i4", copy=False)
-    offsets = np.array(offsets, dtype="<i8")
-    write_arrays(Path(index_dir) / INDEX_FILE, header, {"offsets": offsets, "tokens": tokens})
+    write_arrays(Path(index_dir) / INDEX_FILE, header,
+                 {"offsets": offsets, "tokens": tokens[kept].astype("<i4", copy=False)})
 
 
 def read_index(index_dir: str | Path):

@@ -1,4 +1,4 @@
-"""Shared fixtures-by-hand for model, gradient and checkpoint tests."""
+"""Shared fixtures-by-hand for index, model, gradient and checkpoint tests."""
 
 import io
 import warnings
@@ -9,6 +9,7 @@ import numpy as np
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.graph import DocumentGraph, build_graph
+from gowrank.indexfile import INDEX_VERSION
 from gowrank.model import HyperParams, ModelParams, init_params, iter_tensors
 
 import reference
@@ -81,6 +82,23 @@ def oracle_rel(graph, S, query, params) -> float:
 def rel_diff(a: float, b: float) -> float:
     denom = max(abs(a), abs(b))
     return abs(a - b) / denom if denom else 0.0
+
+
+def write_oracle_index(path, tokenized, stopwords, min_freq, count_documents):
+    """The index.npz of the tokenized documents `tokenized` ({doc id:
+    tokens}) at `path`, from the reference's Counter vocabulary and
+    encoding, through `write_arrays`."""
+    terms, doc_freq, num_docs = reference.counter_vocabulary(
+        tokenized.values(), stopwords, min_freq, count_documents)
+    doc_ids = sorted(tokenized)
+    encoded = [reference.encode(terms, tokenized[doc_id]) for doc_id in doc_ids]
+    vocabulary = {"terms": terms, "doc_freq": doc_freq, "num_docs": num_docs,
+                  "stopwords": sorted(stopwords), "min_freq": min_freq}
+    header = {"version": INDEX_VERSION, "vocabulary": vocabulary, "doc_ids": doc_ids,
+              "raw_lengths": [len(tokenized[doc_id]) for doc_id in doc_ids]}
+    offsets = np.cumsum([0] + [len(ids) for ids in encoded], dtype="<i8")
+    tokens = np.array([i for ids in encoded for i in ids], dtype="<i4")
+    write_arrays(path, header, {"offsets": offsets, "tokens": tokens})
 
 
 def rewrite_checkpoint_header(path, edit, members=dict):

@@ -22,6 +22,11 @@ index can be checked statistic by statistic.
 `embeddings.load_embeddings` did, one `float()` call per value, so the
 chunked numpy parse can be checked row by row.
 
+`counter_vocabulary` and `encode` build the vocabulary and encode a
+document the way the first `corpus.build_vocabulary` and
+`Vocabulary.encode` did: two `Counter`s, a set per document and a
+comprehension, so the batched numpy counts can be checked term by term.
+
 `doc_forward` and `doc_backprop` are the model's first numpy path, one
 document at a time: the forward pass over one graph and the reverse
 replay of its trace.  The batched `model.forward_batch` and
@@ -29,6 +34,7 @@ replay of its trace.  The batched `model.forward_batch` and
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,6 +216,27 @@ def dict_postings(docs):
             plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
             coll_freq[tid] = coll_freq.get(tid, 0) + 1
     return postings, doc_len, coll_freq, coll_len
+
+
+def counter_vocabulary(docs, stopwords, min_freq, count_documents):
+    """(terms, doc_freq, num_docs) of tokenized documents: the terms that are
+    not stopwords and reach `min_freq` in corpus occurrences, or in
+    documents with `count_documents`, in order of first appearance."""
+    corpus_freq, doc_freq = Counter(), Counter()
+    num_docs = 0
+    for tokens in docs:
+        num_docs += 1
+        corpus_freq.update(tokens)
+        doc_freq.update(set(tokens))
+    freq = doc_freq if count_documents else corpus_freq
+    terms = [t for t in corpus_freq if t not in stopwords and freq[t] >= min_freq]
+    return terms, [doc_freq[t] for t in terms], num_docs
+
+
+def encode(terms, tokens):
+    """The ids of `tokens` in `terms`, tokens not in it dropped."""
+    t2i = {t: i for i, t in enumerate(terms)}
+    return [t2i[t] for t in tokens if t in t2i]
 
 
 def line_embeddings(path, vocab):

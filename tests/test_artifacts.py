@@ -1,9 +1,11 @@
 """Artifacts: a writer that fails leaves the previous file, the .npz
 reader refuses what `write_arrays` does not write, a damaged index or
-checkpoint is refused or loads unchanged, and a damaged graph store is
-ignored or loads unchanged."""
+checkpoint is refused or loads unchanged, a damaged graph store is
+ignored or loads unchanged, and an edited corpus is indexed as the
+reference indexes it or refused with exit 2."""
 
 import io
+import json
 import logging
 import random
 import zipfile
@@ -15,7 +17,8 @@ import helpers
 from gowrank import cli, indexfile
 from gowrank.artifacts import atomic_write, read_arrays, write_arrays
 from gowrank.config import RunConfig
-from gowrank.datagen import overfit_corpus
+from gowrank.corpus import default_stopwords, read_corpus, tokenize
+from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.errors import DataFormatError
 from gowrank.evaluation import write_report
 from gowrank.model import (
@@ -116,15 +119,15 @@ class TestAtomicWrite:
         assert sorted(before) == ["index.npz"]
         if crash == "encode":
             calls = []
-            real_encode = cli.encode_document
+            real_first_ids = cli.first_ids
 
             def encode_then_fail(*args):
                 calls.append(args)
                 if len(calls) == 2:
                     raise RuntimeError("crash mid-index")
-                return real_encode(*args)
+                return real_first_ids(*args)
 
-            monkeypatch.setattr(cli, "encode_document", encode_then_fail)
+            monkeypatch.setattr(cli, "first_ids", encode_then_fail)
         else:
             _fail_on_second_member(monkeypatch)
         with pytest.raises(RuntimeError, match="crash mid-"):
@@ -370,3 +373,69 @@ def test_damaged_graph_store_is_warned_about_and_rebuilt(small_world, tmp_path, 
     assert store[1][1].endswith(": miss (damaged), written")
     assert (world / name).read_bytes() == (small_world / name).read_bytes()
     assert (world / "q1.run").read_bytes() == (small_world / "q1.run").read_bytes()
+
+
+# (kind of seeded edit of a bridged corpus.jsonl, the exit codes `index`
+# may give for it)
+CORPUS_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("inserted", {0}),
+                ("deleted", {0}), ("duplicated", {2}), ("not-utf8", {2}),
+                ("duplicate-id", {2})]
+
+
+def _edited_corpus(data: bytes, kind: str, rng: random.Random) -> bytes:
+    """`data` with one edit of `kind`: a flipped bit, a cut, a new, removed
+    or repeated line, a byte that is not UTF-8, or a record given the id
+    of another."""
+    edited = bytearray(data)
+    if kind == "flipped":
+        edited[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    elif kind == "truncated":
+        del edited[rng.randrange(len(data)):]
+    elif kind == "not-utf8":
+        edited[rng.randrange(len(data))] = rng.choice([0x80, 0xC3, 0xFF])
+    else:
+        lines = data.splitlines(keepends=True)
+        at = rng.randrange(len(lines))
+        if kind == "inserted":
+            words = rng.choices(["w001", "q01a", "q01x", "ünï", "new"], k=rng.randrange(12))
+            lines.insert(at, json.dumps({"doc_id": f"new{at}", "text": " ".join(words)})
+                         .encode() + b"\n")
+        elif kind == "deleted":
+            del lines[at]
+        elif kind == "duplicated":
+            lines.insert(at, lines[at])
+        else:
+            record = json.loads(lines[at])
+            record["doc_id"] = json.loads(lines[at - 1])["doc_id"]
+            lines[at] = json.dumps(record).encode() + b"\n"
+        edited = b"".join(lines)
+    return bytes(edited)
+
+
+@pytest.fixture(scope="module")
+def bridged_bytes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bridged")
+    bridged_corpus(seed=0).write(root)
+    return (root / "corpus.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("number", range(60))
+def test_edited_corpus_is_indexed_as_the_reference_or_refused(bridged_bytes, tmp_path,
+                                                              capsys, number):
+    kind, codes = CORPUS_EDITS[number % len(CORPUS_EDITS)]
+    mode = ("corpus", "docs")[number // len(CORPUS_EDITS) % 2]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_edited_corpus(bridged_bytes, kind, random.Random(number)))
+    rc = cli.main(["index", "--corpus", str(path), "--index-dir", str(tmp_path / "index"),
+                   "--min-freq", "2", "--min-freq-mode", mode])
+    err = capsys.readouterr().err
+    assert rc in codes and "Traceback" not in err, (kind, rc, err)
+    if rc == 2:
+        assert err.startswith(f"data error: {path}"), err
+        assert not (tmp_path / "index" / indexfile.INDEX_FILE).exists()
+        return
+    tokenized = {doc_id: tokenize(text) for doc_id, text in read_corpus(path)}
+    helpers.write_oracle_index(tmp_path / "oracle.npz", tokenized, default_stopwords(),
+                               2, mode == "docs")
+    assert ((tmp_path / "index" / indexfile.INDEX_FILE).read_bytes()
+            == (tmp_path / "oracle.npz").read_bytes())

@@ -6,19 +6,26 @@ import math
 import numpy as np
 import pytest
 
+import helpers
+import reference
+from gowrank import cli, corpus
 from gowrank.corpus import (
     OOV_ID,
     Query,
     Vocabulary,
     build_vocabulary,
+    count_vocabulary,
     default_stopwords,
     encode_document,
+    first_ids,
     make_query,
     read_corpus,
     read_queries,
     tokenize,
 )
+from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.errors import DataFormatError
+from gowrank.indexfile import INDEX_FILE, write_index
 
 
 class TestTokenize:
@@ -147,6 +154,72 @@ class TestEncode:
         v = build_vocabulary(_toy_docs(), min_freq=1)
         doc = encode_document(v, "d", ["pear", "apple", "pear", "apple", "apple"])
         assert doc.tokens == [1, 0, 1, 0, 0]
+
+
+# the random corpora's words: stopwords, non-ASCII terms, and few enough
+# that terms repeat within and across documents
+WORDS = ["apple", "pear", "plum", "the", "and", "café", "日本", "straße", "ünï", "x"]
+STOPWORDS = {"the", "and", "x"}
+
+
+def _random_corpus(rng) -> dict[str, list[str]]:
+    """1-8 documents under ids in no sorted order, some empty, some all
+    stopwords, the others drawn from a prefix of WORDS."""
+    tokenized = {}
+    for number in rng.permutation(20)[:rng.integers(1, 9)]:
+        kind = rng.integers(4)
+        words = sorted(STOPWORDS) if kind == 1 else WORDS[:rng.integers(1, len(WORDS) + 1)]
+        length = 0 if kind == 0 else rng.integers(1, 30)
+        tokenized[f"d{number}"] = [words[i] for i in rng.integers(len(words), size=length)]
+    return tokenized
+
+
+class TestCountsAgainstTheCounterOracle:
+    def test_random_corpora(self, tmp_path, monkeypatch):
+        """300 seeded corpora, min_freq 1-3 in both modes, with and without
+        stopwords, counted in batches of 1-50 tokens, so that batch edges
+        fall inside documents and between them: the vocabulary, each
+        document's ids and the index bytes are the oracle's."""
+        rng = np.random.default_rng(22)
+        (tmp_path / "index").mkdir()
+        for case in range(300):
+            monkeypatch.setattr(corpus, "COUNT_BATCH", int(rng.integers(1, 51)))
+            tokenized = _random_corpus(rng)
+            stopwords = set(STOPWORDS) if rng.integers(2) else set()
+            config = (stopwords, int(rng.integers(1, 4)), bool(rng.integers(2)))
+            terms, doc_freq, num_docs = reference.counter_vocabulary(tokenized.values(), *config)
+
+            vocab = build_vocabulary(tokenized.values(), *config)
+            assert (vocab.terms, vocab.term_to_id, vocab.doc_freq, vocab.num_docs) == (
+                terms, {t: i for i, t in enumerate(terms)}, doc_freq, num_docs), case
+            ids_of = {}
+            docs = {doc_id: first_ids(ids_of, tokens) for doc_id, tokens in tokenized.items()}
+            counted, vocab_ids = count_vocabulary(docs.values(), ids_of, *config)
+            assert counted == vocab, case
+            for doc_id, tokens in tokenized.items():
+                expected = reference.encode(terms, tokens)
+                assert encode_document(vocab, doc_id, tokens).tokens == expected, case
+                ids = vocab_ids[docs[doc_id]]
+                assert ids[ids >= 0].tolist() == expected, case
+
+            write_index(tmp_path / "index", counted, vocab_ids, docs)
+            helpers.write_oracle_index(tmp_path / "oracle.npz", tokenized, *config)
+            assert ((tmp_path / "index" / INDEX_FILE).read_bytes()
+                    == (tmp_path / "oracle.npz").read_bytes()), case
+
+    @pytest.mark.parametrize("mode", ["corpus", "docs"])
+    @pytest.mark.parametrize("make", [bridged_corpus, overfit_corpus])
+    def test_index_command_writes_the_oracles_bytes(self, tmp_path, make, mode):
+        make(seed=3).write(tmp_path)
+        assert cli.main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
+                         "--index-dir", str(tmp_path / "index"), "--min-freq", "2",
+                         "--min-freq-mode", mode]) == 0
+        tokenized = {doc_id: tokenize(text)
+                     for doc_id, text in read_corpus(tmp_path / "corpus.jsonl")}
+        helpers.write_oracle_index(tmp_path / "oracle.npz", tokenized,
+                                   default_stopwords(), 2, mode == "docs")
+        assert ((tmp_path / "index" / INDEX_FILE).read_bytes()
+                == (tmp_path / "oracle.npz").read_bytes())
 
 
 class TestMakeQuery:

@@ -1,7 +1,7 @@
 """One module per pipeline stage: each `gowrank` module imports first in
 a fresh interpreter, the modules' top-level imports of one another form
 no cycle, the input-side modules load neither the model nor scipy's
-special functions, and `training` serves the names that the acceptance
+special functions, the index path loads no scipy at all, and `training` serves the names that the acceptance
 criteria import from it as the stage modules' own objects."""
 
 import ast
@@ -69,6 +69,20 @@ def test_input_side_modules_load_no_model():
          "import sys; sys.path.insert(0, sys.argv[1]);"
          "import gowrank.config, gowrank.datagen, gowrank.corpus, gowrank.retrieval;"
          "print(sorted({'gowrank.model', 'scipy.special'} & sys.modules.keys()))",
+         str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# `index` needs only these two: they stay numpy-only
+def test_index_modules_load_no_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]);"
+         "import gowrank.corpus, gowrank.indexfile;"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
          str(PACKAGE.parent)],
         capture_output=True, text=True, timeout=120,
     )
