@@ -1,8 +1,9 @@
 """One module per pipeline stage: each `gowrank` module imports first in
 a fresh interpreter, the modules' top-level imports of one another form
 no cycle, the input-side modules load neither the model nor scipy's
-special functions, the index path loads no scipy at all, and `training` serves the names that the acceptance
-criteria import from it as the stage modules' own objects."""
+special functions, the index stage's modules load no scipy at all, and
+`training` serves the names that the acceptance criteria import from it
+as the stage modules' own objects."""
 
 import ast
 import subprocess
@@ -76,7 +77,7 @@ def test_input_side_modules_load_no_model():
     assert result.stdout.strip() == "[]"
 
 
-# `index` needs only these two: they stay numpy-only
+# the modules of `index`'s own stages stay numpy-only
 def test_index_modules_load_no_scipy():
     result = subprocess.run(
         [sys.executable, "-c",
