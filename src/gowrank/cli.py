@@ -22,11 +22,11 @@ from .config import RunConfig, load_config
 from .corpus import (
     count_vocabulary,
     default_stopwords,
-    first_ids,
     make_query,
     read_corpus,
     read_queries,
     read_stopwords,
+    text_ids,
     tokenize,
 )
 from .embeddings import load_embeddings
@@ -121,8 +121,8 @@ def _stopword_set(cfg: RunConfig):
 
 def cmd_index(cfg: RunConfig, args) -> int:
     ids_of: dict[str, int] = {}
-    # a document's token strings go once its ids are taken
-    docs = {doc_id: first_ids(ids_of, tokenize(text))
+    id_of_word: dict[str, int] = {}
+    docs = {doc_id: text_ids(ids_of, id_of_word, text)
             for doc_id, text in read_corpus(cfg.corpus)}
     out = Path(cfg.index_dir)
     out.mkdir(parents=True, exist_ok=True)

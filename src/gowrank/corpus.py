@@ -34,16 +34,10 @@ COUNT_BATCH = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on whitespace, lowercase, strip surrounding punctuation.
-
-    Empty tokens are dropped; order is preserved.
-    """
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP_CHARS)
-        if tok:
-            out.append(tok)
-    return out
+    """The tokens of `text`, in order: lowercase it, split it with
+    `str.split`, strip each word of `_STRIP_CHARS` and drop the words that
+    strip to nothing.  `text_ids` takes this rule once per lowered word."""
+    return [tok for word in text.lower().split() if (tok := word.strip(_STRIP_CHARS))]
 
 
 def default_stopwords() -> set[str]:
@@ -157,6 +151,26 @@ def first_ids(ids_of: dict[str, int], tokens: list[str]) -> np.ndarray:
     # map takes len(ids_of) just before each setdefault: a new term's id
     return np.fromiter(map(ids_of.setdefault, tokens, map(len, repeat(ids_of))),
                        np.int32, len(tokens))
+
+
+def text_ids(ids_of: dict[str, int], id_of_word: dict[str, int], text: str) -> np.ndarray:
+    """`first_ids(ids_of, tokenize(text))`, through `id_of_word`, a memo
+    shared by every call that shares `ids_of`: each lowered word's id, -1
+    for a word that strips to nothing.  A word pays one dict lookup; only
+    a word the memo lacks is stripped, once."""
+    words = text.lower().split()
+    ids = np.fromiter(map(id_of_word.get, words, repeat(-2)), np.int32, len(words))
+    if ids.min(initial=0) >= 0:  # most documents, once the memo has filled
+        return ids
+    new = np.flatnonzero(ids == -2).tolist()
+    if new:
+        new_words = list(map(words.__getitem__, new))
+        # distinct words in order of first appearance, so their tokens are too
+        for word in dict.fromkeys(new_words):
+            tok = word.strip(_STRIP_CHARS)
+            id_of_word[word] = ids_of.setdefault(tok, len(ids_of)) if tok else -1
+        ids[new] = list(map(id_of_word.__getitem__, new_words))
+    return ids[ids >= 0]
 
 
 def _key_batches(docs: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, int]]:

@@ -25,12 +25,11 @@ def write_index(index_dir: str | Path, vocab: Vocabulary, vocab_ids: np.ndarray,
     doc_ids = sorted(docs)
     raw_lengths = [docs[doc_id].size for doc_id in doc_ids]
     # one gather puts the documents in doc id order; a document's offset
-    # is the number of kept tokens before it
+    # is its start less the number of tokens left out before it
     tokens = vocab_ids[np.concatenate([docs[doc_id] for doc_id in doc_ids])]
     kept = tokens >= 0
-    kept_before = np.zeros(tokens.size + 1, "<i8")
-    np.cumsum(kept, out=kept_before[1:])
-    offsets = kept_before[np.cumsum([0, *raw_lengths])]
+    starts = np.cumsum([0, *raw_lengths], dtype="<i8")
+    offsets = starts - np.searchsorted(np.flatnonzero(~kept), starts)
     header = {"version": INDEX_VERSION, "vocabulary": vocab.to_payload(),
               "doc_ids": doc_ids, "raw_lengths": raw_lengths}
     write_arrays(Path(index_dir) / INDEX_FILE, header,

@@ -1,6 +1,8 @@
 """Shared fixtures-by-hand for index, model, gradient and checkpoint tests."""
 
 import io
+import random
+import string
 import warnings
 import zipfile
 
@@ -13,6 +15,34 @@ from gowrank.indexfile import INDEX_VERSION
 from gowrank.model import HyperParams, ModelParams, init_params, iter_tensors
 
 import reference
+
+
+# what a text may hold besides plain words: the punctuation that `tokenize`
+# strips, and whitespace other than the space that `str.split` splits on
+EDGE_MARKS = string.punctuation + "‘’“”"
+SPACES = ["\t", "\xa0", "\x85", "\u2003", "\u3000", "\u2028", "\x1c", "\x1d", "\x1e",
+          "\x1f"]
+TEXT_EDITS = ["attached", "pure", "whitespace", "cased"]
+
+
+def edit_text(text: str, kind: str, rng: random.Random) -> str:
+    """`text` with one edit of `kind` (one of TEXT_EDITS) at a random word:
+    punctuation attached to one end of it, a word of punctuation alone put
+    before it, whitespace other than a space put inside it or at one end,
+    or the word in upper or title case."""
+    words = text.split(" ")
+    at = rng.randrange(len(words))
+    marks = "".join(rng.choices(EDGE_MARKS, k=rng.randrange(1, 4)))
+    if kind == "attached":
+        words[at] = marks + words[at] if rng.randrange(2) else words[at] + marks
+    elif kind == "pure":
+        words.insert(at, marks)
+    elif kind == "whitespace":
+        cut = rng.randrange(len(words[at]) + 1)
+        words[at] = words[at][:cut] + rng.choice(SPACES) + words[at][cut:]
+    else:
+        words[at] = rng.choice([str.upper, str.title])(words[at])
+    return " ".join(words)
 
 
 def random_graph(rng, n, window=None) -> DocumentGraph:

@@ -22,6 +22,10 @@ index can be checked statistic by statistic.
 `embeddings.load_embeddings` did, one `float()` call per value, so the
 chunked numpy parse can be checked row by row.
 
+`loop_tokenize` tokenizes a text the way the first `corpus.tokenize` did,
+one word at a time in a loop, so the comprehension and `text_ids`'s memo
+can be checked against it.
+
 `counter_vocabulary` and `encode` build the vocabulary and encode a
 document the way the first `corpus.build_vocabulary` and
 `Vocabulary.encode` did: two `Counter`s, a set per document and a
@@ -34,6 +38,7 @@ replay of its trace.  The batched `model.forward_batch` and
 """
 
 import math
+import string
 from collections import Counter
 from types import SimpleNamespace
 
@@ -216,6 +221,17 @@ def dict_postings(docs):
             plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
             coll_freq[tid] = coll_freq.get(tid, 0) + 1
     return postings, doc_len, coll_freq, coll_len
+
+
+def loop_tokenize(text):
+    """Split on whitespace, lowercase, strip surrounding punctuation, drop
+    the empty tokens."""
+    out = []
+    for raw in text.lower().split():
+        tok = raw.strip(string.punctuation + "‘’“”")
+        if tok:
+            out.append(tok)
+    return out
 
 
 def counter_vocabulary(docs, stopwords, min_freq, count_documents):

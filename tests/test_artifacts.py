@@ -1,13 +1,16 @@
 """Artifacts: a writer that fails leaves the previous file, the .npz
 reader refuses what `write_arrays` does not write, a damaged index or
 checkpoint is refused or loads unchanged, a damaged graph store is
-ignored or loads unchanged, and an edited corpus is indexed as the
-reference indexes it or refused with exit 2."""
+ignored or loads unchanged, an edited corpus is indexed as the reference
+indexes it or refused with exit 2, a punctuated one is indexed as the
+reference indexes it, and edited queries are reranked or refused with
+exit 2."""
 
 import io
 import json
 import logging
 import random
+import shutil
 import zipfile
 
 import numpy as np
@@ -119,15 +122,15 @@ class TestAtomicWrite:
         assert sorted(before) == ["index.npz"]
         if crash == "encode":
             calls = []
-            real_first_ids = cli.first_ids
+            real_text_ids = cli.text_ids
 
             def encode_then_fail(*args):
                 calls.append(args)
                 if len(calls) == 2:
                     raise RuntimeError("crash mid-index")
-                return real_first_ids(*args)
+                return real_text_ids(*args)
 
-            monkeypatch.setattr(cli, "first_ids", encode_then_fail)
+            monkeypatch.setattr(cli, "text_ids", encode_then_fail)
         else:
             _fail_on_second_member(monkeypatch)
         with pytest.raises(RuntimeError, match="crash mid-"):
@@ -375,17 +378,10 @@ def test_damaged_graph_store_is_warned_about_and_rebuilt(small_world, tmp_path, 
     assert (world / "q1.run").read_bytes() == (small_world / "q1.run").read_bytes()
 
 
-# (kind of seeded edit of a bridged corpus.jsonl, the exit codes `index`
-# may give for it)
-CORPUS_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("inserted", {0}),
-                ("deleted", {0}), ("duplicated", {2}), ("not-utf8", {2}),
-                ("duplicate-id", {2})]
-
-
-def _edited_corpus(data: bytes, kind: str, rng: random.Random) -> bytes:
-    """`data` with one edit of `kind`: a flipped bit, a cut, a new, removed
-    or repeated line, a byte that is not UTF-8, or a record given the id
-    of another."""
+def _edited(data: bytes, kind: str, rng: random.Random, line_edits) -> bytes:
+    """`data` with one edit of `kind`: a flipped bit, a cut, a byte that is
+    not UTF-8, a removed or repeated line, or `line_edits[kind](lines, at,
+    rng)`, an edit of its lines at line `at`."""
     edited = bytearray(data)
     if kind == "flipped":
         edited[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
@@ -396,20 +392,34 @@ def _edited_corpus(data: bytes, kind: str, rng: random.Random) -> bytes:
     else:
         lines = data.splitlines(keepends=True)
         at = rng.randrange(len(lines))
-        if kind == "inserted":
-            words = rng.choices(["w001", "q01a", "q01x", "ünï", "new"], k=rng.randrange(12))
-            lines.insert(at, json.dumps({"doc_id": f"new{at}", "text": " ".join(words)})
-                         .encode() + b"\n")
-        elif kind == "deleted":
+        if kind == "deleted":
             del lines[at]
         elif kind == "duplicated":
             lines.insert(at, lines[at])
         else:
-            record = json.loads(lines[at])
-            record["doc_id"] = json.loads(lines[at - 1])["doc_id"]
-            lines[at] = json.dumps(record).encode() + b"\n"
+            line_edits[kind](lines, at, rng)
         edited = b"".join(lines)
     return bytes(edited)
+
+
+def _new_record(lines, at, rng):
+    words = rng.choices(["w001", "q01a", "q01x", "ünï", "new"], k=rng.randrange(12))
+    lines.insert(at, json.dumps({"doc_id": f"new{at}", "text": " ".join(words)})
+                 .encode() + b"\n")
+
+
+def _record_with_previous_id(lines, at, rng):
+    record = json.loads(lines[at])
+    record["doc_id"] = json.loads(lines[at - 1])["doc_id"]
+    lines[at] = json.dumps(record).encode() + b"\n"
+
+
+# (kind of seeded edit of a bridged corpus.jsonl, the exit codes `index`
+# may give for it)
+CORPUS_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("inserted", {0}),
+                ("deleted", {0}), ("duplicated", {2}), ("not-utf8", {2}),
+                ("duplicate-id", {2})]
+CORPUS_LINE_EDITS = {"inserted": _new_record, "duplicate-id": _record_with_previous_id}
 
 
 @pytest.fixture(scope="module")
@@ -425,7 +435,7 @@ def test_edited_corpus_is_indexed_as_the_reference_or_refused(bridged_bytes, tmp
     kind, codes = CORPUS_EDITS[number % len(CORPUS_EDITS)]
     mode = ("corpus", "docs")[number // len(CORPUS_EDITS) % 2]
     path = tmp_path / "corpus.jsonl"
-    path.write_bytes(_edited_corpus(bridged_bytes, kind, random.Random(number)))
+    path.write_bytes(_edited(bridged_bytes, kind, random.Random(number), CORPUS_LINE_EDITS))
     rc = cli.main(["index", "--corpus", str(path), "--index-dir", str(tmp_path / "index"),
                    "--min-freq", "2", "--min-freq-mode", mode])
     err = capsys.readouterr().err
@@ -434,8 +444,94 @@ def test_edited_corpus_is_indexed_as_the_reference_or_refused(bridged_bytes, tmp
         assert err.startswith(f"data error: {path}"), err
         assert not (tmp_path / "index" / indexfile.INDEX_FILE).exists()
         return
+    _assert_oracle_index(path, tmp_path, mode)
+
+
+def _assert_oracle_index(path, tmp_path, mode):
+    """tmp_path/index holds the reference's index.npz of the corpus at `path`."""
     tokenized = {doc_id: tokenize(text) for doc_id, text in read_corpus(path)}
     helpers.write_oracle_index(tmp_path / "oracle.npz", tokenized, default_stopwords(),
                                2, mode == "docs")
     assert ((tmp_path / "index" / indexfile.INDEX_FILE).read_bytes()
             == (tmp_path / "oracle.npz").read_bytes())
+
+
+def _punctuated(data: bytes, kind: str, rng: random.Random) -> bytes:
+    """The corpus `data` with 1-199 edits of `kind` (see helpers.edit_text)
+    to texts of records drawn at random, written as UTF-8, not escaped."""
+    records = [json.loads(line) for line in data.splitlines()]
+    for _ in range(rng.randrange(1, 200)):
+        record = rng.choice(records)
+        record["text"] = helpers.edit_text(record["text"], kind, rng)
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode()
+
+
+@pytest.mark.parametrize("number", range(16))
+def test_punctuated_corpus_is_indexed_as_the_reference(bridged_bytes, tmp_path, number):
+    # the bridged corpus holds plain lowercase words: these edits are the
+    # ones that make `index` strip and lowercase
+    kind = helpers.TEXT_EDITS[number % len(helpers.TEXT_EDITS)]
+    mode = ("corpus", "docs")[number // len(helpers.TEXT_EDITS) % 2]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_punctuated(bridged_bytes, kind, random.Random(number)))
+    assert cli.main(["index", "--corpus", str(path), "--index-dir", str(tmp_path / "index"),
+                     "--min-freq", "2", "--min-freq-mode", mode]) == 0
+    _assert_oracle_index(path, tmp_path, mode)
+
+
+def _new_query(lines, at, rng):
+    words = rng.choices(["q01a", "q01b", "w001", "ünï", "new"], k=rng.randrange(5))
+    lines.insert(at, f"new{at}\t{' '.join(words)}\n".encode())
+
+
+def _query_with_previous_id(lines, at, rng):
+    lines[at] = lines[at - 1].split(b"\t")[0] + b"\t" + lines[at].split(b"\t", 1)[1]
+
+
+def _query_without_tab(lines, at, rng):
+    lines[at] = lines[at].replace(b"\t", b" ")
+
+
+# (kind of seeded edit of a bridged queries.tsv, the exit codes `rerank`
+# may give for it)
+QUERY_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("inserted", {0}),
+               ("deleted", {0}), ("duplicated", {2}), ("not-utf8", {2}),
+               ("duplicate-id", {2}), ("no-tab", {2})]
+QUERY_LINE_EDITS = {"inserted": _new_query, "duplicate-id": _query_with_previous_id,
+                    "no-tab": _query_without_tab}
+
+
+@pytest.fixture(scope="module")
+def bridged_world(tmp_path_factory):
+    """A bridged-corpus world with an index, a checkpoint trained for one
+    short epoch, and the caches and graph store of one rerank."""
+    root = tmp_path_factory.mktemp("bridged-world")
+    bridged_corpus(seed=0).write(root)
+    assert cli.main(["index", "--corpus", str(root / "corpus.jsonl"),
+                     "--index-dir", str(root / "index"), "--min-freq", "2"]) == 0
+    assert cli.main(["train", "--index-dir", str(root / "index"),
+                     "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                     "--embeddings", str(root / "embeddings.txt"),
+                     "--checkpoint", str(root / "model.ckpt"), "--epochs", "1",
+                     "--steps-per-epoch", "2", "--batch", "4",
+                     "--log-out", str(root / "train.log")]) == 0
+    assert _rerank(root, root / "rerank.run") == 0
+    return root
+
+
+@pytest.mark.parametrize("number", range(60))
+def test_edited_queries_are_reranked_or_refused(bridged_world, tmp_path, capsys, number):
+    kind, codes = QUERY_EDITS[number % len(QUERY_EDITS)]
+    world = tmp_path / "world"
+    shutil.copytree(bridged_world / "index", world / "index")
+    for name in ("model.ckpt", "embeddings.txt"):
+        (world / name).write_bytes((bridged_world / name).read_bytes())
+    path = world / "queries.tsv"
+    path.write_bytes(_edited((bridged_world / "queries.tsv").read_bytes(), kind,
+                             random.Random(number), QUERY_LINE_EDITS))
+    rc = _rerank(world, world / "x.run")
+    err = capsys.readouterr().err
+    assert rc in codes and "Traceback" not in err, (kind, rc, err)
+    if rc == 2:
+        assert f"\ndata error: {path}:" in f"\n{err}", err
+        assert not (world / "x.run").exists()

@@ -1,7 +1,9 @@
 """Tokenization, vocabulary, and idf tests."""
 
+import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from gowrank.corpus import (
     make_query,
     read_corpus,
     read_queries,
+    text_ids,
     tokenize,
 )
-from gowrank.datagen import bridged_corpus, overfit_corpus
+from gowrank.datagen import SyntheticData, bridged_corpus, overfit_corpus
 from gowrank.errors import DataFormatError
 from gowrank.indexfile import INDEX_FILE, write_index
 
@@ -174,6 +177,17 @@ def _random_corpus(rng) -> dict[str, list[str]]:
     return tokenized
 
 
+def punctuated_corpus(seed: int) -> SyntheticData:
+    """bridged_corpus(seed), its plain lowercase texts given 2000 seeded
+    edits of the kinds in helpers.TEXT_EDITS."""
+    data, rng = bridged_corpus(seed=seed), random.Random(seed)
+    docs = [list(doc) for doc in data.docs]
+    for _ in range(2000):
+        doc = rng.choice(docs)
+        doc[1] = helpers.edit_text(doc[1], rng.choice(helpers.TEXT_EDITS), rng)
+    return dataclasses.replace(data, docs=[tuple(doc) for doc in docs])
+
+
 class TestCountsAgainstTheCounterOracle:
     def test_random_corpora(self, tmp_path, monkeypatch):
         """300 seeded corpora, min_freq 1-3 in both modes, with and without
@@ -208,7 +222,7 @@ class TestCountsAgainstTheCounterOracle:
                     == (tmp_path / "oracle.npz").read_bytes()), case
 
     @pytest.mark.parametrize("mode", ["corpus", "docs"])
-    @pytest.mark.parametrize("make", [bridged_corpus, overfit_corpus])
+    @pytest.mark.parametrize("make", [bridged_corpus, overfit_corpus, punctuated_corpus])
     def test_index_command_writes_the_oracles_bytes(self, tmp_path, make, mode):
         make(seed=3).write(tmp_path)
         assert cli.main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
@@ -220,6 +234,58 @@ class TestCountsAgainstTheCounterOracle:
                                    default_stopwords(), 2, mode == "docs")
         assert ((tmp_path / "index" / INDEX_FILE).read_bytes()
                 == (tmp_path / "oracle.npz").read_bytes())
+
+
+# words of the text_ids tests: cases whose lowercase is longer (İ) or
+# depends on the next letter (final Σ), inner punctuation, and non-ASCII
+TEXT_WORDS = ["apple", "Apple", "APPLE", "İstanbul", "İ", "ΟΔΟΣ", "ΣΑΣ", "straße", "ẞ",
+              "o'brien", "state-of-the-art", "café", "日本", "x"]
+
+
+def _random_text(rng: random.Random, number: int) -> str:
+    """An empty or whitespace-only text, a text of punctuation alone, or up
+    to 40 words from TEXT_WORDS and two words new to this text, repeated,
+    some with punctuation at an end, some of punctuation alone, joined by
+    spaces and by other whitespace."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "".join(rng.choices([" ", *helpers.SPACES], k=rng.randrange(3)))
+    if kind == 1:
+        return " ".join(rng.choices(helpers.EDGE_MARKS, k=rng.randrange(1, 6)))
+    words = [*TEXT_WORDS, f"new{number}", f"New{number}b"]
+    text = " ".join(rng.choices(words, k=rng.randrange(1, 41)))
+    for _ in range(rng.randrange(12)):
+        text = helpers.edit_text(text, rng.choice(helpers.TEXT_EDITS), rng)
+    return text
+
+
+class TestTextIds:
+    def test_equals_first_ids_of_tokenize(self):
+        """3000 seeded texts through one ids_of and one memo give, text by
+        text, the ids that first_ids gives for tokenize's tokens, and the
+        same ids_of in the same order; tokenize gives the loop's tokens."""
+        rng = random.Random(23)
+        ids_of, id_of_word, expected = {}, {}, {}
+        for number in range(3000):
+            text = _random_text(rng, number)
+            tokens = tokenize(text)
+            assert tokens == reference.loop_tokenize(text), text
+            ids = text_ids(ids_of, id_of_word, text)
+            assert ids.dtype == np.int32, text
+            assert ids.tolist() == first_ids(expected, tokens).tolist(), text
+        assert list(ids_of.items()) == list(expected.items())
+        assert len(id_of_word) > len(ids_of) > 2000
+
+    def test_memo_holds_each_lowered_word_once(self):
+        ids_of, id_of_word = {}, {}
+        text = "Apple, (apple apple APPLE -- “Apple” pear. apple, ‘’"
+        assert text_ids(ids_of, id_of_word, text).tolist() == [0, 0, 0, 0, 0, 1, 0]
+        assert ids_of == {"apple": 0, "pear": 1}
+        assert id_of_word == {"apple,": 0, "(apple": 0, "apple": 0, "--": -1,
+                              "“apple”": 0, "pear.": 1, "‘’": -1}
+        assert text_ids(ids_of, id_of_word, "").tolist() == []
+        assert text_ids(ids_of, id_of_word, "... ‘’ --").tolist() == []
+        assert text_ids(ids_of, id_of_word, "PEAR plum").tolist() == [1, 2]
 
 
 class TestMakeQuery:
