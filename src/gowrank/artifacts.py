@@ -136,8 +136,8 @@ class Cache:
                 for name, path in self.inputs.items()}
 
     def read(self, decode):
-        """`decode(header, arrays)` of the archive when it holds `key`, else
-        None; `decode` raises DataFormatError for what it refuses."""
+        """`decode(arrays)` of the archive when it holds `key`, else None;
+        `decode` raises DataFormatError for what it refuses."""
         if not self.path.exists():
             return None
         try:
@@ -147,19 +147,18 @@ class Cache:
             if {name: header[name] for name in self.key} != self.key:
                 self.outcome = "miss (stale)"
                 return None
-            value, self.outcome = decode(header, arrays), "hit"
+            value, self.outcome = decode(arrays), "hit"
             return value
         except DataFormatError as exc:
             self.log.warning("%s %s ignored: %s", self.label, self.path, exc)
             self.outcome = "miss (damaged)"
             return None
 
-    def write(self, arrays: dict, header: dict | None = None, writer=None) -> None:
-        """`writer` (by default `write_arrays`) of `arrays` under the key and
-        `header`, unless an input changed."""
+    def write(self, arrays: dict) -> None:
+        """`arrays` under the key, unless an input changed."""
         if self._digests().items() <= self.key.items():
             try:
-                (writer or write_arrays)(self.path, {**self.key, **(header or {})}, arrays)
+                write_arrays(self.path, self.key, arrays)
                 self.outcome += ", written"
             except OSError as exc:
                 self.log.warning("%s %s not written: %s", self.label, self.path, exc)

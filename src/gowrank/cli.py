@@ -124,6 +124,7 @@ def cmd_index(cfg: RunConfig, args) -> int:
     id_of_word: dict[str, int] = {}
     docs = {doc_id: text_ids(ids_of, id_of_word, text)
             for doc_id, text in read_corpus(cfg.corpus)}
+    del id_of_word  # its table goes back to the system before the counts and the write
     out = Path(cfg.index_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab, vocab_ids = count_vocabulary(docs.values(), ids_of, _stopword_set(cfg),
@@ -162,7 +163,7 @@ def _graph_stores(cfg: RunConfig, docs, modes):
                              {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width},
                              {"index_sha256": Path(cfg.index_dir) / INDEX_FILE},
                              "graph store", log)
-        stored = stores[mode].read(lambda _, arrays: stored_graphs(arrays, len(ids)))
+        stored = stores[mode].read(lambda arrays: stored_graphs(arrays, len(ids)))
         rows, built = stored or ([], [])
         graphs[mode].update(zip([ids[r] for r in rows], built))
     held = {mode: len(graphs[mode]) for mode in stores}

@@ -14,7 +14,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,7 +29,7 @@ OOV_ID = -1
 
 _STRIP_CHARS = string.punctuation + "‘’“”"
 
-# tokens per batch of the frequency counts; a batch can end inside a document
+# tokens at or past which the frequency counts close a batch of whole documents
 COUNT_BATCH = 1 << 16
 
 
@@ -173,21 +173,6 @@ def text_ids(ids_of: dict[str, int], id_of_word: dict[str, int], text: str) -> n
     return ids[ids >= 0]
 
 
-def _key_batches(docs: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, int]]:
-    """(keys, documents so far): the (document << 32 | id) key of each token
-    of `docs`, in batches of COUNT_BATCH tokens and one last, shorter batch."""
-    pending, size, num_docs = [], 0, 0
-    for num_docs, ids in enumerate(docs, start=1):
-        pending.append(ids + np.int64((num_docs - 1) << 32))
-        size += ids.size
-        if size >= COUNT_BATCH:
-            keys, cut = np.concatenate(pending), size - size % COUNT_BATCH
-            pending, size = [keys[cut:]], size - cut
-            for batch in np.split(keys[:cut], cut // COUNT_BATCH):
-                yield batch, num_docs
-    yield np.concatenate([np.zeros(0, np.int64), *pending]), num_docs
-
-
 def _add_counts(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """`counts` plus one for each of `ids`, grown to cover them."""
     total = np.bincount(ids, minlength=counts.size)
@@ -197,19 +182,21 @@ def _add_counts(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def _frequencies(docs: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """Corpus and document frequency of each first-appearance id in `docs`,
-    and the number of documents; no more than a batch of keys is held."""
-    corpus_freq = doc_freq = held = np.zeros(0, np.int64)
-    for keys, num_docs in _key_batches(docs):
-        corpus_freq = _add_counts(corpus_freq, keys & 0xFFFFFFFF)
-        pairs = np.concatenate([held, keys])
-        pairs.sort()  # and dedupe, in place of np.unique: it hashes, 6x slower
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        # every batch but the last is full, and the next one may go on with
-        # its last document: that document's pairs wait for it
-        cut = pairs.size if keys.size < COUNT_BATCH else int(
-            np.searchsorted(pairs, pairs[-1] >> 32 << 32))
-        doc_freq = _add_counts(doc_freq, pairs[:cut] & 0xFFFFFFFF)
-        held = pairs[cut:]
+    and the number of documents.  The (document << 32 | id) keys of the
+    tokens are counted a batch of whole documents at a time, a batch
+    closing at the first document end at or past COUNT_BATCH tokens."""
+    corpus_freq = doc_freq = np.zeros(0, np.int64)
+    batch, size, num_docs = [], 0, 0
+    for ids in chain(docs, [None]):
+        if ids is not None:
+            batch.append(ids + np.int64(num_docs << 32))
+            size, num_docs = size + ids.size, num_docs + 1
+        if batch and (ids is None or size >= COUNT_BATCH):
+            keys, size = np.concatenate(batch), 0
+            batch.clear()
+            corpus_freq = _add_counts(corpus_freq, keys & 0xFFFFFFFF)
+            keys.sort()  # and dedupe, in place of np.unique: it hashes, 6x slower
+            doc_freq = _add_counts(doc_freq, keys[np.diff(keys, prepend=-1) != 0] & 0xFFFFFFFF)
     return corpus_freq, doc_freq, num_docs
 
 

@@ -15,16 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import Cache, open_text, write_arrays
+from .artifacts import Cache, open_text
 from .corpus import Vocabulary
 from .errors import DataFormatError
 
 log = logging.getLogger(__name__)
 
 # index_dir/embeddings.npz (see artifacts.write_arrays): the parsed float64
-# `vectors` (V, dim) under the version, `dim` and the sha256 of the file's
-# bytes and of the vocabulary's terms in id order
-CACHE_FILE, CACHE_VERSION = "embeddings.npz", 2
+# `vectors` (V, dim) under the version and the sha256 of the file's bytes
+# and of the vocabulary's terms in id order
+CACHE_FILE, CACHE_VERSION = "embeddings.npz", 3
 
 class EmbeddingTable:
     """Unit-norm vectors indexed by vocabulary id.
@@ -120,22 +120,23 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
     cache = Cache(Path(cache_dir) / CACHE_FILE,
                   {"version": CACHE_VERSION, "vocab_sha256": hashlib.sha256(terms).hexdigest()},
                   {"file_sha256": Path(path)}, "embeddings cache", log)
-    table = cache.read(lambda header, arrays: _decode(header, arrays, len(vocab)))
+    table = cache.read(lambda arrays: _decode(arrays, len(vocab)))
     if table is None:
         dim, vectors = _parse_text(path, vocab)
         table = EmbeddingTable(dim, vectors)
-        cache.write({"vectors": vectors}, {"dim": dim}, write_arrays)
+        cache.write({"vectors": vectors})
     cache.report()
     return table
 
 
-def _decode(header: dict, arrays: dict, size: int) -> EmbeddingTable:
+def _decode(arrays: dict, size: int) -> EmbeddingTable:
     """The table of a cache of `size` vocabulary rows."""
-    dim, shapes = header.get("dim"), {n: (a.dtype, a.shape) for n, a in arrays.items()}
-    # dim < 1, which a parse refuses, would zero every interaction feature
-    if type(dim) is not int or dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
-        raise DataFormatError(f"dim {dim!r}, arrays {shapes}, expected "
-                              f"({size}, dim) float64 vectors")
+    shapes = {n: (a.dtype, a.shape) for n, a in arrays.items()}
+    shape = shapes.get("vectors", (None, ()))[1]
+    dim = shape[1] if len(shape) == 2 else 0
+    # no columns, which a parse refuses, would zero every interaction feature
+    if dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
+        raise DataFormatError(f"arrays {shapes}, expected ({size}, dim >= 1) float64 vectors")
     return EmbeddingTable(dim, arrays["vectors"])
 
 

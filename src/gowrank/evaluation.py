@@ -137,7 +137,6 @@ class FoldSplit:
     """One rotation of k-fold cross-validation over query ids."""
 
     folds: list[list[str]]
-    rotation: int
     train: list[str]
     validation: list[str]
     test: list[str]
@@ -174,7 +173,6 @@ def kfold_split(
             train.extend(fold_lists[i])
     return FoldSplit(
         folds=fold_lists,
-        rotation=rotation,
         train=train,
         validation=validation,
         test=test,

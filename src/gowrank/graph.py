@@ -235,40 +235,36 @@ def stored_graphs(arrays: dict[str, np.ndarray],
             and not indptr[ends - sizes].any() and indptr[ends].min(initial=0) >= 0
             and len(indices) == len(counts) == indptr[ends].sum()):
         raise DataFormatError("the rows, sizes, node terms and indptr do not agree")
-    node_ptr, edge_ptr = ([0, *np.cumsum(a, dtype=np.int64).tolist()] for a in (sizes, indptr[ends]))
+    nnz = indptr[ends]
+    node_ptr, edge_ptr = (np.concatenate([[0], np.cumsum(a, dtype=np.int64)]) for a in (sizes, nnz))
     graphs, terms = [], terms.tolist()
-    for lo, hi in _chunks(indptr[ends].tolist(), STORE_EDGES):
-        (first, last), (a, b) = (node_ptr[lo], node_ptr[hi]), (edge_ptr[lo], edge_ptr[hi])
-        graphs += _stored_chunk(terms[first:last], sizes[lo:hi], indptr[first + lo:last + hi],
-                                indices[a:b], counts[a:b])
+    for lo, hi in _chunks(nnz.tolist(), STORE_EDGES):
+        # the chunk's graphs as one block-diagonal matrix
+        nodes, edges = node_ptr[lo:hi + 1].tolist(), edge_ptr[lo:hi + 1].tolist()
+        first, last, a, b = nodes[0], nodes[-1], edges[0], edges[-1]
+        size, deg = sizes[lo:hi], nnz[lo:hi]
+        starts = np.append(np.delete(indptr[first + lo:last + hi], ends[lo:hi] - first - lo)
+                           + np.repeat(edge_ptr[lo:hi] - a, size), b - a)
+        adjacency = csr_matrix((counts[a:b], indices[a:b] + np.repeat(
+            (node_ptr[lo:hi] - first).astype(np.int32), deg), starts.astype(np.int32)),
+            shape=(last - first,) * 2)
+        # has_canonical_format is false for a falling indptr too; a negative
+        # index is huge as uint32
+        if (not adjacency.has_canonical_format or adjacency.diagonal().any()
+                or (indices[a:b].view(np.uint32) >= np.repeat(size, deg)).any()
+                or not counts[a:b].all()):
+            raise DataFormatError("an index unsorted, repeated, on the diagonal or outside "
+                                  "its graph, or a zero count")
+        weights = normalize_adjacency(adjacency).data
+        graphs += [DocumentGraph(terms[n:m], indptr[n + g:m + g + 1], indices[e:f], counts[e:f],
+                                 weights[e - a:f - a])
+                   for g, n, m, e, f in zip(range(lo, hi), nodes, nodes[1:], edges, edges[1:])]
     return rows.tolist(), graphs
 
 
 _STORED = ("rows", "sizes", "node_terms", "indptr", "indices")
 # edges per chunk of a store read, which bounds its temporary arrays
 STORE_EDGES = 1 << 16
-
-
-def _stored_chunk(terms, sizes, indptr, indices, counts) -> list[DocumentGraph]:
-    """The graphs of consecutive entries of a store (see `stored_graphs`),
-    checked and normalized as one block-diagonal matrix."""
-    ends = np.cumsum(sizes, dtype=np.int64) + np.arange(len(sizes))  # last entries
-    nnz = indptr[ends]
-    node_ptr, edge_ptr = (np.concatenate([[0], np.cumsum(a, dtype=np.int64)]) for a in (sizes, nnz))
-    starts = np.append(np.delete(indptr, ends) + np.repeat(edge_ptr[:-1], sizes), len(indices))
-    adjacency = csr_matrix((counts, indices + np.repeat(node_ptr[:-1].astype(np.int32), nnz),
-                            starts.astype(np.int32)), shape=(len(terms),) * 2)
-    # has_canonical_format is false for a falling indptr too; a negative
-    # index is huge as uint32
-    if (not adjacency.has_canonical_format or adjacency.diagonal().any()
-            or (indices.view(np.uint32) >= np.repeat(sizes, nnz)).any() or not counts.all()):
-        raise DataFormatError("an index unsorted, repeated, on the diagonal or outside "
-                              "its graph, or a zero count")
-    weights = normalize_adjacency(adjacency).data
-    node_ptr, edge_ptr = node_ptr.tolist(), edge_ptr.tolist()
-    return [DocumentGraph(terms[lo:hi], indptr[lo + d:hi + d + 1], indices[a:b], counts[a:b],
-                          weights[a:b])
-            for d, (lo, hi, a, b) in enumerate(zip(node_ptr, node_ptr[1:], edge_ptr, edge_ptr[1:]))]
 
 
 def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:

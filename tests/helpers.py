@@ -8,6 +8,7 @@ import zipfile
 
 import numpy as np
 
+from gowrank import artifacts
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.graph import DocumentGraph, build_graph
@@ -23,6 +24,19 @@ EDGE_MARKS = string.punctuation + "‘’“”"
 SPACES = ["\t", "\xa0", "\x85", "\u2003", "\u3000", "\u2028", "\x1c", "\x1d", "\x1e",
           "\x1f"]
 TEXT_EDITS = ["attached", "pure", "whitespace", "cased"]
+
+
+def fail_cache_write(monkeypatch, target, error: OSError) -> None:
+    """Make `artifacts.write_arrays`, which every `artifacts.Cache` writes
+    through, raise `error` for the file `target` alone."""
+    write = artifacts.write_arrays
+
+    def failing(path, *args):
+        if str(path) == str(target):
+            raise error
+        write(path, *args)
+
+    monkeypatch.setattr(artifacts, "write_arrays", failing)
 
 
 def edit_text(text: str, kind: str, rng: random.Random) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import artifacts, cli, embeddings, indexfile, scoring
+from gowrank import cli, embeddings, indexfile, scoring
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.cli import main
 from gowrank.config import load_config
@@ -966,13 +966,10 @@ class TestEmbeddingsCache:
         self, parsed_world, tmp_path, monkeypatch, caplog
     ):
         world = _fresh_world(parsed_world, tmp_path)
-
-        def read_only(path, *args):
-            raise PermissionError(13, "Permission denied", str(path))
-
-        # root may write to a read-only directory, so the writer fails instead
-        monkeypatch.setattr(embeddings, "write_arrays", read_only)
         cache = world / "index" / embeddings.CACHE_FILE
+        # root may write to a read-only directory, so the writer fails instead
+        helpers.fail_cache_write(monkeypatch, cache,
+                                 PermissionError(13, "Permission denied", str(cache)))
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             assert _in_world(world, "train") == 0
             assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
@@ -1093,12 +1090,9 @@ class TestGraphStore:
     ):
         world = _fresh_world(parsed_world, tmp_path)
         store = world / "index" / "graphs-graph-w5.npz"
-
-        def read_only(path, *args):
-            raise PermissionError(13, "Permission denied", str(path))
-
-        # the store's writer; the embeddings cache passes its own
-        monkeypatch.setattr(artifacts, "write_arrays", read_only)
+        # the store's write alone: the embeddings cache is written as before
+        helpers.fail_cache_write(monkeypatch, store,
+                                 PermissionError(13, "Permission denied", str(store)))
         with caplog.at_level(logging.INFO, logger="gowrank.cli"):
             assert _in_world(world, "train") == 0
             assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0

@@ -191,9 +191,10 @@ def punctuated_corpus(seed: int) -> SyntheticData:
 class TestCountsAgainstTheCounterOracle:
     def test_random_corpora(self, tmp_path, monkeypatch):
         """300 seeded corpora, min_freq 1-3 in both modes, with and without
-        stopwords, counted in batches of 1-50 tokens, so that batch edges
-        fall inside documents and between them: the vocabulary, each
-        document's ids and the index bytes are the oracle's."""
+        stopwords, counted in batches that close from 1-50 tokens on, so
+        that batch edges fall between documents, some of them longer than
+        a batch: the vocabulary, each document's ids and the index bytes
+        are the oracle's."""
         rng = np.random.default_rng(22)
         (tmp_path / "index").mkdir()
         for case in range(300):
@@ -220,6 +221,31 @@ class TestCountsAgainstTheCounterOracle:
             helpers.write_oracle_index(tmp_path / "oracle.npz", tokenized, *config)
             assert ((tmp_path / "index" / INDEX_FILE).read_bytes()
                     == (tmp_path / "oracle.npz").read_bytes()), case
+
+    @pytest.mark.parametrize("lengths, batches", [
+        ([3, 12, 4], [15, 4]),  # a document longer than a batch
+        ([2, 3, 1, 4], [5, 5]),  # batches that end exactly at a document's end
+    ], ids=["longer-than-a-batch", "ends-at-a-document-end"])
+    def test_batches_close_at_the_first_document_end_past_the_size(
+            self, monkeypatch, lengths, batches):
+        monkeypatch.setattr(corpus, "COUNT_BATCH", 5)
+        counted = []
+        add_counts = corpus._add_counts
+
+        def spy(counts, ids):
+            counted.append(ids.size)
+            return add_counts(counts, ids)
+
+        monkeypatch.setattr(corpus, "_add_counts", spy)
+        # terms repeat within a document and across documents
+        tokenized = [[WORDS[(i + j) % 5] for j in range(n)] for i, n in enumerate(lengths)]
+        for count_documents in (False, True):
+            counted.clear()
+            vocab = build_vocabulary(tokenized, set(STOPWORDS), 2, count_documents)
+            # each batch counts its tokens, then its distinct (document, term) pairs
+            assert counted[0::2] == batches
+            assert (vocab.terms, vocab.doc_freq, vocab.num_docs) == (
+                reference.counter_vocabulary(tokenized, set(STOPWORDS), 2, count_documents))
 
     @pytest.mark.parametrize("mode", ["corpus", "docs"])
     @pytest.mark.parametrize("make", [bridged_corpus, overfit_corpus, punctuated_corpus])

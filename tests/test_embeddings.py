@@ -380,7 +380,7 @@ class TestCache:
         _same_table(warm, parsed)
         header, arrays = read_arrays(cache, "gowrank train")
         assert header == {
-            "version": CACHE_VERSION, "dim": 7,
+            "version": CACHE_VERSION,
             "file_sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
             "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest(),
         }
@@ -443,15 +443,12 @@ class TestCache:
     def test_failed_write_is_warned_and_the_table_returned(self, cached, monkeypatch,
                                                            caplog):
         p, vocab, cache_dir, parsed, _ = cached
-        (cache_dir / CACHE_FILE).unlink()
-
-        def no_space(*args):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(embeddings, "write_arrays", no_space)
+        cache = cache_dir / CACHE_FILE
+        cache.unlink()
+        helpers.fail_cache_write(monkeypatch, cache,
+                                 OSError(errno.ENOSPC, "No space left on device"))
         with caplog.at_level(logging.INFO, logger="gowrank.embeddings"):
             table = load_embeddings(p, vocab, cache_dir)
-        cache = cache_dir / CACHE_FILE
         assert _cache_messages(caplog) == [
             ("WARNING", f"embeddings cache {cache} not written: "
                         f"[Errno {errno.ENOSPC}] No space left on device"),
@@ -484,12 +481,13 @@ def _foreign_caches(path, dim):
         ("header-a-list", "damaged", written([CACHE_VERSION])),
         ("version-0", "stale", written({**good_header, "version": 0})),
         # version 1 also stored a bool `has_vector` (V,)
-        ("version-1", "stale", written({**good_header, "version": 1},
+        ("version-1", "stale", written({**good_header, "version": 1, "dim": dim},
                                        has_vector=np.ones(len(good["vectors"]), bool))),
-        ("dim-a-str", "damaged", written({**good_header, "dim": str(dim)})),
-        ("dim-0", "damaged", written({**good_header, "dim": 0},
-                                     vectors=np.zeros((len(good["vectors"]), 0)))),
-        ("no-dim", "damaged", written({k: v for k, v in good_header.items() if k != "dim"})),
+        # version 2 stored `dim` in its header
+        ("version-2", "stale", written({**good_header, "version": 2, "dim": dim})),
+        ("vectors-1-d", "damaged", written(vectors=good["vectors"][:, 0].copy())),
+        ("vectors-flat", "damaged", written(vectors=good["vectors"].ravel())),
+        ("vectors-no-columns", "damaged", written(vectors=np.zeros((len(good["vectors"]), 0)))),
         ("vectors-float32", "damaged", written(vectors=good["vectors"].astype(np.float32))),
         ("vectors-short", "damaged", written(vectors=good["vectors"][:-1])),
         ("vectors-transposed", "damaged", written(vectors=good["vectors"].T.copy())),

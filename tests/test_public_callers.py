@@ -5,7 +5,8 @@ package outside its own definition.  A method or property counts as
 referenced only through an attribute (`x.name`), so a parameter or local
 that shares its name does not hide a missing caller.  Nor does it store
 a fact no code reads: every public attribute that a top-level class's
-`__init__` assigns is read as `x.name` outside that `__init__`."""
+`__init__` assigns is read as `x.name` outside that `__init__`, and every
+public field of a top-level dataclass is read as `x.name`."""
 
 import ast
 from collections import Counter
@@ -35,6 +36,12 @@ NO_CALLER_NEEDED = {
     # them; `index` counts and encodes with count_vocabulary and write_index
     "build_vocabulary",
     "encode_document",
+}
+NO_READER_NEEDED = {
+    # acceptance criteria 3 and 4 build documents by keyword, this included
+    "TokenizedDoc.raw_length",
+    # acceptance criteria 6 and 7 score the test fold's queries
+    "FoldSplit.test",
 }
 
 
@@ -107,9 +114,32 @@ def _stored_attributes_without_reader() -> list[str]:
     return orphans
 
 
+def _fields_without_reader() -> list[str]:
+    trees = _trees()
+    everywhere = sum((_reads(t) for t in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any("dataclass" in _names(d) for d in cls.decorator_list)):
+                continue
+            for sub in cls.body:
+                if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                    continue
+                name = sub.target.id
+                if not (name.startswith("_") or everywhere[name]
+                        or f"{cls.name}.{name}" in NO_READER_NEEDED):
+                    orphans.append(f"{module}:{sub.lineno} {cls.name}.{name}")
+    return orphans
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
     assert _public_definitions_without_caller() == []
 
 
 def test_every_attribute_init_stores_is_read_in_the_package():
     assert _stored_attributes_without_reader() == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert _fields_without_reader() == []
