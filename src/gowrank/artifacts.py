@@ -149,8 +149,9 @@ class Cache:
                 return None
             value, self.outcome = decode(arrays), "hit"
             return value
-        except DataFormatError as exc:
-            self.log.warning("%s %s ignored: %s", self.label, self.path, exc)
+        except DataFormatError as exc:  # a read error's own text names the file again
+            reason = f"{type(exc.__cause__).__name__}: {exc.__cause__}" if exc.__cause__ else exc
+            self.log.warning("%s %s ignored: %s", self.label, self.path, reason)
             self.outcome = "miss (damaged)"
             return None
 

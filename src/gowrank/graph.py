@@ -8,9 +8,10 @@ the chunk, with each document's nodes at their own offset, so WᵀW off
 its diagonal is the block-diagonal union of the documents' adjacencies.
 One degree pass normalizes the whole chunk, and each document keeps
 compact copies of its own block.  `build_graph` is the one-document
-case.  The symmetric degree-normalized adjacency drives message passing;
-the interaction matrix of node-term / query-term cosines provides the
-input features.
+case, and `block_diagonal` stacks graphs' arrays into such a union for
+the graph-store read and the forward pass.  The symmetric normalized
+adjacency drives message passing; node-term / query-term cosines are
+the input features.
 """
 
 from __future__ import annotations
@@ -197,6 +198,20 @@ def _symmetric(adjacency: csr_matrix) -> bool:
                for name in ("indptr", "indices", "data"))
 
 
+def block_diagonal(parts) -> csr_matrix:
+    """The disjoint union of square CSR matrices given as (indptr, indices,
+    entries), in order; each row keeps its part's entries in stored order,
+    so a product with the union sums it exactly as one with its part."""
+    # Python-int offsets keep the parts' int32 index dtype
+    rows = np.cumsum([0] + [len(indptr) - 1 for indptr, _, _ in parts]).tolist()
+    edges = np.cumsum([0] + [len(indices) for _, indices, _ in parts]).tolist()
+    indptr = np.concatenate([np.zeros(1, np.int32)]
+                            + [p[1:] + off for (p, _, _), off in zip(parts, edges)])
+    indices = np.concatenate([i + off for (_, i, _), off in zip(parts, rows)])
+    entries = np.concatenate([e for _, _, e in parts])
+    return csr_matrix((entries, indices, indptr), shape=(rows[-1], rows[-1]))
+
+
 def store_arrays(rows: list[int], graphs: list[DocumentGraph]) -> dict[str, np.ndarray]:
     """The arrays of a graph store of `graphs`, those of the index rows
     `rows` (see `stored_graphs`)."""
@@ -218,9 +233,9 @@ def stored_graphs(arrays: dict[str, np.ndarray],
     and its raw counts (in the smallest unsigned dtype for all of them).
 
     Arrays that no build gives raise DataFormatError.  The weights are
-    computed again, with the symmetry check, over block-diagonal chunks
-    of at most STORE_EDGES edges, so each is its built value bit for bit;
-    the other arrays of a graph are views of the store's.
+    computed again, with the symmetry check, over the `block_diagonal`
+    union of each chunk of at most STORE_EDGES edges, so each is its
+    built value bit for bit; the graph's other arrays view the store's.
     """
     dtypes = {name: a.dtype.str for name, a in arrays.items() if a.ndim == 1}
     if dtypes.keys() != {*_STORED, "counts"} or dtypes["counts"][1] != "u" or any(
@@ -236,29 +251,24 @@ def stored_graphs(arrays: dict[str, np.ndarray],
             and len(indices) == len(counts) == indptr[ends].sum()):
         raise DataFormatError("the rows, sizes, node terms and indptr do not agree")
     nnz = indptr[ends]
-    node_ptr, edge_ptr = (np.concatenate([[0], np.cumsum(a, dtype=np.int64)]) for a in (sizes, nnz))
+    node_ptr, edge_ptr = ([0, *np.cumsum(a, dtype=np.int64).tolist()] for a in (sizes, nnz))
+    parts = [(indptr[n + g:m + g + 1], indices[e:f], counts[e:f]) for g, (n, m, e, f)
+             in enumerate(zip(node_ptr, node_ptr[1:], edge_ptr, edge_ptr[1:]))]
     graphs, terms = [], terms.tolist()
     for lo, hi in _chunks(nnz.tolist(), STORE_EDGES):
-        # the chunk's graphs as one block-diagonal matrix
-        nodes, edges = node_ptr[lo:hi + 1].tolist(), edge_ptr[lo:hi + 1].tolist()
-        first, last, a, b = nodes[0], nodes[-1], edges[0], edges[-1]
-        size, deg = sizes[lo:hi], nnz[lo:hi]
-        starts = np.append(np.delete(indptr[first + lo:last + hi], ends[lo:hi] - first - lo)
-                           + np.repeat(edge_ptr[lo:hi] - a, size), b - a)
-        adjacency = csr_matrix((counts[a:b], indices[a:b] + np.repeat(
-            (node_ptr[lo:hi] - first).astype(np.int32), deg), starts.astype(np.int32)),
-            shape=(last - first,) * 2)
+        a, b = edge_ptr[lo], edge_ptr[hi]
+        adjacency = block_diagonal(parts[lo:hi])
         # has_canonical_format is false for a falling indptr too; a negative
         # index is huge as uint32
         if (not adjacency.has_canonical_format or adjacency.diagonal().any()
-                or (indices[a:b].view(np.uint32) >= np.repeat(size, deg)).any()
+                or (indices[a:b].view(np.uint32) >= np.repeat(sizes[lo:hi], nnz[lo:hi])).any()
                 or not counts[a:b].all()):
             raise DataFormatError("an index unsorted, repeated, on the diagonal or outside "
                                   "its graph, or a zero count")
         weights = normalize_adjacency(adjacency).data
-        graphs += [DocumentGraph(terms[n:m], indptr[n + g:m + g + 1], indices[e:f], counts[e:f],
-                                 weights[e - a:f - a])
-                   for g, n, m, e, f in zip(range(lo, hi), nodes, nodes[1:], edges, edges[1:])]
+        graphs += [DocumentGraph(terms[node_ptr[g]:node_ptr[g + 1]], *parts[g],
+                                 weights[edge_ptr[g] - a:edge_ptr[g + 1] - a])
+                   for g in range(lo, hi)]
     return rows.tolist(), graphs
 
 

@@ -9,8 +9,8 @@ query term, and combines the per-term scores under idf-driven softmax
 gates.
 
 `forward_batch` is the one forward implementation.  It stacks documents
-that share a query width into block-diagonal graphs (disjoint unions of
-up to BLOCK_NODES nodes), so a training minibatch or a rerank pool costs
+that share a query width into block-diagonal graphs (`block_diagonal`
+unions of up to BLOCK_NODES nodes), so a training minibatch or a rerank pool costs
 a few sparse products and gated updates per block rather than per
 document; `forward` is its one-document case.  With `record`, every
 intermediate is kept in a ForwardTrace per block, which `backward`
@@ -37,7 +37,7 @@ from .artifacts import read_arrays, write_arrays
 from .config import HyperParams
 from .corpus import Query
 from .errors import DataFormatError
-from .graph import BLOCK_NODES, DocumentGraph
+from .graph import BLOCK_NODES, DocumentGraph, block_diagonal
 
 CHECKPOINT_VERSION = 3
 
@@ -267,26 +267,6 @@ def score(
     return (gates * term_scores).sum(axis=-1), term_scores
 
 
-def _block_diagonal(graphs: list[DocumentGraph]) -> csr_matrix:
-    """The disjoint union of the graphs' normalized adjacencies, one CSR
-    matrix built from their arrays.
-
-    Row i of each graph keeps its entries in stored order, so a product
-    with the union sums every row exactly as a product with its graph.
-    """
-    # Python-int offsets keep the graphs' int32 index dtype; BLOCK_NODES
-    # keeps them far from its limit
-    rows = np.cumsum([0] + [g.num_nodes for g in graphs]).tolist()
-    entries = np.cumsum([0] + [g.indices.size for g in graphs]).tolist()
-    indptr = np.concatenate(
-        [graphs[0].indptr[:1]]
-        + [g.indptr[1:] + off for g, off in zip(graphs, entries)]
-    )
-    indices = np.concatenate([g.indices + off for g, off in zip(graphs, rows)])
-    data = np.concatenate([g.weights for g in graphs])
-    return csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
-
-
 def _blocks(
     widths: np.ndarray, sizes: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -333,7 +313,7 @@ def forward_batch(
     traces: list[ForwardTrace] | None = [] if record else None
     for m, members in _blocks(widths, sizes):
         block = [docs[i] for i in members]
-        norm_adj = _block_diagonal([graph for graph, _, _ in block])
+        norm_adj = block_diagonal([(g.indptr, g.indices, g.weights) for g, _, _ in block])
         h = np.concatenate([S[:, :m] for _, S, _ in block])
         idf = np.stack([query.idf[:m] for _, _, query in block])
         layer = leading_block(params.layer, m)

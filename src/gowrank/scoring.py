@@ -44,25 +44,12 @@ class ScoringContext:
         self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
         self._truncated: set[str] = set()
 
-    def _cache_graphs(self, doc_ids) -> None:
-        """Build every graph of `doc_ids` not cached yet, in one pooled call."""
-        missing = [d for d in dict.fromkeys(doc_ids) if d not in self._graphs]
-        if missing:
-            graphs = build_graphs(
-                [self.docs[d] for d in missing], self.window, self.adjacency_mode
-            )
-            self._graphs.update(zip(missing, graphs))
-
-    def graph(self, doc_id: str) -> DocumentGraph:
-        self._cache_graphs([doc_id])
-        return self._graphs[doc_id]
-
     def feats(self, qid: str, doc_id: str) -> np.ndarray:
         # keyed by query text: ids that repeat a text share the matrices
         query = self.queries[qid]
         key = (tuple(query.tokens), doc_id)
         if key not in self._feats:
-            self._feats[key] = interaction_matrix(self.graph(doc_id), query, self.emb)
+            self._feats[key] = interaction_matrix(self._graphs[doc_id], query, self.emb)
         return self._feats[key]
 
     def warn_truncated(self, qid: str, budget: int) -> None:
@@ -78,7 +65,10 @@ class ScoringContext:
         """Score (query id, doc id) pairs in one `forward_batch` call."""
         for qid in dict.fromkeys(qid for qid, _ in pairs):
             self.warn_truncated(qid, params.hyper.max_query_len)
-        self._cache_graphs(doc_id for _, doc_id in pairs)
+        missing = [d for d in dict.fromkeys(d for _, d in pairs) if d not in self._graphs]
+        if missing:
+            self._graphs.update(zip(missing, build_graphs(
+                [self.docs[d] for d in missing], self.window, self.adjacency_mode)))
         docs = [
             (self._graphs[doc_id], self.feats(qid, doc_id), self.queries[qid])
             for qid, doc_id in pairs

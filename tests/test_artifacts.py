@@ -3,8 +3,8 @@ reader refuses what `write_arrays` does not write, a damaged index or
 checkpoint is refused or loads unchanged, a damaged graph store is
 ignored or loads unchanged, an edited corpus is indexed as the reference
 indexes it or refused with exit 2, a punctuated one is indexed as the
-reference indexes it, and edited queries are reranked or refused with
-exit 2."""
+reference indexes it, edited queries are reranked or refused with exit
+2, and edited qrels are evaluated or refused with exit 2."""
 
 import io
 import json
@@ -535,3 +535,48 @@ def test_edited_queries_are_reranked_or_refused(bridged_world, tmp_path, capsys,
     if rc == 2:
         assert f"\ndata error: {path}:" in f"\n{err}", err
         assert not (world / "x.run").exists()
+
+
+def _negative_grade(lines, at, rng):
+    lines[at] = b" ".join(lines[at].split()[:3] + [b"-%d" % rng.randrange(1, 4)]) + b"\n"
+
+
+def _non_integer_grade(lines, at, rng):
+    grade = rng.choice([b"1.5", b"2.0", b"one", b"0x1", b"1e0"])
+    lines[at] = b" ".join(lines[at].split()[:3] + [grade]) + b"\n"
+
+
+def _three_fields(lines, at, rng):
+    fields = lines[at].split()
+    del fields[rng.randrange(4)]
+    lines[at] = b" ".join(fields) + b"\n"
+
+
+def _five_fields(lines, at, rng):
+    fields = lines[at].split()
+    fields.insert(rng.randrange(5), rng.choice(fields))
+    lines[at] = b" ".join(fields) + b"\n"
+
+
+# (kind of seeded edit of a bridged qrels.txt, the exit codes `eval` may
+# give for it)
+QREL_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("not-utf8", {2}),
+              ("deleted", {0}), ("duplicated", {2}), ("negative-grade", {2}),
+              ("non-integer-grade", {2}), ("three-fields", {2}), ("five-fields", {2})]
+QREL_LINE_EDITS = {"negative-grade": _negative_grade, "non-integer-grade": _non_integer_grade,
+                   "three-fields": _three_fields, "five-fields": _five_fields}
+
+
+@pytest.mark.parametrize("number", range(60))
+def test_edited_qrels_are_evaluated_or_refused(bridged_world, tmp_path, capsys, number):
+    kind, codes = QREL_EDITS[number % len(QREL_EDITS)]
+    path, run = tmp_path / "qrels.txt", bridged_world / "rerank.run"
+    path.write_bytes(_edited((bridged_world / "qrels.txt").read_bytes(), kind,
+                             random.Random(number), QREL_LINE_EDITS))
+    rc = cli.main(["eval", "--run", str(run), "--qrels", str(path)])
+    out, err = capsys.readouterr()
+    assert rc in codes and "Traceback" not in err, (kind, rc, err)
+    if rc == 2:
+        assert any(f"\ndata error: {named}:" in f"\n{err}" for named in (path, run)), err
+    else:
+        assert out.startswith("nDCG@20 "), out

@@ -956,7 +956,9 @@ class TestEmbeddingsCache:
             assert _in_world(world, "rerank", *run) == 0
         assert "Traceback" not in capsys.readouterr().err
         (level, warning), info = _cache_log(caplog)
-        assert level == "WARNING" and f"embeddings cache {cache} ignored" in warning
+        assert level == "WARNING" and warning.startswith(f"embeddings cache {cache} ignored: ")
+        # the file once, and no advice: this command rewrites it
+        assert warning.count(str(cache)) == 1 and "write it again" not in warning, warning
         assert info[1] == f"embeddings cache {cache}: miss (damaged), written"
         assert cache.read_bytes() == good
         assert (world / "rerank.run").read_bytes() == (
@@ -1064,7 +1066,8 @@ class TestGraphStore:
         assert log[:2] == [("INFO", f"graph store {store}: miss (no file), written"),
                            ("INFO", f"graph store {store}: hit")]
         assert [level for level, _ in log[2:]] == ["WARNING", "INFO"]
-        assert log[2][1].startswith(f"graph store {store} ignored: {store}: unreadable")
+        # the file once, the reason, and no advice: this command rewrites it
+        assert log[2][1] == f"graph store {store} ignored: BadZipFile: File is not a zip file"
         assert log[3][1] == f"graph store {store}: miss (damaged), written"
 
     @pytest.mark.parametrize("change", ["index", "mode", "width"])

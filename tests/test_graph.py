@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import block_diag, csr_matrix, issparse
 
 import gowrank.graph
 from gowrank.corpus import OOV_ID, Query, TokenizedDoc
@@ -15,6 +15,7 @@ from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.graph import (
     BLOCK_NODES,
     DocumentGraph,
+    block_diagonal,
     build_graph,
     build_graphs,
     interaction_matrix,
@@ -397,6 +398,44 @@ class TestGraphStore:
         edit(arrays)
         with pytest.raises(DataFormatError):
             stored_graphs(arrays, 4)
+
+
+def _random_parts(rng, dtype):
+    """(indptr, indices, entries) of random square matrices in a random
+    order: one with no rows, one with no entries, and others whose rows
+    hold their entries in a random order, as `dtype` (counts or weights)."""
+    parts = []
+    for n, density in [(0, 0.0), (4, 0.0), *((int(n), 0.3) for n in rng.integers(1, 30, 6))]:
+        matrix = csr_matrix(rng.random((n, n)) < density)
+        indptr, indices = matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32)
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            rng.shuffle(indices[lo:hi])
+        entries = (rng.integers(1, 256, len(indices)) if dtype == np.uint8
+                   else rng.random(len(indices))).astype(dtype)
+        parts.append((indptr, indices, entries))
+    return [parts[i] for i in rng.permutation(len(parts))]
+
+
+class TestBlockDiagonal:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_union_is_scipy_block_diag_in_stored_order(self, dtype):
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            parts = _random_parts(rng, dtype)
+            union = block_diagonal(parts)
+            want = block_diag([csr_matrix((e, i, p), shape=(len(p) - 1,) * 2)
+                               for p, i, e in parts])
+            assert union.dtype == dtype and union.shape == want.shape
+            assert np.array_equal(union.toarray(), want.toarray())
+            assert union.indptr.dtype == union.indices.dtype == np.int32
+            # each part's rows, entry for entry, at its own offsets
+            rows = edges = 0
+            for indptr, indices, entries in parts:
+                n, nnz = len(indptr) - 1, len(indices)
+                assert np.array_equal(union.indptr[rows:rows + n + 1], indptr + edges)
+                assert np.array_equal(union.indices[edges:edges + nnz], indices + rows)
+                assert np.array_equal(union.data[edges:edges + nnz], entries)
+                rows, edges = rows + n, edges + nnz
 
 
 class TestNormalizeAdjacency:

@@ -18,7 +18,7 @@ from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
 from gowrank.evaluation import ndcg_at
-from gowrank.graph import build_graphs, interaction_matrix
+from gowrank.graph import build_graph, build_graphs, interaction_matrix
 from gowrank.model import (
     HyperParams,
     backward,
@@ -598,9 +598,9 @@ class TestScoringContext:
         for qid in ("qa", "mixed"):
             ranked = score_pool(ctx, qid, pool, params)
             single = [
-                (doc_id, forward(ctx.graph(doc_id), ctx.feats(qid, doc_id),
+                (doc_id, forward(graph, interaction_matrix(graph, queries[qid], emb),
                                  queries[qid], params)[0])
-                for doc_id, _ in pool
+                for doc_id, graph in ((d, build_graph(docs[d], 3)) for d, _ in pool)
             ]
             single.sort(key=lambda pair: (-pair[1], pair[0]))
             assert [d for d, _ in ranked] == [d for d, _ in single]
