@@ -21,10 +21,10 @@ from .errors import DataFormatError
 
 log = logging.getLogger(__name__)
 
-# index_dir/embeddings.npz (see artifacts.write_arrays): the parsed float64
-# `vectors` (V, dim) under the version and the sha256 of the file's bytes
+# index_dir/embeddings.npz (see artifacts.write_arrays): the table's float64
+# `unit` rows (V, dim) under the version and the sha256 of the file's bytes
 # and of the vocabulary's terms in id order
-CACHE_FILE, CACHE_VERSION = "embeddings.npz", 3
+CACHE_FILE, CACHE_VERSION = "embeddings.npz", 4
 
 class EmbeddingTable:
     """Unit-norm vectors indexed by vocabulary id.
@@ -45,6 +45,13 @@ class EmbeddingTable:
         usable = norms > 0
         self.unit = np.zeros(vectors.shape)
         self.unit[usable] = vectors[usable] / norms[usable, None]
+
+    @classmethod
+    def _of_unit(cls, unit: np.ndarray) -> EmbeddingTable:
+        """The table whose `unit` rows are given, already scaled."""
+        table = cls.__new__(cls)
+        table.dim, table.unit = unit.shape[1], unit
+        return table
 
 
 # Vocabulary rows parsed per np.loadtxt call: one call amortizes the
@@ -110,7 +117,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
                     cache_dir: str | Path | None = None) -> EmbeddingTable:
     """Read word2vec text format and align rows to vocabulary ids.
 
-    With `cache_dir`, the vectors come from `cache_dir/embeddings.npz` when
+    With `cache_dir`, the table comes from `cache_dir/embeddings.npz` when
     it holds this file's and vocabulary's; otherwise the text is parsed and
     the cache written (see artifacts.Cache, which logs one INFO line).
     """
@@ -122,9 +129,8 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
                   {"file_sha256": Path(path)}, "embeddings cache", log)
     table = cache.read(lambda arrays: _decode(arrays, len(vocab)))
     if table is None:
-        dim, vectors = _parse_text(path, vocab)
-        table = EmbeddingTable(dim, vectors)
-        cache.write({"vectors": vectors})
+        table = EmbeddingTable(*_parse_text(path, vocab))
+        cache.write({"unit": table.unit})
     cache.report()
     return table
 
@@ -132,12 +138,14 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
 def _decode(arrays: dict, size: int) -> EmbeddingTable:
     """The table of a cache of `size` vocabulary rows."""
     shapes = {n: (a.dtype, a.shape) for n, a in arrays.items()}
-    shape = shapes.get("vectors", (None, ()))[1]
+    shape = shapes.get("unit", (None, ()))[1]
     dim = shape[1] if len(shape) == 2 else 0
     # no columns, which a parse refuses, would zero every interaction feature
-    if dim < 1 or shapes != {"vectors": (np.float64, (size, dim))}:
-        raise DataFormatError(f"arrays {shapes}, expected ({size}, dim >= 1) float64 vectors")
-    return EmbeddingTable(dim, arrays["vectors"])
+    if dim < 1 or shapes != {"unit": (np.float64, (size, dim))}:
+        raise DataFormatError(f"arrays {shapes}, expected ({size}, dim >= 1) float64 unit")
+    if not np.isfinite(arrays["unit"]).all():
+        raise DataFormatError("embedding table contains non-finite entries")
+    return EmbeddingTable._of_unit(arrays["unit"])
 
 
 def _parse_text(path: str | Path, vocab: Vocabulary):

@@ -2,16 +2,16 @@
 
 Each document becomes an undirected graph over its unique terms: an edge
 counts how many sliding windows contain both endpoints.  `build_graphs`
-builds a list of documents together, a chunk of at most BLOCK_NODES
+builds a list of documents together, a chunk of at most BUILD_TOKENS
 tokens at a time: one window-by-node incidence W covers every window of
 the chunk, with each document's nodes at their own offset, so WᵀW off
 its diagonal is the block-diagonal union of the documents' adjacencies.
-One degree pass normalizes the whole chunk, and each document keeps
-compact copies of its own block.  `build_graph` is the one-document
-case, and `block_diagonal` stacks graphs' arrays into such a union for
-the graph-store read and the forward pass.  The symmetric normalized
-adjacency drives message passing; node-term / query-term cosines are
-the input features.
+The counting's temporaries are freed before one degree pass normalizes
+the whole chunk, and each document keeps compact copies of its own
+block.  `build_graph` is the one-document case, and `block_diagonal`
+stacks graphs' arrays into such a union for the graph-store read and the
+forward pass.  The symmetric normalized adjacency drives message passing;
+node-term / query-term cosines are the input features.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError
 
-# tokens per pooled graph build, and padded rows per stacked block in
-# `model.forward_batch`: large enough that a training minibatch of short
-# documents is one chunk and one block, small enough that a pool of long
-# ones adds little transient memory (for a pool of 100 500-token
-# documents, one block raised peak RSS by ~10 MB and one product by ~15 MB)
-BLOCK_NODES = 2048
+# tokens per chunk of a graph build: each chunk pays ~0.6 ms of fixed
+# sparse-matrix cost, and its temporaries stay below a fifth of what its
+# graphs keep (a pool of 100 500-token documents peaked 1.2x above the
+# 3.4 MB its graphs keep under tracemalloc; at 16384 tokens 1.44x, and
+# building took longer again on rerank pools)
+BUILD_TOKENS = 8192
 
 
 @dataclass(eq=False)
@@ -67,10 +67,10 @@ class DocumentGraph:
 def edge_width(mode: str, window: int) -> int:
     """The width of the windows whose co-occurrences adjacency `mode`
     counts: graph, `window`; sequence, 2 (a chain over adjacent tokens);
-    zero, 0 (no edges: message passing sees nothing)."""
+    zero, 1 (no pair shares a window, so message passing sees nothing)."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    widths = {"graph": window, "sequence": 2, "zero": 0}
+    widths = {"graph": window, "sequence": 2, "zero": 1}
     if mode not in widths:
         raise DataFormatError(f"unknown adjacency mode {mode!r}")
     return widths[mode]
@@ -80,9 +80,9 @@ def build_graphs(
     docs: list[TokenizedDoc], window: int = 5, mode: str = "graph"
 ) -> list[DocumentGraph]:
     """The graphs of `docs` in adjacency `mode`, in order, built a chunk
-    of at most BLOCK_NODES tokens at a time (see `_chunks`)."""
+    of at most BUILD_TOKENS tokens at a time (see `_chunks`)."""
     width = edge_width(mode, window)
-    return [graph for lo, hi in _chunks([len(doc.tokens) for doc in docs], BLOCK_NODES)
+    return [graph for lo, hi in _chunks([len(doc.tokens) for doc in docs], BUILD_TOKENS)
             for graph in _build_chunk(docs[lo:hi], width)]
 
 
@@ -123,38 +123,40 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     # nodes: unique (document, term) keys in first-occurrence order
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    node_of = np.argsort(order).astype(np.int32)[inverse]
+    node_of = np.empty(len(order), np.int32)
+    node_of[order] = np.arange(len(order), dtype=np.int32)  # order's inverse
+    node_of = node_of[inverse]
     node_terms = tokens[first[order]].tolist()
     n = len(node_terms)
     node_offsets = np.concatenate(
         [[0], np.cumsum(np.bincount(doc_of[first], minlength=len(docs)))]
     ).tolist()
 
-    row = indices = data = np.zeros(0, dtype=np.int32)
-    if width and n:
-        # a window starts at each of a document's first L - width + 1
-        # tokens, or at its first token only when L < width
-        doc_len = lengths[doc_of]
-        local = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        starts = np.flatnonzero(local <= np.maximum(doc_len - width, 0))
-        span = np.minimum(doc_len[starts], width)
-        win_ptr = np.concatenate([[0], np.cumsum(span)])
-        positions = (np.repeat(starts - win_ptr[:-1], span)
-                     + np.arange(win_ptr[-1]))
-        incidence = csr_matrix(
-            (np.ones(len(positions), np.int32), node_of[positions], win_ptr.astype(np.int32)),
-            shape=(len(span), n),
-        )
-        incidence.sum_duplicates()
-        incidence.data[:] = 1
-        gram = incidence.T.tocsr() @ incidence
-        gram.sort_indices()
-        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(gram.indptr))
-        off_diag = gram.indices != row
-        row, indices, data = row[off_diag], gram.indices[off_diag], gram.data[off_diag]
-    indptr = np.searchsorted(row, np.arange(n + 1)).astype(np.int32)
+    # a window starts at each of a document's first L - width + 1 tokens,
+    # or at its first token only when L < width
+    doc_len = lengths[doc_of]
+    local = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    starts = np.flatnonzero(local <= np.maximum(doc_len - width, 0))
+    span = np.minimum(doc_len[starts], width)
+    win_ptr = np.concatenate([[0], np.cumsum(span)])
+    positions = np.repeat(starts - win_ptr[:-1], span)
+    positions += np.arange(win_ptr[-1])
+    incidence = csr_matrix(
+        (np.ones(len(positions), np.int32), node_of[positions], win_ptr.astype(np.int32)),
+        shape=(len(span), n),
+    )
+    # the counting's temporaries go before the normalization allocates its own
+    del tokens, doc_of, ids, inverse, node_of, doc_len, local, starts, span, positions
+    incidence.sum_duplicates()
+    incidence.data[:] = 1
+    adjacency = incidence.T.tocsr() @ incidence
+    del incidence
+    adjacency.setdiag(0)  # in place: each node lies in a window, so its diagonal is stored
+    adjacency.eliminate_zeros()
+    adjacency.sort_indices()
+    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
     # block-diagonal, so symmetric exactly when every document's block is
-    norm = normalize_adjacency(csr_matrix((data, indices, indptr), shape=(n, n)))
+    norm = normalize_adjacency(adjacency)
 
     edge_offsets = indptr[node_offsets].tolist()
     # fresh arrays: views would keep the chunk's buffers alive in every

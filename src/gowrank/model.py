@@ -37,9 +37,13 @@ from .artifacts import read_arrays, write_arrays
 from .config import HyperParams
 from .corpus import Query
 from .errors import DataFormatError
-from .graph import BLOCK_NODES, DocumentGraph, block_diagonal
+from .graph import DocumentGraph, block_diagonal
 
 CHECKPOINT_VERSION = 3
+# padded rows per stacked block: a training minibatch of short documents is
+# one block, a rerank pool of long ones several; a larger block would reorder
+# `backward`'s sums over a block's nodes, and so change the trained parameters
+BLOCK_NODES = 2048
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gowrank import cli, indexfile
+from gowrank import cli, embeddings, indexfile
 from gowrank.artifacts import atomic_write, read_arrays, write_arrays
 from gowrank.config import RunConfig
 from gowrank.corpus import default_stopwords, read_corpus, tokenize
@@ -535,6 +535,69 @@ def test_edited_queries_are_reranked_or_refused(bridged_world, tmp_path, capsys,
     if rc == 2:
         assert f"\ndata error: {path}:" in f"\n{err}", err
         assert not (world / "x.run").exists()
+
+
+def _vector_edit(edit):
+    """A line edit that applies `edit(values, rng)` to the values of the
+    vector at line `at`, or at line 1 for the header."""
+    def edited(lines, at, rng):
+        token, *values = lines[max(at, 1)].split()
+        lines[max(at, 1)] = b" ".join([token, *edit(values, rng)]) + b"\n"
+    return edited
+
+
+def _one_value(choices):
+    def edit(values, rng):
+        values[rng.randrange(len(values))] = rng.choice(choices)
+        return values
+    return edit
+
+
+def _second_header(lines, at, rng):
+    lines.insert(max(at, 1), lines[0])
+
+
+# (kind of seeded edit of a bridged embeddings.txt, the exit codes `rerank`
+# may give for it): a value is parsed, and so checked, only in the vector
+# of a vocabulary term
+EMBEDDING_EDITS = [("flipped", {0, 2}), ("truncated", {0, 2}), ("not-utf8", {2}),
+                   ("deleted", {2}), ("duplicated", {2}), ("non-finite", {0, 2}),
+                   ("non-numeric", {0, 2}), ("short-row", {2}), ("long-row", {2}),
+                   ("zero-row", {0}), ("second-header", {2})]
+EMBEDDING_LINE_EDITS = {
+    "non-finite": _vector_edit(_one_value([b"nan", b"inf", b"-inf", b"1e999"])),
+    "non-numeric": _vector_edit(_one_value([b"one", b"0x1", b"1,5", b"--1", b"1e"])),
+    "short-row": _vector_edit(lambda values, rng: values[:-1]),
+    "long-row": _vector_edit(lambda values, rng: values + [b"0.5"]),
+    "zero-row": _vector_edit(lambda values, rng: [b"0"] * len(values)),
+    "second-header": _second_header,
+}
+
+
+@pytest.mark.parametrize("number", range(60))
+def test_edited_embeddings_are_reranked_or_refused(bridged_world, tmp_path, capsys,
+                                                   number):
+    """`rerank` with no embeddings cache refuses the edit or ranks with it,
+    and then ranks the same from the cache it wrote."""
+    kind, codes = EMBEDDING_EDITS[number % len(EMBEDDING_EDITS)]
+    world = tmp_path / "world"
+    (world / "index").mkdir(parents=True)
+    shutil.copy(bridged_world / "index" / indexfile.INDEX_FILE, world / "index")
+    shutil.copy(bridged_world / "model.ckpt", world)
+    shutil.copy(bridged_world / "queries.tsv", world)
+    path = world / "embeddings.txt"
+    path.write_bytes(_edited((bridged_world / "embeddings.txt").read_bytes(), kind,
+                             random.Random(number), EMBEDDING_LINE_EDITS))
+    rc = _rerank(world, world / "x.run")
+    err = capsys.readouterr().err
+    assert rc in codes and "Traceback" not in err, (kind, rc, err)
+    if rc == 2:
+        assert f"\ndata error: {path}" in f"\n{err}", err
+        assert not (world / "x.run").exists()
+        return
+    assert (world / "index" / embeddings.CACHE_FILE).exists()
+    assert _rerank(world, world / "y.run") == 0
+    assert (world / "y.run").read_bytes() == (world / "x.run").read_bytes()
 
 
 def _negative_grade(lines, at, rng):

@@ -1001,8 +1001,10 @@ class TestEmbeddingsCache:
         assert _cache_log(caplog) == [
             ("INFO", f"embeddings cache {cache}: miss (stale), written")]
         vocab, _ = indexfile.read_index(world / "index")
-        assert read_arrays(cache, "gowrank train")[1]["vectors"][
-            vocab.term_to_id[token], 0] == 9.5
+        values = np.array((world / "embeddings.txt").read_text().split("\n")[1].split()[1:],
+                          float)
+        assert read_arrays(cache, "gowrank train")[1]["unit"][
+            vocab.term_to_id[token], 0] == pytest.approx(9.5 / np.linalg.norm(values))
         # the same run as a parse of the edited file gives
         cache.unlink()
         assert _in_world(world, "rerank", "--run-out", str(world / "parsed.run")) == 0

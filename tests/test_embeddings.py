@@ -385,7 +385,8 @@ class TestCache:
             "vocab_sha256": hashlib.sha256(json.dumps(vocab.terms).encode()).hexdigest(),
         }
         assert {n: (a.dtype, a.shape) for n, a in arrays.items()} == {
-            "vectors": (np.float64, (len(vocab), 7))}
+            "unit": (np.float64, (len(vocab), 7))}
+        assert arrays["unit"].tobytes() == parsed.unit.tobytes()
 
     def test_without_cache_dir_nothing_is_written(self, tmp_path, caplog):
         p = tmp_path / "vec.txt"
@@ -461,8 +462,8 @@ class TestCache:
 def _foreign_caches(path, dim):
     """(case, why it misses, bytes) of caches beside a good one at `path`
     that a load must not use: the headers of other versions, which are
-    stale, and foreign files, other shapes and dtypes, and a vector that
-    is not finite, which are damaged."""
+    stale, and foreign files, other members, shapes and dtypes, and a
+    unit row that is not finite, which are damaged."""
     good_header, good = read_arrays(path, "gowrank train")
 
     def written(header=good_header, drop=(), **arrays):
@@ -470,30 +471,35 @@ def _foreign_caches(path, dim):
                                     **arrays})
         return path.read_bytes()
 
-    nan = good["vectors"].copy()
+    unit = good["unit"]
+    nan = unit.copy()
     nan[1, 0] = np.nan
     cases = [
         ("text", "damaged", b"count dim\n"),
         ("plain-npy", "damaged", helpers.npy_bytes(np.arange(3))),
         ("index-like", "damaged", written(
-            {"version": 2, "doc_ids": []}, drop=("vectors",),
+            {"version": 2, "doc_ids": []}, drop=("unit",),
             offsets=np.zeros(1, "<i8"), tokens=np.zeros(0, "<i4"))),
         ("header-a-list", "damaged", written([CACHE_VERSION])),
         ("version-0", "stale", written({**good_header, "version": 0})),
         # version 1 also stored a bool `has_vector` (V,)
         ("version-1", "stale", written({**good_header, "version": 1, "dim": dim},
-                                       has_vector=np.ones(len(good["vectors"]), bool))),
+                                       has_vector=np.ones(len(unit), bool))),
         # version 2 stored `dim` in its header
         ("version-2", "stale", written({**good_header, "version": 2, "dim": dim})),
-        ("vectors-1-d", "damaged", written(vectors=good["vectors"][:, 0].copy())),
-        ("vectors-flat", "damaged", written(vectors=good["vectors"].ravel())),
-        ("vectors-no-columns", "damaged", written(vectors=np.zeros((len(good["vectors"]), 0)))),
-        ("vectors-float32", "damaged", written(vectors=good["vectors"].astype(np.float32))),
-        ("vectors-short", "damaged", written(vectors=good["vectors"][:-1])),
-        ("vectors-transposed", "damaged", written(vectors=good["vectors"].T.copy())),
-        ("no-vectors", "damaged", written(drop=("vectors",))),
-        ("extra-member", "damaged", written(unit=np.zeros_like(good["vectors"]))),
-        ("non-finite", "damaged", written(vectors=nan)),
+        # version 3 stored the parsed `vectors`, not the unit rows
+        ("version-3", "stale", written({**good_header, "version": 3}, drop=("unit",),
+                                       vectors=unit * 3)),
+        ("unit-1-d", "damaged", written(unit=unit[:, 0].copy())),
+        ("unit-flat", "damaged", written(unit=unit.ravel())),
+        ("unit-no-columns", "damaged", written(unit=np.zeros((len(unit), 0)))),
+        ("unit-float32", "damaged", written(unit=unit.astype(np.float32))),
+        ("unit-short", "damaged", written(unit=unit[:-1])),
+        ("unit-transposed", "damaged", written(unit=unit.T.copy())),
+        ("no-unit", "damaged", written(drop=("unit",))),
+        ("extra-member", "damaged", written(vectors=np.zeros_like(unit))),
+        ("vectors-of-version-3", "damaged", written(drop=("unit",), vectors=unit)),
+        ("non-finite", "damaged", written(unit=nan)),
     ]
     path.write_bytes(b"")
     return cases

@@ -13,7 +13,7 @@ from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError
 from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.graph import (
-    BLOCK_NODES,
+    BUILD_TOKENS,
     DocumentGraph,
     block_diagonal,
     build_graph,
@@ -232,8 +232,8 @@ class TestBuildGraph:
 def _mixed_docs(rng, window):
     """Documents that put every edge case into the pooled chunks: empty,
     one token, shorter than and exactly as long as the window, longer than
-    BLOCK_NODES, and one document object listed twice."""
-    lengths = [0, 1, window - 1, window, 0, 3, BLOCK_NODES + 37, 1, window]
+    BUILD_TOKENS, and one document object listed twice."""
+    lengths = [0, 1, window - 1, window, 0, 3, BUILD_TOKENS + 37, 1, window]
     lengths += rng.integers(0, 700, size=12).tolist()
     docs = []
     for i, length in enumerate(lengths):
@@ -246,10 +246,10 @@ def _mixed_docs(rng, window):
 
 
 class TestPooledBuild:
-    @pytest.mark.parametrize("block", [BLOCK_NODES, 40])
+    @pytest.mark.parametrize("block", [BUILD_TOKENS, 2048, 40])
     @pytest.mark.parametrize("mode", ["graph", "sequence", "zero"])
     def test_per_document_csr_bytes_match_loop_oracle(self, monkeypatch, mode, block):
-        monkeypatch.setattr(gowrank.graph, "BLOCK_NODES", block)
+        monkeypatch.setattr(gowrank.graph, "BUILD_TOKENS", block)
         rng = np.random.default_rng(61)
         for window in (2, 3, 5):
             docs = _mixed_docs(rng, window)
@@ -265,7 +265,7 @@ class TestPooledBuild:
         assert build_graphs([], window=3) == []
 
     def test_chunk_symmetry_check_runs_once_per_chunk(self, monkeypatch):
-        # 9 documents of 500 tokens: chunks of 4, 4 and 1 under the bound
+        # 9 documents of a quarter budget each: chunks of 4, 4 and 1
         calls = []
         real = gowrank.graph.normalize_adjacency
 
@@ -275,12 +275,29 @@ class TestPooledBuild:
 
         monkeypatch.setattr(gowrank.graph, "normalize_adjacency", counted)
         rng = np.random.default_rng(67)
-        docs = [_doc(rng.integers(0, 50, size=500).tolist()) for _ in range(9)]
+        docs = [_doc(rng.integers(0, 50, size=BUILD_TOKENS // 4).tolist()) for _ in range(9)]
         graphs = build_graphs(docs, window=5)
         assert len(calls) == 3
         assert calls == [
             sum(g.num_nodes for g in graphs[lo:hi]) for lo, hi in ((0, 4), (4, 8), (8, 9))
         ]
+
+    def test_graphs_equal_bit_for_bit_across_budgets(self, monkeypatch):
+        # 500-token Zipf documents, as a rerank pool holds, and one longer
+        # than the budget, which is a chunk of its own
+        rng = np.random.default_rng(79)
+        docs = [_doc(rng.zipf(1.3, size=500).tolist()) for _ in range(40)]
+        docs.insert(17, _doc(rng.zipf(1.3, size=BUILD_TOKENS + 11).tolist()))
+        built = {}
+        for block in (BUILD_TOKENS, 2048, 40):
+            monkeypatch.setattr(gowrank.graph, "BUILD_TOKENS", block)
+            built[block] = build_graphs(docs, window=5)
+        for graphs in built.values():
+            for g, h in zip(graphs, built[BUILD_TOKENS], strict=True):
+                assert g.node_terms == h.node_terms
+                for name in ("indptr", "indices", "counts", "weights"):
+                    a, b = getattr(g, name), getattr(h, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_cached_graphs_own_compact_arrays(self):
         rng = np.random.default_rng(71)
@@ -290,8 +307,9 @@ class TestPooledBuild:
 
     def test_transient_peak_is_bounded_by_what_the_graphs_keep(self):
         # a pool of 100 500-token documents built as one unbounded product
-        # peaks at ~4.5x the memory its graphs keep; chunks of BLOCK_NODES
-        # tokens keep the peak close to the result itself
+        # peaks at ~4.5x the memory its graphs keep; chunks of BUILD_TOKENS
+        # tokens, whose counting temporaries are freed before the
+        # normalization, keep the peak close to the result itself (~1.2x)
         rng = np.random.default_rng(73)
         docs = [_doc(rng.zipf(1.3, size=500).tolist()) for _ in range(100)]
         tracemalloc.start()
