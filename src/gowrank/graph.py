@@ -25,11 +25,11 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError
 
-# tokens per chunk of a graph build: each chunk pays ~0.6 ms of fixed
-# sparse-matrix cost, and its temporaries stay below a fifth of what its
-# graphs keep (a pool of 100 500-token documents peaked 1.2x above the
-# 3.4 MB its graphs keep under tracemalloc; at 16384 tokens 1.44x, and
-# building took longer again on rerank pools)
+# tokens per chunk of a graph build, each chunk paying fixed sparse-matrix
+# costs: 728 500-token rerank pool graphs built in ~0.22 s at 8192 against
+# ~0.27 s at 2048 on one vCPU; with the counting's temporaries freed, 100
+# 500-token Zipf documents peak at 4.2 MB under tracemalloc for the 3.4 MB
+# their graphs keep (1.22x; 1.07x at 2048, 1.46x at 16384, near the tests' 1.5x)
 BUILD_TOKENS = 8192
 
 
