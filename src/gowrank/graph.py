@@ -153,9 +153,9 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
     del incidence
     adjacency.setdiag(0)  # in place: each node lies in a window, so its diagonal is stored
     adjacency.eliminate_zeros()
-    adjacency.sort_indices()
+    # WᵀW is symmetric (checked below), so its linear-time transpose sorts its rows
+    adjacency = adjacency.T.tocsr()
     indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-    # block-diagonal, so symmetric exactly when every document's block is
     norm = normalize_adjacency(adjacency)
 
     edge_offsets = indptr[node_offsets].tolist()
@@ -169,7 +169,7 @@ def _build_chunk(docs: list[TokenizedDoc], width: int) -> list[DocumentGraph]:
 
 
 def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
-    """Symmetric normalization A_ij / sqrt(D_ii * D_jj).
+    """Symmetric normalization A_ij / sqrt(D_ii * D_jj), D_jj column j's sum.
 
     Zero-degree (isolated) nodes keep all-zero rows and columns.  The
     result shares `indptr` and `indices` with the input.  Each entry is
@@ -180,10 +180,11 @@ def normalize_adjacency(adjacency: csr_matrix) -> csr_matrix:
     if not _symmetric(adjacency):
         raise DataFormatError("adjacency matrix must be symmetric")
     n = adjacency.shape[0]
-    row = np.repeat(np.arange(n), np.diff(adjacency.indptr))
-    degrees = np.bincount(row, weights=adjacency.data, minlength=n)
+    degrees = np.bincount(adjacency.indices, weights=adjacency.data, minlength=n)
     inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
-    scaled = adjacency.data * (inv_sqrt[row] * inv_sqrt[adjacency.indices])
+    scaled = np.repeat(inv_sqrt, np.diff(adjacency.indptr))  # each entry's row scale
+    scaled *= inv_sqrt[adjacency.indices]
+    scaled *= adjacency.data
     return csr_matrix((scaled, adjacency.indices, adjacency.indptr), shape=(n, n))
 
 
@@ -194,8 +195,7 @@ def _symmetric(adjacency: csr_matrix) -> bool:
         adjacency = adjacency.copy()
         adjacency.sum_duplicates()
         adjacency.eliminate_zeros()
-    transpose = adjacency.T.tocsr()
-    transpose.sort_indices()
+    transpose = adjacency.T.tocsr()  # a counting transpose: its rows come sorted
     return all(np.array_equal(getattr(adjacency, name), getattr(transpose, name))
                for name in ("indptr", "indices", "data"))
 
@@ -282,9 +282,10 @@ STORE_EDGES = 1 << 16
 def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
     """Unit vectors of `term_ids`; a zero row for any id outside [0, V)."""
     ids = np.asarray(term_ids, dtype=np.int64)
-    inside = (ids >= 0) & (ids < len(emb.unit))
-    rows = np.zeros((len(ids), emb.dim), dtype=np.float64)
-    rows[inside] = emb.unit[ids[inside]]
+    if not len(emb.unit):  # `take` raises on an empty axis
+        return np.zeros((len(ids), emb.dim))
+    rows = emb.unit.take(ids, axis=0, mode="clip")
+    rows[(ids < 0) | (ids >= len(emb.unit))] = 0.0
     return rows
 
 

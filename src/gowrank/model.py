@@ -44,6 +44,8 @@ CHECKPOINT_VERSION = 3
 # one block, a rerank pool of long ones several; a larger block would reorder
 # `backward`'s sums over a block's nodes, and so change the trained parameters
 BLOCK_NODES = 2048
+# `readout` partitions past this many nodes per k: 1.9x a sort's time at 1.5k, 0.5x at 8k
+READOUT_PARTITION = 4
 
 
 @dataclass
@@ -227,9 +229,11 @@ def readout(
 
     `h_final` stacks the states of B documents, `sizes[b]` rows each.  For
     each document and column, the k largest entries in descending order
-    (ties: smaller node index first); zero-padded when the document has
-    fewer than k nodes.  Returns (pooled values (B, m, k), source rows of
-    `h_final` (B, m, k) with -1 marking padded slots).
+    (ties: smaller node index first), zero-padded when the document has
+    fewer than k nodes: the first k of a stable sort, or past
+    READOUT_PARTITION * k nodes the keys below the k-th by partition, then
+    its first ties in node order, sorted.  Returns (pooled values (B, m,
+    k), source rows of `h_final` (B, m, k) with -1 marking padded slots).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
@@ -238,7 +242,17 @@ def readout(
     # which a stable ascending sort puts after every real key, NaN included
     keys = np.full((len(sizes), h_final.shape[1], len(slot)), np.nan)
     keys.transpose(0, 2, 1)[slot < sizes[:, None]] = -h_final
-    order = np.argsort(keys, axis=2, kind="stable")[:, :, :k]  # (B, m, take)
+    if len(slot) > READOUT_PARTITION * k:
+        kth = np.partition(keys, k - 1, axis=2)[:, :, k - 1:k]
+        nan, last = np.isnan(keys), np.isnan(kth)  # NaN sorts after every number
+        below = (keys < kth) | (last & ~nan)
+        tie = np.where(last, nan, keys == kth)
+        tie &= np.cumsum(tie, axis=2) <= k - below.sum(axis=2, keepdims=True)
+        first = np.nonzero(below | tie)[2].reshape(*keys.shape[:2], k)  # in node order
+        order = np.take_along_axis(first, np.argsort(
+            np.take_along_axis(keys, first, axis=2), axis=2, kind="stable"), axis=2)
+    else:
+        order = np.argsort(keys, axis=2, kind="stable")[:, :, :k]  # (B, m, take)
     real = order < sizes[:, None, None]
     take = order.shape[2]
     pooled = np.zeros((len(sizes), h_final.shape[1], k), dtype=np.float64)
