@@ -26,10 +26,10 @@ from .embeddings import EmbeddingTable
 from .errors import DataFormatError
 
 # tokens per chunk of a graph build, each chunk paying fixed sparse-matrix
-# costs: 728 500-token rerank pool graphs built in ~0.22 s at 8192 against
-# ~0.27 s at 2048 on one vCPU; with the counting's temporaries freed, 100
-# 500-token Zipf documents peak at 4.2 MB under tracemalloc for the 3.4 MB
-# their graphs keep (1.22x; 1.07x at 2048, 1.46x at 16384, near the tests' 1.5x)
+# costs: 728 500-token rerank pool graphs built in ~0.20 s at 8192, ~0.26 s
+# at 2048 and ~0.19 s at 16384 on one vCPU; 100 500-token Zipf documents
+# peak at 4.1 MB under tracemalloc, in the counting, for the 3.4 MB their
+# graphs keep (1.21x; 1.06x at 2048, 1.46x at 16384, near the tests' 1.5x)
 BUILD_TOKENS = 8192
 
 

@@ -232,8 +232,8 @@ def readout(
     (ties: smaller node index first), zero-padded when the document has
     fewer than k nodes: the first k of a stable sort, or past
     READOUT_PARTITION * k nodes the keys below the k-th by partition, then
-    its first ties in node order, sorted.  Returns (pooled values (B, m,
-    k), source rows of `h_final` (B, m, k) with -1 marking padded slots).
+    its first ties in node order, sorted.  Returns the pooled values and
+    their source rows of `h_final` (-1 for padded slots), each (B, m, k).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes

@@ -35,6 +35,11 @@ comprehension, so the batched numpy counts can be checked term by term.
 document at a time: the forward pass over one graph and the reverse
 replay of its trace.  The batched `model.forward_batch` and
 `model.backward` are checked against them.
+
+`sort_readout` is the k-max readout as a full stable sort of every padded
+column, and `masked_unit_rows` gathers unit rows through a boolean mask
+into zeros: the first batched `model.readout` and `graph._unit_rows`,
+which the partition and the one-gather versions must match bit for bit.
 """
 
 import math
@@ -110,6 +115,35 @@ def norm_adjacency(graph):
     graph's own arrays."""
     n = graph.num_nodes
     return csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+
+
+def sort_readout(h_final, k, sizes):
+    """(pooled (B, m, k), source rows (B, m, k), -1 for padded slots): the
+    first k of a stable ascending sort of each document's negated column,
+    padded to the longest document with NaN keys, which sort last."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(sizes.max(initial=0))
+    keys = np.full((len(sizes), h_final.shape[1], len(slot)), np.nan)
+    keys.transpose(0, 2, 1)[slot < sizes[:, None]] = -h_final
+    order = np.argsort(keys, axis=2, kind="stable")[:, :, :k]
+    real = order < sizes[:, None, None]
+    take = order.shape[2]
+    pooled = np.zeros((len(sizes), h_final.shape[1], k), dtype=np.float64)
+    idx = np.full(pooled.shape, -1, dtype=np.int64)
+    pooled[:, :, :take] = np.where(real, -np.take_along_axis(keys, order, axis=2), 0.0)
+    idx[:, :, :take] = np.where(real, order + starts[:, None, None], -1)
+    return pooled, idx
+
+
+def masked_unit_rows(unit, dim, term_ids):
+    """Rows of the (V, dim) table `unit` for `term_ids`, zero for any id
+    outside [0, V)."""
+    ids = np.asarray(term_ids, dtype=np.int64)
+    inside = (ids >= 0) & (ids < len(unit))
+    rows = np.zeros((len(ids), dim), dtype=np.float64)
+    rows[inside] = unit[ids[inside]]
+    return rows
 
 
 def sigmoid(x):

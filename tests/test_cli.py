@@ -4,8 +4,11 @@ artifact layout, exit codes, determinism, and the ablation invariant."""
 import hashlib
 import json
 import logging
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1125,3 +1128,46 @@ class TestGraphStore:
             if name.startswith("ablation/"):
                 assert (world / name).read_bytes() == (
                     parsed_world / "world" / name).read_bytes(), name
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    so that OPENBLAS_CORETYPE can force another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS cannot be switched to another kernel")
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 9b: numpy's dense products "
+                   "round as the BLAS kernel does, so the checkpoint's bits follow it")
+def test_checkpoint_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the same short bridged training under this machine's default kernel
+    # and under the oldest x86-64 one, each in a fresh process
+    data = tmp_path / "data"
+    bridged_corpus(seed=0, num_queries=12).write(data)
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in {
+        "corpus": data / "corpus.jsonl", "queries": data / "queries.tsv",
+        "qrels": data / "qrels.txt", "embeddings": data / "embeddings.txt",
+        "min_freq": 1, "window": 7, "pool_k": 12, "lr": 0.005, "epochs": 2,
+        "steps_per_epoch": 4, "batch": 16}.items()))
+    digests = []
+    for coretype in ("", "Prescott"):
+        out = tmp_path / (coretype or "default")
+        out.mkdir()  # the commands' working directory, where train.log goes
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        if not coretype:
+            del env["OPENBLAS_CORETYPE"]
+        for command in ("index", "train"):
+            subprocess.run([sys.executable, "-m", "gowrank.cli", command, "--config", str(conf),
+                            "--index-dir", str(out / "index"),
+                            "--checkpoint", str(out / "model.ckpt")],
+                           cwd=out, env=env, check=True, capture_output=True, timeout=300)
+        digests.append(hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

@@ -15,6 +15,7 @@ from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.graph import (
     BUILD_TOKENS,
     DocumentGraph,
+    _unit_rows,
     block_diagonal,
     build_graph,
     build_graphs,
@@ -478,6 +479,14 @@ class TestNormalizeAdjacency:
         with pytest.raises(DataFormatError, match="symmetric"):
             normalize_adjacency(A)
 
+    def test_row_sums_unequal_to_column_sums_rejected(self):
+        # the degrees are column sums, which equal the row sums only when
+        # the symmetry check holds
+        A = csr_matrix(np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+        assert not np.array_equal(A.sum(axis=0), A.sum(axis=1).T)
+        with pytest.raises(DataFormatError, match="symmetric"):
+            normalize_adjacency(A)
+
     def test_asymmetric_values_on_symmetric_pattern_rejected(self):
         A = csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
         with pytest.raises(DataFormatError, match="symmetric"):
@@ -681,6 +690,17 @@ class TestInteractionMatrix:
         assert S[0, 3] == pytest.approx(1.0)
         assert S[0, 1] == 0.0
         assert S[3, 1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows", [4, 0])
+    def test_unit_rows_equal_the_masked_gather(self, rows):
+        # OOV_ID and ids >= V give +0.0 rows, as does every id of a table
+        # without rows; an empty id list gives an empty block
+        table = EmbeddingTable(3, np.random.default_rng(48).normal(size=(rows, 3)))
+        for ids in ([], [OOV_ID], [4], [0, OOV_ID, 3, 4, 99, 1, 3], [2, 2]):
+            got = _unit_rows(table, ids)
+            want = reference.masked_unit_rows(table.unit, 3, ids)
+            assert got.shape == want.shape == (len(ids), 3) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_graph(self):
         S = interaction_matrix(build_graph(_doc([])), _query([0, 1]), _table())

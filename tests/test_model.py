@@ -11,6 +11,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 import helpers
+from gowrank import model
 from gowrank.corpus import Query, TokenizedDoc
 from gowrank.errors import DataFormatError
 from gowrank.graph import DocumentGraph, build_graph, build_graphs, normalize_adjacency
@@ -194,6 +195,60 @@ class TestReadout:
                 shifted = np.where(alone_idx[0] >= 0, alone_idx[0] + start, -1)
                 np.testing.assert_array_equal(idx[b], shifted)
                 start += n
+
+    @pytest.mark.parametrize("multiple", [model.READOUT_PARTITION, 1])
+    def test_matches_the_full_sort_bit_for_bit_on_either_path(self, monkeypatch, multiple):
+        # blocks whose longest document is past `multiple` * k nodes take the
+        # partition, the others the full sort; quantized values tie, zeros
+        # come as +0.0 and -0.0, and the documents include empty ones,
+        # ones shorter than k and ones of exactly k nodes
+        monkeypatch.setattr(model, "READOUT_PARTITION", multiple)
+        partitions = []
+        real_partition = np.partition
+
+        def counted(*args, **kwargs):
+            partitions.append(args[1])
+            return real_partition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counted)
+        rng = np.random.default_rng(61)
+        sorted_blocks = 0
+        kinds = {"empty": 0, "short": 0, "exactly k": 0, "long": 0}  # in partitioned blocks
+        for case in range(400):
+            k = int(rng.choice([1, 2, 3, 5, 12, 40]))
+            sizes = [int(rng.choice([0, max(k - 1, 0), k, rng.integers(0, 8 * k + 2)]))
+                     for _ in range(int(rng.integers(1, 6)))]
+            if case % 2:  # a block past the threshold, mixing in short documents
+                sizes[int(rng.integers(len(sizes)))] = int(
+                    rng.integers(multiple * k + 1, (multiple + 4) * k + 2))
+            h = np.round(rng.uniform(-1, 1, size=(sum(sizes), int(rng.integers(1, 4)))), 1)
+            zeros = h == 0.0
+            h[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            partitions.clear()
+            pooled, idx = readout(h, k, sizes)
+            want, want_idx = reference.sort_readout(h, k, sizes)
+            assert pooled.tobytes() == want.tobytes()
+            assert np.array_equal(idx, want_idx)
+            partitioned = max(sizes) > multiple * k
+            assert partitions == ([k - 1] if partitioned else [])
+            sorted_blocks += not partitioned
+            for n in sizes if partitioned else ():
+                kinds["empty" if n == 0 else "short" if n < k
+                      else "exactly k" if n == k else "long"] += 1
+        assert sorted_blocks >= 100 and min(kinds.values()) >= 20, (sorted_blocks, kinds)
+
+    def test_partition_keeps_nan_states_where_the_sort_puts_them(self, monkeypatch):
+        # a NaN state sorts after every number, before the padding
+        monkeypatch.setattr(model, "READOUT_PARTITION", 1)
+        rng = np.random.default_rng(62)
+        for _ in range(50):
+            sizes = rng.integers(0, 12, size=4)
+            h = np.round(rng.uniform(-1, 1, size=(int(sizes.sum()), 2)), 1)
+            h[rng.random(h.shape) < 0.3] = np.nan
+            pooled, idx = readout(h, 3, sizes)
+            want, want_idx = reference.sort_readout(h, 3, sizes)
+            assert pooled.tobytes() == want.tobytes()
+            assert np.array_equal(idx, want_idx)
 
 
 class TestGateWeights:
