@@ -12,7 +12,7 @@ naming its line.  A `Cache` keeps data derived from files in such an archive.
 
 from __future__ import annotations
 
-import hashlib
+import io
 import json
 import os
 import tokenize
@@ -82,10 +82,12 @@ def write_arrays(path: str | Path, header, arrays: dict[str, np.ndarray]) -> Non
                 member.write(np.ascontiguousarray(array.T if layout["fortran_order"] else array))
 
 
-def read_arrays(path: str | Path, writer: str) -> tuple[object, dict[str, np.ndarray]]:
+def read_arrays(path: str | Path, writer: str,
+                sha256=None) -> tuple[object, dict[str, np.ndarray]]:
     """(header, arrays) of an archive that `write_arrays` wrote.  A file
     that is missing, foreign or damaged raises DataFormatError naming
-    `path` and `writer`, the command that writes it.
+    `path` and `writer`, the command that writes it.  With `sha256` (a
+    hashlib object), the file is read whole, and the bytes parsed hashed.
 
     numpy streams each member into its array in pieces, so no array has a
     second full copy, and reads it to its end, where zipfile checks its
@@ -93,7 +95,11 @@ def read_arrays(path: str | Path, writer: str) -> tuple[object, dict[str, np.nda
     """
     arrays = {}
     try:
-        with zipfile.ZipFile(path) as archive:
+        source = path
+        if sha256 is not None:  # the very bytes parsed; BytesIO shares, not copies, them
+            sha256.update(data := Path(path).read_bytes())
+            source = io.BytesIO(data)
+        with zipfile.ZipFile(source) as archive:
             for info in archive.infolist():
                 name = info.filename.removesuffix(".npy")
                 if (name == info.filename or name in arrays or info.flag_bits
@@ -119,21 +125,15 @@ def read_arrays(path: str | Path, writer: str) -> tuple[object, dict[str, np.nda
 
 class Cache:
     """Data derived from files, kept at `path` in an archive whose header
-    holds `key`: the caller's entries and the sha256 of each of `inputs`.
-    `read` is a `hit` or a `miss (no file | stale | damaged)`, damaged with
-    one WARNING; `write` adds `, written`, or one WARNING when it fails,
-    and writes nothing if an input changed after the key was taken (what
-    was derived may not be of the bytes there now); `report` logs the
-    outcome in one INFO line."""
+    holds `key`: the caller's entries, among them the digests of the bytes
+    it derived the data from.  `read` is a `hit` or a `miss (no file |
+    stale | damaged)`, damaged with one WARNING; `write` adds `, written`,
+    or one WARNING when it fails; `report` logs the outcome in one INFO
+    line."""
 
-    def __init__(self, path: str | Path, key: dict, inputs: dict, label: str, log):
-        self.path, self.inputs, self.label, self.log = Path(path), inputs, label, log
-        self.key = {**key, **self._digests()}
+    def __init__(self, path: str | Path, key: dict, label: str, log):
+        self.path, self.key, self.label, self.log = Path(path), key, label, log
         self.outcome = "miss (no file)"
-
-    def _digests(self) -> dict[str, str]:
-        return {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                for name, path in self.inputs.items()}
 
     def read(self, decode):
         """`decode(arrays)` of the archive when it holds `key`, else None;
@@ -156,13 +156,12 @@ class Cache:
             return None
 
     def write(self, arrays: dict) -> None:
-        """`arrays` under the key, unless an input changed."""
-        if self._digests().items() <= self.key.items():
-            try:
-                write_arrays(self.path, self.key, arrays)
-                self.outcome += ", written"
-            except OSError as exc:
-                self.log.warning("%s %s not written: %s", self.label, self.path, exc)
+        """`arrays` under the key."""
+        try:
+            write_arrays(self.path, self.key, arrays)
+            self.outcome += ", written"
+        except OSError as exc:
+            self.log.warning("%s %s not written: %s", self.label, self.path, exc)
 
     def report(self) -> None:
         self.log.info("%s %s: %s", self.label, self.path, self.outcome)

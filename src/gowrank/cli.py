@@ -34,7 +34,7 @@ from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
 from .gradcheck import grad_check
 from .graph import edge_width, store_arrays, stored_graphs
-from .indexfile import INDEX_FILE, read_index, write_index
+from .indexfile import read_index, write_index
 from .model import load_checkpoint
 from .retrieval import build_index, top_candidates, write_run
 from .scoring import ScoringContext, rank_pools
@@ -135,15 +135,16 @@ def cmd_index(cfg: RunConfig, args) -> int:
 
 
 def _load_world(cfg: RunConfig):
-    """Everything downstream commands need, rebuilt from the index dir."""
-    vocab, docs = read_index(cfg.index_dir)
+    """Everything downstream commands need, rebuilt from the index dir, and
+    the sha256 of the index bytes read."""
+    vocab, docs, index_sha256 = read_index(cfg.index_dir)
     queries = {
         qid: make_query(vocab, qid, tokenize(title))
         for qid, title in read_queries(cfg.queries)
     }
     emb = load_embeddings(cfg.embeddings, vocab, cfg.index_dir)
     index = build_index(docs.values())
-    return docs, queries, emb, index
+    return docs, queries, emb, index, index_sha256
 
 
 # index_dir/graphs-<mode>-w<width>.npz (see graph.stored_graphs) holds the
@@ -152,17 +153,17 @@ GRAPH_STORE_VERSION = 1
 
 
 @contextmanager
-def _graph_stores(cfg: RunConfig, docs, modes):
+def _graph_stores(cfg: RunConfig, docs, index_sha256: str, modes):
     """Per adjacency mode of `modes`, the graphs of index_dir's store for it
     by doc id, in a dict that scoring fills; on a clean exit a store is
-    written again if its dict grew.  Zero mode builds no edges to store."""
+    written again if its dict grew, under the `index_sha256` of the bytes
+    `docs` were read from.  Zero mode builds no edges to store."""
     ids, stores, graphs = list(docs), {}, {mode: {} for mode in modes}
     for mode in [mode for mode in modes if mode != "zero"]:
         width = edge_width(mode, cfg.window)
         stores[mode] = Cache(Path(cfg.index_dir) / f"graphs-{mode}-w{width}.npz",
-                             {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width},
-                             {"index_sha256": Path(cfg.index_dir) / INDEX_FILE},
-                             "graph store", log)
+                             {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width,
+                              "index_sha256": index_sha256}, "graph store", log)
         stored = stores[mode].read(lambda arrays: stored_graphs(arrays, len(ids)))
         rows, built = stored or ([], [])
         graphs[mode].update(zip([ids[r] for r in rows], built))
@@ -180,10 +181,10 @@ def _split(cfg: RunConfig, queries):
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index, index_sha256 = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
-    with _graph_stores(cfg, docs, [cfg.adjacency_mode]) as graphs:
+    with _graph_stores(cfg, docs, index_sha256, [cfg.adjacency_mode]) as graphs:
         _, records = train(
             docs, queries, qrels, index, emb, cfg,
             train_qids=split.train, val_qids=split.validation,
@@ -226,13 +227,13 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
     # the tag is the last whitespace-separated field of every run line
     if args.tag.split() != [args.tag]:
         raise UsageError(f"--tag {args.tag!r} is empty or contains whitespace")
-    docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index, index_sha256 = _load_world(cfg)
     params, extra = load_checkpoint(cfg.checkpoint)
     for key in ("window", "adjacency_mode"):
         if key in extra and extra[key] != getattr(cfg, key):
             log.warning("checkpoint was trained with %s=%s but config says %s",
                         key, extra[key], getattr(cfg, key))
-    with _graph_stores(cfg, docs, [cfg.adjacency_mode]) as graphs:
+    with _graph_stores(cfg, docs, index_sha256, [cfg.adjacency_mode]) as graphs:
         ranked = _rerank_all(cfg, docs, queries, emb, index, params,
                              graphs[cfg.adjacency_mode])
         del queries, emb, index  # freed before the store is written: ~5 MB off the peak
@@ -256,14 +257,14 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    docs, queries, emb, index = _load_world(cfg)
+    docs, queries, emb, index, index_sha256 = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
 
     cells = [(mode, cfg.steps) for mode in ("graph", "sequence", "zero")]
     cells += [("graph", t) for t in ABLATE_DEPTHS if ("graph", t) not in cells]
     results = {}
-    with _graph_stores(cfg, docs, ("graph", "sequence", "zero")) as graphs:
+    with _graph_stores(cfg, docs, index_sha256, ("graph", "sequence", "zero")) as graphs:
         for mode, steps in cells:
             cell_cfg = dataclasses.replace(cfg, adjacency_mode=mode, steps=steps)
             params, _ = train(

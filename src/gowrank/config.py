@@ -118,25 +118,17 @@ class RunConfig:
             raise DataFormatError(
                 f"min_freq_mode must be corpus|docs, got {self.min_freq_mode!r}"
             )
-        if self.window < 2:
-            raise DataFormatError(f"window must be >= 2, got {self.window}")
+        for key, floor in (("window", 2), ("candidates", 1), ("min_freq", 1), ("epochs", 0),
+                           ("batch", 1), ("steps_per_epoch", 1), ("folds", 2), ("seed", 0)):
+            if getattr(self, key) < floor:
+                raise DataFormatError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+        # numpy takes every count as an int64; SeedSequence takes a seed of any size
+        for key in (f.name for f in fields(self) if f.type == "int" and f.name != "seed"):
+            if getattr(self, key) >= 2**63:
+                raise DataFormatError(f"{key} must be < 2**63, got {getattr(self, key)}")
         self.hyper()  # HyperParams checks the shape knobs
-        if self.candidates < 1:
-            raise DataFormatError(f"candidates must be >= 1, got {self.candidates}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DataFormatError(f"lr must be finite and > 0, got {self.lr}")
-        if self.min_freq < 1:
-            raise DataFormatError(f"min_freq must be >= 1, got {self.min_freq}")
-        if self.epochs < 0:
-            raise DataFormatError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch < 1:
-            raise DataFormatError(f"batch must be >= 1, got {self.batch}")
-        if self.steps_per_epoch < 1:
-            raise DataFormatError(
-                f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}"
-            )
-        if self.folds < 2:
-            raise DataFormatError(f"folds must be >= 2, got {self.folds}")
         if not 0 <= self.fold_rotation < self.folds:
             raise DataFormatError(
                 f"fold_rotation must be in [0, folds={self.folds}), got {self.fold_rotation}"

@@ -124,15 +124,21 @@ def load_embeddings(path: str | Path, vocab: Vocabulary,
     if cache_dir is None:
         return EmbeddingTable(*_parse_text(path, vocab))
     terms = json.dumps(vocab.terms).encode()
+    digest = _sha256(path)
     cache = Cache(Path(cache_dir) / CACHE_FILE,
-                  {"version": CACHE_VERSION, "vocab_sha256": hashlib.sha256(terms).hexdigest()},
-                  {"file_sha256": Path(path)}, "embeddings cache", log)
+                  {"version": CACHE_VERSION, "vocab_sha256": hashlib.sha256(terms).hexdigest(),
+                   "file_sha256": digest}, "embeddings cache", log)
     table = cache.read(lambda arrays: _decode(arrays, len(vocab)))
     if table is None:
         table = EmbeddingTable(*_parse_text(path, vocab))
-        cache.write({"unit": table.unit})
+        if _sha256(path) == digest:  # else what was parsed may not be of the key's bytes
+            cache.write({"unit": table.unit})
     cache.report()
     return table
+
+
+def _sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _decode(arrays: dict, size: int) -> EmbeddingTable:

@@ -279,7 +279,7 @@ _STORED = ("rows", "sizes", "node_terms", "indptr", "indices")
 STORE_EDGES = 1 << 16
 
 
-def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
+def unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
     """Unit vectors of `term_ids`; a zero row for any id outside [0, V)."""
     ids = np.asarray(term_ids, dtype=np.int64)
     if not len(emb.unit):  # `take` raises on an empty axis
@@ -290,11 +290,14 @@ def _unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
 
 
 def interaction_matrix(
-    graph: DocumentGraph, query: Query, emb: EmbeddingTable
+    graph: DocumentGraph, query: Query, emb: EmbeddingTable,
+    query_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """n x M cosine similarities between node terms and query terms.
+    """n x M cosine similarities between node terms and query terms, whose
+    `unit_rows` a caller may pass as `query_rows` to gather them once.
 
     Terms without embeddings (including out-of-vocabulary query terms)
     contribute zero rows/columns; n = 0 yields an empty (0, M) matrix.
     """
-    return _unit_rows(emb, graph.node_terms) @ _unit_rows(emb, query.tokens).T
+    query_rows = unit_rows(emb, query.tokens) if query_rows is None else query_rows
+    return unit_rows(emb, graph.node_terms) @ query_rows.T

@@ -3,6 +3,7 @@ writes to `index_dir/index.npz` and every later command reads, checked."""
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,12 @@ def write_index(index_dir: str | Path, vocab: Vocabulary, vocab_ids: np.ndarray,
 
 
 def read_index(index_dir: str | Path):
-    """The vocabulary and the documents of the `index_dir/index.npz` that
-    `index` wrote, checked once; each document's tokens are a read-only
-    int32 slice of one array."""
+    """The vocabulary, the documents and the sha256 of the bytes parsed of
+    the `index_dir/index.npz` that `index` wrote, checked once; each
+    document's tokens are a read-only int32 slice of one array."""
     path = Path(index_dir) / INDEX_FILE
-    header, arrays = read_arrays(path, "gowrank index")
+    sha256 = hashlib.sha256()
+    header, arrays = read_arrays(path, "gowrank index", sha256)
     # ValueError covers a bad vocabulary; KeyError and TypeError a header
     # without the layout `index` writes
     try:
@@ -96,4 +98,4 @@ def read_index(index_dir: str | Path):
         if doc_id in docs:
             raise DataFormatError(f"{record(r)}: duplicate doc_id")
         docs[doc_id] = TokenizedDoc(doc_id, tokens[bounds[r]:bounds[r + 1]], raw_length)
-    return vocab, docs
+    return vocab, docs, sha256.hexdigest()

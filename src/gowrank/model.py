@@ -10,15 +10,15 @@ gates.
 
 `forward_batch` is the one forward implementation.  It stacks documents
 that share a query width into block-diagonal graphs (`block_diagonal`
-unions of up to BLOCK_NODES nodes), so a training minibatch or a rerank pool costs
-a few sparse products and gated updates per block rather than per
-document; `forward` is its one-document case.  With `record`, every
-intermediate is kept in a ForwardTrace per block, which `backward`
-replays exactly in reverse, by hand (no autodiff framework), to the
-gradients of the pairwise hinge loss.  Gradients flow only through the
-paths the forward pass actually took: selected top-k entries, the
-leading parameter blocks of the m scored query columns, and the
-documents of active hinges.
+unions of up to BLOCK_NODES nodes, or SCORE_NODES with no `record`), so a
+minibatch or a rerank pool costs a few sparse products and gated updates
+per block rather than per document; `forward` is its one-document case.
+With `record`, every intermediate is kept in a ForwardTrace per block,
+which `backward` replays exactly in reverse, by hand (no autodiff
+framework), to the gradients of the pairwise hinge loss.  Gradients flow
+only through the paths the forward pass actually took: selected top-k
+entries, the leading parameter blocks of the m scored query columns, and
+the documents of active hinges.
 """
 
 from __future__ import annotations
@@ -40,10 +40,15 @@ from .errors import DataFormatError
 from .graph import DocumentGraph, block_diagonal
 
 CHECKPOINT_VERSION = 3
-# padded rows per stacked block: a training minibatch of short documents is
-# one block, a rerank pool of long ones several; a larger block would reorder
-# `backward`'s sums over a block's nodes, and so change the trained parameters
+# padded rows per stacked block that `backward` replays: a training minibatch
+# of short documents is one block; a larger block would reorder `backward`'s
+# sums over a block's nodes, and so change the trained parameters
 BLOCK_NODES = 2048
+# padded rows per block with nothing recorded (rerank, validation): rerank-cold's
+# 900 pairs take 36 blocks, not 150, and 0.130 s, not 0.156 s, with the same bytes;
+# scoring's tracemalloc peak grows with the block (1.1 MiB at 2048 rows, 4.2 at
+# 8192, 7.7 at 16384, 15.3 at 32768), and 262,144 rows lose most of the gain
+SCORE_NODES = 8192
 # `readout` partitions past this many nodes per k: 1.9x a sort's time at 1.5k, 0.5x at 8k
 READOUT_PARTITION = 4
 
@@ -286,18 +291,18 @@ def score(
 
 
 def _blocks(
-    widths: np.ndarray, sizes: np.ndarray
+    widths: np.ndarray, sizes: np.ndarray, limit: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Batch positions by query width m, in increasing node count, cut so
     that a block's documents padded to its largest one (as `readout`
-    pads them) fill at most BLOCK_NODES rows, unless one document alone
+    pads them) fill at most `limit` rows, unless one document alone
     does; yields (m, positions)."""
     for m in np.unique(widths).tolist():
         members = np.flatnonzero(widths == m)
         members = members[np.argsort(sizes[members], kind="stable")]
         start = 0
         for end, n in enumerate(sizes[members].tolist()):
-            if end > start and (end - start + 1) * n > BLOCK_NODES:
+            if end > start and (end - start + 1) * n > limit:
                 yield m, members[start:end]
                 start = end
         yield m, members[start:]
@@ -329,7 +334,7 @@ def forward_batch(
             raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
     rel = np.zeros(len(docs))
     traces: list[ForwardTrace] | None = [] if record else None
-    for m, members in _blocks(widths, sizes):
+    for m, members in _blocks(widths, sizes, BLOCK_NODES if record else SCORE_NODES):
         block = [docs[i] for i in members]
         norm_adj = block_diagonal([(g.indptr, g.indices, g.weights) for g, _, _ in block])
         h = np.concatenate([S[:, :m] for _, S, _ in block])

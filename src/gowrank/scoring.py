@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
-from .graph import DocumentGraph, build_graphs, interaction_matrix
+from .graph import DocumentGraph, build_graphs, interaction_matrix, unit_rows
 from .model import ForwardTrace, ModelParams, forward_batch
 
 log = logging.getLogger(__name__)
@@ -42,15 +42,20 @@ class ScoringContext:
         self.adjacency_mode = adjacency_mode
         self._graphs = {} if graphs is None else graphs
         self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
+        self._query_rows: dict[tuple[int, ...], np.ndarray] = {}
         self._truncated: set[str] = set()
 
     def feats(self, qid: str, doc_id: str) -> np.ndarray:
-        # keyed by query text: ids that repeat a text share the matrices
+        # keyed by query text: ids that repeat a text share the matrices,
+        # and every document of a text its query's unit rows
         query = self.queries[qid]
-        key = (tuple(query.tokens), doc_id)
-        if key not in self._feats:
-            self._feats[key] = interaction_matrix(self._graphs[doc_id], query, self.emb)
-        return self._feats[key]
+        text = tuple(query.tokens)
+        if (text, doc_id) not in self._feats:
+            if text not in self._query_rows:
+                self._query_rows[text] = unit_rows(self.emb, query.tokens)
+            self._feats[text, doc_id] = interaction_matrix(
+                self._graphs[doc_id], query, self.emb, self._query_rows[text])
+        return self._feats[text, doc_id]
 
     def warn_truncated(self, qid: str, budget: int) -> None:
         """Warn, once per query id, when the query has more than `budget` terms."""

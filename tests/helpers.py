@@ -26,6 +26,17 @@ SPACES = ["\t", "\xa0", "\x85", "\u2003", "\u3000", "\u2028", "\x1c", "\x1d", "\
 TEXT_EDITS = ["attached", "pure", "whitespace", "cased"]
 
 
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    so that OPENBLAS_CORETYPE can force another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
 def fail_cache_write(monkeypatch, target, error: OSError) -> None:
     """Make `artifacts.write_arrays`, which every `artifacts.Cache` writes
     through, raise `error` for the file `target` alone."""

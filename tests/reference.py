@@ -38,7 +38,7 @@ replay of its trace.  The batched `model.forward_batch` and
 
 `sort_readout` is the k-max readout as a full stable sort of every padded
 column, and `masked_unit_rows` gathers unit rows through a boolean mask
-into zeros: the first batched `model.readout` and `graph._unit_rows`,
+into zeros: the first batched `model.readout` and `graph.unit_rows`,
 which the partition and the one-gather versions must match bit for bit.
 """
 

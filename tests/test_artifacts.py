@@ -249,7 +249,7 @@ def _damaged(data: bytes, seed: int):
 
 
 def _index_content(path):
-    vocab, docs = indexfile.read_index(path.parent)
+    vocab, docs, _ = indexfile.read_index(path.parent)
     return vocab.to_payload(), [(d.doc_id, d.tokens.tolist(), d.raw_length)
                                 for d in docs.values()]
 
@@ -263,8 +263,8 @@ def _graphs_content(path):
     """The graphs that a command reads from the store at `path`.  A store
     it ignores, with a warning, is refused here as a DataFormatError."""
     cfg = RunConfig(index_dir=str(path.parent))
-    _, docs = indexfile.read_index(path.parent)
-    with cli._graph_stores(cfg, docs, ["graph"]) as graphs:
+    _, docs, index_sha256 = indexfile.read_index(path.parent)
+    with cli._graph_stores(cfg, docs, index_sha256, ["graph"]) as graphs:
         pass
     if not graphs["graph"]:
         raise DataFormatError(f"{path}: ignored")
@@ -643,3 +643,53 @@ def test_edited_qrels_are_evaluated_or_refused(bridged_world, tmp_path, capsys, 
         assert any(f"\ndata error: {named}:" in f"\n{err}" for named in (path, run)), err
     else:
         assert out.startswith("nDCG@20 "), out
+
+
+# a run.conf of training knobs; the paths and `epochs` come as flags, so
+# that an edit neither names another file nor trains for long
+RUN_CONF = {"window": 5, "steps": 1, "pool_k": 4, "max_query_len": 8, "batch": 4,
+            "steps_per_epoch": 2, "candidates": 20, "seed": 7, "folds": 4,
+            "fold_rotation": 1, "min_freq": 2, "adjacency_mode": "graph"}
+INT_KEYS = [key for key, value in RUN_CONF.items() if isinstance(value, int)]
+# (the edit, the exit codes `train` may give for it, the words one of which
+# its data error names): `_edited`'s kinds anywhere, an int key set to a
+# value, and a key that RunConfig does not have
+RUN_CONF_EDITS = [
+    *[((kind, number), codes, ("run.conf", *RUN_CONF)) for kind, codes in
+      (("flipped", {0, 2}), ("truncated", {0, 2}), ("not-utf8", {2}), ("deleted", {0}),
+       ("duplicated", {2})) for number in range(5)],
+    *[(("set", key, value), {0, 2} if value in ("0", str(2**63)) else {2}, (key,))
+      for key in INT_KEYS for value in ("-1", "0", str(2**63), "12o")],
+    (("set", "wibble", "1"), {2}, ("run.conf",)),
+]
+
+
+@pytest.mark.parametrize("edit, codes, named", RUN_CONF_EDITS,
+                         ids=["-".join(map(str, edit)) for edit, _, _ in RUN_CONF_EDITS])
+def test_edited_run_conf_is_run_or_refused(bridged_world, tmp_path, capsys, edit, codes,
+                                           named):
+    conf = tmp_path / "run.conf"
+    data = "".join(f"{key} = {value}\n" for key, value in RUN_CONF.items()).encode()
+    if edit[0] == "set":
+        _, key, value = edit
+        lines = [line for line in data.splitlines(keepends=True)
+                 if not line.startswith(f"{key} =".encode())]
+        data = b"".join(lines) + f"{key} = {value}\n".encode()
+    else:
+        data = _edited(data, edit[0], random.Random(edit[1]), {})
+    conf.write_bytes(data)
+    shutil.copytree(bridged_world / "index", tmp_path / "index")
+    rc = cli.main(["train", "--config", str(conf), "--epochs", "2",
+                   "--index-dir", str(tmp_path / "index"),
+                   "--checkpoint", str(tmp_path / "model.ckpt"),
+                   "--log-out", str(tmp_path / "train.log"),
+                   *[f"--{name}={bridged_world / f'{name}.{ext}'}" for name, ext in
+                     (("queries", "tsv"), ("qrels", "txt"), ("embeddings", "txt"))]])
+    err = capsys.readouterr().err
+    assert rc in codes and "Traceback" not in err, (data, rc, err)
+    if rc == 2:
+        line = next(line for line in err.splitlines() if line.startswith("data error: "))
+        assert any(word in line for word in named), (data, line)
+        assert not (tmp_path / "model.ckpt").exists()
+    else:
+        assert (tmp_path / "model.ckpt").exists()

@@ -485,7 +485,7 @@ def test_index_bytes_are_pinned(tmp_path, capsys):
     bridged_corpus(seed=0).write(tmp_path)
     assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
                  "--index-dir", str(tmp_path / "index"), "--min-freq", "1"]) == 0
-    vocab, docs = indexfile.read_index(tmp_path / "index")
+    vocab, docs, _ = indexfile.read_index(tmp_path / "index")
     rendered = {
         "index.npz": (tmp_path / "index" / "index.npz").read_bytes(),
         "vocab.json": json.dumps(vocab.to_payload(), sort_keys=True).encode(),
@@ -545,7 +545,7 @@ class TestPipeline:
     def test_index_writes_vocabulary_and_documents(self, workdir):
         assert _run(workdir, "index") == 0
         assert [p.name for p in (workdir / "index").iterdir()] == ["index.npz"]
-        vocab, docs = indexfile.read_index(workdir / "index")
+        vocab, docs, _ = indexfile.read_index(workdir / "index")
         assert len(vocab) > 0
         assert vocab.min_freq == 1
         assert list(docs) == sorted(docs) and len(docs) == 40
@@ -774,7 +774,7 @@ class TestRepeatedQueryTexts:
 
     def test_run_matches_a_fresh_scoring_per_id(self, repeat_world, tmp_path):
         cfg = load_config(repeat_world / "run.conf")
-        docs, queries, emb, index = cli._load_world(cfg)
+        docs, queries, emb, index, _ = cli._load_world(cfg)
         params, _ = load_checkpoint(cfg.checkpoint)
         assert queries["a1"].tokens == queries["a2"].tokens
         oracle = {}
@@ -1003,7 +1003,7 @@ class TestEmbeddingsCache:
             assert _in_world(world, "rerank", "--run-out", str(world / "edited.run")) == 0
         assert _cache_log(caplog) == [
             ("INFO", f"embeddings cache {cache}: miss (stale), written")]
-        vocab, _ = indexfile.read_index(world / "index")
+        vocab, _, _ = indexfile.read_index(world / "index")
         values = np.array((world / "embeddings.txt").read_text().split("\n")[1].split()[1:],
                           float)
         assert read_arrays(cache, "gowrank train")[1]["unit"][
@@ -1093,6 +1093,60 @@ class TestGraphStore:
             assert _in_world(world, "rerank", "--run-out", str(world / "x.run"), *flags) == 0
         assert _store_log(caplog) == [("INFO", f"graph store {store}: miss (stale), written")]
 
+    def test_index_replaced_after_its_read_leaves_the_store_stale(
+        self, parsed_world, tmp_path, monkeypatch, caplog
+    ):
+        # another index of the same documents, moved in as `index` would
+        # move it, after this rerank read its index and before the store's key
+        world, store = self._world(parsed_world, tmp_path)
+        other = tmp_path / "other"
+        shutil.copytree(world, other)
+        assert _in_world(other, "index", "--min-freq", "2") == 0
+        read = cli.read_index
+
+        def read_then_replace(index_dir):
+            got = read(index_dir)
+            os.replace(other / "index" / "index.npz", world / "index" / "index.npz")
+            return got
+
+        monkeypatch.setattr(cli, "read_index", read_then_replace)
+        assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 0
+        monkeypatch.undo()
+        # the store holds the old index's graphs, under the old index's digest
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+            assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 0
+        assert _store_log(caplog) == [("INFO", f"graph store {store}: miss (stale), written")]
+
+    @pytest.mark.parametrize("command", ["train", "rerank", "ablate"])
+    def test_index_is_hashed_once_per_command(self, parsed_world, tmp_path, monkeypatch,
+                                              command):
+        world, _ = self._world(parsed_world, tmp_path)
+        index = (world / "index" / "index.npz").read_bytes()
+        sha256, spies = hashlib.sha256, []
+
+        class Spy:
+            """sha256 that keeps the bytes it was given."""
+
+            def __init__(self, data=b""):
+                self.data, self.hash = bytearray(data), sha256(data)
+                spies.append(self)
+
+            def update(self, data):
+                self.data += data
+                self.hash.update(data)
+
+            def digest(self):
+                return self.hash.digest()
+
+            def hexdigest(self):
+                return self.hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Spy)
+        flags = ["--run-out", str(world / "x.run")] if command == "rerank" else []
+        assert _in_world(world, command, *flags) == 0
+        assert sum(spy.data == index for spy in spies) == 1
+
     def test_failed_store_write_is_warned_and_outputs_unchanged(
         self, parsed_world, tmp_path, monkeypatch, caplog, capsys
     ):
@@ -1130,18 +1184,7 @@ class TestGraphStore:
                     parsed_world / "world" / name).read_bytes(), name
 
 
-def _openblas_dynamic_arch() -> bool:
-    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
-    so that OPENBLAS_CORETYPE can force another one."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return False
-    return ("openblas" in blas.get("name", "")
-            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
-
-
-@pytest.mark.skipif(not _openblas_dynamic_arch(),
+@pytest.mark.skipif(not helpers.openblas_dynamic_arch(),
                     reason="numpy's BLAS cannot be switched to another kernel")
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 9b: numpy's dense products "
                    "round as the BLAS kernel does, so the checkpoint's bits follow it")

@@ -1,5 +1,6 @@
 """Seed streams and configuration layering."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -121,6 +122,23 @@ class TestLoadConfig:
             load_config(None, overrides={"steps": -1}, env={})
         with pytest.raises(DataFormatError, match="steps must be an int >= 0"):
             load_config(None, overrides={"steps": True}, env={})
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if f.type == "int" and f.name != "seed"])
+    def test_int_past_int64_is_data_error(self, key):
+        # numpy takes each of these as an int64; a value past it overflowed
+        # deep in `train` or ran on for minutes
+        load_config(None, overrides={"folds": 2**63 - 1, key: 2**63 - 2}, env={})
+        with pytest.raises(DataFormatError, match=f"{key} must be < 2\\*\\*63"):
+            load_config(None, overrides={key: 2**63}, env={})
+
+    def test_seed_is_non_negative_and_of_any_size(self):
+        with pytest.raises(DataFormatError, match="seed must be >= 0, got -1"):
+            load_config(None, overrides={"seed": -1}, env={})
+        with pytest.raises(DataFormatError, match="seed must be >= 0"):
+            load_config(None, env={"GOWRANK_SEED": "-1"})
+        assert load_config(None, overrides={"seed": 10**20}, env={}).seed == 10**20
+        seed_stream(10**20, "init").random()  # SeedSequence takes it
 
     def test_nul_in_path_is_data_error(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -15,7 +15,6 @@ from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.graph import (
     BUILD_TOKENS,
     DocumentGraph,
-    _unit_rows,
     block_diagonal,
     build_graph,
     build_graphs,
@@ -23,6 +22,7 @@ from gowrank.graph import (
     normalize_adjacency,
     store_arrays,
     stored_graphs,
+    unit_rows,
 )
 
 import reference
@@ -697,7 +697,7 @@ class TestInteractionMatrix:
         # without rows; an empty id list gives an empty block
         table = EmbeddingTable(3, np.random.default_rng(48).normal(size=(rows, 3)))
         for ids in ([], [OOV_ID], [4], [0, OOV_ID, 3, 4, 99, 1, 3], [2, 2]):
-            got = _unit_rows(table, ids)
+            got = unit_rows(table, ids)
             want = reference.masked_unit_rows(table.unit, 3, ids)
             assert got.shape == want.shape == (len(ids), 3) and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

@@ -5,6 +5,10 @@ on a tiny separable corpus."""
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -18,8 +22,10 @@ from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
 from gowrank.evaluation import ndcg_at
-from gowrank.graph import build_graph, build_graphs, interaction_matrix
+from gowrank.graph import build_graph, build_graphs, interaction_matrix, unit_rows
 from gowrank.model import (
+    BLOCK_NODES,
+    SCORE_NODES,
     HyperParams,
     backward,
     forward,
@@ -247,6 +253,77 @@ class TestBatchedAgainstOracle:
         idle = backward(traces, np.zeros(len(docs)))
         for name, grad in iter_tensors(idle):
             assert np.all(grad == 0.0), name
+
+
+def _zipf_pool(rng):
+    """A rerank pool of 500-token Zipf documents: 60 graphs over 2000 terms,
+    each with its features against each of 3 queries of 2 to 4 terms."""
+    emb = EmbeddingTable(16, rng.normal(size=(2000, 16)))
+    docs = [TokenizedDoc(f"d{i}", (rng.zipf(1.2, size=500) % 2000).tolist(), 500)
+            for i in range(60)]
+    graphs = build_graphs(docs, window=5)
+    queries = [Query(f"q{m}", rng.choice(2000, size=m, replace=False).tolist(),
+                     rng.uniform(0.1, 3.0, m)) for m in (2, 3, 4)]
+    return [(g, interaction_matrix(g, q, emb), q) for q in queries for g in graphs]
+
+
+class TestScoreBlocks:
+    """Scoring with no gradient stacks blocks of up to SCORE_NODES rows and
+    a recorded pass keeps BLOCK_NODES; these batches' scores keep their
+    bytes either way."""
+
+    @pytest.mark.parametrize("batch", ["mixed", "zipf-pool"])
+    def test_scores_equal_bit_for_bit_across_block_sizes(self, monkeypatch, batch):
+        rng = np.random.default_rng(340)
+        docs = _mixed_batch(rng) if batch == "mixed" else _zipf_pool(rng)
+        params = helpers.random_params(rng, HyperParams(steps=2, pool_k=40, max_query_len=8))
+        scored, _ = forward_batch(docs, params)
+        recorded, _ = forward_batch(docs, params, record=True)
+        alone = np.concatenate([forward_batch([doc], params)[0] for doc in docs])
+        monkeypatch.setattr(gowrank.model, "SCORE_NODES", BLOCK_NODES)
+        small, _ = forward_batch(docs, params)
+        assert scored.tobytes() == small.tobytes() == recorded.tobytes()
+        # alone, a document is a product of its own: numpy multiplies one row
+        # as a vector, not a matrix, and the Haswell and Prescott kernels
+        # round the last of an odd number of 8-column rows otherwise, so
+        # those scores may move in their last bits
+        edge = np.array([g.num_nodes == 1 or (S.shape[1] >= 8 and g.num_nodes % 2)
+                         for g, S, _ in docs])
+        assert alone[~edge].tobytes() == scored[~edge].tobytes()
+        npt.assert_allclose(alone[edge], scored[edge], rtol=0, atol=1e-15)
+
+    @pytest.mark.skipif(not helpers.openblas_dynamic_arch(),
+                        reason="numpy's BLAS cannot be switched to another kernel")
+    def test_scores_equal_across_block_sizes_on_the_oldest_kernel(self):
+        # the test above in a fresh process on the oldest x86-64 kernel
+        root = Path(__file__).resolve().parents[1]
+        node = f"{__file__}::TestScoreBlocks::test_scores_equal_bit_for_bit_across_block_sizes"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               node], cwd=root, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0 and "2 passed" in done.stdout, done.stdout + done.stderr
+
+    def test_blocks_are_cut_at_the_limit_of_their_pass(self, monkeypatch):
+        rng = np.random.default_rng(341)
+        docs = _zipf_pool(rng) + _mixed_batch(rng)
+        params = helpers.random_params(rng, HyperParams(steps=1, pool_k=5, max_query_len=8))
+        blocks, cut = {}, gowrank.model._blocks
+
+        def spied(widths, sizes, limit):
+            for m, members in cut(widths, sizes, limit):
+                blocks[record].append((len(members), len(members) * sizes[members].max()))
+                yield m, members
+
+        monkeypatch.setattr(gowrank.model, "_blocks", spied)
+        for record in (True, False):
+            blocks[record] = []
+            forward_batch(docs, params, record)
+        # padded rows: a block's documents padded to its largest one
+        for record, limit in ((True, BLOCK_NODES), (False, SCORE_NODES)):
+            assert all(n == 1 or rows <= limit for n, rows in blocks[record]), record
+        assert max(rows for n, rows in blocks[False] if n > 1) > BLOCK_NODES
+        assert len(blocks[False]) < len(blocks[True])
 
 
 class TestGradCheck:
@@ -578,17 +655,24 @@ class TestScoringContext:
             HyperParams(steps=1, pool_k=4, max_query_len=8),
             np.random.default_rng(0),
         )
-        calls = []
+        calls, gathers = [], []
 
-        def counted(graph, query, emb):
+        def counted(graph, query, emb, query_rows):
             calls.append(query.query_id)
-            return interaction_matrix(graph, query, emb)
+            return interaction_matrix(graph, query, emb, query_rows)
+
+        def gathered(emb, term_ids):
+            gathers.append(list(term_ids))
+            return unit_rows(emb, term_ids)
 
         monkeypatch.setattr(scoring, "interaction_matrix", counted)
+        monkeypatch.setattr(scoring, "unit_rows", gathered)
         pool = sorted(docs)
         first, _ = ctx.score([("qa", doc_id) for doc_id in pool], params)
         second, _ = ctx.score([("qa2", doc_id) for doc_id in pool], params)
         assert calls == ["qa"] * len(pool)
+        # the query side is gathered once per text, not once per document
+        assert gathers == [list(queries["qa"].tokens)]
         assert first.tolist() == second.tolist()
 
     def test_pool_scored_at_once_ranks_as_one_at_a_time(self):
