@@ -17,6 +17,7 @@ node-term / query-term cosines are the input features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -204,14 +205,15 @@ def block_diagonal(parts) -> csr_matrix:
     """The disjoint union of square CSR matrices given as (indptr, indices,
     entries), in order; each row keeps its part's entries in stored order,
     so a product with the union sums it exactly as one with its part."""
-    # Python-int offsets keep the parts' int32 index dtype
-    rows = np.cumsum([0] + [len(indptr) - 1 for indptr, _, _ in parts]).tolist()
-    edges = np.cumsum([0] + [len(indices) for _, indices, _ in parts]).tolist()
-    indptr = np.concatenate([np.zeros(1, np.int32)]
-                            + [p[1:] + off for (p, _, _), off in zip(parts, edges)])
-    indices = np.concatenate([i + off for (_, i, _), off in zip(parts, rows)])
-    entries = np.concatenate([e for _, _, e in parts])
-    return csr_matrix((entries, indices, indptr), shape=(rows[-1], rows[-1]))
+    indptrs, indices, entries = zip(*parts)
+    sizes, nnz = [len(p) - 1 for p in indptrs], [len(i) for i in indices]
+    # int32 offsets as the parts' (too large raises), one repeat per array
+    rows, edges = (np.array([0, *accumulate(n)], np.int32) for n in (sizes, nnz))
+    indptr = np.concatenate([np.zeros(1, np.int32), *(p[1:] for p in indptrs)])
+    indptr[1:] += np.repeat(edges[:-1], sizes)
+    indices = np.concatenate(indices)
+    indices += np.repeat(rows[:-1], nnz)
+    return csr_matrix((np.concatenate(entries), indices, indptr), shape=(rows[-1],) * 2)
 
 
 def store_arrays(rows: list[int], graphs: list[DocumentGraph]) -> dict[str, np.ndarray]:

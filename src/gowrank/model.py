@@ -209,7 +209,23 @@ def propagate(h: np.ndarray, norm_adj: csr_matrix, msg_w: np.ndarray) -> np.ndar
 
     Isolated nodes (zero rows in Ã) receive the zero message.
     """
-    return norm_adj @ (h @ msg_w.T)
+    return norm_adj @ (h @ _transposed(msg_w, len(h)))
+
+
+def _transposed(w: np.ndarray, rows: int) -> np.ndarray:
+    """wᵀ as a contiguous copy, which BLAS multiplies 3x faster than a leading
+    block's strided view with the same bits; not for one row, which numpy
+    multiplies as a vector in an order that depends on the layout."""
+    return np.ascontiguousarray(w.T) if rows > 1 else w.T
+
+
+def _gate(act, a, w, x, u, b) -> np.ndarray:
+    """act(a @ wᵀ + x @ uᵀ + b), summed in that order and activated in a new
+    array; the bias is tiled, as numpy adds an (m,) array to N rows in N loops."""
+    y = a @ _transposed(w, len(a))
+    y += x @ _transposed(u, len(a))
+    y += np.tile(b, (len(a), 1))
+    return act(y, out=y)
 
 
 def gru_update(
@@ -220,10 +236,12 @@ def gru_update(
     The gate activations come back alongside the new state so a trace can
     record them for the backward pass.
     """
-    z = expit(a @ layer.w_up.T + h @ layer.u_up.T + layer.b_up)
-    r = expit(a @ layer.w_reset.T + h @ layer.u_reset.T + layer.b_reset)
-    cand = np.tanh(a @ layer.w_cand.T + (r * h) @ layer.u_cand.T + layer.b_cand)
-    h_new = cand * z + h * (1.0 - z)
+    z = _gate(expit, a, layer.w_up, h, layer.u_up, layer.b_up)
+    r = _gate(expit, a, layer.w_reset, h, layer.u_reset, layer.b_reset)
+    cand = _gate(np.tanh, a, layer.w_cand, r * h, layer.u_cand, layer.b_cand)
+    h_new = 1.0 - z  # h' = cand * z + h * (1 - z), the same products and sum
+    h_new *= h
+    h_new += cand * z
     return h_new, z, r, cand
 
 

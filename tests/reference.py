@@ -36,6 +36,11 @@ document at a time: the forward pass over one graph and the reverse
 replay of its trace.  The batched `model.forward_batch` and
 `model.backward` are checked against them.
 
+`gru_update` is the gated update as one expression per gate, with
+broadcast biases and strided transposed weights, as the first batched
+`model.gru_update` wrote it; the in-place version must match it bit for
+bit.
+
 `sort_readout` is the k-max readout as a full stable sort of every padded
 column, and `masked_unit_rows` gathers unit rows through a boolean mask
 into zeros: the first batched `model.readout` and `graph.unit_rows`,
@@ -115,6 +120,14 @@ def norm_adjacency(graph):
     graph's own arrays."""
     n = graph.num_nodes
     return csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+
+
+def gru_update(a, h, layer):
+    """(h', update gate, reset gate, candidate) of states h and messages a."""
+    z = expit(a @ layer.w_up.T + h @ layer.u_up.T + layer.b_up)
+    r = expit(a @ layer.w_reset.T + h @ layer.u_reset.T + layer.b_reset)
+    cand = np.tanh(a @ layer.w_cand.T + (r * h) @ layer.u_cand.T + layer.b_cand)
+    return cand * z + h * (1.0 - z), z, r, cand
 
 
 def sort_readout(h_final, k, sizes):

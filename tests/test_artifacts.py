@@ -6,12 +6,15 @@ indexes it or refused with exit 2, a punctuated one is indexed as the
 reference indexes it, edited queries are reranked or refused with exit
 2, and edited qrels are evaluated or refused with exit 2."""
 
+import errno
 import io
 import json
 import logging
+import os
 import random
 import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,3 +696,54 @@ def test_edited_run_conf_is_run_or_refused(bridged_world, tmp_path, capsys, edit
         assert not (tmp_path / "model.ckpt").exists()
     else:
         assert (tmp_path / "model.ckpt").exists()
+
+
+def _fail_os_call(monkeypatch, name, target, code):
+    """Make `os.fsync` of `target`'s temporary file, or the `os.replace` of
+    that file onto `target`, raise OSError `code` as the kernel would; every
+    other call of this process goes through."""
+    real = getattr(os, name)
+
+    def failing(*args):
+        if name == "fsync":
+            here = any(os.path.samestat(os.fstat(args[0]), tmp.stat())
+                       for tmp in target.parent.glob(f".{target.name}.*"))
+            error = OSError(code, os.strerror(code))
+        else:
+            here = Path(args[1]) == target
+            error = OSError(code, os.strerror(code), str(args[0]), None, str(args[1]))
+        if here:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
+
+
+@pytest.mark.parametrize("fault", [("fsync", errno.ENOSPC), ("replace", errno.EROFS)],
+                         ids=["fsync-ENOSPC", "replace-EROFS"])
+@pytest.mark.parametrize("command", ["train", "rerank"])
+def test_failed_artifact_write_exits_2_and_keeps_the_earlier_file(
+        bridged_world, tmp_path, capsys, monkeypatch, command, fault):
+    # a full disk at the flush, a read-only file system at the rename
+    world = tmp_path / "world"
+    shutil.copytree(bridged_world / "index", world / "index")
+    for name in ("model.ckpt", "embeddings.txt", "queries.tsv", "qrels.txt"):
+        shutil.copy(bridged_world / name, world)
+    target = world / ("new.ckpt" if command == "train" else "x.run")
+    target.write_bytes(b"earlier artifact\n")
+    _fail_os_call(monkeypatch, fault[0], target, fault[1])
+    if command == "train":
+        rc = cli.main(["train", "--index-dir", str(world / "index"),
+                       "--queries", str(world / "queries.tsv"),
+                       "--qrels", str(world / "qrels.txt"),
+                       "--embeddings", str(world / "embeddings.txt"),
+                       "--checkpoint", str(target), "--epochs", "1",
+                       "--steps-per-epoch", "2", "--batch", "4",
+                       "--log-out", str(world / "train.log")])
+    else:
+        rc = _rerank(world, target)
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err, err
+    assert f"\ndata error: [Errno {fault[1]}] {os.strerror(fault[1])}" in f"\n{err}", err
+    assert target.read_bytes() == b"earlier artifact\n"
+    assert not [p for p in world.rglob("*") if p.name.endswith(".tmp")]

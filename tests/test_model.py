@@ -133,6 +133,29 @@ class TestGruUpdate:
                 h_new[i], c_i * z_i + h[i] * (1 - z_i), atol=1e-14
             )
 
+    def test_bytes_equal_the_one_expression_update(self):
+        # the weights are leading blocks of 8 x 8 tensors, as forward_batch
+        # cuts them: strided views whose transposes the update copies
+        rng = np.random.default_rng(431)
+        params = helpers.random_params(rng, HyperParams(max_query_len=8))
+        tensors = params.flat.tobytes()
+        for n in (1, 2, 7, 8193):
+            for m in range(1, 9):
+                layer = leading_block(params.layer, m)
+                a, h = rng.uniform(-2.0, 2.0, size=(2, n, m))
+                inputs = a.tobytes() + h.tobytes()
+                got = gru_update(a, h, layer)
+                for out, want in zip(got, reference.gru_update(a, h, layer)):
+                    assert out.shape == want.shape and out.tobytes() == want.tobytes(), (n, m)
+                assert a.tobytes() + h.tobytes() == inputs
+        assert params.flat.tobytes() == tensors
+        # the update writes in place only into buffers of its own
+        graph, S, query, params = helpers.random_instance(rng, 9, 3, steps=3, k=4)
+        trace = forward(graph, S, query, params)[1]
+        kept = [*trace.states, *trace.messages, *trace.upd_gate, *trace.reset_gate,
+                *trace.candidate]
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(kept) for y in kept[:i])
+
 
 class TestReadout:
     # one document unless a test says otherwise: pooled[0] is its (m, k) block

@@ -295,14 +295,17 @@ class TestScoreBlocks:
     @pytest.mark.skipif(not helpers.openblas_dynamic_arch(),
                         reason="numpy's BLAS cannot be switched to another kernel")
     def test_scores_equal_across_block_sizes_on_the_oldest_kernel(self):
-        # the test above in a fresh process on the oldest x86-64 kernel
+        # the test above and the GRU update's oracle test in a fresh process
+        # on the oldest x86-64 kernel
         root = Path(__file__).resolve().parents[1]
-        node = f"{__file__}::TestScoreBlocks::test_scores_equal_bit_for_bit_across_block_sizes"
+        nodes = [f"{__file__}::TestScoreBlocks::test_scores_equal_bit_for_bit_across_block_sizes",
+                 f"{Path(__file__).with_name('test_model.py')}::TestGruUpdate"
+                 "::test_bytes_equal_the_one_expression_update"]
         env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               node], cwd=root, env=env, capture_output=True, text=True,
+                               *nodes], cwd=root, env=env, capture_output=True, text=True,
                               timeout=300)
-        assert done.returncode == 0 and "2 passed" in done.stdout, done.stdout + done.stderr
+        assert done.returncode == 0 and "3 passed" in done.stdout, done.stdout + done.stderr
 
     def test_blocks_are_cut_at_the_limit_of_their_pass(self, monkeypatch):
         rng = np.random.default_rng(341)
