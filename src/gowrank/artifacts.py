@@ -29,15 +29,18 @@ from .errors import DataFormatError
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open a temporary file for `path` ("w" UTF-8 text, or "wb"); on a
-    clean exit flush it to disk and rename it to `path`."""
+    clean exit flush it to disk, an OSError naming `path`, and rename it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb" if binary else "w",
                   encoding=None if binary else "utf-8") as fh:
             yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
+            try:
+                fh.flush()
+                os.fsync(fh.fileno())
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

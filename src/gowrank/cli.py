@@ -144,35 +144,63 @@ def _load_world(cfg: RunConfig):
     }
     emb = load_embeddings(cfg.embeddings, vocab, cfg.index_dir)
     index = build_index(docs.values())
+    index.fill(t for query in queries.values() for t in query.tokens)  # one pass for all
     return docs, queries, emb, index, index_sha256
 
 
 # index_dir/graphs-<mode>-w<width>.npz (see graph.stored_graphs) holds the
-# graphs that commands built in that mode from the index's documents
+# graphs that commands built in that mode from the index's documents, and
+# graphs-<mode>-w<width>.<n>.npz, n = 1, 2, ..., the segments appended to it
 GRAPH_STORE_VERSION = 1
 
 
 @contextmanager
 def _graph_stores(cfg: RunConfig, docs, index_sha256: str, modes):
     """Per adjacency mode of `modes`, the graphs of index_dir's store for it
-    by doc id, in a dict that scoring fills; on a clean exit a store is
-    written again if its dict grew, under the `index_sha256` of the bytes
-    `docs` were read from.  Zero mode builds no edges to store."""
+    by doc id, in a dict that scoring fills, under the `index_sha256` of the
+    bytes `docs` were read from.  Zero mode builds no edges to store.  The
+    base file's segments are read after it, in order, each holding graphs
+    of its own.  On a clean exit the dict's new graphs are appended as one
+    segment if fewer than half the last file's, so a store of G graphs has
+    at most log2(G) + 1 files; otherwise, or if a file was not read, all go
+    to the base file and the segments are removed, the last first."""
     ids, stores, graphs = list(docs), {}, {mode: {} for mode in modes}
     for mode in [mode for mode in modes if mode != "zero"]:
         width = edge_width(mode, cfg.window)
-        stores[mode] = Cache(Path(cfg.index_dir) / f"graphs-{mode}-w{width}.npz",
-                             {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width,
-                              "index_sha256": index_sha256}, "graph store", log)
-        stored = stores[mode].read(lambda arrays: stored_graphs(arrays, len(ids)))
-        rows, built = stored or ([], [])
-        graphs[mode].update(zip([ids[r] for r in rows], built))
-    held = {mode: len(graphs[mode]) for mode in stores}
+        store = Cache(Path(cfg.index_dir) / f"graphs-{mode}-w{width}.npz",
+                      {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width,
+                       "index_sha256": index_sha256}, "graph store", log)
+        segments = []
+        while (path := store.path.with_suffix(f".{len(segments) + 1}.npz")).exists():
+            segments.append(Cache(path, store.key, store.label, log))
+
+        def add(arrays, held=graphs[mode]):
+            rows, built = stored_graphs(arrays, len(ids))
+            if not held.keys().isdisjoint(ids[r] for r in rows):
+                raise DataFormatError("it holds a graph that an earlier file holds")
+            held.update(zip([ids[r] for r in rows], built))
+            return len(rows)
+
+        sizes = [store.read(add)]  # graphs per file, None for one not read
+        if store.outcome == "hit":
+            sizes += [segment.read(add) for segment in segments]
+        stores[mode] = store, segments, sizes, path  # path: the next segment's
     yield graphs
     row = {doc_id: r for r, doc_id in enumerate(ids)}
-    for mode, store in stores.items():
-        if len(graphs[mode]) > held[mode]:
-            store.write(store_arrays([row[d] for d in graphs[mode]], list(graphs[mode].values())))
+    for mode, (store, segments, sizes, path) in stores.items():
+        read, hit = sum(size or 0 for size in sizes), store.outcome == "hit"
+        new = list(graphs[mode])[read:]
+        if new or (hit and None in sizes):
+            append = hit and None not in sizes and 2 * len(new) < sizes[-1]
+            part = Cache(path, store.key, store.label, log) if append else store
+            kept = new if append else list(graphs[mode])
+            part.write(store_arrays([row[d] for d in kept], [graphs[mode][d] for d in kept]))
+            if part.outcome.endswith(", written"):
+                for segment in [] if append else reversed(segments):
+                    segment.path.unlink(missing_ok=True)
+                if hit:
+                    store.outcome = (f"hit, {'appended' if append else 'written'} "
+                                     f"({read} read, {len(kept)} written)")
         store.report()
 
 

@@ -1,12 +1,12 @@
 """First-stage ranking: inverted index, BM25, query likelihood, top-k.
 
-The postings are term-major CSR arrays: the rows (documents, in input
-order) that contain term t, ascending, and their term frequencies.  They
-come from one doc-by-term incidence matrix of every token, transposed
-once, whose runs of a repeated (term, document) are collapsed into its tf.
-The index is immutable after construction; scoring distinct queries is
-embarrassingly parallel.  Ties are always broken by ascending doc_id so
-runs are byte-reproducible.
+A term's postings are the rows (documents, in input order) that contain
+it, ascending, and their term frequencies.  The index keeps every token
+in one stream and builds a term's postings on first use, then keeps
+them: `fill` builds those of every term a caller names in one pass over
+the stream, so a command pays for the terms its queries read, not for
+the vocabulary.  Ties are always broken by ascending doc_id so runs are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .artifacts import atomic_write
 from .corpus import Query, TokenizedDoc
@@ -56,53 +55,57 @@ class PostingsIndex:
         self._id_rank = np.empty(self.num_docs, dtype=np.int64)
         self._id_rank[by_id] = np.arange(self.num_docs)
 
-        # the per-document arrays are freed before the postings are built
-        flat = np.concatenate(gathered)
+        # the per-document arrays are freed once joined into the stream
+        self._tokens = np.concatenate(gathered)
         del gathered
-        self._term_counts = counts = np.bincount(flat)
-        self.coll_len = flat.size
+        self.coll_len = self._tokens.size
         self.avg_doc_len = self.coll_len / self.num_docs
         # avg_doc_len is 0 only when there is no posting to weigh
         self._bm25_norm = _bm25_norm(lens, self.avg_doc_len or 1.0, BM25_K1, BM25_B)
-        indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        # repeats kept: the transpose lists a term's rows ascending, so a
-        # document's repeats are one run, whose length is their tf; each
-        # temporary is freed once used, which keeps the peak below a sort's
-        incidence = csr_matrix((np.ones(flat.size, dtype=np.int8), flat, indptr),
-                               shape=(self.num_docs, len(counts)))
-        del flat
-        postings = incidence.tocsc()
-        del incidence
-        rows, colptr = postings.indices, postings.indptr
-        del postings
-        first = np.ones(rows.size, dtype=bool)  # the first posting of a run
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        first[colptr[:-1][np.diff(colptr) > 0]] = True
-        self._rows = rows[first]
-        del rows
-        starts = np.flatnonzero(first)
-        del first
-        self._tf = np.empty(starts.size, dtype=np.intc)
-        np.subtract(starts[1:], starts[:-1], out=self._tf[:-1])
-        self._tf[-1:] = colptr[-1] - starts[-1:]
-        self._indptr = np.searchsorted(starts, colptr).astype(colptr.dtype)
+        self._ends = np.cumsum(lens)  # the stream offset past each row's tokens
+        self._top = int(self._tokens.max(initial=-1))
+        self._postings = {}  # term id -> (rows, tf), filled on first use
 
     @cached_property
     def coll_freq(self) -> dict[int, int]:
-        present = np.flatnonzero(self._term_counts)
-        return dict(zip(present.tolist(), self._term_counts[present].tolist()))
+        counts = np.bincount(self._tokens)
+        present = np.flatnonzero(counts)
+        return dict(zip(present.tolist(), counts[present].tolist()))
+
+    def fill(self, term_ids: Iterable[int]) -> None:
+        """Build the postings of every term of `term_ids` that has none yet,
+        in one pass over the token stream: a table lookup per token, the
+        rows of the tokens found, and each (term, row) run's length as tf."""
+        new = sorted({int(t) for t in term_ids}.difference(self._postings))
+        self._postings.update(dict.fromkeys(new, (np.empty(0, np.int32), np.empty(0, np.intc))))
+        wanted = [t for t in new if 0 <= t <= self._top]
+        if not wanted:
+            return
+        table = np.full(self._top + 1, len(wanted), np.min_scalar_type(len(wanted)))
+        table[wanted] = np.arange(len(wanted))
+        slots = table[self._tokens]  # cast in buffered chunks; `take` copies all to intp
+        at = np.flatnonzero(slots < len(wanted))
+        order = np.argsort(slots[at], kind="stable")  # term-major, positions still ascending
+        slots, at = slots[at[order]], at[order]
+        rows = np.searchsorted(self._ends, at, side="right").astype(np.int32)
+        first = np.ones(rows.size, dtype=bool)  # the first position of a (term, row) run
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        first[1:] |= slots[1:] != slots[:-1]
+        starts = np.flatnonzero(first)
+        tf = np.diff(starts, append=rows.size).astype(np.intc)
+        rows = rows[starts]
+        bounds = np.searchsorted(slots[starts], np.arange(len(wanted) + 1)).tolist()
+        for t, lo, hi in zip(wanted, bounds, bounds[1:]):
+            self._postings[t] = rows[lo:hi], tf[lo:hi]
 
     def postings_of(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending rows of the docs containing `term_id`, and their tf.
+        """Ascending rows (int32) of the docs containing `term_id`, tf (intc).
 
         Empty for a term that occurs in no document, including negative
         (out-of-vocabulary) ids.
         """
-        if not 0 <= term_id < len(self._indptr) - 1:
-            return self._rows[:0], self._tf[:0]
-        lo, hi = self._indptr[term_id], self._indptr[term_id + 1]
-        return self._rows[lo:hi], self._tf[lo:hi]
+        self.fill([term_id])
+        return self._postings[int(term_id)]
 
     def doc_freq(self, term_id: int) -> int:
         return len(self.postings_of(term_id)[0])
@@ -184,6 +187,7 @@ def top_candidates(query: Query, index: PostingsIndex, k: int = 100) -> list[tup
     bit: each posting's weight is the same float expression, and bincount
     adds a document's weights in query-term order.
     """
+    index.fill(query.tokens)
     postings = [index.postings_of(tid) for tid in query.tokens]
     dfs = [len(r) for r, _ in postings]
     if not any(dfs):

@@ -18,6 +18,12 @@ test turns a graph's arrays into a CSR matrix.
 `retrieval.PostingsIndex` did, one dict insert per token, so the CSR
 index can be checked statistic by statistic.
 
+`transpose_postings` builds every term's postings the way the CSR
+`retrieval.PostingsIndex` did before postings were built on first use:
+one doc-by-term incidence matrix transposed once, its runs of a repeated
+(term, document) collapsed into the tf, so the one-pass fill can be
+checked array by array and dtype by dtype.
+
 `line_embeddings` reads a word-vector file the way the first
 `embeddings.load_embeddings` did, one `float()` call per value, so the
 chunked numpy parse can be checked row by row.
@@ -268,6 +274,28 @@ def dict_postings(docs):
             plist[doc.doc_id] = plist.get(doc.doc_id, 0) + 1
             coll_freq[tid] = coll_freq.get(tid, 0) + 1
     return postings, doc_len, coll_freq, coll_len
+
+
+def transpose_postings(token_lists):
+    """(indptr, rows, tf) of the term-major postings of documents given as
+    token-id lists, rows in input order: term t's rows are
+    rows[indptr[t]:indptr[t + 1]], ascending, and tf their counts."""
+    gathered = [np.asarray(tokens, dtype=np.intc) for tokens in token_lists]
+    flat = np.concatenate(gathered)
+    indptr = np.zeros(len(gathered) + 1, dtype=np.int64)
+    np.cumsum([len(tokens) for tokens in gathered], out=indptr[1:])
+    incidence = csr_matrix((np.ones(flat.size, dtype=np.int8), flat, indptr),
+                           shape=(len(gathered), len(np.bincount(flat))))
+    postings = incidence.tocsc()
+    rows, colptr = postings.indices, postings.indptr
+    first = np.ones(rows.size, dtype=bool)  # the first posting of a run
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    first[colptr[:-1][np.diff(colptr) > 0]] = True
+    starts = np.flatnonzero(first)
+    tf = np.empty(starts.size, dtype=np.intc)
+    np.subtract(starts[1:], starts[:-1], out=tf[:-1])
+    tf[-1:] = colptr[-1] - starts[-1:]
+    return np.searchsorted(starts, colptr).astype(colptr.dtype), rows[first], tf
 
 
 def loop_tokenize(text):

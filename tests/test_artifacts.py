@@ -1,7 +1,8 @@
 """Artifacts: a writer that fails leaves the previous file, the .npz
 reader refuses what `write_arrays` does not write, a damaged index or
 checkpoint is refused or loads unchanged, a damaged graph store is
-ignored or loads unchanged, an edited corpus is indexed as the reference
+ignored or loads unchanged, a damaged store segment is ignored and the
+store written whole again, an edited corpus is indexed as the reference
 indexes it or refused with exit 2, a punctuated one is indexed as the
 reference indexes it, edited queries are reranked or refused with exit
 2, and edited qrels are evaluated or refused with exit 2."""
@@ -13,6 +14,7 @@ import logging
 import os
 import random
 import shutil
+import sys
 import zipfile
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from gowrank.corpus import default_stopwords, read_corpus, tokenize
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.errors import DataFormatError
 from gowrank.evaluation import write_report
+from gowrank.graph import store_arrays, stored_graphs
 from gowrank.model import (
     HyperParams,
     init_params,
@@ -282,11 +285,11 @@ ARTIFACTS = {"index": ("index/index.npz", _index_content),
 RERANK_INPUTS = ("index/index.npz", "model.ckpt", "queries.tsv", "embeddings.txt")
 
 
-def _rerank(world, run, queries="queries.tsv"):
+def _rerank(world, run, queries="queries.tsv", *flags):
     return cli.main(["rerank", "--index-dir", str(world / "index"),
                      "--queries", str(world / queries),
                      "--embeddings", str(world / "embeddings.txt"),
-                     "--checkpoint", str(world / "model.ckpt"), "--run-out", str(run)])
+                     "--checkpoint", str(world / "model.ckpt"), "--run-out", str(run), *flags])
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +382,151 @@ def test_damaged_graph_store_is_warned_about_and_rebuilt(small_world, tmp_path, 
     assert store[1][1].endswith(": miss (damaged), written")
     assert (world / name).read_bytes() == (small_world / name).read_bytes()
     assert (world / "q1.run").read_bytes() == (small_world / "q1.run").read_bytes()
+
+
+# --- graph store segments ----------------------------------------------------
+#
+# A warm command appends the graphs it built to the store as one segment
+# file; a segment that does not read is ignored, and the store is written
+# again whole, without segments.
+
+SEGMENT = "index/graphs-graph-w5.1.npz"
+
+
+def _store_log(caplog, world):
+    return [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith(f"graph store {world / 'index'}")]
+
+
+def _first_queries(world, count):
+    """A queries file of the first `count` queries of `world`."""
+    lines = (world / "queries.tsv").read_text().splitlines(keepends=True)
+    (world / f"first{count}.tsv").write_text("".join(lines[:count]))
+    return f"first{count}.tsv"
+
+
+@pytest.fixture(scope="module")
+def segmented_world(small_world, tmp_path_factory):
+    """small_world's inputs, a store of the 35 graphs of the pools of seven
+    queries, one segment of the 5 that the eighth query's pool adds, and the
+    run of all eight."""
+    root = tmp_path_factory.mktemp("segmented")
+    _copy_world(small_world, root, RERANK_INPUTS)
+    assert _rerank(root, root / "first7.run", _first_queries(root, 7)) == 0
+    assert _rerank(root, root / "all.run") == 0
+    assert (root / SEGMENT).exists()
+    return root
+
+
+def _segment_content(path):
+    return stored_graphs(read_arrays(path, "t")[1], 40)
+
+
+def _other_index(world):
+    header, arrays = read_arrays(world / SEGMENT, "t")
+    write_arrays(world / SEGMENT, {**header, "index_sha256": "0" * 64}, arrays)
+
+
+def _base_row(world):
+    rows, graphs = stored_graphs(read_arrays(world / ARTIFACTS["graphs"][0], "t")[1], 40)
+    header = read_arrays(world / SEGMENT, "t")[0]
+    write_arrays(world / SEGMENT, header, store_arrays(rows[-1:], graphs[-1:]))
+
+
+def _outside_row(world):
+    header, arrays = read_arrays(world / SEGMENT, "t")
+    write_arrays(world / SEGMENT, header, {**arrays, "rows": arrays["rows"] + 40})
+
+
+SEGMENT_DAMAGE = {
+    "truncated": lambda world: _first_refused(
+        "truncated", (world / SEGMENT).read_bytes(), _segment_content, world / SEGMENT),
+    "flipped": lambda world: _first_refused(
+        "flipped", (world / SEGMENT).read_bytes(), _segment_content, world / SEGMENT),
+    "other-index": _other_index,
+    "base-row": _base_row,
+    "outside-row": _outside_row,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEGMENT_DAMAGE))
+def test_damaged_segment_is_warned_about_once_and_the_store_rewritten(
+        segmented_world, tmp_path, caplog, kind):
+    world = tmp_path / "world"
+    shutil.copytree(segmented_world, world)
+    SEGMENT_DAMAGE[kind](world)
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "x.run") == 0
+    log = _store_log(caplog, world)
+    warnings = [message for level, message in log if level == "WARNING"]
+    # a segment of another index is a leftover of an interrupted rewrite
+    assert len(warnings) == (kind != "other-index"), log
+    assert all(message.startswith(f"graph store {world / SEGMENT} ignored: ")
+               for message in warnings)
+    assert log[-1] == ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: "
+                               f"hit, written (35 read, 40 written)")
+    assert (world / "x.run").read_bytes() == (segmented_world / "all.run").read_bytes()
+    assert not (world / SEGMENT).exists()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "y.run") == 0
+    assert _store_log(caplog, world) == [
+        ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: hit")]
+    assert (world / "y.run").read_bytes() == (segmented_world / "all.run").read_bytes()
+
+
+def test_appending_rerank_leaves_the_base_file_untouched(small_world, segmented_world,
+                                                         tmp_path, caplog):
+    world = tmp_path / "world"
+    _copy_world(small_world, world, RERANK_INPUTS)
+    assert _rerank(world, world / "first7.run", _first_queries(world, 7)) == 0
+    base = (world / ARTIFACTS["graphs"][0]).read_bytes()
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "all.run") == 0
+    assert _store_log(caplog, world) == [
+        ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: "
+                 f"hit, appended (35 read, 5 written)")]
+    assert (world / ARTIFACTS["graphs"][0]).read_bytes() == base
+    assert (world / SEGMENT).read_bytes() == (segmented_world / SEGMENT).read_bytes()
+    # the graphs read back from base and segment are those of one whole store
+    whole = tmp_path / "whole"
+    _copy_world(small_world, whole, RERANK_INPUTS)
+    assert _rerank(whole, whole / "all.run") == 0
+    assert not (whole / SEGMENT).exists()
+    got, want = (sorted(_graphs_content(w / ARTIFACTS["graphs"][0])) for w in (world, whole))
+    assert got == want and len(got) == 40
+
+
+@pytest.mark.parametrize("interrupted", [False, True])
+def test_rewriting_rerank_removes_every_segment(small_world, segmented_world, tmp_path,
+                                                monkeypatch, caplog, interrupted):
+    # a store of 20 graphs, then segments of 4 and 1: each under half the
+    # file before it; the 15 graphs of the last rerank are not.  A rewrite
+    # stopped before it removed the segments leaves them behind, and the
+    # next command ignores them and writes the store again
+    world = tmp_path / "world"
+    _copy_world(small_world, world, RERANK_INPUTS)
+    assert _rerank(world, world / "x.run", _first_queries(world, 4)) == 0
+    assert _rerank(world, world / "x.run", _first_queries(world, 5), "--candidates", "4") == 0
+    assert _rerank(world, world / "x.run", _first_queries(world, 6), "--candidates", "1") == 0
+    stores = sorted(p.name for p in (world / "index").glob("graphs-*"))
+    assert stores == ["graphs-graph-w5.1.npz", "graphs-graph-w5.2.npz", "graphs-graph-w5.npz"]
+    base = f"graph store {world / ARTIFACTS['graphs'][0]}"
+    want = [("INFO", f"{base}: hit, written (25 read, 40 written)")]
+    if interrupted:
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "unlink", lambda *_, **__: sys.exit("interrupted"))
+            with pytest.raises(SystemExit):
+                _rerank(world, world / "x.run")
+        assert sorted(p.name for p in (world / "index").glob("graphs-*")) == stores
+        want = [("WARNING", f"graph store {world / 'index' / name} ignored: it holds a graph "
+                            f"that an earlier file holds") for name in stores[:2]]
+        want += [("INFO", f"{base}: hit, written (40 read, 40 written)")]
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "all.run") == 0
+    assert _store_log(caplog, world) == want
+    assert [p.name for p in (world / "index").glob("graphs-*")] == ["graphs-graph-w5.npz"]
+    assert (world / "all.run").read_bytes() == (segmented_world / "all.run").read_bytes()
 
 
 def _edited(data: bytes, kind: str, rng: random.Random, line_edits) -> bytes:
@@ -719,12 +867,14 @@ def _fail_os_call(monkeypatch, name, target, code):
     monkeypatch.setattr(os, name, failing)
 
 
-@pytest.mark.parametrize("fault", [("fsync", errno.ENOSPC), ("replace", errno.EROFS)],
-                         ids=["fsync-ENOSPC", "replace-EROFS"])
+@pytest.mark.parametrize("fault", [("fsync", errno.ENOSPC), ("replace", errno.EROFS),
+                                   ("replace", errno.EACCES)],
+                         ids=["fsync-ENOSPC", "replace-EROFS", "replace-EACCES"])
 @pytest.mark.parametrize("command", ["train", "rerank"])
 def test_failed_artifact_write_exits_2_and_keeps_the_earlier_file(
         bridged_world, tmp_path, capsys, monkeypatch, command, fault):
-    # a full disk at the flush, a read-only file system at the rename
+    # a full disk at the flush; a read-only file system or a directory
+    # without write permission at the rename
     world = tmp_path / "world"
     shutil.copytree(bridged_world / "index", world / "index")
     for name in ("model.ckpt", "embeddings.txt", "queries.tsv", "qrels.txt"):
@@ -745,5 +895,25 @@ def test_failed_artifact_write_exits_2_and_keeps_the_earlier_file(
     err = capsys.readouterr().err
     assert rc == 2 and "Traceback" not in err, err
     assert f"\ndata error: [Errno {fault[1]}] {os.strerror(fault[1])}" in f"\n{err}", err
+    assert f"'{target}'" in err  # the flush's error as well as the rename's names it
     assert target.read_bytes() == b"earlier artifact\n"
+    assert not [p for p in world.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_segment_write_refused_permission_is_warned_once(small_world, segmented_world,
+                                                         tmp_path, monkeypatch, caplog):
+    world = tmp_path / "world"
+    _copy_world(small_world, world, RERANK_INPUTS)
+    assert _rerank(world, world / "first7.run", _first_queries(world, 7)) == 0
+    base = (world / ARTIFACTS["graphs"][0]).read_bytes()
+    _fail_os_call(monkeypatch, "replace", world / SEGMENT, errno.EACCES)
+    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        assert _rerank(world, world / "all.run") == 0
+    (level, warning), info = _store_log(caplog, world)
+    assert level == "WARNING" and warning.startswith(
+        f"graph store {world / SEGMENT} not written: [Errno 13] Permission denied: ")
+    assert info == ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: hit")
+    assert (world / "all.run").read_bytes() == (segmented_world / "all.run").read_bytes()
+    assert (world / ARTIFACTS["graphs"][0]).read_bytes() == base
+    assert not (world / SEGMENT).exists()
     assert not [p for p in world.rglob("*") if p.name.endswith(".tmp")]

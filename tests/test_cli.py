@@ -23,7 +23,7 @@ from gowrank.config import load_config
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.evaluation import parse_qrels, parse_run
 from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
-from gowrank.retrieval import top_candidates, write_run
+from gowrank.retrieval import PostingsIndex, top_candidates, write_run
 
 
 @pytest.fixture(scope="module")
@@ -1041,8 +1041,8 @@ class TestEmbeddingsCache:
 # --- the graph store through the commands -------------------------------------
 #
 # `train`, `rerank` and `ablate` read the graphs that earlier commands built
-# from index_dir/graphs-<mode>-w<width>.npz, and write the store again when
-# they built one it lacked.  Like the embeddings cache, it is derived data.
+# from index_dir/graphs-<mode>-w<width>.npz and its segments, and store the
+# graphs they built that it lacked.  Like the embeddings cache, it is derived data.
 
 
 def _store_log(caplog):
@@ -1146,6 +1146,30 @@ class TestGraphStore:
         flags = ["--run-out", str(world / "x.run")] if command == "rerank" else []
         assert _in_world(world, command, *flags) == 0
         assert sum(spy.data == index for spy in spies) == 1
+
+    @pytest.mark.parametrize("command", ["train", "rerank"])
+    def test_query_terms_are_filled_in_one_pass(self, parsed_world, tmp_path, monkeypatch,
+                                                command):
+        # the postings of every query term come from one pass over the
+        # tokens, before any pool is drawn; later reads find them built
+        world, _ = self._world(parsed_world, tmp_path)
+        fill, fills = PostingsIndex.fill, []
+
+        def counted(index, term_ids):
+            before = set(index._postings)
+            fill(index, term_ids)
+            if index._postings.keys() != before:
+                fills.append(index._postings.keys() - before)
+
+        monkeypatch.setattr(PostingsIndex, "fill", counted)
+        flags = ["--run-out", str(world / "x.run")] if command == "rerank" else []
+        assert _in_world(world, command, *flags) == 0
+        terms = {t for line in (world / "queries.tsv").read_text().splitlines()
+                 for t in line.split("\t")[1].split()}
+        assert len(fills) == 1 and len(fills[0]) == len(terms)
+        name = {"train": "train.log", "rerank": "rerank.run"}[command]
+        got = world / ("x.run" if command == "rerank" else name)
+        assert got.read_bytes() == (parsed_world / "world" / name).read_bytes()
 
     def test_failed_store_write_is_warned_and_outputs_unchanged(
         self, parsed_world, tmp_path, monkeypatch, caplog, capsys

@@ -16,7 +16,7 @@ from gowrank.retrieval import (
     top_candidates,
     write_run,
 )
-from reference import dict_postings
+from reference import dict_postings, transpose_postings
 
 
 def _doc(doc_id, tokens):
@@ -114,9 +114,12 @@ class TestBuildIndex:
         assert got.doc_len == want.doc_len
         assert got.coll_freq == want.coll_freq
         assert (got.coll_len, got.avg_doc_len) == (want.coll_len, want.avg_doc_len)
-        for name in ("_indptr", "_rows", "_tf", "_bm25_norm", "_id_rank"):
+        for name in ("_bm25_norm", "_id_rank"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for t in range(-1, 31):
+            for a, b in zip(got.postings_of(t), want.postings_of(t)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
         # the postings are built from a copy: the documents keep their tokens
         assert buffer.tolist() == [t for tokens in lists for t in tokens]
 
@@ -138,10 +141,37 @@ class TestBuildIndex:
             summed.sum_duplicates()
             want = summed.tocsc()
             got = build_index([_doc(f"d{i}", tokens) for i, tokens in enumerate(lists)])
-            for name, array in (("_indptr", want.indptr), ("_rows", want.indices),
-                                ("_tf", want.data)):
-                a = getattr(got, name)
-                assert a.dtype == array.dtype and a.tobytes() == array.tobytes(), name
+            for t in range(want.shape[1]):
+                lo, hi = want.indptr[t], want.indptr[t + 1]
+                for a, b in zip(got.postings_of(t), (want.indices[lo:hi], want.data[lo:hi])):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
+
+    @pytest.mark.parametrize("requests", ["alone", "prefilled", "mixed"])
+    def test_postings_equal_the_transpose_oracle(self, requests):
+        # every id in [-3, V + 3), each term's postings built on its own
+        # first use, all in one fill, or in seeded fills of mixed order
+        rng = np.random.default_rng(61)
+        for trial in range(30):
+            vocab = int(rng.integers(3, 40))
+            lists = [rng.integers(0, vocab, size=rng.integers(0, 40)).tolist()
+                     for _ in range(rng.integers(1, 25))]
+            lists[rng.integers(len(lists))] = []  # an empty document
+            lists += [[0] * int(rng.integers(1, 9))]  # one repeated term
+            lists = [[*tokens, 1] for tokens in lists]  # a term in every document
+            lists = [[t for t in tokens if t != 2] for tokens in lists]  # one in none
+            indptr, rows, tf = transpose_postings(lists)
+            index = build_index([_doc(f"d{i}", tokens) for i, tokens in enumerate(lists)])
+            ids = rng.permutation(np.arange(-3, vocab + 3)).tolist()
+            if requests == "prefilled":
+                index.fill(ids)
+            elif requests == "mixed":
+                for part in np.array_split(ids, rng.integers(2, 6)):
+                    index.fill(part)
+            for t in ids:
+                lo, hi = (indptr[t], indptr[t + 1]) if 0 <= t < len(indptr) - 1 else (0, 0)
+                for got, want in zip(index.postings_of(t), (rows[lo:hi], tf[lo:hi])):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), t
+            assert index.doc_freq(1) == len(lists) and index.doc_freq(2) == 0
 
     def test_duplicate_doc_id(self):
         with pytest.raises(DataFormatError, match="duplicate"):
@@ -281,6 +311,19 @@ class TestTopCandidates:
         small = top_candidates(q, idx, k=10)
         big = top_candidates(q, idx, k=40)
         assert big[: len(small)] == small
+
+    def test_query_terms_are_filled_in_one_pass(self, monkeypatch):
+        idx = self._index()
+        fill, added = PostingsIndex.fill, []
+
+        def counted(index, term_ids):
+            before = len(index._postings)
+            fill(index, term_ids)
+            added.append(len(index._postings) - before)
+
+        monkeypatch.setattr(PostingsIndex, "fill", counted)
+        top_candidates(_query([3, 7, 12, 3]), idx)
+        assert [n for n in added if n] == [3]
 
     def test_no_matches_empty(self):
         idx = self._index()
