@@ -36,8 +36,8 @@ from .gradcheck import grad_check
 from .graph import edge_width, store_arrays, stored_graphs
 from .indexfile import read_index, write_index
 from .model import load_checkpoint
-from .retrieval import build_index, top_candidates, write_run
-from .scoring import ScoringContext, rank_pools
+from .retrieval import build_index, write_run
+from .scoring import ScoringContext, query_pools, rank_pools
 from .training import train
 
 log = logging.getLogger(__name__)
@@ -226,29 +226,21 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params, graphs):
-    """Re-score the first-stage pool for every query; returns run dict.
-
-    A pool and its scores depend only on the query's token ids, so ids
-    that repeat a text share the pool of its first id; every pool is
-    scored in one call, through the graphs of `graphs` (by doc id).
-    """
+    """Run dict: every query's first-stage pool re-scored, all pools in one
+    call through the graphs of `graphs` (by doc id)."""
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode, graphs)
-    pools, first_of, pool_id = {}, {}, {}  # first_of: text -> its first id
+    pools, first = query_pools(queries, index, cfg.candidates, queries)
+    keep = {}
     for qid in sorted(queries):
-        tokens = tuple(queries[qid].tokens)
-        if not tokens:
+        if qid not in first:
             log.warning("query %s has no indexed terms; skipped", qid)
-            continue
-        if tokens not in first_of:
-            first_of[tokens] = qid
-            pools[qid] = top_candidates(queries[qid], index, cfg.candidates)
-        if not pools[first_of[tokens]]:
+        elif not pools[first[qid]]:
             log.warning("query %s matched no documents; skipped", qid)
-            continue
-        ctx.warn_truncated(qid, params.hyper.max_query_len)
-        pool_id[qid] = first_of[tokens]
+        else:
+            ctx.warn_truncated(qid, params.hyper.max_query_len)
+            keep[qid] = first[qid]
     ranked = rank_pools(ctx, pools, params)
-    return {qid: ranked[first] for qid, first in pool_id.items()}
+    return {qid: ranked[text_id] for qid, text_id in keep.items()}
 
 
 def cmd_rerank(cfg: RunConfig, args) -> int:

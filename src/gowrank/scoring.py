@@ -13,6 +13,7 @@ from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .graph import DocumentGraph, build_graphs, interaction_matrix, unit_rows
 from .model import ForwardTrace, ModelParams, forward_batch
+from .retrieval import PostingsIndex, top_candidates
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +80,18 @@ class ScoringContext:
             for qid, doc_id in pairs
         ]
         return forward_batch(docs, params, record)
+
+
+def query_pools(queries: dict[str, Query], index: PostingsIndex, candidates: int,
+                qids) -> tuple[dict[str, list[tuple[str, float]]], dict[str, str]]:
+    """A pool depends only on the token ids, so each text is retrieved once."""
+    pools, first, first_of = {}, {}, {}  # first_of: text -> its first id
+    for qid in sorted(qids):
+        if tokens := tuple(queries[qid].tokens):
+            first[qid] = first_of.setdefault(tokens, qid)
+            if first[qid] == qid:
+                pools[qid] = top_candidates(queries[qid], index, candidates)
+    return pools, first
 
 
 def rank_pools(

@@ -27,8 +27,9 @@ from .gradcheck import grad_check  # noqa: F401 (criterion 1)
 from .model import (
     ModelParams, backward, init_params, iter_tensors, pairwise_hinge, save_checkpoint,
 )
-from .retrieval import PostingsIndex, top_candidates
-from .scoring import ScoringContext, rank_pools, score_pool  # noqa: F401 (criterion 9)
+from .retrieval import PostingsIndex
+from .scoring import ScoringContext, query_pools, rank_pools
+from .scoring import score_pool  # noqa: F401 (criterion 9)
 
 log = logging.getLogger(__name__)
 
@@ -171,23 +172,30 @@ def train(
     sampler = seed_stream(cfg.seed, "triplets")
     ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode, graphs)
 
-    train_qids = [q for q in train_qids if queries[q].tokens]
-    measurable = [q for q in val_qids if queries[q].tokens
+    pools, first = query_pools(queries, index, cfg.candidates, {*train_qids, *val_qids})
+    pools = {qid: pools[text_id] for qid, text_id in first.items()}
+    train_qids = [q for q in train_qids if q in pools]
+    measurable = [q for q in val_qids if q in pools
                   and max(qrels.get(q, {}).values(), default=0) > 0]
     if val_qids and not measurable:
         log.warning("no validation query has terms and a relevant document; "
                     "the final parameters are kept")
     val_qids = measurable
-    pools = {
-        qid: top_candidates(queries[qid], index, cfg.candidates)
-        for qid in sorted(set(train_qids) | set(val_qids))
-    }
 
     best_params = params.copy()
     best_val = float("-inf")
     records: list[dict] = []
     per_epoch = cfg.batch * cfg.steps_per_epoch
-    usable = usable_queries(qrels, {q: pools[q] for q in train_qids})
+    # a fallback positive must be in the corpus, and qrels may judge any doc
+    usable = usable_queries({q: {d: g for d, g in qrels.get(q, {}).items() if d in docs}
+                             for q in train_qids}, {q: pools[q] for q in train_qids})
+    # a width no training query has runs leading blocks never trained together
+    trained = {min(len(queries[q].tokens), cfg.max_query_len) for q in usable}
+    for qid in sorted(val_qids):
+        width = min(len(queries[qid].tokens), cfg.max_query_len)
+        if trained and width not in trained:  # none when nothing trains
+            log.warning("validation query %s scores %d terms, a width that no "
+                        "training query has", qid, width)
 
     for epoch in range(1, cfg.epochs + 1):
         triplets = sample_triplets(usable, sampler, per_epoch)

@@ -21,7 +21,7 @@ from gowrank.artifacts import read_arrays, write_arrays
 from gowrank.cli import main
 from gowrank.config import load_config
 from gowrank.datagen import bridged_corpus, overfit_corpus
-from gowrank.evaluation import parse_qrels, parse_run
+from gowrank.evaluation import kfold_split, parse_qrels, parse_run
 from gowrank.model import HyperParams, init_params, load_checkpoint, save_checkpoint
 from gowrank.retrieval import PostingsIndex, top_candidates, write_run
 
@@ -807,7 +807,7 @@ class TestRepeatedQueryTexts:
             scored.append({tuple(query.tokens) for _, _, query in docs})
             return forward_batch(docs, *args)
 
-        monkeypatch.setattr(cli, "top_candidates", counted_top_candidates)
+        monkeypatch.setattr(scoring, "top_candidates", counted_top_candidates)
         monkeypatch.setattr(scoring, "forward_batch", counted_forward_batch)
         self._rerank(repeat_world, tmp_path / "x.run")
         queries = cli._load_world(load_config(repeat_world / "run.conf"))[1]
@@ -855,6 +855,69 @@ class TestRepeatedQueryTexts:
         assert _run(repeat_world, "ablate", "--out-dir", str(tmp_path / "ablation")) == 0
         cell = tmp_path / "ablation" / "run_graph_t2.txt"
         assert cell.read_bytes() == (tmp_path / "x.run").read_bytes()
+
+
+def test_train_retrieves_each_distinct_text_once(repeat_world, monkeypatch):
+    cfg = load_config(repeat_world / "run.conf")
+    docs, queries, emb, index, _ = cli._load_world(cfg)
+    split = cli._split(cfg, queries)
+    retrieved = []
+
+    def counted_top_candidates(query, *args):
+        retrieved.append(tuple(query.tokens))
+        return top_candidates(query, *args)
+
+    monkeypatch.setattr(scoring, "top_candidates", counted_top_candidates)
+    cli.train(docs, queries, parse_qrels(cfg.qrels), index, emb, cfg,
+              train_qids=split.train, val_qids=split.validation)
+    ids = [qid for qid in split.train + split.validation if queries[qid].tokens]
+    texts = {tuple(queries[qid].tokens) for qid in ids}
+    assert len(texts) < len(ids)  # a text repeats among the ids
+    assert sorted(retrieved) == sorted(texts)
+
+
+def test_fallback_positive_outside_the_corpus_is_not_sampled(tmp_path):
+    """q00's pool holds no judged-relevant doc, so its positives fall back
+    to its judgments, which name only a doc the corpus lacks: q00 is
+    excluded from sampling, as a query without positives is."""
+    overfit_corpus().write(tmp_path)
+    qrels = tmp_path / "qrels.txt"
+    kept = [line for line in qrels.read_text().splitlines() if not line.startswith("q00 ")]
+    qrels.write_text("".join(f"{line}\n" for line in ["q00 0 ghost 1", *kept]))
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in {
+        "corpus": tmp_path / "corpus.jsonl", "queries": tmp_path / "queries.tsv",
+        "qrels": qrels, "embeddings": tmp_path / "embeddings.txt",
+        "index_dir": tmp_path / "index", "checkpoint": tmp_path / "model.ckpt",
+        "min_freq": 1, "folds": 4, "epochs": 2, "batch": 8, "steps_per_epoch": 4,
+    }.items()))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for command in ("index", "train"):
+        result = subprocess.run([sys.executable, "-m", "gowrank.cli", command,
+                                 "--config", str(conf)], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+    assert ("INFO query q00 excluded from sampling (0 positives, 5 negatives)"
+            in result.stderr.splitlines())
+
+
+def test_ablate_repeats_the_unseen_width_warning_in_every_cell(tmp_path, caplog):
+    """Validation queries of one term, training queries of two: each of
+    ablate's seven cells trains on the same split, so each warns once per
+    validation id, as each repeats its other training warnings."""
+    data = overfit_corpus()
+    data.write(tmp_path)
+    validation = kfold_split([qid for qid, _ in data.queries], 4).validation
+    (tmp_path / "queries.tsv").write_text("".join(
+        f"{qid}\t{title.split()[0] if qid in validation else title}\n"
+        for qid, title in data.queries))
+    assert _in_world(tmp_path, "index") == 0
+    with caplog.at_level(logging.WARNING, logger="gowrank"):
+        assert _in_world(tmp_path, "ablate") == 0
+    assert [r.getMessage() for r in caplog.records if "width" in r.getMessage()] == [
+        f"validation query {qid} scores 1 terms, a width that no training query has"
+        for qid in sorted(validation)] * 7
 
 
 # --- the embeddings cache through the commands ----------------------------------

@@ -62,6 +62,22 @@ def test_top_level_package_imports_form_no_cycle():
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
 
 
+def test_only_query_pools_retrieves_first_stage_pools():
+    """One function decides which query ids get which pool, for `train`,
+    `rerank` and `ablate` alike."""
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and "top_candidates" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path.stem, getattr(scope, "name", None)))
+    # the module scope holds every call of its functions as well
+    assert callers == {("scoring", None), ("scoring", "query_pools")}
+
+
 # the benchmark's harness imports these four, and its peak-memory metric
 # inherits the harness's own resident peak
 def test_input_side_modules_load_no_model():

@@ -5,6 +5,7 @@ on a tiny separable corpus."""
 import json
 import logging
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -40,7 +41,7 @@ from gowrank.model import (
     score,
 )
 from gowrank import scoring, training
-from gowrank.retrieval import build_index
+from gowrank.retrieval import build_index, top_candidates
 from gowrank.training import (
     AdamState,
     ScoringContext,
@@ -698,6 +699,41 @@ class TestScoringContext:
             assert scores["nb2"] == scores["z-nb2"]
 
 
+class TestQueryPools:
+    """`query_pools` decides which ids get which first-stage pool: each
+    distinct text with terms is retrieved once, under its first sorted id."""
+
+    def test_pools_by_first_id_each_text_retrieved_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        docs = {}
+        for i in range(40):
+            tokens = rng.integers(0, 12, size=int(rng.integers(3, 12))).tolist()
+            docs[f"d{i:02d}"] = TokenizedDoc(f"d{i:02d}", tokens, len(tokens))
+        index = build_index(docs.values())
+        queries = {qid: Query(qid, tokens, np.ones(len(tokens))) for qid, tokens in [
+            ("b", [3, 5]), ("a", [7]), ("c", [3, 5]), ("e", []),
+            ("f", [20, 21]), ("g", [20, 21]),  # terms that no document holds
+            ("h", [3, 5, 1]), ("x", [7]),      # x is not asked for
+        ]}
+        retrieved = []
+
+        def counted(query, *args):
+            retrieved.append(tuple(query.tokens))
+            return top_candidates(query, *args)
+
+        monkeypatch.setattr(scoring, "top_candidates", counted)
+        asked = ["h", "g", "e", "c", "b", "a", "f"]
+        for qids in (asked, set(asked)):
+            retrieved.clear()
+            pools, first = scoring.query_pools(queries, index, 10, qids)
+            assert first == {"a": "a", "b": "b", "c": "b", "f": "f", "g": "f", "h": "h"}
+            assert list(pools) == ["a", "b", "f", "h"]
+            for qid, pool in pools.items():
+                assert pool == top_candidates(queries[qid], index, 10)
+            assert pools["a"] and pools["b"] and pools["f"] == []
+            assert sorted(retrieved) == [(3, 5), (3, 5, 1), (7,), (20, 21)]
+
+
 class TestRankPools:
     """Every pool of a validation pass or a rerank is scored in one call,
     and ranked exactly as it would be alone."""
@@ -765,6 +801,27 @@ class TestRankPools:
         assert calls.count(False) == cfg.epochs
         assert calls.count(True) == cfg.epochs * cfg.steps_per_epoch
 
+    def test_validation_scores_one_row_per_id_and_pool_doc(self, monkeypatch):
+        # qa2 repeats qa's text; retrieval is per text, validation per id
+        docs, queries, qrels, index, emb = _tiny_world()
+        queries["qa2"] = Query("qa2", list(queries["qa"].tokens), queries["qa"].idf)
+        qrels["qa2"] = qrels["qa"]
+        rows = []
+        forward_batch = scoring.forward_batch
+
+        def counted(batch, params, record=False):
+            if not record:
+                rows.append(Counter(query.query_id for _, _, query in batch))
+            return forward_batch(batch, params, record)
+
+        monkeypatch.setattr(scoring, "forward_batch", counted)
+        cfg = _tiny_config(epochs=2)
+        train(docs, queries, qrels, index, emb, cfg,
+              train_qids=["qb"], val_qids=["qa2", "qa"])
+        size = len(top_candidates(queries["qa"], index, cfg.candidates))
+        assert size > 0
+        assert rows == [Counter(qa=size, qa2=size)] * cfg.epochs
+
 
 class TestTrainLoop:
     def test_log_schema_and_length(self, tmp_path):
@@ -817,6 +874,41 @@ class TestTrainLoop:
                 if r.levelno >= logging.WARNING] == [
             ("WARNING", "no validation query has terms and a relevant document; "
                         "the final parameters are kept")]
+
+    @pytest.mark.parametrize("max_query_len, warned", [(4, ["qc", "qc2"]), (2, [])])
+    def test_unseen_validation_width_warned_once_per_id(
+        self, caplog, max_query_len, warned
+    ):
+        """qa and qb have two terms, qc and qc2 three: their width is unseen
+        in training unless the model scores only two terms of a query."""
+        docs, queries, qrels, index, emb = _tiny_world()
+        for qid in ("qc2", "qc"):
+            queries[qid] = Query(qid, [0, 1, 2], np.array([1.2, 1.4, 1.1]))
+            qrels[qid] = qrels["qa"]
+        cfg = _tiny_config(epochs=2, max_query_len=max_query_len)
+        with caplog.at_level(logging.WARNING, logger="gowrank"):
+            train(docs, queries, qrels, index, emb, cfg,
+                  train_qids=["qa", "qb"], val_qids=["qc2", "qb", "qc"])
+        assert [r.getMessage() for r in caplog.records if "width" in r.getMessage()] == [
+            f"validation query {qid} scores 3 terms, a width that no training "
+            "query has" for qid in warned]
+
+    def test_seen_validation_width_is_not_warned(self, caplog):
+        docs, queries, qrels, index, emb = _tiny_world()
+        with caplog.at_level(logging.WARNING, logger="gowrank"):
+            train(docs, queries, qrels, index, emb, _tiny_config(epochs=2),
+                  train_qids=["qa"], val_qids=["qb"])
+        assert caplog.records == []
+
+    def test_no_width_warning_when_nothing_trains(self, caplog):
+        # the error names the fault; a warning per validation id would bury it
+        docs, queries, qrels, index, emb = _tiny_world()
+        with caplog.at_level(logging.WARNING, logger="gowrank"), pytest.raises(
+            DataFormatError, match="no trainable queries"
+        ):
+            train(docs, queries, qrels, index, emb, _tiny_config(epochs=2),
+                  train_qids=[], val_qids=["qb"])
+        assert caplog.records == []
 
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
         docs, queries, qrels, index, emb = _tiny_world()
