@@ -158,13 +158,15 @@ class Cache:
             self.outcome = "miss (damaged)"
             return None
 
-    def write(self, arrays: dict) -> None:
-        """`arrays` under the key."""
+    def write(self, arrays: dict) -> bool:
+        """`arrays` under the key; whether they were written."""
         try:
             write_arrays(self.path, self.key, arrays)
-            self.outcome += ", written"
         except OSError as exc:
             self.log.warning("%s %s not written: %s", self.label, self.path, exc)
+            return False
+        self.outcome += ", written"
+        return True
 
     def report(self) -> None:
         self.log.info("%s %s: %s", self.label, self.path, self.outcome)

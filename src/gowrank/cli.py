@@ -1,7 +1,7 @@
 """Command-line surface: index, train, rerank, eval, ablate, gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every artifact is a pure function of (inputs, config, seed).
+Every artifact is a pure function of (inputs, config, seed) on one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import Cache, atomic_write
+from .artifacts import atomic_write
 from .config import RunConfig, load_config
 from .corpus import (
     count_vocabulary,
@@ -33,7 +32,7 @@ from .embeddings import load_embeddings
 from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
 from .gradcheck import grad_check
-from .graph import edge_width, store_arrays, stored_graphs
+from .graph import graph_stores
 from .indexfile import read_index, write_index
 from .model import load_checkpoint
 from .retrieval import build_index, write_run
@@ -112,9 +111,6 @@ def _make_config(args) -> RunConfig:
     return load_config(args.config, overrides, os.environ)
 
 
-# --- artifact plumbing ------------------------------------------------------
-
-
 def _stopword_set(cfg: RunConfig):
     return read_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
@@ -148,62 +144,6 @@ def _load_world(cfg: RunConfig):
     return docs, queries, emb, index, index_sha256
 
 
-# index_dir/graphs-<mode>-w<width>.npz (see graph.stored_graphs) holds the
-# graphs that commands built in that mode from the index's documents, and
-# graphs-<mode>-w<width>.<n>.npz, n = 1, 2, ..., the segments appended to it
-GRAPH_STORE_VERSION = 1
-
-
-@contextmanager
-def _graph_stores(cfg: RunConfig, docs, index_sha256: str, modes):
-    """Per adjacency mode of `modes`, the graphs of index_dir's store for it
-    by doc id, in a dict that scoring fills, under the `index_sha256` of the
-    bytes `docs` were read from.  Zero mode builds no edges to store.  The
-    base file's segments are read after it, in order, each holding graphs
-    of its own.  On a clean exit the dict's new graphs are appended as one
-    segment if fewer than half the last file's, so a store of G graphs has
-    at most log2(G) + 1 files; otherwise, or if a file was not read, all go
-    to the base file and the segments are removed, the last first."""
-    ids, stores, graphs = list(docs), {}, {mode: {} for mode in modes}
-    for mode in [mode for mode in modes if mode != "zero"]:
-        width = edge_width(mode, cfg.window)
-        store = Cache(Path(cfg.index_dir) / f"graphs-{mode}-w{width}.npz",
-                      {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width,
-                       "index_sha256": index_sha256}, "graph store", log)
-        segments = []
-        while (path := store.path.with_suffix(f".{len(segments) + 1}.npz")).exists():
-            segments.append(Cache(path, store.key, store.label, log))
-
-        def add(arrays, held=graphs[mode]):
-            rows, built = stored_graphs(arrays, len(ids))
-            if not held.keys().isdisjoint(ids[r] for r in rows):
-                raise DataFormatError("it holds a graph that an earlier file holds")
-            held.update(zip([ids[r] for r in rows], built))
-            return len(rows)
-
-        sizes = [store.read(add)]  # graphs per file, None for one not read
-        if store.outcome == "hit":
-            sizes += [segment.read(add) for segment in segments]
-        stores[mode] = store, segments, sizes, path  # path: the next segment's
-    yield graphs
-    row = {doc_id: r for r, doc_id in enumerate(ids)}
-    for mode, (store, segments, sizes, path) in stores.items():
-        read, hit = sum(size or 0 for size in sizes), store.outcome == "hit"
-        new = list(graphs[mode])[read:]
-        if new or (hit and None in sizes):
-            append = hit and None not in sizes and 2 * len(new) < sizes[-1]
-            part = Cache(path, store.key, store.label, log) if append else store
-            kept = new if append else list(graphs[mode])
-            part.write(store_arrays([row[d] for d in kept], [graphs[mode][d] for d in kept]))
-            if part.outcome.endswith(", written"):
-                for segment in [] if append else reversed(segments):
-                    segment.path.unlink(missing_ok=True)
-                if hit:
-                    store.outcome = (f"hit, {'appended' if append else 'written'} "
-                                     f"({read} read, {len(kept)} written)")
-        store.report()
-
-
 def _split(cfg: RunConfig, queries):
     return kfold_split(sorted(queries), cfg.folds, cfg.seed, cfg.fold_rotation)
 
@@ -212,7 +152,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     docs, queries, emb, index, index_sha256 = _load_world(cfg)
     qrels = parse_qrels(cfg.qrels)
     split = _split(cfg, queries)
-    with _graph_stores(cfg, docs, index_sha256, [cfg.adjacency_mode]) as graphs:
+    with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256,
+                      [cfg.adjacency_mode]) as graphs:
         _, records = train(
             docs, queries, qrels, index, emb, cfg,
             train_qids=split.train, val_qids=split.validation,
@@ -253,7 +194,8 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
         if key in extra and extra[key] != getattr(cfg, key):
             log.warning("checkpoint was trained with %s=%s but config says %s",
                         key, extra[key], getattr(cfg, key))
-    with _graph_stores(cfg, docs, index_sha256, [cfg.adjacency_mode]) as graphs:
+    with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256,
+                      [cfg.adjacency_mode]) as graphs:
         ranked = _rerank_all(cfg, docs, queries, emb, index, params,
                              graphs[cfg.adjacency_mode])
         del queries, emb, index  # freed before the store is written: ~5 MB off the peak
@@ -284,7 +226,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     cells = [(mode, cfg.steps) for mode in ("graph", "sequence", "zero")]
     cells += [("graph", t) for t in ABLATE_DEPTHS if ("graph", t) not in cells]
     results = {}
-    with _graph_stores(cfg, docs, index_sha256, ("graph", "sequence", "zero")) as graphs:
+    with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256,
+                      ("graph", "sequence", "zero")) as graphs:
         for mode, steps in cells:
             cell_cfg = dataclasses.replace(cfg, adjacency_mode=mode, steps=steps)
             params, _ = train(

@@ -182,7 +182,6 @@ def kfold_split(
 def evaluate_run(
     run_path: str | Path,
     qrels_path: str | Path,
-    cutoff: int = 20,
 ) -> dict:
     """Score a run file against qrels; JSON-ready report.
 
@@ -203,13 +202,13 @@ def evaluate_run(
             continue
         ranked = _ranked_docs(runs[qid])
         per_query[qid] = {
-            f"ndcg@{cutoff}": ndcg_at(ranked, judged, cutoff),
-            f"p@{cutoff}": precision_at(ranked, judged, cutoff),
+            "ndcg@20": ndcg_at(ranked, judged, 20),
+            "p@20": precision_at(ranked, judged, 20),
         }
     if not per_query:
         raise DataFormatError(f"{run_path}: no query of the run has a judgment "
                               f"above grade 0 in {qrels_path}")
-    keys = [f"ndcg@{cutoff}", f"p@{cutoff}"]
+    keys = ["ndcg@20", "p@20"]
     return {
         "per_query": per_query,
         "unjudged": unjudged,

@@ -9,22 +9,28 @@ its diagonal is the block-diagonal union of the documents' adjacencies.
 The counting's temporaries are freed before one degree pass normalizes
 the whole chunk, and each document keeps compact copies of its own
 block.  `build_graph` is the one-document case, and `block_diagonal`
-stacks graphs' arrays into such a union for the graph-store read and the
-forward pass.  The symmetric normalized adjacency drives message passing;
-node-term / query-term cosines are the input features.
+stacks graphs' arrays into such a union for the reads of `graph_stores`
+and the forward pass.  The symmetric normalized adjacency drives message
+passing; node-term / query-term cosines are the input features.
 """
 
 from __future__ import annotations
 
+import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .artifacts import Cache
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError
+
+log = logging.getLogger(__name__)
 
 # tokens per chunk of a graph build, each chunk paying fixed sparse-matrix
 # costs: 728 500-token rerank pool graphs built in ~0.20 s at 8192, ~0.26 s
@@ -279,6 +285,61 @@ def stored_graphs(arrays: dict[str, np.ndarray],
 _STORED = ("rows", "sizes", "node_terms", "indptr", "indices")
 # edges per chunk of a store read, which bounds its temporary arrays
 STORE_EDGES = 1 << 16
+
+
+# the layout of index_dir/graphs-<mode>-w<width>.npz (see `stored_graphs`)
+# and of its segments, graphs-<mode>-w<width>.<n>.npz for n = 1, 2, ...
+GRAPH_STORE_VERSION = 1
+
+
+@contextmanager
+def graph_stores(index_dir, window: int, docs, index_sha256: str, modes):
+    """Per adjacency mode of `modes`, the graphs of `index_dir`'s store for
+    it at `window` by doc id, in a dict that scoring fills, under the
+    `index_sha256` of the bytes `docs` were read from.  Zero mode builds no
+    edges to store.  The base file's segments are read after it, in order,
+    each holding graphs of its own.  On a clean exit the dict's new graphs
+    are appended as one segment if fewer than half the last file's, so a
+    store of G graphs has at most log2(G) + 1 files; otherwise, or if a file
+    was not read, all go to the base file and the segments are removed, the
+    last first."""
+    ids, stores, graphs = list(docs), {}, {mode: {} for mode in modes}
+    for mode in [mode for mode in modes if mode != "zero"]:
+        width = edge_width(mode, window)
+        store = Cache(Path(index_dir) / f"graphs-{mode}-w{width}.npz",
+                      {"version": GRAPH_STORE_VERSION, "mode": mode, "width": width,
+                       "index_sha256": index_sha256}, "graph store", log)
+        segments = []
+        while (path := store.path.with_suffix(f".{len(segments) + 1}.npz")).exists():
+            segments.append(Cache(path, store.key, store.label, log))
+
+        def add(arrays, held=graphs[mode]):
+            rows, built = stored_graphs(arrays, len(ids))
+            if not held.keys().isdisjoint(ids[r] for r in rows):
+                raise DataFormatError("it holds a graph that an earlier file holds")
+            held.update(zip([ids[r] for r in rows], built))
+            return len(rows)
+
+        sizes = [store.read(add)]  # graphs per file, None for one not read
+        if store.outcome == "hit":
+            sizes += [segment.read(add) for segment in segments]
+        stores[mode] = store, segments, sizes, path  # path: the next segment's
+    yield graphs
+    row = {doc_id: r for r, doc_id in enumerate(ids)}
+    for mode, (store, segments, sizes, path) in stores.items():
+        read, hit = sum(size or 0 for size in sizes), store.outcome == "hit"
+        new = list(graphs[mode])[read:]
+        if new or (hit and None in sizes):
+            append = hit and None not in sizes and 2 * len(new) < sizes[-1]
+            part = Cache(path, store.key, store.label, log) if append else store
+            kept = {d: graphs[mode][d] for d in (new if append else graphs[mode])}
+            if part.write(store_arrays([row[d] for d in kept], list(kept.values()))):
+                for segment in [] if append else reversed(segments):
+                    segment.path.unlink(missing_ok=True)
+                if hit:
+                    store.outcome = (f"hit, {'appended' if append else 'written'} "
+                                     f"({read} read, {len(kept)} written)")
+        store.report()
 
 
 def unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:

@@ -29,7 +29,7 @@ from gowrank.corpus import default_stopwords, read_corpus, tokenize
 from gowrank.datagen import bridged_corpus, overfit_corpus
 from gowrank.errors import DataFormatError
 from gowrank.evaluation import write_report
-from gowrank.graph import store_arrays, stored_graphs
+from gowrank.graph import graph_stores, store_arrays, stored_graphs
 from gowrank.model import (
     HyperParams,
     init_params,
@@ -270,7 +270,7 @@ def _graphs_content(path):
     it ignores, with a warning, is refused here as a DataFormatError."""
     cfg = RunConfig(index_dir=str(path.parent))
     _, docs, index_sha256 = indexfile.read_index(path.parent)
-    with cli._graph_stores(cfg, docs, index_sha256, ["graph"]) as graphs:
+    with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256, ["graph"]) as graphs:
         pass
     if not graphs["graph"]:
         raise DataFormatError(f"{path}: ignored")
@@ -374,7 +374,7 @@ def test_damaged_graph_store_is_warned_about_and_rebuilt(small_world, tmp_path, 
     _copy_world(small_world, world, [*RERANK_INPUTS, "q1.tsv"])
     _first_refused(kind, (small_world / name).read_bytes(), content, world / name)
     caplog.clear()
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "q1.run", "q1.tsv") == 0
     store = [(r.levelname, r.getMessage()) for r in caplog.records
              if r.getMessage().startswith(f"graph store {world / name}")]
@@ -455,7 +455,7 @@ def test_damaged_segment_is_warned_about_once_and_the_store_rewritten(
     world = tmp_path / "world"
     shutil.copytree(segmented_world, world)
     SEGMENT_DAMAGE[kind](world)
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "x.run") == 0
     log = _store_log(caplog, world)
     warnings = [message for level, message in log if level == "WARNING"]
@@ -468,7 +468,7 @@ def test_damaged_segment_is_warned_about_once_and_the_store_rewritten(
     assert (world / "x.run").read_bytes() == (segmented_world / "all.run").read_bytes()
     assert not (world / SEGMENT).exists()
     caplog.clear()
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "y.run") == 0
     assert _store_log(caplog, world) == [
         ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: hit")]
@@ -481,7 +481,7 @@ def test_appending_rerank_leaves_the_base_file_untouched(small_world, segmented_
     _copy_world(small_world, world, RERANK_INPUTS)
     assert _rerank(world, world / "first7.run", _first_queries(world, 7)) == 0
     base = (world / ARTIFACTS["graphs"][0]).read_bytes()
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "all.run") == 0
     assert _store_log(caplog, world) == [
         ("INFO", f"graph store {world / ARTIFACTS['graphs'][0]}: "
@@ -497,6 +497,18 @@ def test_appending_rerank_leaves_the_base_file_untouched(small_world, segmented_
     assert got == want and len(got) == 40
 
 
+def _three_file_store(small_world, world):
+    """Names of a store of 20 graphs in `world` and its segments of 4 and 1,
+    each under half the file before it."""
+    _copy_world(small_world, world, RERANK_INPUTS)
+    assert _rerank(world, world / "x.run", _first_queries(world, 4)) == 0
+    assert _rerank(world, world / "x.run", _first_queries(world, 5), "--candidates", "4") == 0
+    assert _rerank(world, world / "x.run", _first_queries(world, 6), "--candidates", "1") == 0
+    stores = sorted(p.name for p in (world / "index").glob("graphs-*"))
+    assert stores == ["graphs-graph-w5.1.npz", "graphs-graph-w5.2.npz", "graphs-graph-w5.npz"]
+    return stores
+
+
 @pytest.mark.parametrize("interrupted", [False, True])
 def test_rewriting_rerank_removes_every_segment(small_world, segmented_world, tmp_path,
                                                 monkeypatch, caplog, interrupted):
@@ -505,12 +517,7 @@ def test_rewriting_rerank_removes_every_segment(small_world, segmented_world, tm
     # stopped before it removed the segments leaves them behind, and the
     # next command ignores them and writes the store again
     world = tmp_path / "world"
-    _copy_world(small_world, world, RERANK_INPUTS)
-    assert _rerank(world, world / "x.run", _first_queries(world, 4)) == 0
-    assert _rerank(world, world / "x.run", _first_queries(world, 5), "--candidates", "4") == 0
-    assert _rerank(world, world / "x.run", _first_queries(world, 6), "--candidates", "1") == 0
-    stores = sorted(p.name for p in (world / "index").glob("graphs-*"))
-    assert stores == ["graphs-graph-w5.1.npz", "graphs-graph-w5.2.npz", "graphs-graph-w5.npz"]
+    stores = _three_file_store(small_world, world)
     base = f"graph store {world / ARTIFACTS['graphs'][0]}"
     want = [("INFO", f"{base}: hit, written (25 read, 40 written)")]
     if interrupted:
@@ -522,11 +529,37 @@ def test_rewriting_rerank_removes_every_segment(small_world, segmented_world, tm
         want = [("WARNING", f"graph store {world / 'index' / name} ignored: it holds a graph "
                             f"that an earlier file holds") for name in stores[:2]]
         want += [("INFO", f"{base}: hit, written (40 read, 40 written)")]
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "all.run") == 0
     assert _store_log(caplog, world) == want
     assert [p.name for p in (world / "index").glob("graphs-*")] == ["graphs-graph-w5.npz"]
     assert (world / "all.run").read_bytes() == (segmented_world / "all.run").read_bytes()
+
+
+def test_failed_rewrite_keeps_the_base_file_and_every_segment(small_world, segmented_world,
+                                                              tmp_path, monkeypatch, caplog):
+    # the segments go only once the base file holds every graph: a refused
+    # rewrite leaves the three files to read, and the next command rewrites
+    world = tmp_path / "world"
+    stores = _three_file_store(small_world, world)
+    files = {name: (world / "index" / name).read_bytes() for name in stores}
+    base = world / ARTIFACTS["graphs"][0]
+    with monkeypatch.context() as patch:
+        _fail_os_call(patch, "replace", base, errno.EACCES)
+        with caplog.at_level(logging.INFO, logger="gowrank"):
+            assert _rerank(world, world / "x.run") == 0
+    (level, warning), info = _store_log(caplog, world)
+    assert level == "WARNING" and warning.startswith(
+        f"graph store {base} not written: [Errno 13] Permission denied: ")
+    assert info == ("INFO", f"graph store {base}: hit")
+    assert {name: (world / "index" / name).read_bytes() for name in stores} == files
+    assert (world / "x.run").read_bytes() == (segmented_world / "all.run").read_bytes()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gowrank"):
+        assert _rerank(world, world / "all.run") == 0
+    assert _store_log(caplog, world) == [
+        ("INFO", f"graph store {base}: hit, written (25 read, 40 written)")]
+    assert [p.name for p in (world / "index").glob("graphs-*")] == ["graphs-graph-w5.npz"]
 
 
 def _edited(data: bytes, kind: str, rng: random.Random, line_edits) -> bytes:
@@ -907,7 +940,7 @@ def test_segment_write_refused_permission_is_warned_once(small_world, segmented_
     assert _rerank(world, world / "first7.run", _first_queries(world, 7)) == 0
     base = (world / ARTIFACTS["graphs"][0]).read_bytes()
     _fail_os_call(monkeypatch, "replace", world / SEGMENT, errno.EACCES)
-    with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+    with caplog.at_level(logging.INFO, logger="gowrank"):
         assert _rerank(world, world / "all.run") == 0
     (level, warning), info = _store_log(caplog, world)
     assert level == "WARNING" and warning.startswith(

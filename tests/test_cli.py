@@ -1124,7 +1124,7 @@ class TestGraphStore:
     ):
         world, store = self._world(parsed_world, tmp_path)
         want = (parsed_world / "world" / "rerank.run").read_bytes()
-        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        with caplog.at_level(logging.INFO, logger="gowrank"):
             for state in ("none", "warm", "damaged"):
                 if state == "damaged":
                     store.write_bytes(store.read_bytes()[:-100])
@@ -1152,7 +1152,7 @@ class TestGraphStore:
             name = {"mode": "graphs-sequence-w2.npz", "width": "graphs-graph-w3.npz"}[change]
             store = shutil.copy(store, store.with_name(name))
         caplog.clear()
-        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        with caplog.at_level(logging.INFO, logger="gowrank"):
             assert _in_world(world, "rerank", "--run-out", str(world / "x.run"), *flags) == 0
         assert _store_log(caplog) == [("INFO", f"graph store {store}: miss (stale), written")]
 
@@ -1177,7 +1177,7 @@ class TestGraphStore:
         monkeypatch.undo()
         # the store holds the old index's graphs, under the old index's digest
         caplog.clear()
-        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        with caplog.at_level(logging.INFO, logger="gowrank"):
             assert _in_world(world, "rerank", "--run-out", str(world / "x.run")) == 0
         assert _store_log(caplog) == [("INFO", f"graph store {store}: miss (stale), written")]
 
@@ -1242,7 +1242,7 @@ class TestGraphStore:
         # the store's write alone: the embeddings cache is written as before
         helpers.fail_cache_write(monkeypatch, store,
                                  PermissionError(13, "Permission denied", str(store)))
-        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        with caplog.at_level(logging.INFO, logger="gowrank"):
             assert _in_world(world, "train") == 0
             assert _in_world(world, "rerank", "--run-out", str(world / "rerank.run")) == 0
         warning = f"graph store {store} not written: [Errno 13] Permission denied: '{store}'"
@@ -1258,7 +1258,7 @@ class TestGraphStore:
         world = _fresh_world(parsed_world, tmp_path)
         stores = [world / "index" / name
                   for name in ("graphs-graph-w5.npz", "graphs-sequence-w2.npz")]
-        with caplog.at_level(logging.INFO, logger="gowrank.cli"):
+        with caplog.at_level(logging.INFO, logger="gowrank"):
             assert _in_world(world, "ablate") == 0
             assert _in_world(world, "ablate") == 0
         assert _store_log(caplog) == [

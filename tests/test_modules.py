@@ -1,9 +1,10 @@
 """One module per pipeline stage: each `gowrank` module imports first in
 a fresh interpreter, the modules' top-level imports of one another form
 no cycle, the input-side modules load neither the model nor scipy's
-special functions, the index stage's modules load no scipy at all, and
+special functions, the index stage's modules load no scipy at all,
 `training` serves the names that the acceptance criteria import from it
-as the stage modules' own objects."""
+as the stage modules' own objects, and `graph` alone keeps the graph
+store."""
 
 import ast
 import subprocess
@@ -76,6 +77,27 @@ def test_only_query_pools_retrieves_first_stage_pools():
                     callers.add((path.stem, getattr(scope, "name", None)))
     # the module scope holds every call of its functions as well
     assert callers == {("scoring", None), ("scoring", "query_pools")}
+
+
+def _top_level_callers(names):
+    """(module, top-level function or class, None for a statement) of each
+    call in the package of a callable named in `names`."""
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and names & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                }:
+                    callers.add((path.stem, getattr(top, "name", None)))
+    return callers
+
+
+def test_only_graph_stores_reads_and_writes_the_graph_store():
+    """One module owns the store's files, version and segment rule, and
+    every `artifacts.Cache` belongs to the stage whose data it keeps."""
+    assert _top_level_callers({"store_arrays", "stored_graphs"}) == {("graph", "graph_stores")}
+    assert {module for module, _ in _top_level_callers({"Cache"})} == {"graph", "embeddings"}
 
 
 # the benchmark's harness imports these four, and its peak-memory metric

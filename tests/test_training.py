@@ -40,7 +40,7 @@ from gowrank.model import (
     readout,
     score,
 )
-from gowrank import scoring, training
+from gowrank import gradcheck, scoring, training
 from gowrank.retrieval import build_index, top_candidates
 from gowrank.training import (
     AdamState,
@@ -359,11 +359,14 @@ class TestGradCheck:
         )} | {"out_w", "out_b", "idf_scale"}
         assert names == expected
 
-    def test_tampered_gradient_is_caught(self):
-        def corrupt(tape):
+    def test_tampered_gradient_is_caught(self, monkeypatch):
+        def corrupted(*args, **kwargs):
+            tape = backward(*args, **kwargs)
             tape.layer.u_cand += 0.05
+            return tape
 
-        report = grad_check(n=8, m=3, steps=2, k=3, seed=6, tamper=corrupt)
+        monkeypatch.setattr(gradcheck, "backward", corrupted)
+        report = grad_check(n=8, m=3, steps=2, k=3, seed=6)
         assert not report["passed"]
         assert report["per_tensor"]["layer0.u_cand"] > 1e-3
         clean = [
