@@ -36,7 +36,7 @@ from .graph import graph_stores
 from .indexfile import read_index, write_index
 from .model import load_checkpoint
 from .retrieval import build_index, write_run
-from .scoring import ScoringContext, query_pools, rank_pools
+from .scoring import ScoringContext, rerank
 from .training import train
 
 log = logging.getLogger(__name__)
@@ -103,11 +103,7 @@ def build_parser() -> _Parser:
 
 
 def _make_config(args) -> RunConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None
-    }
+    overrides = {name: getattr(args, name) for name in _CONFIG_FLAGS}
     return load_config(args.config, overrides, os.environ)
 
 
@@ -166,24 +162,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _rerank_all(cfg: RunConfig, docs, queries, emb, index, params, graphs):
-    """Run dict: every query's first-stage pool re-scored, all pools in one
-    call through the graphs of `graphs` (by doc id)."""
-    ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode, graphs)
-    pools, first = query_pools(queries, index, cfg.candidates, queries)
-    keep = {}
-    for qid in sorted(queries):
-        if qid not in first:
-            log.warning("query %s has no indexed terms; skipped", qid)
-        elif not pools[first[qid]]:
-            log.warning("query %s matched no documents; skipped", qid)
-        else:
-            ctx.warn_truncated(qid, params.hyper.max_query_len)
-            keep[qid] = first[qid]
-    ranked = rank_pools(ctx, pools, params)
-    return {qid: ranked[text_id] for qid, text_id in keep.items()}
-
-
 def cmd_rerank(cfg: RunConfig, args) -> int:
     # the tag is the last whitespace-separated field of every run line
     if args.tag.split() != [args.tag]:
@@ -196,9 +174,10 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
                         key, extra[key], getattr(cfg, key))
     with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256,
                       [cfg.adjacency_mode]) as graphs:
-        ranked = _rerank_all(cfg, docs, queries, emb, index, params,
+        ctx = ScoringContext(docs, queries, emb, cfg.window, cfg.adjacency_mode,
                              graphs[cfg.adjacency_mode])
-        del queries, emb, index  # freed before the store is written: ~5 MB off the peak
+        ranked = rerank(ctx, index, cfg.candidates, params)
+        del ctx, queries, emb, index  # freed before the store is written: ~5 MB off the peak
         write_run(args.run_out, ranked, args.tag)
     print(f"wrote {sum(len(v) for v in ranked.values())} lines "
           f"for {len(ranked)} queries -> {args.run_out}")
@@ -235,7 +214,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
                 train_qids=split.train, val_qids=split.validation, graphs=graphs[mode],
             )
             run_path = out / f"run_{mode}_t{steps}.txt"
-            ranked = _rerank_all(cell_cfg, docs, queries, emb, index, params, graphs[mode])
+            ranked = rerank(ScoringContext(docs, queries, emb, cfg.window, mode, graphs[mode]),
+                            index, cfg.candidates, params)
             # the cell identity lives in the filename; a fixed tag keeps the
             # graph/t=2 cell byte-identical to a default rerank
             write_run(run_path, ranked, "gowrank")

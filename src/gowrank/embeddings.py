@@ -53,6 +53,15 @@ class EmbeddingTable:
         table.dim, table.unit = unit.shape[1], unit
         return table
 
+    def unit_rows(self, term_ids: list[int]) -> np.ndarray:
+        """Unit vectors of `term_ids`; a zero row for any id outside [0, V)."""
+        ids = np.asarray(term_ids, dtype=np.int64)
+        if not len(self.unit):  # `take` raises on an empty axis
+            return np.zeros((len(ids), self.dim))
+        rows = self.unit.take(ids, axis=0, mode="clip")
+        rows[(ids < 0) | (ids >= len(self.unit))] = 0.0
+        return rows
+
 
 # Vocabulary rows parsed per np.loadtxt call: one call amortizes the
 # parser's setup, and the bound caps the value strings held at once.

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import HyperParams
 from .corpus import Query, TokenizedDoc
 from .graph import build_graph
 from .model import (
-    ForwardTrace, HyperParams, backward, forward, forward_batch, hinge_loss, init_params,
-    iter_tensors, pairwise_hinge,
+    ForwardTrace, backward, forward, forward_batch, hinge_loss, init_params, iter_tensors,
+    pairwise_hinge,
 )
 
 FD_STEP = 1e-5

@@ -1,4 +1,4 @@
-"""Graph-of-word construction and query-document interaction features.
+"""Graph-of-word construction.
 
 Each document becomes an undirected graph over its unique terms: an edge
 counts how many sliding windows contain both endpoints.  `build_graphs`
@@ -10,8 +10,7 @@ The counting's temporaries are freed before one degree pass normalizes
 the whole chunk, and each document keeps compact copies of its own
 block.  `build_graph` is the one-document case, and `block_diagonal`
 stacks graphs' arrays into such a union for the reads of `graph_stores`
-and the forward pass.  The symmetric normalized adjacency drives message
-passing; node-term / query-term cosines are the input features.
+and for message passing over the symmetric normalized adjacency.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .artifacts import Cache
-from .corpus import Query, TokenizedDoc
-from .embeddings import EmbeddingTable
+from .corpus import TokenizedDoc
 from .errors import DataFormatError
 
 log = logging.getLogger(__name__)
@@ -341,26 +339,3 @@ def graph_stores(index_dir, window: int, docs, index_sha256: str, modes):
                                      f"({read} read, {len(kept)} written)")
         store.report()
 
-
-def unit_rows(emb: EmbeddingTable, term_ids: list[int]) -> np.ndarray:
-    """Unit vectors of `term_ids`; a zero row for any id outside [0, V)."""
-    ids = np.asarray(term_ids, dtype=np.int64)
-    if not len(emb.unit):  # `take` raises on an empty axis
-        return np.zeros((len(ids), emb.dim))
-    rows = emb.unit.take(ids, axis=0, mode="clip")
-    rows[(ids < 0) | (ids >= len(emb.unit))] = 0.0
-    return rows
-
-
-def interaction_matrix(
-    graph: DocumentGraph, query: Query, emb: EmbeddingTable,
-    query_rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """n x M cosine similarities between node terms and query terms, whose
-    `unit_rows` a caller may pass as `query_rows` to gather them once.
-
-    Terms without embeddings (including out-of-vocabulary query terms)
-    contribute zero rows/columns; n = 0 yields an empty (0, M) matrix.
-    """
-    query_rows = unit_rows(emb, query.tokens) if query_rows is None else query_rows
-    return unit_rows(emb, graph.node_terms) @ query_rows.T

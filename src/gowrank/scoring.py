@@ -1,6 +1,7 @@
-"""Scoring: (query id, doc id) pairs through the model in one batched call,
-each document's graph and each query text's features cached; validation
-and reranking score every candidate pool of a pass in one call.
+"""Interaction features and scoring: each document's graph and each query
+text's node-term / query-term cosines cached, (query id, doc id) pairs
+through the model in one batched call, every pool of a validation pass or
+of `rerank` in one call, and `rerank`'s skip and truncation warnings.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
-from .graph import DocumentGraph, build_graphs, interaction_matrix, unit_rows
+from .graph import DocumentGraph, build_graphs
 from .model import ForwardTrace, ModelParams, forward_batch
 from .retrieval import PostingsIndex, top_candidates
 
@@ -53,9 +54,9 @@ class ScoringContext:
         text = tuple(query.tokens)
         if (text, doc_id) not in self._feats:
             if text not in self._query_rows:
-                self._query_rows[text] = unit_rows(self.emb, query.tokens)
-            self._feats[text, doc_id] = interaction_matrix(
-                self._graphs[doc_id], query, self.emb, self._query_rows[text])
+                self._query_rows[text] = self.emb.unit_rows(query.tokens)
+            rows = self.emb.unit_rows(self._graphs[doc_id].node_terms)
+            self._feats[text, doc_id] = rows @ self._query_rows[text].T  # n x M cosines
         return self._feats[text, doc_id]
 
     def warn_truncated(self, qid: str, budget: int) -> None:
@@ -115,3 +116,22 @@ def score_pool(
 ) -> list[tuple[str, float]]:
     """`rank_pools` of one pool."""
     return rank_pools(ctx, {qid: pool}, params)[qid]
+
+
+def rerank(ctx: ScoringContext, index: PostingsIndex, candidates: int,
+           params: ModelParams) -> dict[str, list[tuple[str, float]]]:
+    """Run dict: the first-stage pool of every query id of `ctx` re-scored,
+    all pools in one call.  An id with no indexed term or no match is
+    skipped; each skip and truncation is warned, in sorted id order."""
+    pools, first = query_pools(ctx.queries, index, candidates, ctx.queries)
+    keep = {}
+    for qid in sorted(ctx.queries):
+        if qid not in first:
+            log.warning("query %s has no indexed terms; skipped", qid)
+        elif not pools[first[qid]]:
+            log.warning("query %s matched no documents; skipped", qid)
+        else:
+            ctx.warn_truncated(qid, params.hyper.max_query_len)
+            keep[qid] = first[qid]
+    ranked = rank_pools(ctx, pools, params)
+    return {qid: ranked[text_id] for qid, text_id in keep.items()}

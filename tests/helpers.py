@@ -14,6 +14,7 @@ from gowrank.corpus import Query, TokenizedDoc
 from gowrank.graph import DocumentGraph, build_graph
 from gowrank.indexfile import INDEX_VERSION
 from gowrank.model import HyperParams, ModelParams, init_params, iter_tensors
+from gowrank.scoring import ScoringContext
 
 import reference
 
@@ -80,6 +81,13 @@ def random_graph(rng, n, window=None) -> DocumentGraph:
     rng.shuffle(seq)
     window = window or int(rng.choice([2, 3, 5]))
     return build_graph(TokenizedDoc("d", [int(t) for t in seq], len(seq)), window)
+
+
+def features(graph: DocumentGraph, query: Query, emb) -> np.ndarray:
+    """The interaction features of `query` against `graph`, formed by a
+    ScoringContext that holds the graph (so it reads no document)."""
+    ctx = ScoringContext({}, {query.query_id: query}, emb, 5, "graph", {"d": graph})
+    return ctx.feats(query.query_id, "d")
 
 
 def random_params(rng, hyper: HyperParams) -> ModelParams:

@@ -5,8 +5,8 @@ math calls, no numpy, no shared code with the package.  It takes exactly
 M query columns and M x M weights, the leading blocks the production path
 scores with.
 
-`cosine` is the pairwise similarity `interaction_matrix` computes as one
-matrix product of unit rows.
+`cosine` is the pairwise similarity `ScoringContext.feats` computes as
+one matrix product of unit rows.
 
 `loop_graph` builds a graph-of-word the slow way, one window and one term
 pair at a time, and hands the counts to scipy exactly as the first
@@ -49,8 +49,9 @@ bit.
 
 `sort_readout` is the k-max readout as a full stable sort of every padded
 column, and `masked_unit_rows` gathers unit rows through a boolean mask
-into zeros: the first batched `model.readout` and `graph.unit_rows`,
-which the partition and the one-gather versions must match bit for bit.
+into zeros: the first batched `model.readout` and unit-row gather, which
+`model.readout`'s partition and `EmbeddingTable.unit_rows`'s one gather
+must match bit for bit.
 """
 
 import math

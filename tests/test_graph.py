@@ -18,13 +18,12 @@ from gowrank.graph import (
     block_diagonal,
     build_graph,
     build_graphs,
-    interaction_matrix,
     normalize_adjacency,
     store_arrays,
     stored_graphs,
-    unit_rows,
 )
 
+import helpers
 import reference
 
 
@@ -660,26 +659,26 @@ def _query(tokens):
 class TestInteractionMatrix:
     def test_self_similarity_one(self):
         g = build_graph(_doc([0, 1]), window=2)
-        S = interaction_matrix(g, _query([0]), _table())
+        S = helpers.features(g, _query([0]), _table())
         assert S.shape == (2, 1)
         assert S[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_missing_embedding_zero_column(self):
         g = build_graph(_doc([0, 1, 2]), window=2)
-        S = interaction_matrix(g, _query([3, 0]), _table())
+        S = helpers.features(g, _query([3, 0]), _table())
         np.testing.assert_array_equal(S[:, 0], [0, 0, 0])
         assert S[0, 1] == pytest.approx(1.0)
 
     def test_oov_query_term_zero_column(self):
         g = build_graph(_doc([0, 1]), window=2)
-        S = interaction_matrix(g, _query([OOV_ID]), _table())
+        S = helpers.features(g, _query([OOV_ID]), _table())
         np.testing.assert_array_equal(S, [[0.0], [0.0]])
 
     def test_out_of_range_ids_give_zero_rows(self):
         # V = 4: OOV_ID and ids >= V, as node terms or query terms, get
         # exact +0.0 rows and columns; in-range ids keep their cosines
         g = build_graph(_doc([0, OOV_ID, 4, 1, 99]), window=2)
-        S = interaction_matrix(g, _query([OOV_ID, 1, 4, 0, 7]), _table())
+        S = helpers.features(g, _query([OOV_ID, 1, 4, 0, 7]), _table())
         assert S.shape == (5, 5)
         outside_rows = [i for i, t in enumerate(g.node_terms) if not 0 <= t < 4]
         assert len(outside_rows) == 3
@@ -697,18 +696,18 @@ class TestInteractionMatrix:
         # without rows; an empty id list gives an empty block
         table = EmbeddingTable(3, np.random.default_rng(48).normal(size=(rows, 3)))
         for ids in ([], [OOV_ID], [4], [0, OOV_ID, 3, 4, 99, 1, 3], [2, 2]):
-            got = unit_rows(table, ids)
+            got = table.unit_rows(ids)
             want = reference.masked_unit_rows(table.unit, 3, ids)
             assert got.shape == want.shape == (len(ids), 3) and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
     def test_empty_graph(self):
-        S = interaction_matrix(build_graph(_doc([])), _query([0, 1]), _table())
+        S = helpers.features(build_graph(_doc([])), _query([0, 1]), _table())
         assert S.shape == (0, 2)
 
     def test_empty_query(self):
         g = build_graph(_doc([0, 1]), window=2)
-        S = interaction_matrix(g, _query([]), _table())
+        S = helpers.features(g, _query([]), _table())
         assert S.shape == (2, 0)
 
     def test_matches_pairwise_cosine(self):
@@ -719,7 +718,7 @@ class TestInteractionMatrix:
         tokens = list(rng.integers(0, 10, size=40))
         g = build_graph(_doc(tokens), window=5)
         qtoks = [0, 7, 3, OOV_ID]
-        S = interaction_matrix(g, _query(qtoks), table)
+        S = helpers.features(g, _query(qtoks), table)
         assert S.shape == (g.num_nodes, 4)
         for i, nt in enumerate(g.node_terms):
             for j, qt in enumerate(qtoks):

@@ -3,8 +3,8 @@ a fresh interpreter, the modules' top-level imports of one another form
 no cycle, the input-side modules load neither the model nor scipy's
 special functions, the index stage's modules load no scipy at all,
 `training` serves the names that the acceptance criteria import from it
-as the stage modules' own objects, and `graph` alone keeps the graph
-store."""
+as the stage modules' own objects, `graph` alone keeps the graph store,
+and the interaction features and the rerank stage live in `scoring`."""
 
 import ast
 import subprocess
@@ -98,6 +98,18 @@ def test_only_graph_stores_reads_and_writes_the_graph_store():
     every `artifacts.Cache` belongs to the stage whose data it keeps."""
     assert _top_level_callers({"store_arrays", "stored_graphs"}) == {("graph", "graph_stores")}
     assert {module for module, _ in _top_level_callers({"Cache"})} == {"graph", "embeddings"}
+
+
+def test_graph_builds_scoring_forms_features_and_reranks():
+    """`graph` imports no embeddings, the interaction features' unit rows
+    are gathered only inside ScoringContext, and `cli` leaves which ids
+    get which pool, and which are skipped, to `scoring.rerank`."""
+    graph = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "embeddings" for node in ast.walk(graph))
+    assert _top_level_callers({"unit_rows"}) == {("scoring", "ScoringContext")}
+    assert "cli" not in {module for module, _ in _top_level_callers({"query_pools",
+                                                                     "rank_pools"})}
 
 
 # the benchmark's harness imports these four, and its peak-memory metric

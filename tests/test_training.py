@@ -23,7 +23,7 @@ from gowrank.corpus import Query, TokenizedDoc
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
 from gowrank.evaluation import ndcg_at
-from gowrank.graph import build_graph, build_graphs, interaction_matrix, unit_rows
+from gowrank.graph import build_graph, build_graphs
 from gowrank.model import (
     BLOCK_NODES,
     SCORE_NODES,
@@ -265,7 +265,7 @@ def _zipf_pool(rng):
     graphs = build_graphs(docs, window=5)
     queries = [Query(f"q{m}", rng.choice(2000, size=m, replace=False).tolist(),
                      rng.uniform(0.1, 3.0, m)) for m in (2, 3, 4)]
-    return [(g, interaction_matrix(g, q, emb), q) for q in queries for g in graphs]
+    return [(g, helpers.features(g, q, emb), q) for q in queries for g in graphs]
 
 
 class TestScoreBlocks:
@@ -662,24 +662,20 @@ class TestScoringContext:
             HyperParams(steps=1, pool_k=4, max_query_len=8),
             np.random.default_rng(0),
         )
-        calls, gathers = [], []
+        gathers, unit_rows = [], EmbeddingTable.unit_rows
 
-        def counted(graph, query, emb, query_rows):
-            calls.append(query.query_id)
-            return interaction_matrix(graph, query, emb, query_rows)
-
-        def gathered(emb, term_ids):
+        def gathered(table, term_ids):
             gathers.append(list(term_ids))
-            return unit_rows(emb, term_ids)
+            return unit_rows(table, term_ids)
 
-        monkeypatch.setattr(scoring, "interaction_matrix", counted)
-        monkeypatch.setattr(scoring, "unit_rows", gathered)
+        monkeypatch.setattr(EmbeddingTable, "unit_rows", gathered)
         pool = sorted(docs)
         first, _ = ctx.score([("qa", doc_id) for doc_id in pool], params)
         second, _ = ctx.score([("qa2", doc_id) for doc_id in pool], params)
-        assert calls == ["qa"] * len(pool)
         # the query side is gathered once per text, not once per document
-        assert gathers == [list(queries["qa"].tokens)]
+        assert gathers[0] == list(queries["qa"].tokens)
+        # and the node side once per (text, document): qa2 reuses qa's
+        assert gathers[1:] == [build_graph(docs[doc_id], 3).node_terms for doc_id in pool]
         assert first.tolist() == second.tolist()
 
     def test_pool_scored_at_once_ranks_as_one_at_a_time(self):
@@ -689,7 +685,7 @@ class TestScoringContext:
         for qid in ("qa", "mixed"):
             ranked = score_pool(ctx, qid, pool, params)
             single = [
-                (doc_id, forward(graph, interaction_matrix(graph, queries[qid], emb),
+                (doc_id, forward(graph, helpers.features(graph, queries[qid], emb),
                                  queries[qid], params)[0])
                 for doc_id, graph in ((d, build_graph(docs[d], 3)) for d, _ in pool)
             ]
