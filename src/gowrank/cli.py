@@ -34,7 +34,7 @@ from .evaluation import evaluate_run, kfold_split, parse_qrels, write_report
 from .gradcheck import grad_check
 from .graph import graph_stores
 from .indexfile import read_index, write_index
-from .model import load_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .retrieval import build_index, write_run
 from .scoring import ScoringContext, rerank
 from .training import train
@@ -150,16 +150,21 @@ def cmd_train(cfg: RunConfig, args) -> int:
     split = _split(cfg, queries)
     with graph_stores(cfg.index_dir, cfg.window, docs, index_sha256,
                       [cfg.adjacency_mode]) as graphs:
-        _, records = train(
-            docs, queries, qrels, index, emb, cfg,
-            train_qids=split.train, val_qids=split.validation,
-            log_path=args.log_out, checkpoint_path=cfg.checkpoint,
-            graphs=graphs[cfg.adjacency_mode],
-        )
+        params, records = train(docs, queries, qrels, index, emb, cfg, split.train,
+                                split.validation, graphs[cfg.adjacency_mode])
+        _write_training(cfg, args.log_out, params, records)
     best = max((r["val_ndcg20"] for r in records), default=0.0)
     print(f"trained {len(records)} epochs; best validation nDCG@20 {best:.4f}; "
           f"checkpoint -> {cfg.checkpoint}")
     return 0
+
+
+def _write_training(cfg: RunConfig, log_path, params, records) -> None:
+    """`train`'s JSONL log, one record per epoch, then its checkpoint."""
+    with atomic_write(log_path) as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    save_checkpoint(cfg.checkpoint, params, extra={key: getattr(cfg, key) for key in (
+        "window", "adjacency_mode", "min_freq", "seed")})  # cmd_rerank checks the first two
 
 
 def cmd_rerank(cfg: RunConfig, args) -> int:

@@ -136,7 +136,6 @@ def precision_at(ranked: RunList, judged: dict[str, int], cutoff: int = 20) -> f
 class FoldSplit:
     """One rotation of k-fold cross-validation over query ids."""
 
-    folds: list[list[str]]
     train: list[str]
     validation: list[str]
     test: list[str]
@@ -172,7 +171,6 @@ def kfold_split(
         if i != val_pick:
             train.extend(fold_lists[i])
     return FoldSplit(
-        folds=fold_lists,
         train=train,
         validation=validation,
         test=test,

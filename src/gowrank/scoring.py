@@ -1,7 +1,7 @@
 """Interaction features and scoring: each document's graph and each query
 text's node-term / query-term cosines cached, (query id, doc id) pairs
 through the model in one batched call, every pool of a validation pass or
-of `rerank` in one call, and `rerank`'s skip and truncation warnings.
+of `rerank` in one call, `rerank`'s skip warnings and the truncation warning.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ class ScoringContext:
 
     The documents of a `score` call that have no graph yet are built
     together, in one `build_graphs` call, and added to `graphs` (by doc
-    id) when it is given.  Also warns, once per query id, when a query
-    has more terms than the model scores.
+    id) when it is given.  It keeps caches only: it logs nothing.
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class ScoringContext:
         self._graphs = {} if graphs is None else graphs
         self._feats: dict[tuple[tuple[int, ...], str], np.ndarray] = {}
         self._query_rows: dict[tuple[int, ...], np.ndarray] = {}
-        self._truncated: set[str] = set()
 
     def feats(self, qid: str, doc_id: str) -> np.ndarray:
         # keyed by query text: ids that repeat a text share the matrices,
@@ -59,19 +57,10 @@ class ScoringContext:
             self._feats[text, doc_id] = rows @ self._query_rows[text].T  # n x M cosines
         return self._feats[text, doc_id]
 
-    def warn_truncated(self, qid: str, budget: int) -> None:
-        """Warn, once per query id, when the query has more than `budget` terms."""
-        length = len(self.queries[qid].tokens)
-        if length > budget and qid not in self._truncated:
-            self._truncated.add(qid)
-            log.warning("query %s has %d terms; keeping the first %d", qid, length, budget)
-
     def score(
         self, pairs: list[tuple[str, str]], params: ModelParams, record: bool = False
     ) -> tuple[np.ndarray, list[ForwardTrace] | None]:
         """Score (query id, doc id) pairs in one `forward_batch` call."""
-        for qid in dict.fromkeys(qid for qid, _ in pairs):
-            self.warn_truncated(qid, params.hyper.max_query_len)
         missing = [d for d in dict.fromkeys(d for _, d in pairs) if d not in self._graphs]
         if missing:
             self._graphs.update(zip(missing, build_graphs(
@@ -81,6 +70,13 @@ class ScoringContext:
             for qid, doc_id in pairs
         ]
         return forward_batch(docs, params, record)
+
+
+def warn_truncated(query: Query, budget: int) -> None:
+    """Warn when `query` has more terms than the `budget` that the model scores."""
+    if len(query.tokens) > budget:
+        log.warning("query %s has %d terms; keeping the first %d",
+                    query.query_id, len(query.tokens), budget)
 
 
 def query_pools(queries: dict[str, Query], index: PostingsIndex, candidates: int,
@@ -131,7 +127,7 @@ def rerank(ctx: ScoringContext, index: PostingsIndex, candidates: int,
         elif not pools[first[qid]]:
             log.warning("query %s matched no documents; skipped", qid)
         else:
-            ctx.warn_truncated(qid, params.hyper.max_query_len)
+            warn_truncated(ctx.queries[qid], params.hyper.max_query_len)
             keep[qid] = first[qid]
     ranked = rank_pools(ctx, pools, params)
     return {qid: ranked[text_id] for qid, text_id in keep.items()}

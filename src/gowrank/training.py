@@ -9,14 +9,11 @@ in the same stacked products, and Adam steps on their batch mean.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write
 from .config import RunConfig, seed_stream
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
@@ -24,11 +21,9 @@ from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
 from .graph import DocumentGraph
 from .gradcheck import grad_check  # noqa: F401 (criterion 1)
-from .model import (
-    ModelParams, backward, init_params, iter_tensors, pairwise_hinge, save_checkpoint,
-)
+from .model import ModelParams, backward, init_params, iter_tensors, pairwise_hinge
 from .retrieval import PostingsIndex
-from .scoring import ScoringContext, query_pools, rank_pools
+from .scoring import ScoringContext, query_pools, rank_pools, warn_truncated
 from .scoring import score_pool  # noqa: F401 (criterion 9)
 
 log = logging.getLogger(__name__)
@@ -155,17 +150,15 @@ def train(
     cfg: RunConfig,
     train_qids: list[str],
     val_qids: list[str],
-    log_path: str | Path | None = None,
-    checkpoint_path: str | Path | None = None,
     graphs: dict[str, DocumentGraph] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Epoch loop: sample triplets, batch-mean gradients, Adam, validate.
 
-    Keeps the checkpoint with the best validation nDCG@20 (ties keep the
+    Keeps the parameters with the best validation nDCG@20 (ties keep the
     earlier epoch); with no validation query to measure, the last epoch wins.
     Documents are scored through the graphs of `graphs` (see ScoringContext).
-    Returns (best params, per-epoch log records); the JSONL log has one
-    {epoch, mean_loss, pair_acc, val_ndcg20} record per epoch.
+    Returns (best params, one {epoch, mean_loss, pair_acc, val_ndcg20} record
+    per epoch) and writes no file.
     """
     params = init_params(cfg.hyper(), seed_stream(cfg.seed, "init"))
     state = AdamState(params, lr=cfg.lr)
@@ -191,9 +184,10 @@ def train(
                              for q in train_qids}, {q: pools[q] for q in train_qids})
     # a width no training query has runs leading blocks never trained together
     trained = {min(len(queries[q].tokens), cfg.max_query_len) for q in usable}
-    for qid in sorted(val_qids):
+    for qid in sorted({*usable, *val_qids}) if usable else ():  # none when nothing trains
+        warn_truncated(queries[qid], cfg.max_query_len)
         width = min(len(queries[qid].tokens), cfg.max_query_len)
-        if trained and width not in trained:  # none when nothing trains
+        if width not in trained:
             log.warning("validation query %s scores %d terms, a width that no "
                         "training query has", qid, width)
 
@@ -234,20 +228,5 @@ def train(
             }
         )
 
-    if log_path is not None:
-        with atomic_write(log_path) as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    if checkpoint_path is not None:
-        save_checkpoint(
-            checkpoint_path,
-            best_params,
-            extra={
-                "window": cfg.window,
-                "adjacency_mode": cfg.adjacency_mode,
-                "min_freq": cfg.min_freq,
-                "seed": cfg.seed,
-            },
-        )
     return best_params, records
 

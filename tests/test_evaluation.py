@@ -145,28 +145,38 @@ class TestRankOnlyDependence:
         assert order == order2
 
 
+def _folds(qids, k=5, seed=0):
+    """The k folds of a split: the shuffle does not depend on the rotation,
+    so fold r is the test fold of rotation r."""
+    return [kfold_split(qids, k, seed, r).test for r in range(k)]
+
+
 class TestKfold:
     def test_partition_and_balance(self):
         qids = [f"q{i:03d}" for i in range(23)]
-        split = kfold_split(qids, folds=5, seed=3)
-        all_assigned = [q for fold in split.folds for q in fold]
+        folds = _folds(qids, seed=3)
+        all_assigned = [q for fold in folds for q in fold]
         assert sorted(all_assigned) == sorted(qids)
-        sizes = [len(f) for f in split.folds]
+        sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_paper_scale_sizes(self):
-        split250 = kfold_split([f"q{i}" for i in range(250)], seed=0)
-        assert [len(f) for f in split250.folds] == [50] * 5
-        split200 = kfold_split([f"q{i}" for i in range(200)], seed=0)
-        assert [len(f) for f in split200.folds] == [40] * 5
+        folds250 = _folds([f"q{i}" for i in range(250)], seed=0)
+        assert [len(f) for f in folds250] == [50] * 5
+        folds200 = _folds([f"q{i}" for i in range(200)], seed=0)
+        assert [len(f) for f in folds200] == [40] * 5
 
     def test_roles_partition_queries(self):
         qids = [f"q{i}" for i in range(30)]
+        tests = _folds(qids, seed=7)
+        # the k test folds partition the ids
+        assert sorted(q for fold in tests for q in fold) == sorted(qids)
         for rotation in range(5):
             split = kfold_split(qids, folds=5, seed=7, rotation=rotation)
             combined = split.train + split.validation + split.test
             assert sorted(combined) == sorted(qids)
-            assert split.test == split.folds[rotation]
+            # validation is another rotation's test fold
+            assert split.validation in tests[:rotation] + tests[rotation + 1:]
             assert len(split.validation) in (5, 6, 7)
             assert not set(split.test) & set(split.validation)
 
@@ -174,10 +184,9 @@ class TestKfold:
         qids = [f"q{i}" for i in range(40)]
         a = kfold_split(qids, seed=11, rotation=2)
         b = kfold_split(qids, seed=11, rotation=2)
-        assert a.folds == b.folds
+        assert _folds(qids, seed=11) == _folds(qids, seed=11)
         assert a.validation == b.validation
-        c = kfold_split(qids, seed=12, rotation=2)
-        assert a.folds != c.folds
+        assert _folds(qids, seed=11) != _folds(qids, seed=12)
 
     def test_too_few_queries(self):
         with pytest.raises(DataFormatError, match="at least 5"):

@@ -4,9 +4,11 @@ no cycle, the input-side modules load neither the model nor scipy's
 special functions, the index stage's modules load no scipy at all,
 `training` serves the names that the acceptance criteria import from it
 as the stage modules' own objects, `graph` alone keeps the graph store,
-and the interaction features and the rerank stage live in `scoring`."""
+the interaction features and the rerank stage live in `scoring`, and the
+stages return what the commands of `cli` write and warn about."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -110,6 +112,26 @@ def test_graph_builds_scoring_forms_features_and_reranks():
     assert _top_level_callers({"unit_rows"}) == {("scoring", "ScoringContext")}
     assert "cli" not in {module for module, _ in _top_level_callers({"query_pools",
                                                                      "rank_pools"})}
+
+
+def test_stages_return_and_commands_write():
+    """`train` takes no output path and imports no artifact writer, only
+    `cli` saves a checkpoint, and ScoringContext keeps caches only: no
+    method of it logs, or calls a function of `scoring` that logs."""
+    assert not {"log_path", "checkpoint_path"} & set(inspect.signature(training.train).parameters)
+    tree = ast.parse((PACKAGE / "training.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "artifacts" for node in ast.walk(tree))
+    assert {module for module, _ in _top_level_callers({"save_checkpoint"})} == {"cli"}
+
+    tree = ast.parse((PACKAGE / "scoring.py").read_text(encoding="utf-8"))
+    loggers = {"log"} | {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                         and any(getattr(sub, "id", None) == "log" for sub in ast.walk(node))}
+    context = next(node for node in tree.body if getattr(node, "name", None) == "ScoringContext")
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(context)}
+    assert not named & loggers, named & loggers
+    ctx = scoring.ScoringContext({}, {}, None, 5, "graph")
+    assert not hasattr(ctx, "_truncated") and not hasattr(ctx, "warn_truncated")
 
 
 # the benchmark's harness imports these four, and its peak-memory metric

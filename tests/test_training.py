@@ -40,7 +40,7 @@ from gowrank.model import (
     readout,
     score,
 )
-from gowrank import gradcheck, scoring, training
+from gowrank import cli, gradcheck, scoring, training
 from gowrank.retrieval import build_index, top_candidates
 from gowrank.training import (
     AdamState,
@@ -596,6 +596,16 @@ def _tiny_config(**overrides):
     return RunConfig(**base)
 
 
+def _train_and_write(log_path, cfg, train_qids, val_qids):
+    """`train` on the tiny world, then `cmd_train`'s writes of its log and
+    of its checkpoint, to `cfg.checkpoint`."""
+    docs, queries, qrels, index, emb = _tiny_world()
+    params, records = train(docs, queries, qrels, index, emb, cfg,
+                            train_qids=train_qids, val_qids=val_qids)
+    cli._write_training(cfg, log_path, params, records)
+    return params, records
+
+
 def _tied_world():
     """`_tiny_world` plus copies of pa1 and nb2, which tie with them
     exactly, so the (-score, doc_id) order is exercised as well as the
@@ -612,22 +622,6 @@ def _tied_world():
 
 
 class TestScoringContext:
-    def test_truncation_warned_once_per_query(self, caplog):
-        docs, queries, _, _, emb = _tiny_world()
-        queries["long"] = Query("long", list(range(10)), np.ones(10))
-        ctx = ScoringContext(docs, queries, emb, 3, "graph")
-        params = init_params(
-            HyperParams(steps=1, pool_k=4, max_query_len=8),
-            np.random.default_rng(0),
-        )
-        with caplog.at_level(logging.WARNING, logger="gowrank.scoring"):
-            ctx.score([("long", "pa0"), ("long", "na0")], params)
-            ctx.score([("long", "pb0")], params)
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert "keeping the first 8" in warnings[0].getMessage()
-
-
     def test_each_missing_graph_built_once_per_call(self, monkeypatch):
         docs, queries, _, _, emb = _tiny_world()
         ctx = ScoringContext(docs, queries, emb, 3, "sequence")
@@ -824,13 +818,9 @@ class TestRankPools:
 
 class TestTrainLoop:
     def test_log_schema_and_length(self, tmp_path):
-        docs, queries, qrels, index, emb = _tiny_world()
-        cfg = _tiny_config(epochs=3)
+        cfg = _tiny_config(epochs=3, checkpoint=str(tmp_path / "model.ckpt"))
         log_path = tmp_path / "train.log"
-        _, records = train(
-            docs, queries, qrels, index, emb, cfg,
-            train_qids=["qa", "qb"], val_qids=["qa"], log_path=log_path,
-        )
+        _, records = _train_and_write(log_path, cfg, ["qa", "qb"], ["qa"])
         assert len(records) == 3
         for i, record in enumerate(records, start=1):
             assert record["epoch"] == i
@@ -909,14 +899,49 @@ class TestTrainLoop:
                   train_qids=[], val_qids=["qb"])
         assert caplog.records == []
 
-    def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
+    def test_truncation_warned_once_per_query(self, caplog, monkeypatch):
+        """long1 validates and long2 trains, and each is scored many times;
+        each is warned once, in sorted id order, before the first
+        minibatch is scored."""
         docs, queries, qrels, index, emb = _tiny_world()
-        cfg = _tiny_config(epochs=0)
+        for qid in ("long2", "long1"):
+            queries[qid] = Query(qid, list(range(10)), np.ones(10))
+            qrels[qid] = qrels["qa"]
+        calls = []  # per forward_batch call: its query ids, the warnings logged before it
+        forward_batch = scoring.forward_batch
+
+        def counted(batch, params, record=False):
+            calls.append(({query.query_id for _, _, query in batch}, len(caplog.records)))
+            return forward_batch(batch, params, record)
+
+        monkeypatch.setattr(scoring, "forward_batch", counted)
+        with caplog.at_level(logging.WARNING, logger="gowrank"):
+            train(docs, queries, qrels, index, emb, _tiny_config(epochs=3),
+                  train_qids=["qa", "long2"], val_qids=["long1"])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {qid} has 10 terms; keeping the first 4" for qid in ("long1", "long2")]
+        assert calls[0][1] == 2
+        for qid in ("long1", "long2"):
+            assert sum(qid in ids for ids, _ in calls) > 1
+
+    def test_no_truncation_warning_when_nothing_trains(self, caplog):
+        # long2, the one training id, has no negative in its pool
+        docs, queries, qrels, index, emb = _tiny_world()
+        for qid in ("long2", "long1"):
+            queries[qid] = Query(qid, list(range(10)), np.ones(10))
+        qrels["long1"] = qrels["qa"]
+        qrels["long2"] = dict.fromkeys(docs, 1)
+        with caplog.at_level(logging.WARNING, logger="gowrank"), pytest.raises(
+            DataFormatError, match="no trainable queries"
+        ):
+            train(docs, queries, qrels, index, emb, _tiny_config(epochs=2),
+                  train_qids=["long2"], val_qids=["long1"])
+        assert caplog.records == []
+
+    def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
         ckpt = tmp_path / "model.ckpt"
-        params, records = train(
-            docs, queries, qrels, index, emb, cfg,
-            train_qids=["qa", "qb"], val_qids=[], checkpoint_path=ckpt,
-        )
+        cfg = _tiny_config(epochs=0, checkpoint=str(ckpt))
+        params, records = _train_and_write(tmp_path / "train.log", cfg, ["qa", "qb"], [])
         assert records == []
         hyper = HyperParams(steps=cfg.steps, pool_k=cfg.pool_k,
                             max_query_len=cfg.max_query_len)
@@ -928,15 +953,11 @@ class TestTrainLoop:
         assert extra["seed"] == cfg.seed
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        docs, queries, qrels, index, emb = _tiny_world()
-
         def run(tag):
-            cfg = _tiny_config(epochs=4)
             log_path = tmp_path / f"{tag}.log"
             ckpt = tmp_path / f"{tag}.ckpt"
-            train(docs, queries, qrels, index, emb, cfg,
-                  train_qids=["qa", "qb"], val_qids=["qb"],
-                  log_path=log_path, checkpoint_path=ckpt)
+            cfg = _tiny_config(epochs=4, checkpoint=str(ckpt))
+            _train_and_write(log_path, cfg, ["qa", "qb"], ["qb"])
             return log_path.read_bytes(), ckpt.read_bytes()
 
         assert run("a") == run("b")
@@ -973,12 +994,10 @@ class TestTrainLoop:
         # an infinite step turns every weight with a zero gradient into
         # NaN, whose scores leave every hinge inactive: the gradients stay
         # finite zeros, so only the scores show the failure
-        docs, queries, qrels, index, emb = _tiny_world()
-        cfg = _tiny_config(lr=math.inf, steps_per_epoch=steps_per_epoch)
+        cfg = _tiny_config(lr=math.inf, steps_per_epoch=steps_per_epoch,
+                           checkpoint=str(tmp_path / "m.ckpt"))
         with pytest.raises(NumericalError, match=f"epoch 1: non-finite {stage} score"):
-            train(docs, queries, qrels, index, emb, cfg,
-                  train_qids=["qa", "qb"], val_qids=["qa"],
-                  log_path=tmp_path / "train.log", checkpoint_path=tmp_path / "m.ckpt")
+            _train_and_write(tmp_path / "train.log", cfg, ["qa", "qb"], ["qa"])
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_qrels_raises(self):
