@@ -8,11 +8,13 @@ m x m blocks of the layer weights, pools the k strongest signals per
 query term, and combines the per-term scores under idf-driven softmax
 gates.
 
-`forward_batch` is the one forward implementation.  It stacks documents
-that share a query width into block-diagonal graphs (`block_diagonal`
-unions of up to BLOCK_NODES nodes, or SCORE_NODES with no `record`), so a
-minibatch or a rerank pool costs a few sparse products and gated updates
-per block rather than per document; `forward` is its one-document case.
+`forward_batch` is the one forward implementation.  Its `stack_blocks`
+stacks documents that share a query width into block-diagonal graphs
+(`block_diagonal` unions of up to BLOCK_NODES nodes, or SCORE_NODES with
+no `record`), so a minibatch or a rerank pool costs a few sparse products
+and gated updates per block rather than per document; its `score_blocks`
+does the math, so blocks kept in a list score again without being stacked
+again.  `forward` is its one-document case.
 With `record`, every intermediate is kept in a ForwardTrace per block,
 which `backward` replays exactly in reverse, by hand (no autodiff
 framework), to the gradients of the pairwise hinge loss.  Gradients flow
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from math import prod
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -51,6 +53,8 @@ BLOCK_NODES = 2048
 SCORE_NODES = 8192
 # `readout` partitions past this many nodes per k: 1.9x a sort's time at 1.5k, 0.5x at 8k
 READOUT_PARTITION = 4
+# `stack_blocks`' (positions, adjacency union, (N, m) features, (B, m) idf, B sizes)
+Block = tuple[np.ndarray, csr_matrix, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -219,12 +223,19 @@ def _transposed(w: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(w.T) if rows > 1 else w.T
 
 
+def _laid_out(layer: LayerParams, rows: int) -> LayerParams:
+    """`layer` for `rows` state rows, made once per block: each matrix as the
+    transpose of its `_transposed`, which `_transposed` gives back uncopied,
+    and each bias tiled, as numpy adds an (m,) array to N rows in N loops."""
+    return LayerParams(**{name: _transposed(w, rows).T if w.ndim == 2 else
+                          np.tile(w, (rows, 1)) for name, w in vars(layer).items()})
+
+
 def _gate(act, a, w, x, u, b) -> np.ndarray:
-    """act(a @ wᵀ + x @ uᵀ + b), summed in that order and activated in a new
-    array; the bias is tiled, as numpy adds an (m,) array to N rows in N loops."""
+    """act(a @ wᵀ + x @ uᵀ + b), summed in that order, in a new array."""
     y = a @ _transposed(w, len(a))
     y += x @ _transposed(u, len(a))
-    y += np.tile(b, (len(a), 1))
+    y += b
     return act(y, out=y)
 
 
@@ -315,49 +326,43 @@ def _blocks(
     that a block's documents padded to its largest one (as `readout`
     pads them) fill at most `limit` rows, unless one document alone
     does; yields (m, positions)."""
-    for m in np.unique(widths).tolist():
-        members = np.flatnonzero(widths == m)
-        members = members[np.argsort(sizes[members], kind="stable")]
-        start = 0
-        for end, n in enumerate(sizes[members].tolist()):
-            if end > start and (end - start + 1) * n > limit:
-                yield m, members[start:end]
-                start = end
-        yield m, members[start:]
+    order = np.lexsort((sizes, widths))  # stable: by width, then node count
+    ms, ns = widths[order].tolist(), sizes[order].tolist()
+    start = 0
+    for end, (m, n) in enumerate(zip(ms, ns)):
+        if end > start and (m != ms[start] or (end - start + 1) * n > limit):
+            yield ms[start], order[start:end]
+            start = end
+    if ms:
+        yield ms[start], order[start:]
 
 
-def forward_batch(
-    docs: list[tuple[DocumentGraph, np.ndarray, Query]],
-    params: ModelParams,
-    record: bool = False,
-) -> tuple[np.ndarray, list[ForwardTrace] | None]:
-    """Score a batch of (graph, S, query) documents; returns (rel, traces).
-
-    Each document scores the first m = min(len(query), max_query_len)
-    query terms, one state column each; terms past the budget are
-    dropped.  Documents with equal m are stacked into blocks of one
-    block-diagonal graph each (see `_blocks`), so every step is one
-    propagation and one gated update per block with the layer's leading
-    m x m blocks.  `rel[i]` is document i's score.  With `record`,
-    `traces` holds one ForwardTrace per block, else it is None.  An empty
-    query cannot be scored; an empty document scores the all-zero readout.
-    """
-    hyper = params.hyper
-    widths = np.zeros(len(docs), dtype=np.int64)
-    sizes = np.zeros(len(docs), dtype=np.int64)
-    for i, (graph, S, query) in enumerate(docs):
-        widths[i] = min(S.shape[1], hyper.max_query_len)
-        sizes[i] = graph.num_nodes
-        if widths[i] == 0:
-            raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
-    rel = np.zeros(len(docs))
-    traces: list[ForwardTrace] | None = [] if record else None
+def stack_blocks(docs: list[tuple[DocumentGraph, np.ndarray, Query]], max_query_len: int,
+                 record: bool = False) -> Iterator[Block]:
+    """The blocks of `forward_batch(docs, ...)`, which read no parameter, one
+    at a time as they are scored: a caller that scores them again lists them."""
+    widths = np.array([min(S.shape[1], max_query_len) for _, S, _ in docs], np.int64)
+    sizes = np.array([graph.num_nodes for graph, _, _ in docs], np.int64)
+    if not widths.all():
+        query = docs[int(np.argmin(widths))][2]
+        raise DataFormatError(f"query {query.query_id!r} has no scoreable terms")
     for m, members in _blocks(widths, sizes, BLOCK_NODES if record else SCORE_NODES):
         block = [docs[i] for i in members]
-        norm_adj = block_diagonal([(g.indptr, g.indices, g.weights) for g, _, _ in block])
-        h = np.concatenate([S[:, :m] for _, S, _ in block])
-        idf = np.stack([query.idf[:m] for _, _, query in block])
-        layer = leading_block(params.layer, m)
+        yield (members,
+               block_diagonal([(g.indptr, g.indices, g.weights) for g, _, _ in block]),
+               np.concatenate([S[:, :m] for _, S, _ in block]),
+               np.stack([query.idf[:m] for _, _, query in block]), sizes[members])
+
+
+def score_blocks(blocks: Iterable[Block], params: ModelParams,
+                 record: bool = False) -> tuple[np.ndarray, list[ForwardTrace] | None]:
+    """The (rel, traces) of `forward_batch` from its `stack_blocks`, which
+    are read and never changed."""
+    hyper = params.hyper
+    scored = []  # (members, rel) per block
+    traces: list[ForwardTrace] | None = [] if record else None
+    for members, norm_adj, h, idf, sizes in blocks:
+        layer = _laid_out(leading_block(params.layer, h.shape[1]), len(h))
         states = [h]
         messages: list[np.ndarray] = []
         upd: list[np.ndarray] = []
@@ -373,9 +378,10 @@ def forward_batch(
                 cand.append(c)
                 states.append(h)
 
-        pooled, pooled_idx = readout(h, hyper.pool_k, sizes[members])
+        pooled, pooled_idx = readout(h, hyper.pool_k, sizes)
         gates = gate_weights(idf, float(params.idf_scale))
-        rel[members], term_scores = score(pooled, gates, params.out_w, params.out_b)
+        block_rel, term_scores = score(pooled, gates, params.out_w, params.out_b)
+        scored.append((members, block_rel))
         if record:
             traces.append(
                 ForwardTrace(
@@ -394,7 +400,28 @@ def forward_batch(
                     idf=idf,
                 )
             )
+    rel = np.zeros(sum(len(members) for members, _ in scored))
+    for members, block_rel in scored:
+        rel[members] = block_rel
     return rel, traces
+
+
+def forward_batch(docs: list[tuple[DocumentGraph, np.ndarray, Query]], params: ModelParams,
+                  record: bool = False) -> tuple[np.ndarray, list[ForwardTrace] | None]:
+    """Score a batch of (graph, S, query) documents; returns (rel, traces),
+    `score_blocks` of `stack_blocks`: the math after the stacking.
+
+    Each document scores the first m = min(len(query), max_query_len)
+    query terms, one state column each; terms past the budget are
+    dropped.  Documents with equal m are stacked into blocks of one
+    block-diagonal graph each (see `_blocks`), so every step is one
+    propagation and one gated update per block with the layer's leading
+    m x m blocks.  `rel[i]` is document i's score.  With `record`,
+    `traces` holds one ForwardTrace per block, else it is None.  An empty
+    query cannot be scored; an empty document scores the all-zero readout.
+    """
+    return score_blocks(stack_blocks(docs, params.hyper.max_query_len, record),
+                        params, record)
 
 
 def forward(

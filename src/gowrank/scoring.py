@@ -7,13 +7,14 @@ of `rerank` in one call, `rerank`'s skip warnings and the truncation warning.
 from __future__ import annotations
 
 import logging
+from typing import Iterator
 
 import numpy as np
 
 from .corpus import Query, TokenizedDoc
 from .embeddings import EmbeddingTable
 from .graph import DocumentGraph, build_graphs
-from .model import ForwardTrace, ModelParams, forward_batch
+from .model import Block, ForwardTrace, ModelParams, score_blocks, stack_blocks
 from .retrieval import PostingsIndex, top_candidates
 
 log = logging.getLogger(__name__)
@@ -22,8 +23,8 @@ log = logging.getLogger(__name__)
 class ScoringContext:
     """Caches graphs and interaction features for repeated scoring.
 
-    The documents of a `score` call that have no graph yet are built
-    together, in one `build_graphs` call, and added to `graphs` (by doc
+    The documents of a `stack` or `score` call that have no graph yet are
+    built together, in one `build_graphs` call, and added to `graphs` (by doc
     id) when it is given.  It keeps caches only: it logs nothing.
     """
 
@@ -57,10 +58,9 @@ class ScoringContext:
             self._feats[text, doc_id] = rows @ self._query_rows[text].T  # n x M cosines
         return self._feats[text, doc_id]
 
-    def score(
-        self, pairs: list[tuple[str, str]], params: ModelParams, record: bool = False
-    ) -> tuple[np.ndarray, list[ForwardTrace] | None]:
-        """Score (query id, doc id) pairs in one `forward_batch` call."""
+    def stack(self, pairs: list[tuple[str, str]], max_query_len: int,
+              record: bool = False) -> Iterator[Block]:
+        """`stack_blocks` of (query id, doc id) pairs, for `score_blocks`."""
         missing = [d for d in dict.fromkeys(d for _, d in pairs) if d not in self._graphs]
         if missing:
             self._graphs.update(zip(missing, build_graphs(
@@ -69,7 +69,12 @@ class ScoringContext:
             (self._graphs[doc_id], self.feats(qid, doc_id), self.queries[qid])
             for qid, doc_id in pairs
         ]
-        return forward_batch(docs, params, record)
+        return stack_blocks(docs, max_query_len, record)
+
+    def score(self, pairs: list[tuple[str, str]], params: ModelParams,
+              record: bool = False) -> tuple[np.ndarray, list[ForwardTrace] | None]:
+        """Score (query id, doc id) pairs: `forward_batch` through `stack`."""
+        return score_blocks(self.stack(pairs, params.hyper.max_query_len, record), params, record)
 
 
 def warn_truncated(query: Query, budget: int) -> None:
@@ -91,20 +96,25 @@ def query_pools(queries: dict[str, Query], index: PostingsIndex, candidates: int
     return pools, first
 
 
+def pool_pairs(pools: dict[str, list[tuple[str, float]]]) -> list[tuple[str, str]]:
+    """The (query id, doc id) pairs of every pool, pool after pool."""
+    return [(qid, doc_id) for qid, pool in pools.items() for doc_id, _ in pool]
+
+
 def rank_pools(
     ctx: ScoringContext, pools: dict[str, list[tuple[str, float]]], params: ModelParams
 ) -> dict[str, list[tuple[str, float]]]:
-    """Re-score every (query id: candidate pool) in one batched call; each
-    pool comes back in (-score, doc_id) order."""
-    rel, _ = ctx.score(
-        [(qid, doc_id) for qid, pool in pools.items() for doc_id, _ in pool], params
-    )
+    """Re-score every (query id: candidate pool) in one batched call, and
+    rank each pool by `rank_scored`."""
+    return rank_scored(pools, ctx.score(pool_pairs(pools), params)[0])
+
+
+def rank_scored(pools: dict[str, list[tuple[str, float]]],
+                rel: np.ndarray) -> dict[str, list[tuple[str, float]]]:
+    """Each pool with the scores `rel` of its `pool_pairs`, by (-score, doc_id)."""
     scores = iter(rel.tolist())
-    ranked = {}
-    for qid, pool in pools.items():
-        rescored = [(doc_id, next(scores)) for doc_id, _ in pool]
-        ranked[qid] = sorted(rescored, key=lambda pair: (-pair[1], pair[0]))
-    return ranked
+    return {qid: sorted([(doc_id, next(scores)) for doc_id, _ in pool],
+                        key=lambda pair: (-pair[1], pair[0])) for qid, pool in pools.items()}
 
 
 def score_pool(

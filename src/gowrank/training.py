@@ -4,7 +4,8 @@ A minibatch is scored in one `forward_batch` call: its positive and
 negative documents, interleaved, stacked into block-diagonal graphs per
 query width.  `model.backward` replays the recorded block traces to the
 gradients of the pairwise hinge, summed over every document of a block
-in the same stacked products, and Adam steps on their batch mean.
+in the same stacked products, and Adam steps on their batch mean.  The
+validation pools, each query text's once, are stacked once per run.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .errors import DataFormatError, NumericalError
 from .evaluation import QRels, ndcg_at
 from .graph import DocumentGraph
 from .gradcheck import grad_check  # noqa: F401 (criterion 1)
-from .model import ModelParams, backward, init_params, iter_tensors, pairwise_hinge
+from .model import ModelParams, backward, init_params, iter_tensors, pairwise_hinge, score_blocks
 from .retrieval import PostingsIndex
-from .scoring import ScoringContext, query_pools, rank_pools, warn_truncated
+from .scoring import ScoringContext, pool_pairs, query_pools, rank_scored, warn_truncated
 from .scoring import score_pool  # noqa: F401 (criterion 9)
 
 log = logging.getLogger(__name__)
@@ -125,19 +126,21 @@ def sample_triplets(
 
 
 def _validation_ndcg(
-    ctx: ScoringContext,
+    stack: list,
     params: ModelParams,
     pools: dict[str, list[tuple[str, float]]],
     qrels: QRels,
-    val_qids: list[str],
+    first: dict[str, str],
     epoch: int,
 ) -> float:
-    """Mean nDCG@20 over the validation queries, every pool scored in one
-    call; a query with an empty pool counts 0."""
-    ranked = rank_pools(ctx, {qid: pools[qid] for qid in val_qids}, params)
-    if not np.isfinite([v for pool in ranked.values() for _, v in pool]).all():
+    """Mean nDCG@20 over the validation ids of `first`, each with its own
+    qrels on the ranking of its text's pool (`pools` by first id, scored in
+    `stack`, their `ctx.stack`); a query with an empty pool counts 0."""
+    rel, _ = score_blocks(stack, params)
+    if not np.isfinite(rel).all():
         raise NumericalError(f"epoch {epoch}: non-finite validation score")
-    values = [ndcg_at([d for d, _ in ranked[q]], qrels[q], 20) for q in val_qids]
+    ranks = rank_scored(pools, rel)
+    values = [ndcg_at([d for d, _ in ranks[text]], qrels[q], 20) for q, text in first.items()]
     return sum(values) / len(values)
 
 
@@ -174,6 +177,10 @@ def train(
         log.warning("no validation query has terms and a relevant document; "
                     "the final parameters are kept")
     val_qids = measurable
+    # each validation text's pool is scored under its first id, from one stack
+    # made at the first pass: after epoch 1's graphs, as the store orders them
+    val_first = {q: first[q] for q in val_qids}
+    val_pools, val_stack = {text_id: pools[text_id] for text_id in val_first.values()}, None
 
     best_params = params.copy()
     best_val = float("-inf")
@@ -211,8 +218,10 @@ def train(
             tape.flat *= 1.0 / len(batch)
             adam_step(params, tape, state)
 
+        if val_qids and val_stack is None:
+            val_stack = list(ctx.stack(pool_pairs(val_pools), cfg.max_query_len))
         val = (
-            _validation_ndcg(ctx, params, pools, qrels, val_qids, epoch)
+            _validation_ndcg(val_stack, params, val_pools, qrels, val_first, epoch)
             if val_qids
             else 0.0
         )

@@ -796,19 +796,19 @@ class TestRepeatedQueryTexts:
         self, repeat_world, tmp_path, monkeypatch
     ):
         retrieved, scored = [], []
-        forward_batch = scoring.forward_batch
+        stack = scoring.ScoringContext.stack
 
         def counted_top_candidates(query, *args):
             retrieved.append(tuple(query.tokens))
             return top_candidates(query, *args)
 
-        def counted_forward_batch(docs, *args):
-            # docs holds (graph, features, query) per pool document
-            scored.append({tuple(query.tokens) for _, _, query in docs})
-            return forward_batch(docs, *args)
+        def counted_stack(ctx, pairs, *args):
+            # pairs holds (query id, doc id) per pool document
+            scored.append({tuple(ctx.queries[qid].tokens) for qid, _ in pairs})
+            return stack(ctx, pairs, *args)
 
         monkeypatch.setattr(scoring, "top_candidates", counted_top_candidates)
-        monkeypatch.setattr(scoring, "forward_batch", counted_forward_batch)
+        monkeypatch.setattr(scoring.ScoringContext, "stack", counted_stack)
         self._rerank(repeat_world, tmp_path / "x.run")
         queries = cli._load_world(load_config(repeat_world / "run.conf"))[1]
         texts = {tuple(q.tokens) for q in queries.values() if q.tokens}

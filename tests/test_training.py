@@ -39,16 +39,18 @@ from gowrank.model import (
     pairwise_hinge,
     readout,
     score,
+    score_blocks,
+    stack_blocks,
 )
 from gowrank import cli, gradcheck, scoring, training
 from gowrank.retrieval import build_index, top_candidates
+from gowrank.scoring import rank_pools
 from gowrank.training import (
     AdamState,
     ScoringContext,
     Triplet,
     adam_step,
     grad_check,
-    rank_pools,
     sample_triplets,
     score_pool,
     train,
@@ -330,6 +332,55 @@ class TestScoreBlocks:
         assert len(blocks[False]) < len(blocks[True])
 
 
+class TestStackThenScore:
+    """`forward_batch` is `score_blocks` of `stack_blocks`; blocks kept in a
+    list score the same bits again and are not changed by scoring."""
+
+    @staticmethod
+    def _batch(rng, kind):
+        if kind == "mixed":  # widths 1-8 and 10, documents of 0, 1, 2 and more nodes
+            return _mixed_batch(rng)
+        query = Query("q3", [0, 1, 2], rng.uniform(0.1, 3.0, 3))
+        sizes = {"one-row": [1], "one-row-and-empty": [0, 1]}[kind]
+        return [(helpers.random_graph(rng, n), rng.uniform(-1.0, 1.0, size=(n, 3)), query)
+                for n in sizes]
+
+    @pytest.mark.parametrize("kind", ["mixed", "one-row", "one-row-and-empty"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_bits_equal_forward_batch_and_score_again(self, kind, record):
+        rng = np.random.default_rng(350)
+        params = helpers.random_params(rng, HyperParams(steps=2, pool_k=5, max_query_len=8))
+        docs = self._batch(rng, kind)
+        rel, traces = forward_batch(docs, params, record)
+        blocks = list(stack_blocks(docs, params.hyper.max_query_len, record))
+        kept = [[a.copy() for a in (members, adj.data, adj.indices, adj.indptr, h, idf, sizes)]
+                for members, adj, h, idf, sizes in blocks]
+        shapes = {h.shape for _, _, h, _, _ in blocks}  # (rows, width) per block
+        assert (1, 3) in shapes if kind != "mixed" else 8 in {m for _, m in shapes}
+        d_rel = rng.choice([-1.0, 1.0], size=len(docs))
+        for _ in range(2):
+            again, again_traces = score_blocks(blocks, params, record)
+            assert again.tobytes() == rel.tobytes()
+            if record:
+                tapes = [backward(t, d_rel).flat.tobytes() for t in (traces, again_traces)]
+                assert tapes[0] == tapes[1]
+        for (members, adj, h, idf, sizes), before in zip(blocks, kept):
+            after = (members, adj.data, adj.indices, adj.indptr, h, idf, sizes)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+    def test_zero_width_query_is_named(self):
+        rng = np.random.default_rng(351)
+        params = helpers.random_params(rng, HyperParams(steps=1, pool_k=2, max_query_len=8))
+        graph = helpers.random_graph(rng, 3)
+        docs = [(graph, rng.uniform(size=(3, 2)), Query("two", [0, 1], np.ones(2))),
+                (graph, np.zeros((3, 0)), Query("none-a", [], np.ones(0))),
+                (graph, np.zeros((3, 0)), Query("none-b", [], np.ones(0)))]
+        for stacked in (lambda: forward_batch(docs, params),
+                        lambda: list(stack_blocks(docs, 8))):
+            with pytest.raises(DataFormatError, match="^query 'none-a' has no scoreable terms$"):
+                stacked()
+
+
 class TestGradCheck:
     """Central-difference verification of the analytic gradients."""
 
@@ -358,6 +409,26 @@ class TestGradCheck:
             "w_cand", "u_cand", "b_cand",
         )} | {"out_w", "out_b", "idf_scale"}
         assert names == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unread_coordinates_checked_together_change_no_bit(self, monkeypatch, seed):
+        # the shapes of acceptance criterion 1, against the loop over every
+        # coordinate, which the group check falls back to
+        shapes = (dict(n=12, m=4, steps=2, k=3), dict(n=1, m=2, steps=2, k=3),
+                  dict(n=5, m=3, steps=2, k=8))
+        calls, forward_batch = [], gradcheck.forward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "forward_batch", counted)
+        grouped = [grad_check(seed=seed, **shape) for shape in shapes]
+        forwards = len(calls)
+        monkeypatch.setattr(gradcheck, "_unread_exact", lambda *args: False)
+        full = [grad_check(seed=seed, **shape) for shape in shapes]
+        assert repr(grouped) == repr(full)
+        assert 4 * forwards < len(calls) - forwards
 
     def test_tampered_gradient_is_caught(self, monkeypatch):
         def corrupted(*args, **kwargs):
@@ -757,7 +828,7 @@ class TestRankPools:
     def test_validation_ndcg_is_the_per_query_mean(self):
         docs, queries, qrels, emb, params = _tied_world()
         qrels = dict(qrels, mixed={"pa0": 1, "pb0": 2}, dry={"pa0": 0},
-                     lost={"pa1": 1})
+                     lost={"pa1": 1}, qb2={"nb2": 1, "z-nb2": 2})
         queries["dry"] = queries["lost"] = queries["qb"]
         pools = {
             "qa": [(d, 0.0) for d in sorted(qrels["qa"])],
@@ -766,54 +837,99 @@ class TestRankPools:
             "dry": [("pa0", 0.0)],
             "lost": [],
         }
-        # `train` keeps dry, which has no relevant doc, out of validation
-        val_qids = ["qb", "lost", "mixed", "qa"]
+        # `train` keeps dry, which has no relevant doc, out of validation;
+        # qb2 is ranked on qb's pool with its own qrels
+        first = {"qb": "qb", "lost": "lost", "mixed": "mixed", "qa": "qa", "qb2": "qb"}
         values = []
-        for qid in val_qids:  # lost counts 0
+        for qid, text_id in first.items():  # lost counts 0
             ctx = ScoringContext(docs, queries, emb, 3, "graph")
-            ranked = [d for d, _ in score_pool(ctx, qid, pools[qid], params)]
+            ranked = [d for d, _ in score_pool(ctx, text_id, pools[text_id], params)]
             values.append(ndcg_at(ranked, qrels[qid], 20))
-        assert values[1] == 0.0
+        assert values[1] == 0.0 and values[4] != values[0]
         ctx = ScoringContext(docs, queries, emb, 3, "graph")
-        mean = training._validation_ndcg(ctx, params, pools, qrels, val_qids, epoch=1)
+        texts = {text_id: pools[text_id] for text_id in first.values()}
+        stack = list(ctx.stack(scoring.pool_pairs(texts), params.hyper.max_query_len))
+        mean = training._validation_ndcg(stack, params, texts, qrels, first, epoch=1)
         assert mean == sum(values) / len(values)
+
+    @staticmethod
+    def _spy_scoring(monkeypatch):
+        """Spies on `train`'s scoring: (record, query ids of the pairs) per
+        `ScoringContext.stack` call, and the record flag of each
+        `score_blocks` call of a training step ("step") or of a
+        validation pass ("validation")."""
+        stacked, scored = [], []
+        stack = scoring.ScoringContext.stack
+
+        def counted_stack(ctx, pairs, max_query_len, record=False):
+            stacked.append((record, [qid for qid, _ in pairs]))
+            return stack(ctx, pairs, max_query_len, record)
+
+        def counted(kind, score_blocks):
+            def scored_blocks(blocks, params, record=False):
+                scored.append((kind, record))
+                return score_blocks(blocks, params, record)
+            return scored_blocks
+
+        monkeypatch.setattr(scoring.ScoringContext, "stack", counted_stack)
+        monkeypatch.setattr(scoring, "score_blocks", counted("step", scoring.score_blocks))
+        monkeypatch.setattr(training, "score_blocks",
+                            counted("validation", training.score_blocks))
+        return stacked, scored
 
     def test_one_forward_per_validation_epoch(self, monkeypatch):
         docs, queries, qrels, index, emb = _tiny_world()
-        calls = []
-        forward_batch = scoring.forward_batch
-
-        def counted(batch, params, record=False):
-            calls.append(record)
-            return forward_batch(batch, params, record)
-
-        monkeypatch.setattr(scoring, "forward_batch", counted)
+        _, scored = self._spy_scoring(monkeypatch)
         cfg = _tiny_config(epochs=3)
         train(docs, queries, qrels, index, emb, cfg,
               train_qids=["qa", "qb"], val_qids=["qa", "qb"])
-        assert calls.count(False) == cfg.epochs
-        assert calls.count(True) == cfg.epochs * cfg.steps_per_epoch
+        assert scored.count(("validation", False)) == cfg.epochs
+        assert scored.count(("step", True)) == cfg.epochs * cfg.steps_per_epoch
+        assert len(scored) == cfg.epochs * (cfg.steps_per_epoch + 1)
 
-    def test_validation_scores_one_row_per_id_and_pool_doc(self, monkeypatch):
-        # qa2 repeats qa's text; retrieval is per text, validation per id
+    def test_validation_pairs_stacked_once_per_train_call(self, monkeypatch):
+        docs, queries, qrels, index, emb = _tiny_world()
+        stacked, _ = self._spy_scoring(monkeypatch)
+        cfg = _tiny_config(epochs=3)
+        train(docs, queries, qrels, index, emb, cfg,
+              train_qids=["qa", "qb"], val_qids=["qb", "qa"])
+        pool = {q: len(top_candidates(queries[q], index, cfg.candidates)) for q in qrels}
+        validation = [qids for record, qids in stacked if not record]
+        assert validation == [["qb"] * pool["qb"] + ["qa"] * pool["qa"]]
+        # every step stacks its own minibatch: (positive, negative) per triplet
+        steps = [qids for record, qids in stacked if record]
+        assert len(steps) == cfg.epochs * cfg.steps_per_epoch
+        assert all(len(qids) == 2 * cfg.batch and qids[0::2] == qids[1::2] for qids in steps)
+        # the one validation stack is built after epoch 1's steps, as each
+        # pass's stack used to be, so graphs are built in the same order
+        assert [record for record, _ in stacked].index(False) == cfg.steps_per_epoch
+
+    def test_validation_scores_each_text_once(self, monkeypatch, tmp_path):
+        # qa2 repeats qa's text with qrels of its own: retrieval and
+        # validation scoring are per text, the nDCG per id
         docs, queries, qrels, index, emb = _tiny_world()
         queries["qa2"] = Query("qa2", list(queries["qa"].tokens), queries["qa"].idf)
-        qrels["qa2"] = qrels["qa"]
-        rows = []
-        forward_batch = scoring.forward_batch
-
-        def counted(batch, params, record=False):
-            if not record:
-                rows.append(Counter(query.query_id for _, _, query in batch))
-            return forward_batch(batch, params, record)
-
-        monkeypatch.setattr(scoring, "forward_batch", counted)
-        cfg = _tiny_config(epochs=2)
-        train(docs, queries, qrels, index, emb, cfg,
-              train_qids=["qb"], val_qids=["qa2", "qa"])
+        qrels["qa2"] = {doc_id: 1 for doc_id in sorted(qrels["qa"])[:2]}
+        assert qrels["qa2"] != qrels["qa"]
+        cfg = _tiny_config(epochs=3, checkpoint=str(tmp_path / "model.ckpt"))
         size = len(top_candidates(queries["qa"], index, cfg.candidates))
         assert size > 0
-        assert rows == [Counter(qa=size, qa2=size)] * cfg.epochs
+        logs = []
+        for per_id in (False, True):
+            stacked, _ = self._spy_scoring(monkeypatch)
+            if per_id:  # each id a text of its own, as every id was scored before
+                def query_pools(queries, index, candidates, qids, pools=scoring.query_pools):
+                    pools, first = pools(queries, index, candidates, qids)
+                    return {q: pools[t] for q, t in first.items()}, {q: q for q in first}
+                monkeypatch.setattr(training, "query_pools", query_pools)
+            _, records = train(docs, queries, qrels, index, emb, cfg,
+                               train_qids=["qb"], val_qids=["qa2", "qa"])
+            cli._write_training(cfg, tmp_path / "train.log", init_params(
+                cfg.hyper(), np.random.default_rng(0)), records)
+            logs.append((tmp_path / "train.log").read_bytes())
+            rows = [Counter(qids) for record, qids in stacked if not record]
+            assert rows == [Counter(qa2=size, qa=size) if per_id else Counter(qa=size)]
+        assert logs[0] == logs[1]
 
 
 class TestTrainLoop:
@@ -907,14 +1023,22 @@ class TestTrainLoop:
         for qid in ("long2", "long1"):
             queries[qid] = Query(qid, list(range(10)), np.ones(10))
             qrels[qid] = qrels["qa"]
-        calls = []  # per forward_batch call: its query ids, the warnings logged before it
-        forward_batch = scoring.forward_batch
+        calls = []  # per stacking: its query ids, the warnings logged before it
+        scored = []  # per scoring: the query ids of the stacking it scores
+        stack, score_blocks = scoring.ScoringContext.stack, training.score_blocks
 
-        def counted(batch, params, record=False):
-            calls.append(({query.query_id for _, _, query in batch}, len(caplog.records)))
-            return forward_batch(batch, params, record)
+        def counted(ctx, pairs, max_query_len, record=False):
+            calls.append(({qid for qid, _ in pairs}, len(caplog.records)))
+            if record:  # a training step scores what it stacks
+                scored.append(calls[-1][0])
+            return stack(ctx, pairs, max_query_len, record)
 
-        monkeypatch.setattr(scoring, "forward_batch", counted)
+        def validated(blocks, params, record=False):  # scores the one validation stack
+            scored.append(next(ids for ids, _ in calls if "long1" in ids))
+            return score_blocks(blocks, params, record)
+
+        monkeypatch.setattr(scoring.ScoringContext, "stack", counted)
+        monkeypatch.setattr(training, "score_blocks", validated)
         with caplog.at_level(logging.WARNING, logger="gowrank"):
             train(docs, queries, qrels, index, emb, _tiny_config(epochs=3),
                   train_qids=["qa", "long2"], val_qids=["long1"])
@@ -922,7 +1046,7 @@ class TestTrainLoop:
             f"query {qid} has 10 terms; keeping the first 4" for qid in ("long1", "long2")]
         assert calls[0][1] == 2
         for qid in ("long1", "long2"):
-            assert sum(qid in ids for ids, _ in calls) > 1
+            assert sum(qid in ids for ids in scored) > 1
 
     def test_no_truncation_warning_when_nothing_trains(self, caplog):
         # long2, the one training id, has no negative in its pool
