@@ -7,7 +7,7 @@ of `rerank` in one call, `rerank`'s skip warnings and the truncation warning.
 from __future__ import annotations
 
 import logging
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,9 +23,10 @@ log = logging.getLogger(__name__)
 class ScoringContext:
     """Caches graphs and interaction features for repeated scoring.
 
-    The documents of a `stack` or `score` call that have no graph yet are
-    built together, in one `build_graphs` call, and added to `graphs` (by doc
-    id) when it is given.  It keeps caches only: it logs nothing.
+    `build` is the one way the graph cache fills: the documents it is given
+    that have no graph yet are built together, in one `build_graphs` call,
+    and added to `graphs` (by doc id) when it is given; `stack` and `score`
+    build through it.  It keeps caches only: it logs nothing.
     """
 
     def __init__(
@@ -58,13 +59,18 @@ class ScoringContext:
             self._feats[text, doc_id] = rows @ self._query_rows[text].T  # n x M cosines
         return self._feats[text, doc_id]
 
-    def stack(self, pairs: list[tuple[str, str]], max_query_len: int,
-              record: bool = False) -> Iterator[Block]:
-        """`stack_blocks` of (query id, doc id) pairs, for `score_blocks`."""
-        missing = [d for d in dict.fromkeys(d for _, d in pairs) if d not in self._graphs]
+    def build(self, doc_ids: Iterable[str]) -> None:
+        """Build the graphs of `doc_ids` not cached yet, in order of first
+        appearance, in one `build_graphs` call."""
+        missing = [d for d in dict.fromkeys(doc_ids) if d not in self._graphs]
         if missing:
             self._graphs.update(zip(missing, build_graphs(
                 [self.docs[d] for d in missing], self.window, self.adjacency_mode)))
+
+    def stack(self, pairs: list[tuple[str, str]], max_query_len: int,
+              record: bool = False) -> Iterator[Block]:
+        """`stack_blocks` of (query id, doc id) pairs, for `score_blocks`."""
+        self.build(d for _, d in pairs)
         docs = [
             (self._graphs[doc_id], self.feats(qid, doc_id), self.queries[qid])
             for qid, doc_id in pairs

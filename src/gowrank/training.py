@@ -1,11 +1,12 @@
 """Pairwise training: Adam, triplet sampling and the epoch loop.
 
-A minibatch is scored in one `forward_batch` call: its positive and
-negative documents, interleaved, stacked into block-diagonal graphs per
-query width.  `model.backward` replays the recorded block traces to the
-gradients of the pairwise hinge, summed over every document of a block
-in the same stacked products, and Adam steps on their batch mean.  The
-validation pools, each query text's once, are stacked once per run.
+An epoch's sampled documents without a graph are built in one call before
+its first step.  A minibatch is scored in one `forward_batch` call: its
+positive and negative documents, interleaved, stacked into block-diagonal
+graphs per query width.  `model.backward` replays the recorded block traces
+to the gradients of the pairwise hinge, summed over every document of a
+block in the same stacked products, and Adam steps on their batch mean.
+The validation pools, each query text's once, are stacked once per run.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         triplets = sample_triplets(usable, sampler, per_epoch)
+        ctx.build(doc for t in triplets for doc in (t.pos_doc, t.neg_doc))
         losses = []
         correct = 0
         for start in range(0, len(triplets), cfg.batch):

@@ -1301,3 +1301,100 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
                            cwd=out, env=env, check=True, capture_output=True, timeout=300)
         digests.append(hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+# index -> train -> rerank -> rerank -> eval in one fresh process: each
+# command's stdout and stderr go to their own files, and the graph store's
+# files are copied after each command, as they stood then
+_PIPELINE = """
+import json, os, shutil, sys
+from pathlib import Path
+from gowrank.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    with open(f"streams/{name}.out", "wb") as out, open(f"streams/{name}.err", "wb") as err:
+        os.dup2(out.fileno(), 1)
+        os.dup2(err.fileno(), 2)
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    os.makedirs(f"stores/{name}")
+    for store in sorted(Path("index").glob("graphs-*")):
+        shutil.copy(store, f"stores/{name}")
+    if code:
+        sys.exit(code)
+"""
+
+# a change that moves one of these bytes on purpose updates its digest
+PIPELINE_DIGESTS = {
+    "index.npz": "8d4fd0cb64b3ad80211a2404b8724dfac6d71f3e82cbd426f1bcd86bfd85c0df",
+    "embeddings.npz": "3adb9e5c67a2926905f07156a7536f2640e6f61a3570d0f3ade131d9d92b0332",
+    "train.log": "c9bff22ac3321e5f6f98571b84e7d3d21491494abdf2300435515168e672fdb2",
+    "model.ckpt": "2de272f468fdbd2501210a55a5986af6e7c133c2443e416397702ecb95770358",
+    "rerank1.run": "44b9b2722cf5a631ab599370a2b3ed99316211f01f045524bc1211f56d42ed37",
+    "rerank2.run": "2eb7bdafe85396d05d49486e9c34e305ec5caf9b9e13cc07f06ea58f65b64335",
+    "report.json": "2c7f80cc8cf1ebd7506f49ec26fc8ed1f897a709ba00f68ff5fdad25351f424a",
+    "eval/graphs-graph-w7.npz": "0ee18801cbb4bc5546d18d8862b750ce3e0e7a601cf2134cd2edcbd750dcafbb",
+    "rerank1/graphs-graph-w7.1.npz":
+        "20779bdf1f4aeca34003d8f448f23780605152f9ddee7ed445f9f7ec5dcb9f63",
+    "rerank1/graphs-graph-w7.npz":
+        "63046f9625624c508b11be4f05b6f1871028a982bb02973473f7b2cc82744934",
+    "rerank2/graphs-graph-w7.npz":
+        "0ee18801cbb4bc5546d18d8862b750ce3e0e7a601cf2134cd2edcbd750dcafbb",
+    "train/graphs-graph-w7.npz": "63046f9625624c508b11be4f05b6f1871028a982bb02973473f7b2cc82744934",
+    "eval.err": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval.out": "adfd92b9212ab7abfda7c9728dd75a149456e7d24f90fe6658b947c3c77b4542",
+    "index.err": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "index.out": "448d52086ce10a4278aea859f1e70a9ec6b0f634edbbf2937ebe16bd3e07f4e7",
+    "rerank1.err": "96c0e7a846a510212025b56ef92f0db33b3c45816dd619ac194646008299ad0c",
+    "rerank1.out": "73dcbd7669cb1968397f9e87163122cc6c892cfcb9c32da0527439aaa3b6be67",
+    "rerank2.err": "427b631af405aa98f2ba18eb66b41413fac14a3a6996239eee0911acaa468aa4",
+    "rerank2.out": "cc2e008dce8d282d9ccf820aaa5dc48bc160b77bdfe8b5870d3c41f1785f03cc",
+    "train.err": "98f640a431f9913eeaa8dc676f8b41e19b3a12201259dda036a1a1528555634a",
+    "train.out": "593ed8cecfb04f6ad4fabefdaea600c9b56065d62e3972cdbba1df772d2aebd6",
+}
+
+
+@pytest.mark.skipif(not helpers.openblas_dynamic_arch(),
+                    reason="numpy's BLAS cannot be switched to another kernel")
+def test_pipeline_bytes_are_pinned(tmp_path):
+    """Every artifact, every graph-store file and every stream of a short
+    bridged pipeline, on the oldest x86-64 kernel so that no machine's
+    default kernel moves a bit: the first rerank, on pools of 2, appends a
+    store segment, and the second, on full pools, rewrites the base."""
+    bridged_corpus(seed=0, num_queries=12).write(tmp_path / "data")
+    (tmp_path / "run.conf").write_text("".join(f"{key} = {value}\n" for key, value in {
+        "corpus": "data/corpus.jsonl", "queries": "data/queries.tsv",
+        "qrels": "data/qrels.txt", "embeddings": "data/embeddings.txt",
+        "min_freq": 1, "window": 7, "pool_k": 12, "lr": 0.005, "epochs": 3,
+        "steps_per_epoch": 4, "batch": 16}.items()))
+    (tmp_path / "streams").mkdir()
+    conf = ["--config", "run.conf"]
+    commands = [("index", ["index", *conf]), ("train", ["train", *conf]),
+                ("rerank1", ["rerank", *conf, "--candidates", "2", "--run-out", "rerank1.run"]),
+                ("rerank2", ["rerank", *conf, "--run-out", "rerank2.run"]),
+                ("eval", ["eval", *conf, "--run", "rerank2.run",
+                          "--report-out", "report.json"])]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _PIPELINE, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    streams = {path.name: path.read_bytes().replace(str(tmp_path).encode(), b"<tmp>")
+               for path in sorted((tmp_path / "streams").iterdir())}
+    assert done.returncode == 0, (done.stderr, streams)
+    store = "graph store index/graphs-graph-w7.npz"
+    assert [line for line in b"".join(streams[f"{name}.err"] for name in
+                                      ("train", "rerank1", "rerank2")).decode().splitlines()
+            if line.startswith(f"INFO {store}: ")] == [
+        f"INFO {store}: miss (no file), written",
+        f"INFO {store}: hit, appended (72 read, 6 written)",
+        f"INFO {store}: hit, written (78 read, 96 written)"]
+    files = {"index.npz": "index/index.npz", "embeddings.npz": "index/embeddings.npz",
+             "train.log": "train.log", "model.ckpt": "model.ckpt",
+             "rerank1.run": "rerank1.run", "rerank2.run": "rerank2.run",
+             "report.json": "report.json"}
+    digests = {name: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+               for name, path in files.items()}
+    digests |= {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted((tmp_path / "stores").glob("*/*"))}
+    digests |= {name: hashlib.sha256(data).hexdigest() for name, data in streams.items()}
+    assert digests == PIPELINE_DIGESTS

@@ -20,6 +20,7 @@ import helpers
 import reference
 from gowrank.config import RunConfig, seed_stream
 from gowrank.corpus import Query, TokenizedDoc
+from gowrank.datagen import bridged_corpus
 from gowrank.embeddings import EmbeddingTable
 from gowrank.errors import DataFormatError, NumericalError
 from gowrank.evaluation import ndcg_at
@@ -718,6 +719,31 @@ class TestScoringContext:
         ctx.score([("qb", "nb0"), ("qa", "pa1")], params)
         score_pool(ctx, "qa", [("pa0", 0.0), ("na0", 0.0)], params)
         assert len(calls) == 2
+
+    def test_train_builds_each_epoch_in_one_call(self, monkeypatch, tmp_path):
+        # the README config, shortened: each epoch's sampled documents are
+        # built before its first step, and the validation pools after epoch 1
+        bridged_corpus(seed=0).write(tmp_path)
+        epochs, conf = 3, tmp_path / "run.conf"
+        conf.write_text("".join(f"{key} = {value}\n" for key, value in {
+            "corpus": tmp_path / "corpus.jsonl", "queries": tmp_path / "queries.tsv",
+            "qrels": tmp_path / "qrels.txt", "embeddings": tmp_path / "embeddings.txt",
+            "index_dir": tmp_path / "index", "checkpoint": tmp_path / "model.ckpt",
+            "min_freq": 1, "window": 7, "pool_k": 12, "lr": 0.005, "epochs": epochs,
+            "steps_per_epoch": 8}.items()))
+        assert cli.main(["index", "--config", str(conf)]) == 0
+        calls = []
+
+        def counted(batch, window, mode):
+            calls.append([doc.doc_id for doc in batch])
+            return build_graphs(batch, window, mode)
+
+        monkeypatch.setattr(scoring, "build_graphs", counted)
+        assert cli.main(["train", "--config", str(conf),
+                         "--log-out", str(tmp_path / "train.log")]) == 0
+        assert 1 < len(calls) <= epochs + 1  # the one more: the validation stack
+        built = [doc_id for call in calls for doc_id in call]
+        assert len(built) == len(set(built))
 
     def test_same_text_under_two_ids_shares_features(self, monkeypatch):
         docs, queries, _, _, emb = _tiny_world()
